@@ -451,6 +451,38 @@ def separable_diagonal(problem, z):
     return w
 
 
+def _woodbury_core(b, D, loc, c):
+    """Core I - V[loc, loc] diag(c) of one cone block, and its 1-norm.
+
+    See WoodburyNewtonOperator for the formula.  Q holds the eigenbasis
+    rows the support touches; for each distinct second index t,
+    Z = (Q o q_t) D and one GEMM gives every core row whose pair ends in
+    t.  F comes back in Fortran order, ready for an in-place dgetrf.
+    """
+    ka, la = b.iu[loc], b.ju[loc]
+    idx = np.unique(np.concatenate([ka, la]))
+    kl = np.searchsorted(idx, ka)
+    ll = np.searchsorted(idx, la)
+    Q = b.dec.P[idx]
+    w = np.where(ka == la, 1.0, np.sqrt(2.0))
+    # the column scale -w_b c_b rides on the factors of B
+    s = (-w * c)[:, None]
+    Qk = Q[kl] * s
+    Ql = Q[ll] * s
+    k = loc.size
+    F = np.empty((k, k), order="F")
+    colsum = np.zeros(k)
+    for t in np.unique(ll):
+        rows = np.where(ll == t)[0]
+        Z = (Q * Q[t]) @ D
+        B = Qk * Z[ll] + Ql * Z[kl]
+        block = (0.5 * w[rows, None] * Q[kl[rows]]) @ B.T
+        block[np.arange(rows.size), rows] += 1.0
+        F[rows] = block
+        colsum += np.abs(block).sum(axis=0)
+    return F, float(colsum.max())
+
+
 class WoodburyNewtonOperator:
     """Newton operator for separable projection-type problems.
 
@@ -462,10 +494,28 @@ class WoodburyNewtonOperator:
         (V C - I) dx = r3 - V r1,    dGamma = r1 - W dx,
 
     and the Woodbury identity makes (V C - I)^{-1} an identity plus a
-    rank-k update whose k-by-k core factors once per iterate.  The
-    transpose solve shares the same core, and the smallest singular
-    value comes from the usual Lanczos iteration on the solves.  V is
-    block diagonal over cone blocks, so the core is too.
+    rank-k update whose k-by-k core F = I - V[S, S] diag(c_S) factors once
+    per iterate, S being the support of C.  The transpose solve shares
+    the same core, and the smallest singular value comes from the usual
+    Lanczos iteration on the solves.  V is block diagonal over cone
+    blocks, so the core is too.
+
+    The core is built from the rows q_i = P[i, :] of the eigenbasis.  With
+    w = 1 on diagonal pairs and sqrt(2) off them, the entry for support
+    pairs a = (i, j) and b = (p, q) is
+
+        V[a, b] = w_a w_b / 2 * [ (q_i o q_p)' D (q_j o q_q)
+                                  + (q_i o q_q)' D (q_j o q_p) ],
+
+    D the v_mask matrix, so V[S, S] gathers from the Gram matrix of the
+    vectors q_s o q_t over the p index pairs {s, t} with s an index the
+    support touches and t the second index of a support pair.  That Gram
+    is never formed whole: for each second index t one GEMM gives the
+    rows (q_s o q_t)' D, and another every core row with second index t.
+    The build costs O(p n^2 + k^2 n) flops, within the O(p n^2 + p^2 n)
+    of the whole Gram, and O(k^2 + k n) memory; no svec rotation-row
+    matrix (k by n(n+1)/2) is made.  On ex5 the support is one whole
+    index block, so p = k.
     """
 
     def __init__(self, problem, z, variant, decomps, w=None):
@@ -497,11 +547,8 @@ class WoodburyNewtonOperator:
             if loc.size == 0:
                 self._cores.append(None)
                 continue
-            # rows of R are the rotated unit svec vectors on the support
-            R = _svec_rotation_rows(b.dec.P.T, b.iu[loc], b.ju[loc])
-            F = -(R * b.dvec) @ R.T * cb[loc]
-            F[np.diag_indices_from(F)] += 1.0
-            anorm = float(np.max(np.abs(F).sum(axis=0)))
+            F, anorm = _woodbury_core(b, v_mask(b.dec, self.variant),
+                                      loc, cb[loc])
             lu, piv, info = lapack.dgetrf(F, overwrite_a=1)
             if info > 0:
                 self.singular = True

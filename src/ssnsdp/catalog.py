@@ -28,6 +28,9 @@ from .problem import (
 
 def _block_coord_masks(l1, l2):
     """svec-coordinate masks for the 2x2 block split of order l1+l2."""
+    for name, size in (("l1", l1), ("l2", l2)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     n = l1 + l2
     iu, ju = np.triu_indices(n)
     in11 = ju < l1

@@ -97,7 +97,7 @@ def _build_problem(args):
             kw["eps"] = args.eps
         try:
             return catalog(args.example, **kw)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise _ConfigError(
                 f"bad parameters for {args.example}: {e}") from e
     try:
@@ -284,12 +284,15 @@ def _emit(text, args):
 
 
 def cmd_run(args):
+    try:
+        params = SolverParams(
+            variant=args.variant.upper(), delta=args.delta, tol=args.tol,
+            max_iter=args.max_iter, eta=args.eta, tau=args.tau,
+            exact_solve=(args.eta == 0.0))
+    except ValueError as e:
+        raise _ConfigError(str(e)) from e
     problem, solution = _build_problem(args)
     start = _build_start(args, problem, solution)
-    params = SolverParams(
-        variant=args.variant.upper(), delta=args.delta, tol=args.tol,
-        max_iter=args.max_iter, eta=args.eta, tau=args.tau,
-        exact_solve=(args.eta == 0.0))
     z_bar = solution.z_bar if solution is not None else None
     solve = classical_ssn_solve if args.no_correction else ssn_solve
     result = solve(problem, start, params, z_bar=z_bar)

@@ -29,6 +29,17 @@ def test_catalog_rejects_unknown_name():
         catalog("ex99")
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex5"])
+@pytest.mark.parametrize("sizes,bad", [
+    ({"l1": 0, "l2": 0}, "l1"),
+    ({"l1": -3}, "l1"),
+    ({"l1": 2, "l2": 0}, "l2"),
+])
+def test_sized_examples_reject_sizes_below_one(name, sizes, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be at least 1"):
+        catalog(name, **sizes)
+
+
 @pytest.mark.parametrize("name,params", SMALL)
 def test_reference_points_satisfy_kkt(name, params):
     problem, sol = catalog(name, **params)

@@ -170,11 +170,29 @@ def test_run_point_accepts_svec_encoding(tmp_path, capsys):
     ("run", "--example", "ex7", "--start-eps", "0.5"),   # out of range
     ("run", "--example", "ex3", "--l1", "4"),          # ex3 takes no sizes
     ("check", "--example", "ex3", "--l1", "4"),
+    ("run", "--example", "ex5", "--delta", "-1"),      # bad solver params
+    ("run", "--example", "ex5", "--max-iter", "-2"),
+    ("run", "--example", "ex5", "--tol", "nan"),
+    ("run", "--example", "ex5", "--l1", "0", "--l2", "0"),  # bad sizes
+    ("run", "--example", "ex5", "--l1", "-3"),
+    ("check", "--example", "ex1", "--l1", "0", "--l2", "0"),
 ])
 def test_config_errors_exit_2(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--delta", "-1"), "error: delta must be positive\n"),
+    (("--l1", "-3"), "error: bad parameters for ex5: l1 must be at least 1"),
+], ids=["delta", "l1"])
+def test_config_errors_name_the_argument(argv, message, capsys):
+    code, out, err = run_cli(capsys, "run", "--example", "ex5", *argv)
+    assert code == 2
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_run_qsdp_needs_explicit_start(ex3_qsdp, capsys):

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import ssnsdp._reduced as reduced_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
+    _BlockData,
+    _woodbury_core,
     reuse_compatible,
     separable_diagonal,
 )
 from ssnsdp.catalog import catalog, example7_start
 from ssnsdp.kkt import assemble_U, cone_decompositions, kkt_residual
-from ssnsdp.linalg_sym import eig_sym, svec
+from ssnsdp.linalg_sym import eig_sym, svec, svec_len, svec_rotation, v_mask
 from ssnsdp.problem import (
     BlockSymMatrix,
     KktPoint,
@@ -298,13 +302,71 @@ def test_separable_diagonal_gate():
     assert separable_diagonal(p1, s1.z_bar) is None
 
 
-def test_woodbury_operator_matches_dense():
-    problem, sol = catalog("ex5", l1=6, l2=4)
-    z = correct(perturbed_start(sol.z_bar, 1.0, seed=11), problem, 0.5)
+def two_block_separable_problem():
+    """Separable problem on S^4 x S^3 whose Hessian differs from the
+    identity on three diagonal coordinates only, so the Woodbury support
+    covers no whole index block."""
+    orders = [4, 3]
+    N = svec_len(4) + svec_len(3)
+    w = np.ones(N)
+    # svec positions of (0,0) and (2,2) in block one, (1,1) in block two
+    w[[0, 7, 13]] = [0.0, 0.3, -0.5]
+    return NlsdpProblem(
+        name="two_block_separable",
+        x_dim=N,
+        eq_dim=0,
+        cone_blocks=orders,
+        f=lambda x: float(0.5 * x @ (w * x)),
+        grad_f=lambda x: w * x,
+        h=lambda x: np.zeros(0),
+        jac_h=lambda x, v: np.zeros(0),
+        jac_h_adj=lambda x, y: np.zeros(N),
+        g=lambda x: BlockSymMatrix.from_svec(orders, x),
+        jac_g=lambda x, v: BlockSymMatrix.from_svec(orders, v),
+        jac_g_adj=lambda x, W: W.svec(),
+        hess_lagrangian=lambda x, xi, Gamma, v: w * v,
+        jac_h_matrix=sp.csr_matrix((0, N)),
+        jac_g_matrix=sp.identity(N, format="csr"),
+        hess_matrix_fn=lambda x, xi, Gamma: sp.diags(w).tocsr(),
+    )
+
+
+def two_block_start(problem, seed):
+    """Random point whose cone arguments have eigenvalues inside and on
+    both sides of the correction band delta = 0.5."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(problem.x_dim)
+    g = problem.g(x).blocks
+    Gamma = []
+    for Gb, lam in zip(g, ([1.5, 0.2, -0.1, -2.0], [0.9, 0.3, -1.1])):
+        Q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
+        Gamma.append((Q * np.asarray(lam)) @ Q.T - Gb)
+    return KktPoint(x, np.zeros(0), BlockSymMatrix(Gamma))
+
+
+def woodbury_case(name):
+    if name.startswith("ex5"):
+        problem, sol = catalog("ex5", l1=6, l2=4)
+        # with UI the ex5 operator is singular whenever |gamma| < l2
+        magnitude, seed = (1.0, 11) if name == "ex5-U0" else (5.0, 55)
+        z0 = perturbed_start(sol.z_bar, magnitude, seed=seed)
+    else:
+        problem = two_block_separable_problem()
+        z0 = two_block_start(problem, seed=5)
+    return problem, correct(z0, problem, 0.5), name[-2:]
+
+
+@pytest.mark.parametrize("case", [
+    "ex5-U0", "ex5-UI", "two-block-U0", "two-block-UI"])
+def test_woodbury_operator_matches_dense(case):
+    problem, z, variant = woodbury_case(case)
     decomps = cone_decompositions(problem, z)
+    for dec in decomps:
+        assert len(dec.alpha) and len(dec.beta) and len(dec.gamma)
     w = separable_diagonal(problem, z)
-    op = WoodburyNewtonOperator(problem, z, "U0", decomps, w)
-    U = assemble_U(problem, z, "U0").matrix
+    assert w is not None
+    op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
+    U = assemble_U(problem, z, variant).matrix
     assert not op.singular
     rng = np.random.default_rng(12)
     lu = np.linalg.inv(U)
@@ -315,6 +377,40 @@ def test_woodbury_operator_matches_dense():
         assert_allclose(op.solve_t(r), lu.T @ r, atol=1e-10)
     sigma_dense = float(np.linalg.svd(U, compute_uv=False)[-1])
     assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
+
+
+@pytest.mark.parametrize("support", ["block", "diagonal", "scattered", "all"])
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_woodbury_core_matches_rotation_rows(support, variant):
+    rng = np.random.default_rng(21)
+    n = 9
+    lam = np.array([2.0, 1.3, 0.7, 0.0, 0.0, -0.4, -1.1, -1.6, -2.5])
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dec = eig_sym((Q * lam) @ Q.T)
+    b = _BlockData(dec, variant)
+    loc = {"block": np.where(b.iu >= 5)[0],
+           "diagonal": np.where(b.iu == b.ju)[0],
+           "scattered": np.sort(rng.choice(b.len, 12, replace=False)),
+           "all": np.arange(b.len)}[support]
+    c = rng.standard_normal(loc.size)
+    F, anorm = _woodbury_core(b, v_mask(dec, variant), loc, c)
+    # reference: rows of the svec rotation by P', one per support pair
+    R = svec_rotation(dec.P.T)[loc]
+    ref = np.eye(loc.size) - (R * b.dvec) @ R.T * c
+    assert F.flags.f_contiguous
+    assert_allclose(F, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert_allclose(anorm, np.abs(ref).sum(axis=0).max(), rtol=1e-13)
+
+
+def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("svec rotation rows built")
+
+    monkeypatch.setattr(reduced_mod, "_svec_rotation_rows", refuse)
+    problem, z, variant = woodbury_case("ex5-U0")
+    op = WoodburyNewtonOperator(problem, z, variant,
+                                cone_decompositions(problem, z))
+    assert not op.singular
 
 
 def test_reduced_operator_matches_dense():
