@@ -23,17 +23,30 @@ value via Lanczos iteration on (U' U)^{-1}.  The rotation is orthogonal,
 so singular values of the reduced representation match the original
 operator exactly.
 
+That Lanczos iteration (_lanczos_sigma_min) is deterministic: it starts
+from the same fixed Gaussian vector on every call, with no warm start
+from an earlier iterate, so a value and its cost repeat bitwise.  It
+stops as soon as the top Ritz value has converged, which on Newton
+operators with few distinct singular values takes a handful of solves,
+and it returns nan, not 0.0, when it does not converge within its cap.
+
 Everything here is internal; the public dense contract lives in kkt.py.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.linalg import lu_solve as scipy_lu_solve
 
 from .linalg_sym import smat, svec, svec_len, v_mask, _svec_rotation_rows
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
+
+# sigma_min by Lanczos: residual tolerance of the top Ritz pair, relative to
+# its Ritz value; basis vectors kept before a restart; cap on the applies
+_LANCZOS_TOL = 1e-10
+_LANCZOS_BASIS = 30
+_LANCZOS_MAX_APPLIES = 1000
 
 
 class SingularReducedSystem(Exception):
@@ -173,7 +186,6 @@ class ReducedNewtonOperator:
         self.structure_key = _structure_signature(decomps, variant)
         self._build()
         self._sigma = None
-        self._sigma_vec = None
 
     # -- assembly -----------------------------------------------------------
 
@@ -377,49 +389,74 @@ class ReducedNewtonOperator:
         return np.concatenate([np.asarray(r1).ravel(),
                                np.asarray(r2).ravel()] + out3)
 
-    def sigma_min(self, v0=None):
+    def sigma_min(self):
         """Smallest singular value of the Newton operator at this iterate.
 
-        Largest eigenvalue of (U' U)^{-1} by Lanczos iteration on the
-        factorized solves; deterministic for a fixed starting vector.
-        Returns 0.0 when the factorization flagged singularity.
+        Deterministic Lanczos iteration on (U' U)^{-1} over the factorized
+        solves (see _lanczos_sigma_min): the same fixed start on every
+        call, no warm start, stopping as soon as the top Ritz value has
+        converged.  Returns 0.0 when the factorization flagged
+        singularity, and nan when the iteration did not converge.
         """
         if self._sigma is not None:
             return self._sigma
         if self.singular:
             self._sigma = 0.0
             return 0.0
-        self._sigma, self._sigma_vec = _lanczos_sigma_min(
-            self.dim, self.solve, self.solve_t, v0)
+        self._sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
         return self._sigma
 
-    def sigma_start_vector(self):
-        return self._sigma_vec
 
+def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
+    """Smallest singular value of U from factorized forward/transpose solves.
 
-def _lanczos_sigma_min(dim, solve, solve_t, v0=None):
-    """(sigma_min, Lanczos vector) from factorized forward/transpose solves.
+    Lanczos iteration on A = (U' U)^{-1}, applied as solve(solve_t(v)),
+    whose largest eigenvalue is 1 / sigma_min^2.  The start is the same
+    Gaussian vector on every call, so a result and its cost repeat
+    exactly; a Gaussian start has a component in every eigenspace with
+    probability one, which makes it safe to stop when the Krylov space
+    breaks down (becomes invariant).  Each new vector is reorthogonalized
+    fully by two classical Gram-Schmidt passes against the stored basis.
 
-    The tolerance is diagnostic grade: the value feeds trace reporting
-    and certificate warnings, where ten significant digits are plenty,
-    and a loose tolerance keeps the iteration count bounded on clustered
-    spectra.
+    The iteration stops once the top Ritz pair (theta, y) of the
+    tridiagonal T_j has a residual beta_j |y_j| <= tol * theta; a
+    breakdown, beta_j <= 1e-14 * theta, meets that test as well.  The
+    tolerance is diagnostic grade: the value feeds trace reporting and
+    certificate warnings, where ten significant digits are plenty.
+    Newton operators with few distinct singular values converge within a
+    handful of applies.  A full basis of _LANCZOS_BASIS vectors restarts
+    from the top Ritz vector.  Returns nan when max_applies applies pass
+    without convergence.
     """
-    if v0 is None or v0.shape != (dim,):
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    op = spla.LinearOperator(
-        (dim, dim), matvec=lambda v: solve(solve_t(v)))
-    try:
-        vals, vecs = spla.eigsh(op, k=1, which="LM", v0=v0,
-                                maxiter=1000, tol=1e-10)
-        lam = float(vals[0])
-        vec = vecs[:, 0]
-    except spla.ArpackNoConvergence as err:
-        if not len(err.eigenvalues):
-            return 0.0, None
-        lam = float(err.eigenvalues[0])
-        vec = None
-    return (1.0 / np.sqrt(lam) if lam > 0 else 0.0), vec
+    V = np.empty((min(_LANCZOS_BASIS, dim), dim))
+    v = np.random.default_rng(0).standard_normal(dim)
+    V[0] = v / np.linalg.norm(v)
+    alpha = []
+    beta = []
+    j = 0
+    for _ in range(max_applies):
+        w = solve(solve_t(V[j]))
+        a = 0.0
+        for _pass in range(2):
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            a += h[j]
+        alpha.append(a)
+        b = float(np.linalg.norm(w))
+        theta, Y = eigh_tridiagonal(np.array(alpha), np.array(beta),
+                                    select="i", select_range=(j, j))
+        theta = float(theta[0])
+        if theta > 0.0 and b * abs(Y[j, 0]) <= _LANCZOS_TOL * theta:
+            return float(1.0 / np.sqrt(theta))
+        if j + 1 == V.shape[0]:
+            v = Y[:, 0] @ V
+            V[0] = v / np.linalg.norm(v)
+            alpha, beta, j = [], [], 0
+        else:
+            beta.append(b)
+            V[j + 1] = w / b
+            j += 1
+    return float("nan")
 
 
 def separable_diagonal(problem, z):
@@ -535,7 +572,6 @@ class WoodburyNewtonOperator:
         self.c = 1.0 - self.w
         self._build()
         self._sigma = None
-        self._sigma_vec = None
 
     def _build(self):
         self.singular = False
@@ -608,18 +644,19 @@ class WoodburyNewtonOperator:
         return np.concatenate([self.w * dx + dG,
                                self._v_apply(dx + dG) - dx])
 
-    def sigma_min(self, v0=None):
+    def sigma_min(self):
+        """Smallest singular value, by the same deterministic Lanczos
+        iteration as ReducedNewtonOperator.sigma_min: a fixed start, no
+        warm start, an early stop once the top Ritz value has converged;
+        0.0 when the core is singular, nan when the iteration did not
+        converge."""
         if self._sigma is not None:
             return self._sigma
         if self.singular:
             self._sigma = 0.0
             return 0.0
-        self._sigma, self._sigma_vec = _lanczos_sigma_min(
-            self.dim, self.solve, self.solve_t, v0)
+        self._sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
         return self._sigma
-
-    def sigma_start_vector(self):
-        return self._sigma_vec
 
 
 def reuse_compatible(cached, problem, z_new, decomps, variant):

@@ -121,11 +121,17 @@ def _load_point(path, problem):
                 [np.asarray(b, dtype=float) for b in raw["Gamma"]])
     except (OSError, ValueError, KeyError) as e:
         raise _ConfigError(f"cannot load point {path}: {e}") from e
-    z = KktPoint(x, xi, Gamma)
     if x.shape != (problem.x_dim,) or xi.shape != (problem.eq_dim,) \
-            or [b.shape[0] for b in Gamma.blocks] != list(problem.cone_blocks):
+            or [b.shape for b in Gamma.blocks] \
+            != [(n, n) for n in problem.cone_blocks]:
         raise _ConfigError(f"point dimensions do not match {problem.name}")
-    return z
+    if not all(np.all(np.isfinite(a)) for a in [x, xi] + Gamma.blocks):
+        raise _ConfigError(f"point {path} has a non-finite entry")
+    for i, B in enumerate(Gamma.blocks):
+        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
+            raise _ConfigError(f"point {path}: Gamma block {i} is not "
+                               "symmetric")
+    return KktPoint(x, xi, Gamma)
 
 
 def _build_start(args, problem, solution):

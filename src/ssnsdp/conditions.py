@@ -59,6 +59,12 @@ class ConditionResult:
 
 @dataclass
 class ConditionReport:
+    """The four condition results plus the smallest singular values of the
+    zero-sided (U0) and identity-sided (UI) Newton matrices at the point.
+    A sigma_min of 0.0 means the matrix is singular; nan means the
+    Lanczos iteration of the structured path did not converge, so the
+    value is unknown (it raises no certificate warning)."""
+
     problem_name: str
     w_soc: ConditionResult
     s_sosc: ConditionResult
@@ -286,7 +292,7 @@ def _newton_sigma(problem, z, variant, decomps):
         op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
     else:
         op = ReducedNewtonOperator(problem, z, variant, decomps)
-    return 0.0 if op.singular else op.sigma_min()
+    return op.sigma_min()
 
 
 def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):

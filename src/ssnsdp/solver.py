@@ -90,7 +90,11 @@ class IterationTrace:
     """One outer-iteration row; correction_shift is the multiplier change
     that produced this iterate, newton_residual the linear-solve residual
     of the step taken from it (0.0 on the final row, where no step is
-    solved)."""
+    solved).  sigma_min is the smallest singular value of the Newton
+    matrix: 0.0 when the matrix is flagged singular (or no matrix is
+    built for a diverged iterate), nan when the structured backends'
+    Lanczos iteration did not converge, so the value is unknown rather
+    than small."""
 
     k: int
     f_norm: float
@@ -185,15 +189,12 @@ class _DenseBackend:
     def matvec(self, d):
         return self.op.matrix @ d
 
-    def sigma_min(self, v0=None):
+    def sigma_min(self):
         if self.singular:
             return 0.0
         if self._sigma is None:
             self._sigma = float(scipy.linalg.svdvals(self.op.matrix)[-1])
         return self._sigma
-
-    def sigma_start_vector(self):
-        return None
 
 
 def _make_backend(problem, z, variant, decomps):
@@ -279,7 +280,6 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
     trace = []
     f0 = None
     backend_prev = None
-    sigma_v0 = None
     z = z0
     status = "max_iter"
     for k in range(params.max_iter + 1):
@@ -301,14 +301,10 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         elif backend_prev is not None and reuse_compatible(
                 backend_prev, problem, z, decomps, params.variant):
             backend = backend_prev
-            sigma = backend.sigma_min(sigma_v0)
+            sigma = backend.sigma_min()
         else:
             backend = _make_backend(problem, z, params.variant, decomps)
-            sigma = backend.sigma_min(sigma_v0)
-        if backend is not None:
-            sv = backend.sigma_start_vector()
-            if sv is not None:
-                sigma_v0 = sv
+            sigma = backend.sigma_min()
         row = IterationTrace(
             k=k, f_norm=fn,
             dist_to_solution=(z.distance_to(z_bar)

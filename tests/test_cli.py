@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ssnsdp
+import ssnsdp._reduced as reduced_mod
 from ssnsdp.catalog import catalog
 from ssnsdp.cli import main
 from ssnsdp.problem import save_qsdp
@@ -223,6 +224,58 @@ def test_point_dimension_mismatch_exit_2(tmp_path, capsys):
     assert "dimensions" in err
 
 
+def ex3_point(tmp_path, edit):
+    """The ex3 solution as a --point file, after edit(raw) on its JSON."""
+    _, sol = catalog("ex3")
+    raw = {"x": sol.z_bar.x.tolist(), "xi": [],
+           "Gamma": [b.tolist() for b in sol.z_bar.Gamma.blocks]}
+    edit(raw)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def set_x0_nan(raw):
+    raw["x"][0] = float("nan")
+
+
+def set_gamma_inf(raw):
+    raw["Gamma"][1][0][0] = float("inf")
+
+
+@pytest.mark.parametrize("edit", [set_x0_nan, set_gamma_inf])
+def test_point_with_non_finite_entry_exit_2(tmp_path, capsys, edit):
+    point = ex3_point(tmp_path, edit)
+    code, out, err = run_cli(capsys, "run", "--example", "ex3",
+                             "--point", point)
+    assert code == 2
+    assert err == f"error: point {point} has a non-finite entry\n"
+    assert out == ""
+
+
+def test_point_with_asymmetric_gamma_exit_2(tmp_path, capsys):
+    def skew(raw):
+        raw["Gamma"][0][0][1] = 1e-3
+
+    point = ex3_point(tmp_path, skew)
+    code, out, err = run_cli(capsys, "check", "--example", "ex3",
+                             "--point", point)
+    assert code == 2
+    assert err == f"error: point {point}: Gamma block 0 is not symmetric\n"
+    assert out == ""
+
+
+def test_point_symmetric_to_rounding_is_accepted(tmp_path, capsys):
+    def nudge(raw):
+        raw["Gamma"][0][0][1] = 1e-15
+
+    point = ex3_point(tmp_path, nudge)
+    code, _, err = run_cli(capsys, "run", "--example", "ex3",
+                           "--point", point)
+    assert code == 0
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # check subcommand
 
@@ -266,6 +319,24 @@ def test_check_table_and_csv(capsys):
                            "--l1", "6", "--l2", "4", "--format", "csv")
     assert code == 0
     assert out.startswith("item,holds,value\n")
+
+
+def test_unconverged_sigma_prints_nan(monkeypatch, capsys):
+    # ex5 30/20 has 2 550 unknowns, so sigma_min comes from Lanczos; one
+    # apply cannot converge it
+    lanczos = reduced_mod._lanczos_sigma_min
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min",
+                        lambda *a: lanczos(*a, max_applies=1))
+    sizes = ("--example", "ex5", "--l1", "30", "--l2", "20")
+    code, out, _ = run_cli(capsys, "check", *sizes, "--format", "csv")
+    assert code == 0
+    assert "u0_sigma_min,,nan\n" in out
+    code, out, _ = run_cli(capsys, "check", *sizes, "--format", "json")
+    assert code == 0
+    assert '"u0_sigma_min": NaN' in out
+    code, out, _ = run_cli(capsys, "run", *sizes, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "nan"
 
 
 def test_check_rejects_non_kkt_point(tmp_path, capsys):

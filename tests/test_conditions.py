@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ssnsdp._reduced import WoodburyNewtonOperator
 from ssnsdp.catalog import catalog
 from ssnsdp.conditions import (
     CHECK_TOL,
@@ -155,6 +156,26 @@ def test_sigma_values(reports):
     assert reports["ex5"][0].ui_sigma_min <= 1e-12
     assert_allclose(reports["ex7"][0].ui_sigma_min, 0.5176380902050414,
                     rtol=1e-8)
+
+
+def test_structured_report_repeats_exactly(monkeypatch):
+    # 2 550 unknowns: above the dense cutoff, so the Woodbury path runs
+    problem, sol = catalog("ex5", l1=30, l2=20)
+    applies = []
+    solve_t = WoodburyNewtonOperator.solve_t
+
+    def counted(self, r):
+        applies.append(1)
+        return solve_t(self, r)
+
+    monkeypatch.setattr(WoodburyNewtonOperator, "solve_t", counted)
+    runs = []
+    for _ in range(3):
+        before = len(applies)
+        report = regularity_report(problem, sol.z_bar)
+        runs.append((report.u0_sigma_min, len(applies) - before))
+    assert runs[0][1] > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 # ---------------------------------------------------------------------------

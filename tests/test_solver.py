@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -11,6 +12,7 @@ from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
+    _lanczos_sigma_min,
     _woodbury_core,
     reuse_compatible,
     separable_diagonal,
@@ -431,6 +433,46 @@ def test_reduced_operator_matches_dense():
             assert_allclose(op.solve_t(r), Ui.T @ r, atol=1e-9)
         sigma_dense = float(np.linalg.svd(U, compute_uv=False)[-1])
         assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
+
+
+def lanczos_sigma_of(M, **kwargs):
+    """_lanczos_sigma_min driven by LU solves of a dense matrix."""
+    lu = scipy.linalg.lu_factor(M)
+    return _lanczos_sigma_min(
+        M.shape[0], lambda r: scipy.linalg.lu_solve(lu, r),
+        lambda r: scipy.linalg.lu_solve(lu, r, trans=1), **kwargs)
+
+
+def with_singular_values(s, seed):
+    rng = np.random.default_rng(seed)
+    n = len(s)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * np.asarray(s)) @ V.T
+
+
+LANCZOS_CASES = {
+    "generic": lambda: np.random.default_rng(31).standard_normal((40, 40)),
+    # the top eigenvalue of (U' U)^{-1} has multiplicity 5
+    "clustered": lambda: with_singular_values(
+        np.concatenate([np.full(5, 0.3), np.linspace(0.5, 3.0, 35)]), 32),
+    "near-singular": lambda: with_singular_values(
+        np.concatenate([[1e-7], np.linspace(0.5, 3.0, 39)]), 33),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_lanczos_sigma_min_matches_svd(case):
+    M = LANCZOS_CASES[case]()
+    sigma = lanczos_sigma_of(M)
+    assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-8)
+    # fixed start, no state kept between calls: bitwise repeatable
+    assert lanczos_sigma_of(M) == sigma
+
+
+def test_lanczos_sigma_min_reads_nan_when_not_converged():
+    M = LANCZOS_CASES["clustered"]()
+    assert np.isnan(lanczos_sigma_of(M, max_applies=3))
 
 
 @pytest.mark.parametrize("name,params,variant,magnitude", [
