@@ -155,6 +155,8 @@ def _build_start(args, problem, solution):
         if solution is None:
             raise _ConfigError(
                 "--perturb needs a problem with a known solution")
+        if not np.isfinite(args.perturb):
+            raise _ConfigError("--perturb must be finite")
         return perturbed_start(solution.z_bar, args.perturb, args.seed)
     if solution is None:
         raise _ConfigError(

@@ -33,7 +33,8 @@ from .kkt import (
     kkt_residual,
 )
 from ._reduced import (ReducedNewtonOperator, WoodburyNewtonOperator,
-                       reuse_compatible, separable_diagonal)
+                       _lanczos_sigma_min, reuse_compatible,
+                       separable_diagonal)
 
 logger = logging.getLogger("ssnsdp")
 
@@ -91,10 +92,10 @@ class IterationTrace:
     that produced this iterate, newton_residual the linear-solve residual
     of the step taken from it (0.0 on the final row, where no step is
     solved).  sigma_min is the smallest singular value of the Newton
-    matrix: 0.0 when the matrix is flagged singular (or no matrix is
-    built for a diverged iterate), nan when the structured backends'
-    Lanczos iteration did not converge, so the value is unknown rather
-    than small."""
+    matrix: 0.0 when the matrix is flagged singular; nan when it is
+    unknown rather than small, because the Lanczos iteration did not
+    converge (on any backend) or because the row is a diverged iterate,
+    for which no matrix is built."""
 
     k: int
     f_norm: float
@@ -159,41 +160,46 @@ def _correct_with_decomps(problem, z, delta):
 
 
 class _DenseBackend:
-    """Assembled-matrix backend with an LU factorization and exact SVD."""
+    """Assembled-matrix backend.  One LU factorization of the Newton matrix
+    serves the step solves and the sigma_min diagnostic, which runs the
+    shared Lanczos iteration on (U' U)^{-1} over those factors
+    (_lanczos_sigma_min), as the structured backends do."""
 
     def __init__(self, problem, z, variant, decomps):
         self.op = assemble_U(problem, z, variant, _decomps=decomps)
-        M = self.op.matrix
-        self.dim = M.shape[0]
+        self.dim = self.op.matrix.shape[0]
         self.structure_key = None
-        lu, piv, info = lapack.dgetrf(M)
-        self.singular = info > 0
-        if not self.singular:
-            anorm = float(np.max(np.abs(M).sum(axis=0)))
-            rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-            if rcond < 1e-14:
-                self.singular = True
-        self._lu = (lu, piv)
+        self._lu = _lu_with_rcond(self.op.matrix)
+        self.singular = self._lu is None
         self._sigma = None
 
-    def solve(self, r):
+    def _lu_solve(self, r, trans):
+        # dgetrs directly: scipy.linalg.lu_solve re-checks finiteness on
+        # every call, which dominates the small solves of a Lanczos run
         if self.singular:
             raise SingularSystemError()
-        return scipy.linalg.lu_solve(self._lu, r)
+        x, info = lapack.dgetrs(*self._lu, r, trans=trans)
+        if info != 0:
+            raise RuntimeError(f"dgetrs failed with info={info}")
+        return x
+
+    def solve(self, r):
+        return self._lu_solve(r, 0)
 
     def solve_t(self, r):
-        if self.singular:
-            raise SingularSystemError()
-        return scipy.linalg.lu_solve(self._lu, r, trans=1)
+        return self._lu_solve(r, 1)
 
     def matvec(self, d):
         return self.op.matrix @ d
 
     def sigma_min(self):
-        if self.singular:
-            return 0.0
+        """Smallest singular value of the Newton matrix, by the same
+        deterministic Lanczos iteration as the structured backends: 0.0
+        when the factorization flagged singularity, nan when the iteration
+        did not converge."""
         if self._sigma is None:
-            self._sigma = float(scipy.linalg.svdvals(self.op.matrix)[-1])
+            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
+                self.dim, self.solve, self.solve_t)
         return self._sigma
 
 
@@ -261,9 +267,11 @@ def ssn_solve(problem, z0_hat, params=None, z_bar=None):
 
     Statuses: "converged" (residual below tol), "singular_system",
     "max_iter", "diverged" (residual blew past 1e6 times its initial
-    value or left the floating range).  The final trace row always
-    carries the Newton matrix's smallest singular value at the last
-    iterate, converged or not.
+    value or left the floating range).  The final trace row carries the
+    Newton matrix's smallest singular value at the last iterate,
+    converged or not; a diverged row builds no matrix and records nan.
+    Raises ValueError, naming the field, when an entry of the start's x,
+    xi or Gamma is not finite.
     """
     return _solve_loop(problem, z0_hat, params or SolverParams(), z_bar,
                        corrected=True)
@@ -276,6 +284,10 @@ def classical_ssn_solve(problem, z0, params=None, z_bar=None):
 
 
 def _solve_loop(problem, z0, params, z_bar, corrected):
+    for field, parts in (("x", [z0.x]), ("xi", [z0.xi]),
+                         ("Gamma", z0.Gamma.blocks)):
+        if not all(np.all(np.isfinite(a)) for a in parts):
+            raise ValueError(f"start point has a non-finite entry in {field}")
     hat = z0
     trace = []
     f0 = None
@@ -297,7 +309,7 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         diverged = not np.isfinite(fn) or fn > 1e6 * max(f0, 1e-300)
         if diverged:
             # no Newton system is built for a hopeless iterate
-            backend, sigma = None, 0.0
+            backend, sigma = None, float("nan")
         elif backend_prev is not None and reuse_compatible(
                 backend_prev, problem, z, decomps, params.variant):
             backend = backend_prev

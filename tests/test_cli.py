@@ -5,15 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ssnsdp
 import ssnsdp._reduced as reduced_mod
+import ssnsdp.cli as cli_mod
 from ssnsdp.catalog import catalog
 from ssnsdp.cli import main
-from ssnsdp.problem import save_qsdp
+from ssnsdp.problem import BlockSymMatrix, KktPoint, NlsdpProblem, save_qsdp
 
 RUN_KEYS = {"iterations", "params", "problem", "seed", "status"}
 ROW_KEYS = {"correction_shift", "dist", "f_norm", "k", "newton_residual",
@@ -131,6 +133,49 @@ def test_run_max_iter_exit_code(capsys):
                            "--max-iter", "1")
     assert code == 4
     assert "max_iter" in out
+
+
+def blowup_catalog(name, **kwargs):
+    """A one-variable problem whose wrong Hessian makes the first Newton
+    step explode, with its start as the known solution."""
+    problem = NlsdpProblem(
+        name="blowup", x_dim=1, eq_dim=0, cone_blocks=[1],
+        f=lambda x: float(0.5 * x @ x),
+        grad_f=lambda x: x.copy(),
+        h=lambda x: np.zeros(0),
+        jac_h=lambda x, v: np.zeros(0),
+        jac_h_adj=lambda x, w: np.zeros(1),
+        g=lambda x: BlockSymMatrix([np.array([[x[0]]])]),
+        jac_g=lambda x, v: BlockSymMatrix([np.array([[v[0]]])]),
+        jac_g_adj=lambda x, W: np.array([W.blocks[0][0, 0]]),
+        hess_lagrangian=lambda x, xi, Gamma, v: 1e-8 * v,
+    )
+    z0 = KktPoint(np.array([1.0]), np.zeros(0), BlockSymMatrix.zeros([1]))
+    return problem, SimpleNamespace(z_bar=z0)
+
+
+def test_run_diverged_prints_nan_sigma(monkeypatch, capsys):
+    # a diverged row builds no Newton matrix: its sigma_min is unknown
+    monkeypatch.setattr(cli_mod, "catalog", blowup_catalog)
+    argv = ("run", "--example", "ex3", "--delta", "0.25")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 4
+    last = out.splitlines()[-1].split(",")
+    assert float(last[1]) > 1e6
+    assert last[3] == "nan"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 4
+    assert '"status": "diverged"' in out
+    assert '"sigma_min": NaN' in out
+
+
+@pytest.mark.parametrize("magnitude", ["inf", "nan"])
+def test_run_non_finite_perturbation_exit_2(magnitude, capsys):
+    code, out, err = run_cli(capsys, "run", "--example", "ex3",
+                             "--perturb", magnitude)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --perturb must be finite\n"
 
 
 def test_run_qsdp_file_with_point(ex3_qsdp, capsys):

@@ -1,5 +1,7 @@
 """Solver tests: correction step, Newton systems, statuses, backends."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 import ssnsdp._reduced as reduced_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import (
+    _LANCZOS_BASIS,
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
@@ -18,7 +21,12 @@ from ssnsdp._reduced import (
     separable_diagonal,
 )
 from ssnsdp.catalog import catalog, example7_start
-from ssnsdp.kkt import assemble_U, cone_decompositions, kkt_residual
+from ssnsdp.kkt import (
+    assemble_U,
+    cone_decompositions,
+    kkt_residual,
+    min_singular_value,
+)
 from ssnsdp.linalg_sym import eig_sym, svec, svec_len, svec_rotation, v_mask
 from ssnsdp.problem import (
     BlockSymMatrix,
@@ -227,7 +235,31 @@ def test_divergence_is_detected():
     res = ssn_solve(problem, z0, SolverParams(delta=0.25))
     assert res.status == "diverged"
     assert res.trace[-1].f_norm > 1e6
-    assert res.trace[-1].sigma_min == 0.0
+    # no Newton matrix is built for a diverged row: unknown, not singular
+    assert math.isnan(res.trace[-1].sigma_min)
+
+
+def set_x0_nan(z):
+    z.x[0] = np.nan
+
+
+def set_xi1_inf(z):
+    z.xi[1] = np.inf
+
+
+def set_gamma_nan(z):
+    z.Gamma.blocks[2][0, 0] = np.nan
+
+
+@pytest.mark.parametrize("solve", [ssn_solve, classical_ssn_solve])
+@pytest.mark.parametrize("edit,field", [
+    (set_x0_nan, "x"), (set_xi1_inf, "xi"), (set_gamma_nan, "Gamma")])
+def test_non_finite_start_is_rejected(solve, edit, field):
+    problem, sol = catalog("ex7")
+    z0 = sol.z_bar.copy()
+    edit(z0)
+    with pytest.raises(ValueError, match=f"non-finite entry in {field}$"):
+        solve(problem, z0)
 
 
 def test_solver_is_deterministic():
@@ -435,6 +467,47 @@ def test_reduced_operator_matches_dense():
         assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
 
 
+# (problem, catalog kwargs, variant, start magnitude, seed): corrected
+# starts where every Newton matrix is well away from singular; with UI
+# the ex5 operator is singular whenever |gamma| < l2
+DENSE_SIGMA_CASES = [
+    ("ex3", {}, "U0", 1.0, 1),
+    ("ex3", {}, "UI", 1.0, 1),
+    ("ex4_primal", {}, "U0", 1.0, 1),
+    ("ex4_primal", {}, "UI", 1.0, 1),
+    ("ex7", {}, "U0", 1.0, 1),
+    ("ex7", {}, "UI", 1.0, 1),
+    ("ex5", {"l1": 6, "l2": 3}, "U0", 1.0, 1),
+    ("ex5", {"l1": 6, "l2": 3}, "UI", 5.0, 3),
+]
+
+
+def dense_backend_at(name, params, variant, magnitude, seed):
+    problem, sol = catalog(name, **params)
+    z = correct(perturbed_start(sol.z_bar, magnitude, seed=seed), problem,
+                0.5)
+    return solver_mod._DenseBackend(problem, z, variant,
+                                    cone_decompositions(problem, z))
+
+
+@pytest.mark.parametrize("case", DENSE_SIGMA_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in DENSE_SIGMA_CASES])
+def test_dense_backend_sigma_matches_full_svd(case):
+    backend = dense_backend_at(*case)
+    assert not backend.singular
+    sigma = backend.sigma_min()
+    assert_allclose(sigma, min_singular_value(backend.op), rtol=1e-8)
+    # fixed start, no state kept between backends: bitwise repeatable
+    assert dense_backend_at(*case).sigma_min() == sigma
+
+
+def test_dense_backend_flagged_singular_reads_zero():
+    backend = dense_backend_at("ex7", {}, "U0", 0.5, 1)
+    assert backend.singular
+    assert min_singular_value(backend.op) < 1e-15
+    assert backend.sigma_min() == 0.0
+
+
 def lanczos_sigma_of(M, **kwargs):
     """_lanczos_sigma_min driven by LU solves of a dense matrix."""
     lu = scipy.linalg.lu_factor(M)
@@ -452,7 +525,13 @@ def with_singular_values(s, seed):
 
 
 LANCZOS_CASES = {
+    # bases smaller than _LANCZOS_BASIS: the Krylov space becomes
+    # invariant before the basis fills
+    "n3": lambda: np.random.default_rng(34).standard_normal((3, 3)),
+    "n7": lambda: np.random.default_rng(38).standard_normal((7, 7)),
     "generic": lambda: np.random.default_rng(31).standard_normal((40, 40)),
+    # close singular values: convergence needs a restart of the full basis
+    "restart": lambda: with_singular_values(np.linspace(1.0, 1.1, 40), 34),
     # the top eigenvalue of (U' U)^{-1} has multiplicity 5
     "clustered": lambda: with_singular_values(
         np.concatenate([np.full(5, 0.3), np.linspace(0.5, 3.0, 35)]), 32),
@@ -468,6 +547,21 @@ def test_lanczos_sigma_min_matches_svd(case):
     assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-8)
     # fixed start, no state kept between calls: bitwise repeatable
     assert lanczos_sigma_of(M) == sigma
+
+
+def test_lanczos_sigma_min_restarts_on_close_spectrum():
+    M = LANCZOS_CASES["restart"]()
+    lu = scipy.linalg.lu_factor(M)
+    applies = []
+
+    def solve(r):
+        applies.append(1)
+        return scipy.linalg.lu_solve(lu, r)
+
+    sigma = _lanczos_sigma_min(
+        M.shape[0], solve, lambda r: scipy.linalg.lu_solve(lu, r, trans=1))
+    assert len(applies) > _LANCZOS_BASIS
+    assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-8)
 
 
 def test_lanczos_sigma_min_reads_nan_when_not_converged():
