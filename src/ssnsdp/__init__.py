@@ -36,7 +36,7 @@ from .problem import (
     perturbed_start,
     save_qsdp,
 )
-from .catalog import catalog, catalog_names
+from .catalog import catalog_names
 from .kkt import (
     DenseOperator,
     KktResidual,
@@ -91,7 +91,6 @@ __all__ = [
     "load_qsdp",
     "perturbed_start",
     "save_qsdp",
-    "catalog",
     "catalog_names",
     "DenseOperator",
     "KktResidual",

@@ -23,6 +23,7 @@ from .problem import BlockSymMatrix, KktPoint, load_qsdp, perturbed_start
 from .kkt import assemble_U, clarke_combination, min_singular_value
 from .conditions import regularity_report
 from .solver import (
+    DENSE_LIMIT,
     SolverParams,
     classical_ssn_solve,
     fitted_order,
@@ -325,7 +326,7 @@ def cmd_check(args):
         return 2
     clarke_sigma = None
     if (report.u0_sigma_min <= 1e-8 and report.ui_sigma_min <= 1e-8
-            and problem.total_dim <= 1200):
+            and problem.total_dim <= DENSE_LIMIT):
         mid = clarke_combination(assemble_U(problem, z, "U0"),
                                  assemble_U(problem, z, "UI"), 0.5)
         clarke_sigma = min_singular_value(mid)

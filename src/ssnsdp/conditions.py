@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from .linalg_sym import svec_len
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of, to_dense
 from .kkt import assemble_U, cone_decompositions, kkt_residual, min_singular_value
-from ._reduced import (ReducedNewtonOperator, WoodburyNewtonOperator,
-                       _sector_codes, rotated_rows, separable_diagonal)
+from ._reduced import _sector_codes, rotated_rows
+from .solver import DENSE_LIMIT, _DenseBackend, _make_backend
 
 RESIDUAL_TOL = 1e-10
 
@@ -46,10 +46,6 @@ CHECK_TOL = 1e-8
 _SOSC_SECTORS = ((1, 2), (2, 2))
 _SOC_SECTORS = ((1, 1), (1, 2), (2, 2))
 
-# above this total dimension the report computes Newton-matrix singular
-# values through the factorized reduced form instead of a dense SVD
-_DENSE_SIGMA_LIMIT = 1200
-
 
 @dataclass
 class ConditionResult:
@@ -60,10 +56,12 @@ class ConditionResult:
 @dataclass
 class ConditionReport:
     """The four condition results plus the smallest singular values of the
-    zero-sided (U0) and identity-sided (UI) Newton matrices at the point.
-    A sigma_min of 0.0 means the matrix is singular; nan means the
-    Lanczos iteration of the structured path did not converge, so the
-    value is unknown (it raises no certificate warning)."""
+    zero-sided (U0) and identity-sided (UI) Newton matrices at the point,
+    as the solver's backends compute them.  A sigma_min of 0.0 means the
+    backend's factorization flagged the matrix singular, on every backend.
+    nan can only appear above the dense cutoff: it means the Lanczos
+    iteration of a structured backend did not converge, so the value is
+    unknown (it raises no certificate warning)."""
 
     problem_name: str
     w_soc: ConditionResult
@@ -284,15 +282,17 @@ def check_cn(problem, z, check_tol=CHECK_TOL, class_tol=None,
 
 
 def _newton_sigma(problem, z, variant, decomps):
-    if problem.total_dim <= _DENSE_SIGMA_LIMIT:
-        return min_singular_value(
-            assemble_U(problem, z, variant, _decomps=decomps))
-    w = separable_diagonal(problem, z)
-    if w is not None:
-        op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
-    else:
-        op = ReducedNewtonOperator(problem, z, variant, decomps)
-    return op.sigma_min()
+    """Smallest singular value of the Newton matrix at z, from the solver's
+    backend: the shared Lanczos iteration over its factorization, 0.0
+    when that factorization flags the matrix singular.  Above the dense
+    cutoff an unconverged Lanczos run reads nan.  At or below it the
+    exact SVD is affordable, so it replaces a nan there."""
+    if problem.total_dim > DENSE_LIMIT:
+        return _make_backend(problem, z, variant, decomps).sigma_min()
+    # perfbench/tracing.py wraps this module's assemble_U, min_singular_value
+    op = assemble_U(problem, z, variant, _decomps=decomps)
+    sigma = _DenseBackend(op).sigma_min()
+    return min_singular_value(op) if np.isnan(sigma) else sigma
 
 
 def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):

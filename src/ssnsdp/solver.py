@@ -160,13 +160,15 @@ def _correct_with_decomps(problem, z, delta):
 
 
 class _DenseBackend:
-    """Assembled-matrix backend.  One LU factorization of the Newton matrix
-    serves the step solves and the sigma_min diagnostic, which runs the
-    shared Lanczos iteration on (U' U)^{-1} over those factors
-    (_lanczos_sigma_min), as the structured backends do."""
+    """Backend over an assembled Newton matrix (a DenseOperator).  One LU
+    factorization serves the step solves and the sigma_min diagnostic,
+    which runs the shared Lanczos iteration on (U' U)^{-1} over those
+    factors (_lanczos_sigma_min), as the structured backends do.  The
+    solver and the regularity report below the dense cutoff both take
+    their sigma_min from here."""
 
-    def __init__(self, problem, z, variant, decomps):
-        self.op = assemble_U(problem, z, variant, _decomps=decomps)
+    def __init__(self, op):
+        self.op = op
         self.dim = self.op.matrix.shape[0]
         self.structure_key = None
         self._lu = _lu_with_rcond(self.op.matrix)
@@ -204,8 +206,12 @@ class _DenseBackend:
 
 
 def _make_backend(problem, z, variant, decomps):
+    """The Newton-matrix backend at z: the assembled matrix up to
+    DENSE_LIMIT unknowns, above it the diagonal-plus-low-rank (Woodbury)
+    form when the problem has one, else block elimination."""
     if problem.total_dim <= DENSE_LIMIT:
-        return _DenseBackend(problem, z, variant, decomps)
+        return _DenseBackend(
+            assemble_U(problem, z, variant, _decomps=decomps))
     w = separable_diagonal(problem, z)
     if w is not None:
         return WoodburyNewtonOperator(problem, z, variant, decomps, w)

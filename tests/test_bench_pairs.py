@@ -33,8 +33,8 @@ def checkouts(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     (change).mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "solve_s_p50", "better": "lower"},
-        {"name": "peak_rss_mb", "better": "lower"}]}))
+        {"name": "solve_s_p50", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
     for seed, (p, c) in enumerate([(2.0, 1.0), (2.2, 1.1), (1.8, 0.9),
                                    (2.1, 2.5)], start=5):
         write_run(parent, "w", seed, p, 100.0)
@@ -53,6 +53,7 @@ def test_pairs_by_workload_and_seed(bench_pairs, tmp_path):
                              "--out", str(out)]) == 0
     bench = json.loads(out.read_text())
     assert bench["name"] == "t"
+    assert bench["regressions"] == []
     assert list(bench["workloads"]) == ["w"]
     w = bench["workloads"]["w"]
     assert w["seeds"] == [5, 6, 7, 8]
@@ -64,6 +65,7 @@ def test_pairs_by_workload_and_seed(bench_pairs, tmp_path):
     assert solve["gain"] is False      # 3 wins of 4 pairs is under 9/10
     rss = w["metrics"]["peak_rss_mb"]
     assert rss["wins"] == 1 and rss["gain"] is False  # one tie, two losses
+    assert solve["regressed"] is False and rss["regressed"] is False
     for label in ("parent", "change"):
         assert w[label] == {"all_correct": True, "failed": 0,
                             "attempted": 40, "machine": [MACHINE]}
@@ -78,6 +80,20 @@ def test_gain_needs_every_pair_and_a_median_gap(bench_pairs, tmp_path):
         "solve_s_p50"]
     assert solve["wins"] == 4
     assert solve["gain"] is True
+
+
+@pytest.mark.parametrize("rss, regressed", [(109.0, False), (111.0, True)])
+def test_regressed_past_the_bound(bench_pairs, tmp_path, rss, regressed):
+    # parent median 100 MB, bound 0.1: worse than 110 MB is a regression
+    parent, change = checkouts(tmp_path)
+    for seed, solve_s in enumerate([1.0, 1.1, 0.9, 2.5], start=5):
+        write_run(change, "w", seed, solve_s, rss)
+    out = tmp_path / "BENCH_t.json"
+    bench_pairs.main([str(parent), str(change), "t", "--out", str(out)])
+    bench = json.loads(out.read_text())
+    assert bench["workloads"]["w"]["metrics"]["peak_rss_mb"][
+        "regressed"] is regressed
+    assert bench["regressions"] == (["w/peak_rss_mb"] if regressed else [])
 
 
 def test_no_common_runs_is_an_error(bench_pairs, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Catalog of benchmark problems: reference solutions and metadata."""
 
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +29,13 @@ def test_catalog_names():
 def test_catalog_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown example"):
         catalog("ex99")
+
+
+def test_catalog_submodule_keeps_its_name():
+    # the package must not rebind ssnsdp.catalog to the catalog function
+    import ssnsdp.catalog as m
+    assert inspect.ismodule(m)
+    assert callable(m.catalog) and callable(m.example7_start)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex5"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ssnsdp.conditions as conditions_mod
+import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import WoodburyNewtonOperator
 from ssnsdp.catalog import catalog
 from ssnsdp.conditions import (
@@ -16,8 +18,10 @@ from ssnsdp.conditions import (
     check_w_srcq,
     regularity_report,
 )
+from ssnsdp.kkt import assemble_U, cone_decompositions, min_singular_value
 from ssnsdp.linalg_sym import svec_len
 from ssnsdp.problem import KktPoint, perturbed_start, qsdp_problem
+from ssnsdp.solver import DENSE_LIMIT, _make_backend
 
 SMALL = [
     ("ex1", {"l1": 6, "l2": 4}),
@@ -176,6 +180,60 @@ def test_structured_report_repeats_exactly(monkeypatch):
         runs.append((report.u0_sigma_min, len(applies) - before))
     assert runs[0][1] > 0
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in SMALL])
+def test_report_sigma_is_the_backend_sigma(name, reports):
+    report, sol = reports[name]
+    problem, _ = build(name)
+    decomps = cone_decompositions(problem, sol.z_bar)
+    for variant, got in (("U0", report.u0_sigma_min),
+                         ("UI", report.ui_sigma_min)):
+        backend = _make_backend(problem, sol.z_bar, variant, decomps)
+        assert got == backend.sigma_min()
+        svd = min_singular_value(assemble_U(problem, sol.z_bar, variant))
+        if svd > 1e-8:
+            assert_allclose(got, svd, rtol=1e-8)
+        elif svd < 1e-12:
+            assert got == 0.0
+
+
+def test_report_sigma_at_the_dense_cutoff():
+    problem, sol = catalog("ex5", l1=24, l2=10)
+    assert problem.total_dim == 1190 <= DENSE_LIMIT
+    report = regularity_report(problem, sol.z_bar)
+    assert_allclose(report.u0_sigma_min, (np.sqrt(5.0) - 1.0) / 2.0,
+                    rtol=1e-8)
+    assert report.ui_sigma_min == 0.0
+
+
+@pytest.mark.parametrize("name", ["ex5", "ex1"])
+def test_dense_report_takes_no_full_svd(name, monkeypatch):
+    def no_svd(op):
+        raise AssertionError("full SVD in a report below the dense cutoff")
+
+    monkeypatch.setattr(conditions_mod, "min_singular_value", no_svd)
+    problem, sol = build(name)
+    report = regularity_report(problem, sol.z_bar)
+    assert np.isfinite([report.u0_sigma_min, report.ui_sigma_min]).all()
+
+
+def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
+    lanczos = solver_mod._lanczos_sigma_min
+    runs = []
+
+    def capped(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+        return runs[-1]
+
+    monkeypatch.setattr(solver_mod, "_lanczos_sigma_min", capped)
+    problem, sol = build("ex5")
+    report = regularity_report(problem, sol.z_bar)
+    # UI is flagged singular and runs no Lanczos; U0 stops at the cap
+    assert len(runs) == 1 and np.isnan(runs[0])
+    assert report.u0_sigma_min == min_singular_value(
+        assemble_U(problem, sol.z_bar, "U0"))
+    assert report.ui_sigma_min == 0.0
 
 
 # ---------------------------------------------------------------------------

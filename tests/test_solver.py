@@ -486,8 +486,8 @@ def dense_backend_at(name, params, variant, magnitude, seed):
     problem, sol = catalog(name, **params)
     z = correct(perturbed_start(sol.z_bar, magnitude, seed=seed), problem,
                 0.5)
-    return solver_mod._DenseBackend(problem, z, variant,
-                                    cone_decompositions(problem, z))
+    return solver_mod._DenseBackend(assemble_U(
+        problem, z, variant, _decomps=cone_decompositions(problem, z)))
 
 
 @pytest.mark.parametrize("case", DENSE_SIGMA_CASES,

@@ -10,8 +10,12 @@ change's BENCHMARK.json declares, the file records each side's median and
 quartiles over the paired runs, the seeds, and how many pairs the change
 won (ties count for neither side).  "gain" is true when the change won at
 least nine tenths of the pairs and the medians differ by more than the
-parent's quartile spread.  Each side also records whether every run was
-correct, how many operations failed, and the machine facts of its runs.
+parent's quartile spread.  "regressed" is true when the change's median
+is worse than the parent's by more than the metric's declared bound, as
+a share of the parent's median; the top-level "regressions" lists each
+such "<workload>/<metric>".  Each side also records whether every run
+was correct, how many operations failed, and the machine facts of its
+runs.
 """
 
 import argparse
@@ -43,7 +47,8 @@ def side(runs, metric):
 
 
 def compare(parent, change, metrics):
-    """Per-workload summary of the runs both sides made."""
+    """Per-workload summary of the runs both sides made; metrics maps each
+    name to (sign, bound), sign 1 when lower is better and -1 otherwise."""
     out = {}
     for workload in sorted({w for w, _ in parent.keys() & change.keys()}):
         seeds = sorted(s for w, s in parent.keys() & change.keys()
@@ -51,15 +56,17 @@ def compare(parent, change, metrics):
         pr = [parent[workload, s] for s in seeds]
         cr = [change[workload, s] for s in seeds]
         entry = {"seeds": seeds, "metrics": {}}
-        for name, sign in metrics.items():
+        for name, (sign, bound) in metrics.items():
             p, c = side(pr, name), side(cr, name)
             wins = sum(sign * (b - a) < 0
                        for a, b in zip(p["values"], c["values"]))
             spread = p["quartiles"][1] - p["quartiles"][0]
+            worse = sign * (c["median"] - p["median"])
             entry["metrics"][name] = {
                 "parent": p, "change": c, "wins": wins,
                 "gain": bool(wins >= 0.9 * len(seeds)
-                             and abs(c["median"] - p["median"]) > spread)}
+                             and abs(c["median"] - p["median"]) > spread),
+                "regressed": bool(worse > bound * abs(p["median"]))}
         for label, rs in (("parent", pr), ("change", cr)):
             entry[label] = {
                 "all_correct": all(r["correct"] for r in rs),
@@ -81,16 +88,19 @@ def main(argv=None):
     args = p.parse_args(argv)
     with open(Path(args.change) / "BENCHMARK.json") as f:
         declared = json.load(f)["end_to_end"]
-    metrics = {m["name"]: 1 if m["better"] == "lower" else -1
+    metrics = {m["name"]: (1 if m["better"] == "lower" else -1, m["bound"])
                for m in declared}
     workloads = compare(load_runs(args.parent), load_runs(args.change),
                         metrics)
     if not workloads:
         print("error: no workload has runs on both sides", file=sys.stderr)
         return 1
+    regressions = [f"{w}/{name}" for w, entry in workloads.items()
+                   for name, m in entry["metrics"].items() if m["regressed"]]
     out = Path(args.out or f"BENCH_{args.name}.json")
     with open(out, "w") as f:
-        json.dump({"name": args.name, "workloads": workloads}, f, indent=1)
+        json.dump({"name": args.name, "regressions": regressions,
+                   "workloads": workloads}, f, indent=1)
         f.write("\n")
     print(f"wrote {out}")
     return 0
