@@ -67,7 +67,6 @@ from .solver import (
     classical_ssn_solve,
     correct,
     fitted_order,
-    newton_step,
     ssn_solve,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "classical_ssn_solve",
     "correct",
     "fitted_order",
-    "newton_step",
     "ssn_solve",
 ]
 

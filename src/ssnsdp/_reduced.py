@@ -23,9 +23,14 @@ value via Lanczos iteration on (U' U)^{-1}.  The rotation is orthogonal,
 so singular values of the reduced representation match the original
 operator exactly.
 
-That Lanczos iteration (_lanczos_sigma_min) is the one sigma_min routine
-of every solver backend: the dense backend in solver.py runs it over its
-LU factors too.  It is deterministic: it starts from the same fixed
+The module also holds what every solver backend shares, the dense one in
+solver.py included.  _lu_with_rcond is the one singularity verdict of
+every dense factorization (assembled Newton matrix, dense R, Woodbury
+cores), _lu_solve the solve over its factors, and SingularSystemError
+what a solve raises on a matrix flagged singular; sparse R goes through
+splu, whose pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no
+condition estimator).  _lanczos_sigma_min is the one sigma_min routine
+of every backend.  It is deterministic: it starts from the same fixed
 Gaussian vector on every call, with no warm start from an earlier
 iterate, so a value and its cost repeat bitwise.  It stops as soon as
 the top Ritz value has converged, which on Newton operators with few
@@ -41,7 +46,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.linalg import lu_solve as scipy_lu_solve
 
 from .linalg_sym import smat, svec, svec_len, v_mask, _svec_rotation_rows
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
@@ -52,9 +56,44 @@ _LANCZOS_TOL = 1e-10
 _LANCZOS_BASIS = 30
 _LANCZOS_MAX_APPLIES = 1000
 
+# a factored matrix whose 1-norm reciprocal condition estimate falls below
+# this is numerically singular
+_SINGULAR_RCOND = 1e-14
 
-class SingularReducedSystem(Exception):
-    """Raised internally when the reduced factorization is rank deficient."""
+
+class SingularSystemError(Exception):
+    """Newton matrix is numerically singular (see _lu_with_rcond)."""
+
+
+def _lu_with_rcond(M, anorm=None, overwrite=False):
+    """LU factors (lu, piv) of M, or None when M is numerically singular:
+    dgetrf meets an exact zero pivot, or dgecon's estimate of
+    1 / (anorm ||M^{-1}||_1) falls below _SINGULAR_RCOND.  anorm is
+    ||M||_1 by default; a matrix whose terms cancel passes their scale,
+    so that the rounding noise left by the cancellation reads singular.
+    overwrite lets dgetrf factor a Fortran-order M in place."""
+    if anorm is None:
+        anorm = float(np.abs(M).sum(axis=0).max())
+    lu, piv, info = lapack.dgetrf(M, overwrite_a=overwrite)
+    if info < 0:
+        raise RuntimeError(f"dgetrf failed with info={info}")
+    if info > 0 or lapack.dgecon(lu, anorm, norm="1")[0] < _SINGULAR_RCOND:
+        return None
+    return lu, piv
+
+
+def _lu_solve(factors, rhs, trans=0):
+    """x with M x = rhs (M' x = rhs when trans=1) from _lu_with_rcond's
+    factors; None factors, a matrix flagged singular, raise
+    SingularSystemError.  dgetrs directly: scipy.linalg.lu_solve
+    re-checks finiteness on every call, which dominates the small solves
+    of a Lanczos run."""
+    if factors is None:
+        raise SingularSystemError()
+    x, info = lapack.dgetrs(*factors, rhs, trans=trans)
+    if info != 0:
+        raise RuntimeError(f"dgetrs failed with info={info}")
+    return x
 
 
 def _signed_permutation(P, tol=1e-13):
@@ -227,7 +266,7 @@ class ReducedNewtonOperator:
                 self.singular = True
                 return
             du = np.abs(self._lu.U.diagonal())
-            if du.size and du.min() <= 1e-14 * max(du.max(), 1.0):
+            if du.size and du.min() <= _SINGULAR_RCOND * max(du.max(), 1.0):
                 self.singular = True
                 return
             self._solve_R = self._lu.solve
@@ -267,25 +306,11 @@ class ReducedNewtonOperator:
             R[at:at + k, :x] = g
             R[:x, at:at + k] = g.T
             at += k
-        anorm = float(np.max(np.abs(R).sum(axis=0))) if m else 0.0
-        ldu, ipiv, info = lapack.dsytrf(R, lower=1, overwrite_a=1)
-        if info > 0:
+        factors = _lu_with_rcond(R, overwrite=True)
+        if factors is None:
             self.singular = True
             return
-        if info < 0:
-            raise RuntimeError(f"dsytrf failed with info={info}")
-        rcond, cinfo = lapack.dsycon(ldu, ipiv, anorm, lower=1)
-        if cinfo == 0 and rcond < 1e-14:
-            self.singular = True
-            return
-
-        def solve_dense(rhs):
-            out, sinfo = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-            if sinfo != 0:
-                raise RuntimeError(f"dsytrs failed with info={sinfo}")
-            return out
-
-        self._solve_R = solve_dense
+        self._solve_R = lambda rhs: _lu_solve(factors, rhs)
 
     # -- shared pieces --------------------------------------------------------
 
@@ -304,7 +329,7 @@ class ReducedNewtonOperator:
 
     def _check(self):
         if self.singular:
-            raise SingularReducedSystem()
+            raise SingularSystemError()
 
     # -- forward solve: U d = r -----------------------------------------------
 
@@ -402,12 +427,9 @@ class ReducedNewtonOperator:
         converged.  Returns 0.0 when the factorization flagged
         singularity, and nan when the iteration did not converge.
         """
-        if self._sigma is not None:
-            return self._sigma
-        if self.singular:
-            self._sigma = 0.0
-            return 0.0
-        self._sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
+        if self._sigma is None:
+            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
+                self.dim, self.solve, self.solve_t)
         return self._sigma
 
 
@@ -424,7 +446,7 @@ def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
 
     The iteration stops once the top Ritz pair (theta, y) of the
     tridiagonal T_j has a residual beta_j |y_j| <= tol * theta; a
-    breakdown, beta_j <= 1e-14 * theta, meets that test as well.  The
+    breakdown, beta_j near zero, meets that test as well.  The
     tolerance is diagnostic grade: the value feeds trace reporting and
     certificate warnings, where ten significant digits are plenty.
     Newton operators with few distinct singular values converge within a
@@ -503,12 +525,15 @@ def separable_diagonal(problem, z):
 
 
 def _woodbury_core(b, D, loc, c):
-    """Core I - V[loc, loc] diag(c) of one cone block, and its 1-norm.
+    """Core I - V[loc, loc] diag(c) of one cone block, and the scale of
+    its terms before they cancel, ||I||_1 + ||V[loc, loc] diag(c)||_1,
+    for _lu_with_rcond: measured against its own norm, a core that
+    cancels to rounding noise would pass as well conditioned.
 
     See WoodburyNewtonOperator for the formula.  Q holds the eigenbasis
     rows the support touches; for each distinct second index t,
     Z = (Q o q_t) D and one GEMM gives every core row whose pair ends in
-    t.  F comes back in Fortran order, ready for an in-place dgetrf.
+    t.  F comes back in Fortran order, ready to be factored in place.
     """
     ka, la = b.iu[loc], b.ju[loc]
     idx = np.unique(np.concatenate([ka, la]))
@@ -528,10 +553,10 @@ def _woodbury_core(b, D, loc, c):
         Z = (Q * Q[t]) @ D
         B = Qk * Z[ll] + Ql * Z[kl]
         block = (0.5 * w[rows, None] * Q[kl[rows]]) @ B.T
+        colsum += np.abs(block).sum(axis=0)
         block[np.arange(rows.size), rows] += 1.0
         F[rows] = block
-        colsum += np.abs(block).sum(axis=0)
-    return F, float(colsum.max())
+    return F, 1.0 + float(colsum.max())
 
 
 class WoodburyNewtonOperator:
@@ -549,7 +574,10 @@ class WoodburyNewtonOperator:
     per iterate, S being the support of C.  The transpose solve shares
     the same core, and the smallest singular value comes from the usual
     Lanczos iteration on the solves.  V is block diagonal over cone
-    blocks, so the core is too.
+    blocks, so the core is too.  Each block's core gets the shared
+    verdict, _lu_with_rcond, measured against the scale of its terms
+    before they cancel (see _woodbury_core): a core that cancels to
+    rounding noise reads singular, as the assembled matrix does.
 
     The core is built from the rows q_i = P[i, :] of the eigenbasis.  With
     w = 1 on diagonal pairs and sqrt(2) off them, the entry for support
@@ -599,19 +627,15 @@ class WoodburyNewtonOperator:
                 continue
             F, anorm = _woodbury_core(b, v_mask(b.dec, self.variant),
                                       loc, cb[loc])
-            lu, piv, info = lapack.dgetrf(F, overwrite_a=1)
-            if info > 0:
+            factors = _lu_with_rcond(F, anorm, overwrite=True)
+            if factors is None:
                 self.singular = True
                 return
-            rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-            if rcond < 1e-14:
-                self.singular = True
-                return
-            self._cores.append((lu, piv, lo + loc))
+            self._cores.append((factors, lo + loc))
 
     def _check(self):
         if self.singular:
-            raise SingularReducedSystem()
+            raise SingularSystemError()
 
     def _v_apply(self, v):
         out = np.empty_like(v)
@@ -626,9 +650,8 @@ class WoodburyNewtonOperator:
         for core in self._cores:
             if core is None:
                 continue
-            lu, piv, idx = core
-            y = scipy_lu_solve((lu, piv), rhs[idx])
-            t[idx] = self.c[idx] * y
+            factors, idx = core
+            t[idx] = self.c[idx] * _lu_solve(factors, rhs[idx])
         return t
 
     def solve(self, r):
@@ -664,12 +687,9 @@ class WoodburyNewtonOperator:
         warm start, an early stop once the top Ritz value has converged;
         0.0 when the core is singular, nan when the iteration did not
         converge."""
-        if self._sigma is not None:
-            return self._sigma
-        if self.singular:
-            self._sigma = 0.0
-            return 0.0
-        self._sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
+        if self._sigma is None:
+            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
+                self.dim, self.solve, self.solve_t)
         return self._sigma
 
 

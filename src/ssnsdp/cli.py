@@ -67,7 +67,7 @@ def _parser():
     r.add_argument("--tol", type=float, default=1e-10)
     r.add_argument("--max-iter", type=int, default=50)
     r.add_argument("--eta", type=float, default=0.0,
-                   help="inexact solve forcing term (0 = exact)")
+                   help="inexact solve forcing term in [0, 1) (0 = exact)")
     r.add_argument("--tau", type=float, default=1.0,
                    help="inexact solve forcing exponent")
     r.add_argument("--no-correction", action="store_true",
@@ -296,8 +296,7 @@ def cmd_run(args):
     try:
         params = SolverParams(
             variant=args.variant.upper(), delta=args.delta, tol=args.tol,
-            max_iter=args.max_iter, eta=args.eta, tau=args.tau,
-            exact_solve=(args.eta == 0.0))
+            max_iter=args.max_iter, eta=args.eta, tau=args.tau)
     except ValueError as e:
         raise _ConfigError(str(e)) from e
     problem, solution = _build_problem(args)

@@ -14,26 +14,24 @@ achieved linear-solve residual.
 """
 
 import logging
+import math
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
-from scipy.linalg import lapack
 from typing import Optional
 
 from .linalg_sym import SpectralDecomposition, eig_sym
 from .problem import BlockSymMatrix, KktPoint
 from .kkt import (
-    DenseOperator,
-    KktResidual,
     assemble_U,
     assembly_class_tol,
     cone_decompositions,
     kkt_residual,
 )
-from ._reduced import (ReducedNewtonOperator, WoodburyNewtonOperator,
-                       _lanczos_sigma_min, reuse_compatible,
+from ._reduced import (ReducedNewtonOperator, SingularSystemError,
+                       WoodburyNewtonOperator, _lanczos_sigma_min,
+                       _lu_solve, _lu_with_rcond, reuse_compatible,
                        separable_diagonal)
 
 logger = logging.getLogger("ssnsdp")
@@ -43,19 +41,16 @@ logger = logging.getLogger("ssnsdp")
 DENSE_LIMIT = 1200
 
 
-class SingularSystemError(Exception):
-    """Newton matrix is numerically singular (condition estimate > 1e14)."""
-
-
 @dataclass
 class SolverParams:
     """Knobs of the corrected Newton iteration.
 
     variant selects the surrogate derivative ("U0" or "UI"); delta is the
     correction radius; tol is the residual norm target; max_iter caps the
-    number of Newton steps.  Linear solves are exact unless exact_solve
-    is False AND eta > 0, in which case an iterative solve only has to
-    reach the residual target min(eta, ||F||^tau) * ||F||.
+    number of Newton steps.  Linear solves are exact when eta = 0; with
+    eta in (0, 1) an iterative solve only has to reach the residual
+    target min(eta, ||F||^tau) * ||F||.  eta >= 1 would let that target
+    reach ||F|| itself, which the zero step already meets.
     """
 
     variant: str = "U0"
@@ -64,26 +59,23 @@ class SolverParams:
     max_iter: int = 50
     eta: float = 0.0
     tau: float = 1.0
-    exact_solve: bool = True
 
     def __post_init__(self):
         if self.variant not in ("U0", "UI"):
             raise ValueError("variant must be 'U0' or 'UI'")
+        for name in ("delta", "tol", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
+        if not 0.0 <= self.eta < 1.0:
+            raise ValueError("eta must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-
-    @property
-    def inexact(self):
-        # eta = 0 forces exact solves regardless of the flag
-        return not self.exact_solve and self.eta > 0.0
 
 
 @dataclass
@@ -161,11 +153,14 @@ def _correct_with_decomps(problem, z, delta):
 
 class _DenseBackend:
     """Backend over an assembled Newton matrix (a DenseOperator).  One LU
-    factorization serves the step solves and the sigma_min diagnostic,
-    which runs the shared Lanczos iteration on (U' U)^{-1} over those
-    factors (_lanczos_sigma_min), as the structured backends do.  The
-    solver and the regularity report below the dense cutoff both take
-    their sigma_min from here."""
+    factorization, with the singularity verdict every backend shares
+    (_lu_with_rcond), serves the step solves and the sigma_min
+    diagnostic, which runs the shared Lanczos iteration on (U' U)^{-1}
+    over those factors (_lanczos_sigma_min), as the structured backends
+    do.  The factorization works on a copy: matvec and the regularity
+    report's SVD fallback read the matrix.  The solver and the
+    regularity report below the dense cutoff both take their sigma_min
+    from here."""
 
     def __init__(self, op):
         self.op = op
@@ -175,21 +170,11 @@ class _DenseBackend:
         self.singular = self._lu is None
         self._sigma = None
 
-    def _lu_solve(self, r, trans):
-        # dgetrs directly: scipy.linalg.lu_solve re-checks finiteness on
-        # every call, which dominates the small solves of a Lanczos run
-        if self.singular:
-            raise SingularSystemError()
-        x, info = lapack.dgetrs(*self._lu, r, trans=trans)
-        if info != 0:
-            raise RuntimeError(f"dgetrs failed with info={info}")
-        return x
-
     def solve(self, r):
-        return self._lu_solve(r, 0)
+        return _lu_solve(self._lu, r)
 
     def solve_t(self, r):
-        return self._lu_solve(r, 1)
+        return _lu_solve(self._lu, r, trans=1)
 
     def matvec(self, d):
         return self.op.matrix @ d
@@ -218,45 +203,8 @@ def _make_backend(problem, z, variant, decomps):
     return ReducedNewtonOperator(problem, z, variant, decomps)
 
 
-def _lu_with_rcond(M):
-    """LU factors plus a singularity verdict via a 1-norm condition estimate."""
-    lu, piv, info = lapack.dgetrf(M)
-    if info > 0:
-        return None
-    anorm = float(np.max(np.abs(M).sum(axis=0)))
-    rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-    if rcond < 1e-14:
-        return None
-    return lu, piv
-
-
-def newton_step(U, F, params=None):
-    """Solve the Newton system U d = -F for an assembled operator.
-
-    F may be a KktResidual or a stacked vector.  Exact solve by default;
-    with params.exact_solve False and eta > 0, an iterative solve only
-    has to reach the residual target min(eta, ||F||^tau) * ||F||, falling
-    back to the exact factorization if the iteration stalls.  Raises
-    SingularSystemError when the condition estimate exceeds 1e14.
-    """
-    params = params if params is not None else SolverParams()
-    M = U.matrix if isinstance(U, DenseOperator) else np.asarray(U)
-    Fvec = F.to_vector() if isinstance(F, KktResidual) else np.asarray(F)
-    factor = _lu_with_rcond(M)
-    if factor is None:
-        raise SingularSystemError()
-    if params.inexact:
-        fn = float(np.linalg.norm(Fvec))
-        target = min(params.eta, fn ** params.tau) * fn
-        d, info = spla.gmres(M, -Fvec, rtol=0.0, atol=target,
-                             restart=50, maxiter=400)
-        if info == 0 and np.linalg.norm(M @ d + Fvec) <= target * (1 + 1e-9):
-            return d
-    return scipy.linalg.lu_solve(factor, -Fvec)
-
-
 def _direction(backend, Fvec, fn, params):
-    if params.inexact:
+    if params.eta > 0.0:
         target = min(params.eta, fn ** params.tau) * fn
         op = spla.LinearOperator((backend.dim, backend.dim),
                                  matvec=backend.matvec)

@@ -18,13 +18,15 @@ def bench_pairs():
     return module
 
 
-def write_run(root, workload, seed, solve_s, rss_mb, correct=True, failed=0):
+def write_run(root, workload, seed, solve_s, rss_mb, correct=True, failed=0,
+              run_s=25.0):
     results = root / "perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     run = {"correct": correct, "attempted": 10, "failed": failed,
            "metrics": {"solve_s_p50": {"value": solve_s, "unit": "s"},
                        "peak_rss_mb": {"value": rss_mb, "unit": "MB"}},
-           "worker": {"machine": MACHINE}}
+           "worker": {"machine": MACHINE, "rounds": 4,
+                      "wall_s": run_s / 4}}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(
         json.dumps(run))
 
@@ -68,7 +70,8 @@ def test_pairs_by_workload_and_seed(bench_pairs, tmp_path):
     assert solve["regressed"] is False and rss["regressed"] is False
     for label in ("parent", "change"):
         assert w[label] == {"all_correct": True, "failed": 0,
-                            "attempted": 40, "machine": [MACHINE]}
+                            "attempted": 40, "machine": [MACHINE],
+                            "run_s": [25.0] * 4}
 
 
 def test_gain_needs_every_pair_and_a_median_gap(bench_pairs, tmp_path):
@@ -104,3 +107,22 @@ def test_no_common_runs_is_an_error(bench_pairs, tmp_path, capsys):
                              "--out", str(tmp_path / "x.json")]) == 1
     assert "no workload" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("run_s, code", [(37.0, 0), (38.0, 1)])
+def test_pairs_of_different_length_are_an_error(bench_pairs, tmp_path,
+                                                capsys, run_s, code):
+    # parent runs last 25 s; a change run past 1.5 times that is no pair
+    parent, change = checkouts(tmp_path)
+    write_run(change, "w", 6, 1.1, 100.0, run_s=run_s)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main([str(parent), str(change), "t",
+                             "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "timed length" in err and err.rstrip().endswith(": w")
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert json.loads(out.read_text())["workloads"]["w"]["change"][
+            "run_s"] == [25.0, 37.0, 25.0, 25.0]

@@ -219,6 +219,12 @@ def test_run_point_accepts_svec_encoding(tmp_path, capsys):
     ("run", "--example", "ex5", "--delta", "-1"),      # bad solver params
     ("run", "--example", "ex5", "--max-iter", "-2"),
     ("run", "--example", "ex5", "--tol", "nan"),
+    ("run", "--example", "ex5", "--tol", "inf"),       # "converges" at k = 0
+    ("run", "--example", "ex5", "--delta", "inf"),     # clips every eigenvalue
+    ("run", "--example", "ex5", "--delta", "nan"),
+    ("run", "--example", "ex3", "--eta", "nan"),       # silently exact
+    ("run", "--example", "ex3", "--eta", "inf", "--perturb", "1"),  # d = 0
+    ("run", "--example", "ex3", "--eta", "1"),
     ("run", "--example", "ex5", "--l1", "0", "--l2", "0"),  # bad sizes
     ("run", "--example", "ex5", "--l1", "-3"),
     ("check", "--example", "ex1", "--l1", "0", "--l2", "0"),

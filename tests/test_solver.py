@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import ssnsdp
 import ssnsdp._reduced as reduced_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import (
@@ -16,12 +17,15 @@ from ssnsdp._reduced import (
     WoodburyNewtonOperator,
     _BlockData,
     _lanczos_sigma_min,
+    _lu_solve,
+    _lu_with_rcond,
     _woodbury_core,
     reuse_compatible,
     separable_diagonal,
 )
 from ssnsdp.catalog import catalog, example7_start
 from ssnsdp.kkt import (
+    DenseOperator,
     assemble_U,
     cone_decompositions,
     kkt_residual,
@@ -38,10 +42,11 @@ from ssnsdp.solver import (
     IterationTrace,
     SingularSystemError,
     SolverParams,
+    _DenseBackend,
+    _direction,
     classical_ssn_solve,
     correct,
     fitted_order,
-    newton_step,
     ssn_solve,
 )
 
@@ -69,17 +74,39 @@ def spectrum_point(problem, lam, seed=0):
     {"eta": -0.1},
     {"tau": 0.0},
     {"tau": 1.5},
+    # non-finite values: nan would pass as exact, inf clips or stops all
+    {"delta": math.inf},
+    {"delta": math.nan},
+    {"tol": math.inf},
+    {"tol": math.nan},
+    {"eta": math.nan},
+    {"eta": math.inf},
+    # with eta >= 1 the forcing target can reach ||F||, met by d = 0
+    {"eta": 1.0},
+    {"eta": 2.5},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         SolverParams(**kwargs)
 
 
-def test_params_inexact_property():
-    assert not SolverParams().inexact
-    assert not SolverParams(eta=0.5).inexact  # exact_solve still True
-    assert not SolverParams(exact_solve=False).inexact  # eta is 0
-    assert SolverParams(eta=0.5, exact_solve=False).inexact
+def test_params_inexact_property(monkeypatch):
+    """eta > 0 alone selects the iterative solve; eta = 0 solves exactly."""
+    calls = []
+    gmres = solver_mod.spla.gmres
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "gmres", counted)
+    backend = dense_backend_of(np.diag([2.0, 4.0]))
+    F = np.array([2.0, -8.0])
+    fn = float(np.linalg.norm(F))
+    _direction(backend, F, fn, SolverParams())
+    assert calls == []
+    _direction(backend, F, fn, SolverParams(eta=0.5))
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +160,18 @@ def test_correct_leaves_no_spectrum_in_band():
 
 
 # ---------------------------------------------------------------------------
-# newton_step
+# the Newton step over an assembled matrix (_DenseBackend + _direction)
+
+
+def dense_backend_of(M):
+    M = np.asarray(M, dtype=float)
+    return _DenseBackend(DenseOperator(M, M.shape[0], 0, []))
+
+
+def newton_step(M, F, params=None):
+    """The solver's step U d = -F, over the dense backend of M."""
+    return _direction(dense_backend_of(M), F, float(np.linalg.norm(F)),
+                      params or SolverParams())
 
 
 def test_newton_step_identity_matrix():
@@ -151,16 +189,22 @@ def test_newton_step_accepts_operator_and_residual():
     z = perturbed_start(sol.z_bar, 0.1, seed=5)
     z = correct(z, problem, 0.5)
     U = assemble_U(problem, z, "U0")
-    F = kkt_residual(problem, z)
-    d = newton_step(U, F)
-    assert_allclose(U.matrix @ d, -F.to_vector(), atol=1e-10)
+    F = kkt_residual(problem, z).to_vector()
+    backend = _DenseBackend(U)
+    d = _direction(backend, F, float(np.linalg.norm(F)), SolverParams())
+    assert_allclose(U.matrix @ d, -F, atol=1e-10)
+    assert_allclose(backend.matvec(d), -F, atol=1e-10)
 
 
 def test_newton_step_raises_on_singular_matrix():
     M = np.eye(3)
     M[2, 2] = 0.0
+    backend = dense_backend_of(M)
+    assert backend.singular
     with pytest.raises(SingularSystemError):
-        newton_step(M, np.ones(3))
+        backend.solve(np.ones(3))
+    with pytest.raises(SingularSystemError):
+        backend.solve_t(np.ones(3))
 
 
 def test_newton_step_inexact_hits_relative_target():
@@ -168,11 +212,48 @@ def test_newton_step_inexact_hits_relative_target():
     M = rng.standard_normal((30, 30))
     M = M @ M.T + 30.0 * np.eye(30)
     F = rng.standard_normal(30)
-    params = SolverParams(eta=0.5, tau=0.5, exact_solve=False)
+    params = SolverParams(eta=0.5, tau=0.5)
     d = newton_step(M, F, params)
     fn = np.linalg.norm(F)
     target = min(params.eta, fn ** params.tau) * fn
     assert np.linalg.norm(M @ d + F) <= target * (1 + 1e-9)
+
+
+def test_singular_system_error_is_one_exception():
+    assert ssnsdp.SingularSystemError is ssnsdp.solver.SingularSystemError
+    assert SingularSystemError is reduced_mod.SingularSystemError
+
+
+# ---------------------------------------------------------------------------
+# the singularity verdict (_lu_with_rcond)
+
+
+def test_lu_with_rcond_hand_case():
+    M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    kept = M.copy()
+    factors = _lu_with_rcond(M)
+    assert factors is not None
+    assert np.array_equal(M, kept)  # not overwritten by default
+    # M^{-1} = [[1, -2, 0], [0, 1, 0], [0, 0, 1/2]]
+    assert_allclose(_lu_solve(factors, np.ones(3)), [-1.0, 1.0, 0.5])
+    assert_allclose(_lu_solve(factors, np.ones(3), trans=1), [1.0, -1.0, 0.5])
+
+
+def test_lu_with_rcond_exact_zero_pivot():
+    # dgetrf stops with info > 0 on the zero column
+    assert _lu_with_rcond(np.diag([1.0, 0.0, 1.0])) is None
+
+
+def test_lu_with_rcond_measures_against_the_scale_given():
+    """A core I - A whose terms cancel to rounding noise is well
+    conditioned relative to its own norm, singular against the scale of
+    the terms that cancelled."""
+    R = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    F = 1e-16 * R
+    A = np.eye(3) - F
+    scale = 1.0 + float(np.abs(A).sum(axis=0).max())
+    assert _lu_with_rcond(F.copy()) is not None
+    assert _lu_with_rcond(F.copy(), anorm=scale) is None
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +377,7 @@ def test_trace_row_semantics():
 def test_inexact_solve_respects_forcing_term():
     problem, sol = catalog("ex3")
     z0 = perturbed_start(sol.z_bar, 10.0, seed=9)
-    params = SolverParams(eta=0.1, tau=1.0, exact_solve=False, max_iter=80)
+    params = SolverParams(eta=0.1, tau=1.0, max_iter=80)
     res = ssn_solve(problem, z0, params, z_bar=sol.z_bar)
     assert res.status == "converged"
     for row in res.trace[:-1]:
@@ -433,7 +514,9 @@ def test_woodbury_core_matches_rotation_rows(support, variant):
     ref = np.eye(loc.size) - (R * b.dvec) @ R.T * c
     assert F.flags.f_contiguous
     assert_allclose(F, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-    assert_allclose(anorm, np.abs(ref).sum(axis=0).max(), rtol=1e-13)
+    # the scale of the core's terms before they cancel: ||I|| + ||V c||
+    assert_allclose(anorm, 1.0 + np.abs(np.eye(loc.size) - ref).sum(
+        axis=0).max(), rtol=1e-13)
 
 
 def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
@@ -590,6 +673,57 @@ def test_structured_path_reproduces_dense_run(name, params, variant,
         assert_allclose(rs.correction_shift, rd.correction_shift,
                         rtol=1e-8, atol=1e-12)
         assert_allclose(rs.sigma_min, rd.sigma_min, rtol=1e-5, atol=1e-10)
+
+
+def ex5_63_ui_second_iterate():
+    """The corrected k = 1 iterate of ex5 6/3 with UI from magnitude 10,
+    seed 0: its Woodbury core cancels to rounding noise."""
+    problem, sol = catalog("ex5", l1=6, l2=3)
+    z0 = perturbed_start(sol.z_bar, 10.0, seed=0)
+    res = ssn_solve(problem, z0, SolverParams(variant="UI", max_iter=1))
+    assert res.iterations == 1
+    return problem, res.z_final
+
+
+def test_every_backend_flags_the_cancelled_core_singular():
+    problem, z = ex5_63_ui_second_iterate()
+    decomps = cone_decompositions(problem, z)
+    U = assemble_U(problem, z, "UI", _decomps=decomps)
+    assert min_singular_value(U) < 1e-12
+    dense = _DenseBackend(U)
+    woodbury = WoodburyNewtonOperator(problem, z, "UI", decomps)
+    assert dense.singular and woodbury.singular
+    assert dense.sigma_min() == 0.0 and woodbury.sigma_min() == 0.0
+    with pytest.raises(SingularSystemError):
+        woodbury.solve(np.ones(woodbury.dim))
+
+
+@pytest.mark.parametrize("name,l1,l2", [
+    ("ex1", 4, 3), ("ex1", 6, 4), ("ex5", 6, 3), ("ex5", 6, 4),
+    ("ex5", 8, 4)])
+def test_structured_path_reaches_the_dense_verdict(name, l1, l2,
+                                                   monkeypatch):
+    """Dense and structured runs stop with the same status after the same
+    number of steps, singular starts included."""
+    problem, sol = catalog(name, l1=l1, l2=l2)
+    dense_limit = solver_mod.DENSE_LIMIT
+    mismatches = []
+    for variant in ("U0", "UI"):
+        params = SolverParams(variant=variant, delta=0.5)
+        for magnitude in (1.0, 10.0):
+            for seed in range(5):
+                z0 = perturbed_start(sol.z_bar, magnitude, seed=seed)
+                monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
+                dense = ssn_solve(problem, z0, params)
+                monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 0)
+                structured = ssn_solve(problem, z0, params)
+                if (structured.status, structured.iterations) != (
+                        dense.status, dense.iterations):
+                    mismatches.append(
+                        (variant, magnitude, seed, dense.status,
+                         dense.iterations, structured.status,
+                         structured.iterations))
+    assert mismatches == []
 
 
 def test_factorization_reuse_requires_matching_structure():

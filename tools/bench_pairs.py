@@ -14,8 +14,11 @@ parent's quartile spread.  "regressed" is true when the change's median
 is worse than the parent's by more than the metric's declared bound, as
 a share of the parent's median; the top-level "regressions" lists each
 such "<workload>/<metric>".  Each side also records whether every run
-was correct, how many operations failed, and the machine facts of its
-runs.
+was correct, how many operations failed, the machine facts of its runs,
+and each run's timed length in seconds (rounds times the wall time of a
+round).  The tool exits 1, naming the workloads, when the two runs of a
+pair differ in timed length by more than a factor of RUN_LENGTH_RATIO:
+runs of different lengths are not a pair.
 """
 
 import argparse
@@ -27,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 RESULT = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RUN_LENGTH_RATIO = 1.5
 
 
 def load_runs(checkout):
@@ -38,6 +42,11 @@ def load_runs(checkout):
             with open(path) as f:
                 runs[m["workload"], int(m["seed"])] = json.load(f)
     return runs
+
+
+def run_length(run):
+    """Timed length of one run in seconds."""
+    return run["worker"]["rounds"] * run["worker"]["wall_s"]
 
 
 def side(runs, metric):
@@ -72,6 +81,7 @@ def compare(parent, change, metrics):
                 "all_correct": all(r["correct"] for r in rs),
                 "failed": sum(r["failed"] for r in rs),
                 "attempted": sum(r["attempted"] for r in rs),
+                "run_s": [run_length(r) for r in rs],
                 "machine": [json.loads(m) for m in sorted(
                     {json.dumps(r["worker"]["machine"], sort_keys=True)
                      for r in rs})]}
@@ -94,6 +104,15 @@ def main(argv=None):
                         metrics)
     if not workloads:
         print("error: no workload has runs on both sides", file=sys.stderr)
+        return 1
+    mixed = [w for w, entry in workloads.items()
+             if any(max(a, b) > RUN_LENGTH_RATIO * min(a, b)
+                    for a, b in zip(entry["parent"]["run_s"],
+                                    entry["change"]["run_s"]))]
+    if mixed:
+        print(f"error: paired runs differ in timed length by more than a "
+              f"factor of {RUN_LENGTH_RATIO}: {', '.join(mixed)}",
+              file=sys.stderr)
         return 1
     regressions = [f"{w}/{name}" for w, entry in workloads.items()
                    for name, m in entry["metrics"].items() if m["regressed"]]
