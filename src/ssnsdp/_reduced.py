@@ -23,6 +23,18 @@ value via Lanczos iteration on (U' U)^{-1}.  The rotation is orthogonal,
 so singular values of the reduced representation match the original
 operator exactly.
 
+The rotation is never applied whole.  With T = {t : D[t, t] != 1} the
+non-unit eigenvalue indices of a block (beta and gamma under U0, gamma
+under UI), every pair whose mask differs from 1, every zero-mask pair and
+every alpha-gamma pair touches T, so the solves and the operator's
+application work in matrix form on Hh[:, T] = P' (H P_T) and write back
+through one rank-2|T| update of P_T (see _BlockData): O(n^2 |T|) flops
+per block instead of the O(n^3) of a full rotation, the mask split of
+SDPNAL (Zhao, Sun and Toh, SIAM J. Optim. 20 (2010), Sec. 3).  A block
+with T empty, where V is the identity, needs no GEMM and no svec/smat at
+all.  Only the build reads rotated rows of G, for the zero-mask and
+alpha-gamma pairs.
+
 The module also holds what every solver backend shares, the dense one in
 solver.py included.  _lu_with_rcond is the one singularity verdict of
 every dense factorization (assembled Newton matrix, dense R, Woodbury
@@ -156,7 +168,18 @@ def rotated_rows(dec, rows_i, rows_j, G_block):
 
 
 class _BlockData:
-    """Pair bookkeeping for one cone block at one iterate."""
+    """Pair bookkeeping for one cone block at one iterate.
+
+    T = {t : D[t, t] != 1} is the block's non-unit index set: beta and
+    gamma under U0, gamma under UI.  Every pair whose mask differs from 1
+    touches T, the zero-mask (zer) and alpha-gamma (ag) pairs included,
+    so every cone map of the Newton operator reads Hh = P' H P only
+    through its T columns Hh[:, T] = P' (H P_T) (cols) and writes back a
+    symmetric matrix X supported on the rows and columns T through
+    P X P' = Z P_T' + P_T Z', Z = P Y, where Y is X[:, T] with its T rows
+    halved (back).  Each costs O(n^2 |T|); a block with T empty costs
+    nothing.
+    """
 
     def __init__(self, dec, variant):
         n = dec.n
@@ -165,28 +188,72 @@ class _BlockData:
         self.len = svec_len(n)
         iu, ju = np.triu_indices(n)
         self.iu, self.ju = iu, ju
-        D = v_mask(dec, variant)
-        self.dvec = D[iu, ju]
+        self.D = D = v_mask(dec, variant)
+        dvec = D[iu, ju]
         c = _sector_codes(dec)
         self.ag = np.where((c[iu] == 0) & (c[ju] == 2))[0]
         # zero sectors of the mask are exact, so this split is too
-        self.pos = np.where(self.dvec > 0.0)[0]
-        self.zer = np.where(self.dvec == 0.0)[0]
+        self.zer = np.where(dvec == 0.0)[0]
         lam = dec.lam
         self.c_ag = -lam[ju[self.ag]] / lam[iu[self.ag]]
+        self.T = T = np.where(np.diag(D) != 1.0)[0]
+        if T.size == 0:
+            return
+        self.PT = np.ascontiguousarray(dec.P[:, T])
+        # masks on Hh[:, T] with the T rows halved, ready for back
+        half = np.ones((n, 1))
+        half[T] = 0.5
+        DT = D[:, T]
+        self.one_minus_d = (1.0 - DT) * half
+        inv = np.divide(1.0, DT, out=np.zeros_like(DT), where=DT > 0.0)
+        self.one_minus_e = np.where(DT > 0.0, 1.0 - inv, 1.0) * half
+        # each zer or ag pair (i, j), i <= j, at one position of Hh[:, T]:
+        # (i, j) when j is in T, else its mirror (j, i); under UI a zer
+        # pair in beta x gamma has i outside T
+        col = np.full(n, -1)
+        col[T] = np.arange(T.size)
+        zi, zj = iu[self.zer], ju[self.zer]
+        j_in = col[zj] >= 0
+        self.z_at = (np.where(j_in, zi, zj), np.where(j_in, col[zj], col[zi]))
+        # svec scale of each zer pair, and the factor that puts a pair's
+        # svec value into Y (halved on the diagonal, whole off it: the
+        # mirror position stays zero)
+        self.z_scale = np.where(zi == zj, 1.0, np.sqrt(2.0))
+        self.z_put = np.where(zi == zj, 0.5, np.sqrt(0.5))
+        # ag pairs have i in alpha and j in gamma, always in T
+        self.ag_at = (iu[self.ag], col[ju[self.ag]])
 
-    def rotate(self, v):
-        """svec of P' smat(v) P."""
-        P = self.dec.P
-        return svec(P.T @ smat(v) @ P)
+    def cols(self, h):
+        """Hh[:, T] = P' (smat(h) P_T) for the block's svec vector h."""
+        return self.dec.P.T @ (smat(h) @ self.PT)
 
-    def unrotate(self, v):
-        P = self.dec.P
-        return svec(P @ smat(v) @ P.T)
+    def back(self, Y):
+        """svec of P X P' for the symmetric X that Y encodes (class doc)."""
+        C = (self.dec.P @ Y) @ self.PT.T
+        return svec(C + C.T)
+
+    def v_defect(self, h):
+        """svec(H - V(H)) = svec(P ((1 - D) o Hh) P'), H = smat(h)."""
+        return self.back(self.one_minus_d * self.cols(h))
 
     def s_rows(self, pairs, G_block):
         """Rows of the rotated cone Jacobian for the given svec pairs."""
         return rotated_rows(self.dec, self.iu[pairs], self.ju[pairs], G_block)
+
+
+def _t_blocks(blocks, block_off):
+    """(block, slice of its cone coordinates, slice of its zer entries in
+    the stacked multipliers) for each block with T nonempty; a block with
+    T empty has no zer pairs and no cone work."""
+    out = []
+    at = 0
+    for i, b in enumerate(blocks):
+        if b.T.size:
+            k = len(b.zer)
+            out.append((b, slice(block_off[i], block_off[i + 1]),
+                        slice(at, at + k)))
+            at += k
+    return out
 
 
 def _structure_signature(decomps, variant):
@@ -225,6 +292,8 @@ class ReducedNewtonOperator:
         self.J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
         self.G = jac_g_matrix_of(problem, z.x)
         self.z_len = int(sum(len(b.zer) for b in self.blocks))
+        self._t_blocks = _t_blocks(self.blocks, self.block_off)
+        self._any_ag = any(len(b.ag) for b in self.blocks)
         self.dim = problem.x_dim + problem.eq_dim + int(self.block_off[-1])
         self.structure_key = _structure_signature(decomps, variant)
         self._build()
@@ -241,8 +310,7 @@ class ReducedNewtonOperator:
         m = x + e + zn
         gz_rows = [b.s_rows(b.zer, self._g_block(i))
                    for i, b in enumerate(self.blocks)]
-        any_ag = any(len(b.ag) for b in self.blocks)
-        sparse_ok = (not any_ag and sp.issparse(self.W)
+        sparse_ok = (not self._any_ag and sp.issparse(self.W)
                      and (self.J is None or sp.issparse(self.J))
                      and all(sp.issparse(g) for g in gz_rows))
         self.singular = False
@@ -318,85 +386,76 @@ class ReducedNewtonOperator:
         x, e = self.x_dim, self.eq_dim
         return r[:x], r[x:x + e], r[x + e:]
 
-    def _rotate_cone(self, r3):
-        return [b.rotate(r3[self.block_off[i]:self.block_off[i + 1]])
-                for i, b in enumerate(self.blocks)]
-
-    def _gdx_rotated(self, dx):
-        gdx = self.G @ dx
-        return [b.rotate(gdx[self.block_off[i]:self.block_off[i + 1]])
-                for i, b in enumerate(self.blocks)]
-
     def _check(self):
         if self.singular:
             raise SingularSystemError()
 
     # -- forward solve: U d = r -----------------------------------------------
+    #
+    # Per block, with Rh = P' smat(r3) P and E = 1/D where D > 0, 0 where
+    # D = 0: u = r3 - back((1 - E) o Rh) is svec(P (E o Rh) P'), so the
+    # right-hand side of R is r1 - G' u over the zer entries of -Rh, and
+    # the cone part of the answer is u + back(C_ag o Gh + W), with
+    # Gh = P' smat(G dx) P and W the multipliers w on the zer pairs.
 
     def solve(self, r):
         self._check()
         r1, r2, r3 = self._split(np.asarray(r, dtype=float))
-        rt = self._rotate_cone(r3)
-        top = r1.copy()
+        u = r3.copy()
         tail = []
-        for i, b in enumerate(self.blocks):
-            if len(b.pos):
-                u = np.zeros(b.len)
-                u[b.pos] = rt[i][b.pos] / b.dvec[b.pos]
-                top -= self._g_block(i).T @ b.unrotate(u)
-            tail.append(-rt[i][b.zer])
-        rhs = np.concatenate([top, r2] + tail)
+        for b, cs, _ in self._t_blocks:
+            rT = b.cols(r3[cs])
+            u[cs] -= b.back(b.one_minus_e * rT)
+            tail.append(-rT[b.z_at] * b.z_scale)
+        rhs = np.concatenate([r1 - self.G.T @ u, r2] + tail)
         sol = self._solve_R(rhs)
         x, e = self.x_dim, self.eq_dim
         dx = sol[:x]
         dxi = sol[x:x + e]
         w = sol[x + e:]
-        gdx = self._gdx_rotated(dx)
-        out3 = []
-        at = 0
-        for i, b in enumerate(self.blocks):
-            dg = np.zeros(b.len)
-            if len(b.pos):
-                dg[b.pos] = rt[i][b.pos] / b.dvec[b.pos]
-                dg[b.ag] += b.c_ag * gdx[i][b.ag]
-            k = len(b.zer)
-            dg[b.zer] = w[at:at + k]
-            at += k
-            out3.append(b.unrotate(dg))
-        return np.concatenate([dx, dxi] + out3)
+        gdx = self.G @ dx if self._any_ag else None
+        for b, cs, ws in self._t_blocks:
+            Y = np.zeros((b.n, b.T.size))
+            if len(b.ag):
+                Y[b.ag_at] = b.c_ag * b.cols(gdx[cs])[b.ag_at]
+            Y[b.z_at] = b.z_put * w[ws]
+            u[cs] += b.back(Y)
+        return np.concatenate([dx, dxi, u])
 
     # -- transpose solve: U' d = r ----------------------------------------------
+    #
+    # The right-hand side of R is r1 + G' back(C_ag o Rh) over the zer
+    # entries of Rh; with q = r3 - G a and Qh = P' smat(q) P, the cone
+    # part of the answer is q - back((1 - E) o Qh + W).
 
     def solve_t(self, r):
         self._check()
         r1, r2, r3 = self._split(np.asarray(r, dtype=float))
-        rt = self._rotate_cone(r3)
         top = r1.copy()
+        u = np.zeros_like(r3)
         tail = []
-        for i, b in enumerate(self.blocks):
+        for b, cs, _ in self._t_blocks:
+            rT = b.cols(r3[cs])
             if len(b.ag):
-                u = np.zeros(b.len)
-                u[b.ag] = b.c_ag * rt[i][b.ag]
-                top += self._g_block(i).T @ b.unrotate(u)
-            tail.append(rt[i][b.zer])
+                Y = np.zeros((b.n, b.T.size))
+                Y[b.ag_at] = b.c_ag * rT[b.ag_at]
+                u[cs] = b.back(Y)
+            tail.append(rT[b.z_at] * b.z_scale)
+        if self._any_ag:
+            top += self.G.T @ u
         rhs = np.concatenate([top, r2] + tail)
         sol = self._solve_R(rhs)
         x, e = self.x_dim, self.eq_dim
         a = sol[:x]
         bxi = sol[x:x + e]
         w = sol[x + e:]
-        ga = self._gdx_rotated(a)
-        out3 = []
-        at = 0
-        for i, b in enumerate(self.blocks):
-            cg = np.zeros(b.len)
-            if len(b.pos):
-                cg[b.pos] = (rt[i][b.pos] - ga[i][b.pos]) / b.dvec[b.pos]
-            k = len(b.zer)
-            cg[b.zer] = -w[at:at + k]
-            at += k
-            out3.append(b.unrotate(cg))
-        return np.concatenate([a, bxi] + out3)
+        q = r3 - self.G @ a
+        out3 = q.copy()
+        for b, cs, ws in self._t_blocks:
+            Y = b.one_minus_e * b.cols(q[cs])
+            Y[b.z_at] += b.z_put * w[ws]
+            out3[cs] -= b.back(Y)
+        return np.concatenate([a, bxi, out3])
 
     # -- application and diagnostics ----------------------------------------------
 
@@ -409,14 +468,14 @@ class ReducedNewtonOperator:
         if e:
             r1 = r1 + self.J.T @ dxi
         r2 = self.J @ dx if e else np.zeros(0)
-        gdx = self.G @ dx
-        out3 = []
-        for i, b in enumerate(self.blocks):
-            lo, hi = self.block_off[i], self.block_off[i + 1]
-            arg = b.rotate(gdx[lo:hi] + dG[lo:hi])
-            out3.append(b.unrotate(b.dvec * arg) - gdx[lo:hi])
+        # V(G dx + dG) - G dx = dG - (I - V)(G dx + dG)
+        out3 = dG.copy()
+        if self._t_blocks:
+            h = self.G @ dx + dG
+            for b, cs, _ in self._t_blocks:
+                out3[cs] -= b.v_defect(h[cs])
         return np.concatenate([np.asarray(r1).ravel(),
-                               np.asarray(r2).ravel()] + out3)
+                               np.asarray(r2).ravel(), out3])
 
     def sigma_min(self):
         """Smallest singular value of the Newton operator at this iterate.
@@ -579,6 +638,12 @@ class WoodburyNewtonOperator:
     before they cancel (see _woodbury_core): a core that cancels to
     rounding noise reads singular, as the assembled matrix does.
 
+    Each solve applies V twice, and each application of V works on the
+    non-unit indices T of every block only (see _BlockData): V(H) =
+    H - P ((1 - D) o P'HP) P' reads P'HP through its T columns, so a
+    block costs O(n^2 |T|) flops, not the O(n^3) of a full rotation, and
+    a block with T empty costs nothing.  On ex5, |T| is 40 to 48 of 100.
+
     The core is built from the rows q_i = P[i, :] of the eigenbasis.  With
     w = 1 on diagonal pairs and sqrt(2) off them, the entry for support
     pairs a = (i, j) and b = (p, q) is
@@ -608,6 +673,7 @@ class WoodburyNewtonOperator:
         self.eq_dim = 0
         self.blocks = [_BlockData(dec, variant) for dec in decomps]
         self.block_off = np.cumsum([0] + [b.len for b in self.blocks])
+        self._t_blocks = _t_blocks(self.blocks, self.block_off)
         self.dim = 2 * problem.x_dim
         self.structure_key = None
         self.w = np.asarray(w, dtype=float)
@@ -625,8 +691,7 @@ class WoodburyNewtonOperator:
             if loc.size == 0:
                 self._cores.append(None)
                 continue
-            F, anorm = _woodbury_core(b, v_mask(b.dec, self.variant),
-                                      loc, cb[loc])
+            F, anorm = _woodbury_core(b, b.D, loc, cb[loc])
             factors = _lu_with_rcond(F, anorm, overwrite=True)
             if factors is None:
                 self.singular = True
@@ -638,10 +703,9 @@ class WoodburyNewtonOperator:
             raise SingularSystemError()
 
     def _v_apply(self, v):
-        out = np.empty_like(v)
-        for i, b in enumerate(self.blocks):
-            lo, hi = self.block_off[i], self.block_off[i + 1]
-            out[lo:hi] = b.unrotate(b.dvec * b.rotate(v[lo:hi]))
+        out = v.copy()
+        for b, cs, _ in self._t_blocks:
+            out[cs] -= b.v_defect(v[cs])
         return out
 
     def _core_solve(self, rhs):

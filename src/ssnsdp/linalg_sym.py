@@ -25,15 +25,18 @@ _TRIU_CACHE = {}
 
 
 def _triu(n):
-    """Cached (rows, cols, scale) for the row-major upper triangle.
+    """Cached (rows, cols, scale, upper, lower) for the row-major upper
+    triangle.
 
-    scale is sqrt(2) on off-diagonal positions and 1 on the diagonal.
+    scale is sqrt(2) on off-diagonal positions and 1 on the diagonal;
+    upper and lower are the flat C-order positions rows*n+cols and
+    cols*n+rows of each pair and of its mirror.
     """
     got = _TRIU_CACHE.get(n)
     if got is None:
         iu, ju = np.triu_indices(n)
         scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
-        got = (iu, ju, scale)
+        got = (iu, ju, scale, iu * n + ju, ju * n + iu)
         _TRIU_CACHE[n] = got
     return got
 
@@ -44,9 +47,10 @@ def svec(M):
     The input is trusted to be symmetric; only the upper triangle is read.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    iu, ju, scale = _triu(n)
-    return M[iu, ju] * scale
+    _, _, scale, upper, _ = _triu(M.shape[0])
+    # reshape reads any memory layout in C order; take on flat positions
+    # is several times faster than the two-array index M[iu, ju]
+    return M.reshape(-1).take(upper) * scale
 
 
 def smat(v):
@@ -56,11 +60,13 @@ def smat(v):
     n = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
     if svec_len(n) != v.size:
         raise ValueError(f"svec vector of length {v.size} has no matrix order")
-    iu, ju, scale = _triu(n)
-    M = np.zeros((n, n))
-    M[iu, ju] = v / scale
-    M[ju, iu] = M[iu, ju]
-    return M
+    _, _, scale, upper, lower = _triu(n)
+    # the two scatters cover every position, diagonal ones twice
+    q = v / scale
+    M = np.empty(n * n)
+    M[upper] = q
+    M[lower] = q
+    return M.reshape(n, n)
 
 
 def svec_rotation(P):
@@ -81,7 +87,7 @@ def _svec_rotation_rows(P, rows_i, rows_j):
     selections stay within a modest memory envelope.
     """
     n = P.shape[0]
-    iu, ju, scale = _triu(n)
+    iu, ju, scale, _, _ = _triu(n)
     k = len(rows_i)
     out = np.empty((k, svec_len(n)))
     chunk = max(1, int(2_000_000 // max(svec_len(n), 1)))

@@ -69,6 +69,28 @@ def test_smat_roundtrip():
         assert_allclose(svec(smat(v)), v, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [0, 1, 150])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+def test_svec_smat_bitwise_equal_index_formula(n, layout):
+    """The flat-position svec and smat give the same bits as the
+    two-array index formulas, whatever the memory layout of the input.
+    The input is not symmetric, so reading the wrong triangle shows."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    M = {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A),
+         "transposed": np.ascontiguousarray(A).T}[layout]
+    iu, ju = np.triu_indices(n)
+    scale = np.where(iu == ju, 1.0, RT2)
+    v = svec(M)
+    ref = M[iu, ju] * scale
+    assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes()
+    S = np.zeros((n, n))
+    S[iu, ju] = v / scale
+    S[ju, iu] = S[iu, ju]
+    out = smat(v)
+    assert out.shape == (n, n) and out.tobytes() == S.tobytes()
+
+
 def test_smat_rejects_non_triangular_length():
     with pytest.raises(ValueError):
         smat(np.zeros(4))

@@ -31,7 +31,14 @@ from ssnsdp.kkt import (
     kkt_residual,
     min_singular_value,
 )
-from ssnsdp.linalg_sym import eig_sym, svec, svec_len, svec_rotation, v_mask
+from ssnsdp.linalg_sym import (
+    apply_V,
+    eig_sym,
+    svec,
+    svec_len,
+    svec_rotation,
+    v_mask,
+)
 from ssnsdp.problem import (
     BlockSymMatrix,
     KktPoint,
@@ -446,14 +453,15 @@ def two_block_separable_problem():
     )
 
 
-def two_block_start(problem, seed):
-    """Random point whose cone arguments have eigenvalues inside and on
-    both sides of the correction band delta = 0.5."""
+def two_block_start(problem, seed,
+                    spectra=([1.5, 0.2, -0.1, -2.0], [0.9, 0.3, -1.1])):
+    """Random point whose cone arguments have the given eigenvalues; by
+    default inside and on both sides of the correction band delta = 0.5."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(problem.x_dim)
     g = problem.g(x).blocks
     Gamma = []
-    for Gb, lam in zip(g, ([1.5, 0.2, -0.1, -2.0], [0.9, 0.3, -1.1])):
+    for Gb, lam in zip(g, spectra):
         Q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
         Gamma.append((Q * np.asarray(lam)) @ Q.T - Gb)
     return KktPoint(x, np.zeros(0), BlockSymMatrix(Gamma))
@@ -511,7 +519,7 @@ def test_woodbury_core_matches_rotation_rows(support, variant):
     F, anorm = _woodbury_core(b, v_mask(dec, variant), loc, c)
     # reference: rows of the svec rotation by P', one per support pair
     R = svec_rotation(dec.P.T)[loc]
-    ref = np.eye(loc.size) - (R * b.dvec) @ R.T * c
+    ref = np.eye(loc.size) - (R * b.D[b.iu, b.ju]) @ R.T * c
     assert F.flags.f_contiguous
     assert_allclose(F, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     # the scale of the core's terms before they cancel: ||I|| + ||V c||
@@ -530,15 +538,33 @@ def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
     assert not op.singular
 
 
-def test_reduced_operator_matches_dense():
+def reduced_cases():
+    """(problem, corrected point, variant) for the reduced-operator check:
+    catalog problems, blocks of order >= 4 with alpha, beta and gamma all
+    nonempty (so UI has beta x gamma zero-mask pairs), and a block whose
+    UI mask is all ones (T empty) beside one with T = gamma."""
     for name, variant in (("ex3", "U0"), ("ex4_dual", "U0"), ("ex7", "UI")):
         problem, sol = catalog(name)
-        z = correct(perturbed_start(sol.z_bar, 0.5, seed=13), problem, 0.5)
+        yield (problem, correct(perturbed_start(sol.z_bar, 0.5, seed=13),
+                                problem, 0.5), variant)
+    for case in ("ex5-U0", "ex5-UI", "two-block-U0", "two-block-UI"):
+        yield woodbury_case(case)
+    problem = two_block_separable_problem()
+    z0 = two_block_start(problem, seed=5, spectra=([1.5, 0.2, -0.1, -2.0],
+                                                   [0.9, 0.3, 1.1]))
+    yield problem, correct(z0, problem, 0.5), "UI"
+
+
+def test_reduced_operator_matches_dense():
+    t_sizes = set()
+    for problem, z, variant in reduced_cases():
         decomps = cone_decompositions(problem, z)
         op = ReducedNewtonOperator(problem, z, variant, decomps)
         U = assemble_U(problem, z, variant).matrix
         if op.singular:
             continue
+        t_sizes.update((b.n, b.T.size, len(b.dec.beta) * len(b.dec.gamma))
+                       for b in op.blocks)
         rng = np.random.default_rng(14)
         Ui = np.linalg.inv(U)
         for _ in range(4):
@@ -548,6 +574,38 @@ def test_reduced_operator_matches_dense():
             assert_allclose(op.solve_t(r), Ui.T @ r, atol=1e-9)
         sigma_dense = float(np.linalg.svd(U, compute_uv=False)[-1])
         assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
+    # the cases reach T empty, T partial on a block of order >= 4 with
+    # beta x gamma pairs, and T whole
+    assert any(n > 1 and t == 0 for n, t, _ in t_sizes)
+    assert any(n >= 4 and 0 < t < n and bg for n, t, bg in t_sizes)
+    assert any(t == n for n, t, _ in t_sizes)
+
+
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+@pytest.mark.parametrize("lam", [
+    [2.0, 1.3, 0.7, 0.4, 0.2, 1.1, 1.6, 0.9, 2.5],
+    [2.0, 1.3, 0.7, 0.0, 0.0, 0.4, 1.1, 1.6, 2.5],
+    [2.0, 1.3, 0.7, 0.0, 0.0, -0.4, -1.1, -1.6, -2.5],
+    [0.0, 0.0, 0.0, -0.4, -1.1, -1.6, -2.5, -0.7, -0.2],
+    [-2.0, -1.3, -0.7, -0.4, -0.2, -1.1, -1.6, -0.9, -2.5],
+], ids=["alpha", "alpha-beta", "mixed", "beta-gamma", "gamma"])
+def test_block_v_apply_matches_apply_V(lam, variant):
+    """The operators' V(H) = H - P((1 - D) o P'HP)P', read through the
+    T columns and applied only to blocks with T nonempty, matches the
+    two-GEMM formula; the cases reach T empty, partial and whole."""
+    rng = np.random.default_rng(22)
+    n = 9
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dec = eig_sym((Q * np.asarray(lam)) @ Q.T)
+    b = _BlockData(dec, variant)
+    assert_allclose(b.T, np.where(np.diag(v_mask(dec, variant)) != 1.0)[0])
+    for _ in range(3):
+        H = rng.standard_normal((n, n))
+        H = H + H.T
+        h = svec(H)
+        got = h - b.v_defect(h) if b.T.size else h
+        assert_allclose(got, svec(apply_V(dec, variant, H)),
+                        rtol=0, atol=1e-13)
 
 
 # (problem, catalog kwargs, variant, start magnitude, seed): corrected
