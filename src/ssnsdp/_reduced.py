@@ -189,11 +189,10 @@ class _BlockData:
         iu, ju = np.triu_indices(n)
         self.iu, self.ju = iu, ju
         self.D = D = v_mask(dec, variant)
-        dvec = D[iu, ju]
         c = _sector_codes(dec)
         self.ag = np.where((c[iu] == 0) & (c[ju] == 2))[0]
         # zero sectors of the mask are exact, so this split is too
-        self.zer = np.where(dvec == 0.0)[0]
+        self.zer = np.where(D[iu, ju] == 0.0)[0]
         lam = dec.lam
         self.c_ag = -lam[ju[self.ag]] / lam[iu[self.ag]]
         self.T = T = np.where(np.diag(D) != 1.0)[0]
@@ -642,7 +641,8 @@ class WoodburyNewtonOperator:
     non-unit indices T of every block only (see _BlockData): V(H) =
     H - P ((1 - D) o P'HP) P' reads P'HP through its T columns, so a
     block costs O(n^2 |T|) flops, not the O(n^3) of a full rotation, and
-    a block with T empty costs nothing.  On ex5, |T| is 40 to 48 of 100.
+    a block with T empty costs nothing.  On ex5 at 60/40, |T| is about
+    40 to 48 of 100.
 
     The core is built from the rows q_i = P[i, :] of the eigenbasis.  With
     w = 1 on diagonal pairs and sqrt(2) off them, the entry for support
