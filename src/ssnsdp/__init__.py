@@ -19,7 +19,6 @@ from .linalg_sym import (
     dproj_psd,
     eig_sym,
     project_psd,
-    sigma_quadratic,
     smat,
     svec,
     svec_len,
@@ -51,8 +50,6 @@ from .kkt import (
 from .conditions import (
     ConditionReport,
     ConditionResult,
-    app_basis,
-    appl_basis,
     check_cn,
     check_s_sosc,
     check_w_soc,
@@ -76,7 +73,6 @@ __all__ = [
     "dproj_psd",
     "eig_sym",
     "project_psd",
-    "sigma_quadratic",
     "smat",
     "svec",
     "svec_len",
@@ -102,8 +98,6 @@ __all__ = [
     "min_singular_value",
     "ConditionReport",
     "ConditionResult",
-    "app_basis",
-    "appl_basis",
     "check_cn",
     "check_s_sosc",
     "check_w_soc",

@@ -32,8 +32,10 @@ through one rank-2|T| update of P_T (see _BlockData): O(n^2 |T|) flops
 per block instead of the O(n^3) of a full rotation, the mask split of
 SDPNAL (Zhao, Sun and Toh, SIAM J. Optim. 20 (2010), Sec. 3).  A block
 with T empty, where V is the identity, needs no GEMM and no svec/smat at
-all.  Only the build reads rotated rows of G, for the zero-mask and
-alpha-gamma pairs.
+all.  Of the solve path, only the build reads rotated rows of G
+(_BlockData.s_rows), for the zero-mask and alpha-gamma pairs; the
+regularity report in conditions.py reads the same rows as its
+constraints and curvature.
 
 The module also holds what every solver backend shares, the dense one in
 solver.py included.  _lu_with_rcond is the one singularity verdict of
@@ -131,42 +133,6 @@ def _triu_index(a, b, n):
     return lo * n - lo * (lo - 1) // 2 + (hi - lo)
 
 
-def _sector_codes(dec):
-    """Per-eigenvalue class labels: 0 alpha, 1 beta, 2 gamma."""
-    c = np.empty(dec.n, dtype=int)
-    c[dec.alpha] = 0
-    c[dec.beta] = 1
-    c[dec.gamma] = 2
-    return c
-
-
-def rotated_rows(dec, rows_i, rows_j, G_block):
-    """Rows of the eigenbasis-rotated cone Jacobian for given index pairs.
-
-    Row (i, j) maps dx to the svec entry (i, j) of P' smat(G dx) P.  Stays
-    sparse when the eigenbasis is a signed permutation and the block
-    Jacobian is sparse; dense otherwise.
-    """
-    if len(rows_i) == 0:
-        return sp.csr_matrix((0, G_block.shape[1]))
-    perm = _signed_permutation(dec.P)
-    if perm is not None and sp.issparse(G_block):
-        cols_map, signs = perm
-        pi = cols_map[rows_i]
-        pj = cols_map[rows_j]
-        vals = signs[rows_i] * signs[rows_j]
-        idx = _triu_index(pi, pj, dec.n)
-        S = sp.csr_matrix(
-            (vals, (np.arange(len(rows_i)), idx)),
-            shape=(len(rows_i), svec_len(dec.n)))
-        return S @ G_block
-    S = _svec_rotation_rows(dec.P, rows_i, rows_j)
-    out = S @ G_block
-    if sp.issparse(out):
-        out = out.toarray()
-    return np.asarray(out)
-
-
 class _BlockData:
     """Pair bookkeeping for one cone block at one iterate.
 
@@ -178,7 +144,9 @@ class _BlockData:
     symmetric matrix X supported on the rows and columns T through
     P X P' = Z P_T' + P_T Z', Z = P Y, where Y is X[:, T] with its T rows
     halved (back).  Each costs O(n^2 |T|); a block with T empty costs
-    nothing.
+    nothing.  The regularity report reads its pair split from here too:
+    a variant's zer pairs are the constraint rows of its conditions, and
+    the ag pairs, weighted by c_ag, their curvature.
     """
 
     def __init__(self, dec, variant):
@@ -189,8 +157,11 @@ class _BlockData:
         iu, ju = np.triu_indices(n)
         self.iu, self.ju = iu, ju
         self.D = D = v_mask(dec, variant)
-        c = _sector_codes(dec)
-        self.ag = np.where((c[iu] == 0) & (c[ju] == 2))[0]
+        in_a = np.zeros(n, dtype=bool)
+        in_a[dec.alpha] = True
+        in_g = np.zeros(n, dtype=bool)
+        in_g[dec.gamma] = True
+        self.ag = np.where(in_a[iu] & in_g[ju])[0]
         # zero sectors of the mask are exact, so this split is too
         self.zer = np.where(D[iu, ju] == 0.0)[0]
         lam = dec.lam
@@ -236,8 +207,23 @@ class _BlockData:
         return self.back(self.one_minus_d * self.cols(h))
 
     def s_rows(self, pairs, G_block):
-        """Rows of the rotated cone Jacobian for the given svec pairs."""
-        return rotated_rows(self.dec, self.iu[pairs], self.ju[pairs], G_block)
+        """Rows of the eigenbasis-rotated cone Jacobian for the given svec
+        pairs: row (i, j) maps dx to the svec entry (i, j) of
+        P' smat(G dx) P.  Sparse when the eigenbasis is a signed
+        permutation and the block Jacobian is sparse; dense otherwise."""
+        ri, rj = self.iu[pairs], self.ju[pairs]
+        if ri.size == 0:
+            return sp.csr_matrix((0, G_block.shape[1]))
+        perm = _signed_permutation(self.dec.P)
+        if perm is not None and sp.issparse(G_block):
+            cols_map, signs = perm
+            idx = _triu_index(cols_map[ri], cols_map[rj], self.n)
+            S = sp.csr_matrix(
+                (signs[ri] * signs[rj], (np.arange(ri.size), idx)),
+                shape=(ri.size, self.len))
+            return S @ G_block
+        out = _svec_rotation_rows(self.dec.P, ri, rj) @ G_block
+        return out.toarray() if sp.issparse(out) else np.asarray(out)
 
 
 def _t_blocks(blocks, block_off):

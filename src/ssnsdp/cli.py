@@ -20,15 +20,8 @@ import numpy as np
 
 from .catalog import catalog, catalog_names
 from .problem import BlockSymMatrix, KktPoint, load_qsdp, perturbed_start
-from .kkt import assemble_U, clarke_combination, min_singular_value
 from .conditions import regularity_report
-from .solver import (
-    DENSE_LIMIT,
-    SolverParams,
-    classical_ssn_solve,
-    fitted_order,
-    ssn_solve,
-)
+from .solver import SolverParams, classical_ssn_solve, fitted_order, ssn_solve
 
 
 class _ConfigError(Exception):
@@ -236,7 +229,7 @@ def _format_run(payload, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _check_payload(problem, report, clarke_sigma):
+def _check_payload(problem, report):
     conds = {}
     for name in ("w_soc", "s_sosc", "w_srcq", "cn"):
         r = getattr(report, name)
@@ -246,7 +239,7 @@ def _check_payload(problem, report, clarke_sigma):
         "conditions": conds,
         "u0_sigma_min": report.u0_sigma_min,
         "ui_sigma_min": report.ui_sigma_min,
-        "clarke_mid_sigma_min": clarke_sigma,
+        "clarke_mid_sigma_min": report.clarke_mid_sigma_min,
         "theorem_consistent": not report.warnings,
         "warnings": list(report.warnings),
     }
@@ -323,14 +316,7 @@ def cmd_check(args):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    clarke_sigma = None
-    if (report.u0_sigma_min <= 1e-8 and report.ui_sigma_min <= 1e-8
-            and problem.total_dim <= DENSE_LIMIT):
-        mid = clarke_combination(assemble_U(problem, z, "U0"),
-                                 assemble_U(problem, z, "UI"), 0.5)
-        clarke_sigma = min_singular_value(mid)
-    payload = _check_payload(problem, report, clarke_sigma)
-    _emit(_format_check(payload, args.format), args)
+    _emit(_format_check(_check_payload(problem, report), args.format), args)
     return 0
 
 

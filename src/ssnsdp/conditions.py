@@ -1,50 +1,48 @@
 """Executable regularity checks at a KKT point.
 
-Four conditions are implemented, each returning a holds/margin pair:
+Each condition pairs with the Newton element it certifies: W-SOC together
+with CN certifies the zero-sided U0, S-SOSC together with W-SRCQ the
+identity-sided UI (the classical form of this link is D. Sun, Math. Oper.
+Res. 31 (2006) 761-776).  A check reads the pair split of its variant's
+reduced Newton system (_BlockData in _reduced.py):
 
-* weak second order condition (check_w_soc): the curvature form is
-  positive definite on the subspace cut out by the equality Jacobian and
-  the zero/negative sectors of the rotated cone Jacobian, including the
-  two-sided zero sector.
-* strong second order condition (check_s_sosc): same form, positive
-  definite on the larger subspace that leaves the two-sided zero sector
-  free.
-* weak residual constraint qualification (check_w_srcq): equality
-  gradients together with the mixed and doubly-negative sector rows are
-  linearly independent.
-* constraint nondegeneracy (check_cn): same with the two-sided zero
-  sector rows added.
+* constraint rows: the equality Jacobian plus the rotated cone Jacobian
+  rows of the eigenvalue pairs that the variant's mask zeroes, which are
+  beta-beta, beta-gamma and gamma-gamma under U0, and beta-gamma and
+  gamma-gamma under UI;
+* curvature: the Lagrangian Hessian plus the alpha-gamma rows weighted by
+  -lam_j / lam_i, the same under either variant.
 
-Margins are the smallest eigenvalue of the reduced curvature form for
-the second order conditions and the smallest singular value of the
-stacked gradients for the qualification conditions.  A condition whose
-constraint set is empty holds vacuously with margin +inf.
+The second order conditions (check_w_soc on U0, check_s_sosc on UI) ask
+the curvature form to be positive definite on the null space of the
+rows; the margin is its smallest eigenvalue there.  The qualification
+conditions (check_cn on U0, check_w_srcq on UI) ask the rows to be
+linearly independent; the margin is their smallest singular value.  A
+condition over a zero subspace or over no rows holds vacuously with
+margin +inf.
 
 Every entry point validates that the supplied point actually satisfies
 the KKT system (residual norm at most 1e-10) and raises ValueError
-otherwise; the sector split is meaningless away from a solution.
+otherwise; the pair split is meaningless away from a solution.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .linalg_sym import svec_len
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of, to_dense
-from .kkt import assemble_U, cone_decompositions, kkt_residual, min_singular_value
-from ._reduced import _sector_codes, rotated_rows
-from .solver import DENSE_LIMIT, _DenseBackend, _make_backend
+from .kkt import (assemble_U, clarke_combination, cone_decompositions,
+                  kkt_residual, min_singular_value)
+from ._reduced import _BlockData
+from .solver import DENSE_LIMIT, _make_backend
 
 RESIDUAL_TOL = 1e-10
 
 # margins at or below this are treated as failures of the (open) condition
 CHECK_TOL = 1e-8
-
-# per-sector pair codes (0 alpha, 1 beta, 2 gamma); index order within a
-# block follows the eigenvalue sort, so code pairs always come sorted
-_SOSC_SECTORS = ((1, 2), (2, 2))
-_SOC_SECTORS = ((1, 1), (1, 2), (2, 2))
 
 
 @dataclass
@@ -61,7 +59,13 @@ class ConditionReport:
     backend's factorization flagged the matrix singular, on every backend.
     nan can only appear above the dense cutoff: it means the Lanczos
     iteration of a structured backend did not converge, so the value is
-    unknown (it raises no certificate warning)."""
+    unknown (it raises no certificate warning).
+
+    clarke_mid_sigma_min probes the Clarke midpoint 0.5 (U0 + UI), which
+    can be nonsingular although both endpoints are not: the full-SVD
+    smallest singular value of the assembled midpoint when both sigmas
+    are at most 1e-8 and the problem has at most DENSE_LIMIT unknowns,
+    None otherwise."""
 
     problem_name: str
     w_soc: ConditionResult
@@ -70,6 +74,7 @@ class ConditionReport:
     cn: ConditionResult
     u0_sigma_min: float
     ui_sigma_min: float
+    clarke_mid_sigma_min: Optional[float] = None
     warnings: list = field(default_factory=list)
 
 
@@ -89,26 +94,16 @@ def _g_blocks(problem, x):
     return [G[offs[i]:offs[i + 1]] for i in range(len(problem.cone_blocks))]
 
 
-def _sector_pairs(dec, sectors):
-    c = _sector_codes(dec)
-    iu, ju = np.triu_indices(dec.n)
-    mask = np.zeros(iu.size, dtype=bool)
-    for ci, cj in sectors:
-        mask |= (c[iu] == ci) & (c[ju] == cj)
-    k = np.where(mask)[0]
-    return iu[k], ju[k]
-
-
-def _constraint_rows(problem, z, decomps, sectors):
-    """Equality Jacobian plus the selected rotated cone sectors, as a
-    list of row blocks (sparse or dense)."""
+def _constraint_rows(problem, z, decomps, variant):
+    """Equality Jacobian plus the rotated cone rows of the pairs that the
+    variant's mask zeroes, as a list of row blocks (sparse or dense)."""
     rows = []
     if problem.eq_dim:
         rows.append(jac_h_matrix_of(problem, z.x))
     for dec, Gb in zip(decomps, _g_blocks(problem, z.x)):
-        ri, rj = _sector_pairs(dec, sectors)
-        if ri.size:
-            rows.append(rotated_rows(dec, ri, rj, Gb))
+        b = _BlockData(dec, variant)
+        if b.zer.size:
+            rows.append(b.s_rows(b.zer, Gb))
     return rows
 
 
@@ -149,28 +144,31 @@ def _add(A, B):
 def _curvature_matrix(problem, z, decomps):
     """Lagrangian Hessian plus the cone curvature term.
 
-    The extra term is a positive combination of the alpha-gamma sector
-    rows weighted by -lam_j / lam_i; the sqrt(2) svec scaling of the
-    off-diagonal rows supplies the pair-counting factor 2.
+    The extra term is a positive combination of the alpha-gamma rows
+    weighted by c_ag = -lam_j / lam_i; the sqrt(2) svec scaling of the
+    off-diagonal rows supplies the pair-counting factor 2.  Those rows
+    and weights do not depend on the variant, and UI's block data is the
+    cheaper to build (its T, gamma only, is the smaller).
     """
     Q = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
     for dec, Gb in zip(decomps, _g_blocks(problem, z.x)):
-        ri, rj = _sector_pairs(dec, ((0, 2),))
-        if ri.size == 0:
+        b = _BlockData(dec, "UI")
+        if b.ag.size == 0:
             continue
-        w = -dec.lam[rj] / dec.lam[ri]
-        R = rotated_rows(dec, ri, rj, Gb)
+        R = b.s_rows(b.ag, Gb)
         if sp.issparse(R):
-            Q = _add(Q, R.T @ sp.diags(w) @ R)
+            Q = _add(Q, R.T @ sp.diags(b.c_ag) @ R)
         else:
-            Q = _add(Q, R.T @ (w[:, None] * R))
+            Q = _add(Q, R.T @ (b.c_ag[:, None] * R))
     return Q
 
 
-def _psd_margin(Q, basis):
-    """Smallest eigenvalue of Q restricted to the given basis (+inf when
-    the basis is empty)."""
-    kind, data = basis
+def _second_order_margin(problem, z, decomps, variant):
+    """Smallest eigenvalue of the curvature form on the null space of the
+    variant's constraint rows (+inf when that space is zero)."""
+    kind, data = _null_basis(_constraint_rows(problem, z, decomps, variant),
+                             problem.x_dim)
+    Q = _curvature_matrix(problem, z, decomps)
     if kind == "coords":
         idx = np.asarray(data)
         if idx.size == 0:
@@ -193,13 +191,15 @@ def _psd_margin(Q, basis):
     return float(scipy.linalg.eigvalsh(M)[0])
 
 
-def _independence_margin(rows, x_dim):
-    """Smallest singular value of the stacked rows (+inf when there are
-    none, 0.0 when there are more rows than columns)."""
+def _independence_margin(problem, z, decomps, variant):
+    """Smallest singular value of the variant's stacked constraint rows
+    (+inf when there are none, 0.0 when there are more rows than
+    columns)."""
+    rows = _constraint_rows(problem, z, decomps, variant)
     total = sum(r.shape[0] for r in rows)
     if total == 0:
         return float("inf")
-    if total > x_dim:
+    if total > problem.x_dim:
         return 0.0
     if all(sp.issparse(r) for r in rows):
         C = sp.vstack(rows).tocsr()
@@ -219,80 +219,41 @@ def _independence_margin(rows, x_dim):
     return float(np.sqrt(max(w[0], 0.0)))
 
 
-def _basis_to_dense(basis, x_dim):
-    kind, data = basis
-    if kind == "dense":
-        return data
-    idx = np.asarray(data)
-    N = np.zeros((x_dim, idx.size))
-    N[idx, np.arange(idx.size)] = 1.0
-    return N
-
-
-def appl_basis(problem, z, class_tol=None):
-    """Orthonormal basis (columns) of the subspace used by check_w_soc."""
-    decomps = _checked_decomps(problem, z, class_tol)
-    rows = _constraint_rows(problem, z, decomps, _SOC_SECTORS)
-    return _basis_to_dense(_null_basis(rows, problem.x_dim), problem.x_dim)
-
-
-def app_basis(problem, z, class_tol=None):
-    """Orthonormal basis (columns) of the subspace used by check_s_sosc."""
-    decomps = _checked_decomps(problem, z, class_tol)
-    rows = _constraint_rows(problem, z, decomps, _SOSC_SECTORS)
-    return _basis_to_dense(_null_basis(rows, problem.x_dim), problem.x_dim)
+def _check(margin_of, variant, problem, z, check_tol, class_tol, decomps):
+    if decomps is None:
+        decomps = _checked_decomps(problem, z, class_tol)
+    margin = margin_of(problem, z, decomps, variant)
+    return ConditionResult(margin > check_tol, margin)
 
 
 def check_w_soc(problem, z, check_tol=CHECK_TOL, class_tol=None,
                 _decomps=None):
-    decomps = _decomps if _decomps is not None \
-        else _checked_decomps(problem, z, class_tol)
-    basis = _null_basis(
-        _constraint_rows(problem, z, decomps, _SOC_SECTORS), problem.x_dim)
-    margin = _psd_margin(_curvature_matrix(problem, z, decomps), basis)
-    return ConditionResult(margin > check_tol, margin)
+    return _check(_second_order_margin, "U0", problem, z, check_tol,
+                  class_tol, _decomps)
 
 
 def check_s_sosc(problem, z, check_tol=CHECK_TOL, class_tol=None,
                  _decomps=None):
-    decomps = _decomps if _decomps is not None \
-        else _checked_decomps(problem, z, class_tol)
-    basis = _null_basis(
-        _constraint_rows(problem, z, decomps, _SOSC_SECTORS), problem.x_dim)
-    margin = _psd_margin(_curvature_matrix(problem, z, decomps), basis)
-    return ConditionResult(margin > check_tol, margin)
+    return _check(_second_order_margin, "UI", problem, z, check_tol,
+                  class_tol, _decomps)
 
 
 def check_w_srcq(problem, z, check_tol=CHECK_TOL, class_tol=None,
                  _decomps=None):
-    decomps = _decomps if _decomps is not None \
-        else _checked_decomps(problem, z, class_tol)
-    rows = _constraint_rows(problem, z, decomps, _SOSC_SECTORS)
-    margin = _independence_margin(rows, problem.x_dim)
-    return ConditionResult(margin > check_tol, margin)
+    return _check(_independence_margin, "UI", problem, z, check_tol,
+                  class_tol, _decomps)
 
 
 def check_cn(problem, z, check_tol=CHECK_TOL, class_tol=None,
              _decomps=None):
-    decomps = _decomps if _decomps is not None \
-        else _checked_decomps(problem, z, class_tol)
-    rows = _constraint_rows(problem, z, decomps, _SOC_SECTORS)
-    margin = _independence_margin(rows, problem.x_dim)
-    return ConditionResult(margin > check_tol, margin)
+    return _check(_independence_margin, "U0", problem, z, check_tol,
+                  class_tol, _decomps)
 
 
 def _newton_sigma(problem, z, variant, decomps):
     """Smallest singular value of the Newton matrix at z, from the solver's
-    backend: the shared Lanczos iteration over its factorization, 0.0
-    when that factorization flags the matrix singular.  Above the dense
-    cutoff an unconverged Lanczos run reads nan.  At or below it the
-    exact SVD is affordable, so it replaces a nan there."""
-    if problem.total_dim > DENSE_LIMIT:
-        return _make_backend(problem, z, variant, decomps).sigma_min()
-    # perfbench/tracing.py wraps this module's assemble_U, min_singular_value
-    op = assemble_U(problem, z, variant, _decomps=decomps)
-    sigma = _DenseBackend(op).sigma_min()
-    return min_singular_value(op) if np.isnan(sigma) else sigma
+    own backend (see its sigma_min)."""
+    return _make_backend(problem, z, variant, decomps).sigma_min()
 
 
 def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
@@ -301,7 +262,9 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
     Nonsingularity certificates: w_soc together with cn certifies the
     zero-sided Newton matrix, s_sosc together with w_srcq the
     identity-sided one.  A warning is recorded whenever a certificate
-    holds but the computed smallest singular value is still tiny.
+    holds but the computed smallest singular value is still tiny.  When
+    both are tiny on a problem of at most DENSE_LIMIT unknowns, the report
+    also probes the Clarke midpoint of the two assembled matrices.
     """
     decomps = _checked_decomps(problem, z, class_tol)
     w_soc = check_w_soc(problem, z, check_tol, _decomps=decomps)
@@ -317,7 +280,14 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
     if s_sosc.holds and w_srcq.holds and ui_sigma <= 1e-8:
         warnings.append(
             f"UI certified nonsingular but sigma_min is {ui_sigma:.3e}")
+    clarke_mid = None
+    if (u0_sigma <= 1e-8 and ui_sigma <= 1e-8
+            and problem.total_dim <= DENSE_LIMIT):
+        mid = clarke_combination(
+            assemble_U(problem, z, "U0", _decomps=decomps),
+            assemble_U(problem, z, "UI", _decomps=decomps), 0.5)
+        clarke_mid = min_singular_value(mid)
     return ConditionReport(
         problem_name=problem.name, w_soc=w_soc, s_sosc=s_sosc,
         w_srcq=w_srcq, cn=cn, u0_sigma_min=u0_sigma, ui_sigma_min=ui_sigma,
-        warnings=warnings)
+        clarke_mid_sigma_min=clarke_mid, warnings=warnings)

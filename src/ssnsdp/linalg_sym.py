@@ -122,12 +122,6 @@ class SpectralDecomposition:
     def n(self):
         return self.lam.size
 
-    def lam_classified(self):
-        """Eigenvalues with the beta entries snapped to exact zero."""
-        lam = self.lam.copy()
-        lam[self.beta] = 0.0
-        return lam
-
 
 def eig_sym(A, class_tol=None):
     """Spectral decomposition with nonincreasing eigenvalues.
@@ -227,19 +221,3 @@ def apply_V(decomp, variant, H):
     Ht = P.T @ np.asarray(H, dtype=float) @ P
     return P @ (v_mask(decomp, variant) * Ht) @ P.T
 
-
-def sigma_quadratic(decomp, B):
-    """Curvature contribution of the cone constraint.
-
-    Returns 2 * sum over (i in alpha, j in gamma) of
-    (lam_j / lam_i) * B[i, j]^2 for a matrix B expressed in the eigenbasis.
-    Always <= 0.
-    """
-    a, g = decomp.alpha, decomp.gamma
-    if not len(a) or not len(g):
-        return 0.0
-    B = np.asarray(B, dtype=float)
-    la = decomp.lam[a]
-    lg = decomp.lam[g]
-    W = lg[None, :] / la[:, None]
-    return 2.0 * float(np.sum(W * B[np.ix_(a, g)] ** 2))

@@ -28,6 +28,7 @@ from .kkt import (
     assembly_class_tol,
     cone_decompositions,
     kkt_residual,
+    min_singular_value,
 )
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
                        WoodburyNewtonOperator, _lanczos_sigma_min,
@@ -85,9 +86,10 @@ class IterationTrace:
     of the step taken from it (0.0 on the final row, where no step is
     solved).  sigma_min is the smallest singular value of the Newton
     matrix: 0.0 when the matrix is flagged singular; nan when it is
-    unknown rather than small, because the Lanczos iteration did not
-    converge (on any backend) or because the row is a diverged iterate,
-    for which no matrix is built."""
+    unknown rather than small, because the Lanczos iteration of a
+    structured backend did not converge or because the row is a diverged
+    iterate, for which no matrix is built.  The dense backend replaces an
+    unconverged Lanczos value with a full SVD, so it never reads nan."""
 
     k: int
     f_norm: float
@@ -157,10 +159,10 @@ class _DenseBackend:
     (_lu_with_rcond), serves the step solves and the sigma_min
     diagnostic, which runs the shared Lanczos iteration on (U' U)^{-1}
     over those factors (_lanczos_sigma_min), as the structured backends
-    do.  The factorization works on a copy: matvec and the regularity
-    report's SVD fallback read the matrix.  The solver and the
-    regularity report below the dense cutoff both take their sigma_min
-    from here."""
+    do, with a full SVD of the matrix when that iteration does not
+    converge.  The factorization works on a copy: matvec and the SVD
+    read the matrix.  The solver's trace rows and the regularity report
+    below the dense cutoff both take their sigma_min from here."""
 
     def __init__(self, op):
         self.op = op
@@ -182,11 +184,16 @@ class _DenseBackend:
     def sigma_min(self):
         """Smallest singular value of the Newton matrix, by the same
         deterministic Lanczos iteration as the structured backends: 0.0
-        when the factorization flagged singularity, nan when the iteration
-        did not converge."""
+        when the factorization flagged singularity.  When the iteration
+        does not converge, a full SVD, which is affordable at this size,
+        replaces its nan."""
         if self._sigma is None:
-            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
-                self.dim, self.solve, self.solve_t)
+            if self.singular:
+                self._sigma = 0.0
+            else:
+                sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
+                self._sigma = (min_singular_value(self.op)
+                               if math.isnan(sigma) else sigma)
         return self._sigma
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import ssnsdp.conditions as conditions_mod
@@ -10,17 +11,31 @@ from ssnsdp._reduced import WoodburyNewtonOperator
 from ssnsdp.catalog import catalog
 from ssnsdp.conditions import (
     CHECK_TOL,
-    app_basis,
-    appl_basis,
+    _constraint_rows,
+    _null_basis,
     check_cn,
     check_s_sosc,
     check_w_soc,
     check_w_srcq,
     regularity_report,
 )
-from ssnsdp.kkt import assemble_U, cone_decompositions, min_singular_value
-from ssnsdp.linalg_sym import svec_len
-from ssnsdp.problem import KktPoint, perturbed_start, qsdp_problem
+from ssnsdp.kkt import (
+    assemble_U,
+    clarke_combination,
+    cone_decompositions,
+    min_singular_value,
+)
+from ssnsdp.linalg_sym import svec_len, svec_rotation
+from ssnsdp.problem import (
+    BlockSymMatrix,
+    KktPoint,
+    hess_matrix_of,
+    jac_g_matrix_of,
+    jac_h_matrix_of,
+    perturbed_start,
+    qsdp_problem,
+    to_dense,
+)
 from ssnsdp.solver import DENSE_LIMIT, _make_backend
 
 SMALL = [
@@ -212,6 +227,7 @@ def test_dense_report_takes_no_full_svd(name, monkeypatch):
     def no_svd(op):
         raise AssertionError("full SVD in a report below the dense cutoff")
 
+    monkeypatch.setattr(solver_mod, "min_singular_value", no_svd)
     monkeypatch.setattr(conditions_mod, "min_singular_value", no_svd)
     problem, sol = build(name)
     report = regularity_report(problem, sol.z_bar)
@@ -236,14 +252,82 @@ def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
     assert report.ui_sigma_min == 0.0
 
 
+def test_report_probes_the_clarke_midpoint():
+    # ex2: both variants singular, the midpoint is not
+    problem, sol = catalog("ex2")
+    report = regularity_report(problem, sol.z_bar)
+    assert report.u0_sigma_min <= 1e-8 and report.ui_sigma_min <= 1e-8
+    mid = clarke_combination(assemble_U(problem, sol.z_bar, "U0"),
+                             assemble_U(problem, sol.z_bar, "UI"), 0.5)
+    assert report.clarke_mid_sigma_min == min_singular_value(mid)
+    assert_allclose(report.clarke_mid_sigma_min, 0.2233599113391941,
+                    rtol=1e-12)
+    # ex5: U0 is nonsingular, so no probe
+    problem, sol = build("ex5")
+    assert regularity_report(problem, sol.z_bar).clarke_mid_sigma_min is None
+
+
+def rotated_qsdp(problem, z, seed):
+    """The problem as a QSDP whose cone is rotated blockwise by a random
+    orthogonal Q (G -> svec_rotation(Q) G, q the same way), with the
+    point's multiplier rotated to match (Gamma -> Q' Gamma Q).  Needs a
+    constant Hessian and affine h and g, as every catalog problem has."""
+    rng = np.random.default_rng(seed)
+    Qs = [np.linalg.qr(rng.standard_normal((n, n)))[0]
+          for n in problem.cone_blocks]
+    S = scipy.linalg.block_diag(*[svec_rotation(Q) for Q in Qs])
+    x0 = np.zeros(problem.x_dim)
+    data = {
+        "x_dim": problem.x_dim, "eq_dim": problem.eq_dim,
+        "cone_blocks": list(problem.cone_blocks),
+        "Q": to_dense(hess_matrix_of(problem, z.x, z.xi, z.Gamma)),
+        "c": problem.grad_f(x0),
+        "H": to_dense(jac_h_matrix_of(problem, x0)), "p": -problem.h(x0),
+        "G": S @ to_dense(jac_g_matrix_of(problem, x0)),
+        "q": -S @ problem.g(x0).svec(),
+    }
+    Gamma = BlockSymMatrix([Q.T @ B @ Q for Q, B in zip(Qs, z.Gamma.blocks)])
+    return (qsdp_problem(data, name=f"{problem.name}-rotated"),
+            KktPoint(z.x.copy(), z.xi.copy(), Gamma))
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex5"])
+def test_report_invariant_under_cone_rotation(name, reports):
+    """An orthogonal change of cone basis changes neither the conditions
+    nor the Newton singular values.  The rotated eigenbasis is no signed
+    permutation, so the checks take their dense row branch."""
+    base, sol = reports[name]
+    problem, _ = build(name)
+    rotated = regularity_report(*rotated_qsdp(problem, sol.z_bar, seed=7))
+    for cond in ("w_soc", "s_sosc", "w_srcq", "cn"):
+        got, want = getattr(rotated, cond), getattr(base, cond)
+        assert got.holds == want.holds, cond
+        assert_allclose(got.margin, want.margin, rtol=1e-9, atol=1e-12,
+                        err_msg=cond)
+    assert_allclose([rotated.u0_sigma_min, rotated.ui_sigma_min],
+                    [base.u0_sigma_min, base.ui_sigma_min],
+                    rtol=1e-9, atol=1e-12)
+    assert rotated.warnings == base.warnings
+
+
 # ---------------------------------------------------------------------------
 # subspace bases
 
 
+def null_basis(problem, z, variant):
+    """Orthonormal basis (columns) of the null space of the variant's
+    constraint rows: the subspace of check_w_soc for U0, of check_s_sosc
+    for UI."""
+    rows = _constraint_rows(problem, z, cone_decompositions(problem, z),
+                            variant)
+    kind, data = _null_basis(rows, problem.x_dim)
+    return data if kind == "dense" else np.eye(problem.x_dim)[:, data]
+
+
 def test_basis_dimensions_ex5():
     problem, sol = catalog("ex5", l1=6, l2=4)
-    Bl = appl_basis(problem, sol.z_bar)
-    Bp = app_basis(problem, sol.z_bar)
+    Bl = null_basis(problem, sol.z_bar, "U0")
+    Bp = null_basis(problem, sol.z_bar, "UI")
     assert Bl.shape == (55, svec_len(10) - svec_len(4))
     assert Bp.shape == (55, 55)
     assert_allclose(Bl.T @ Bl, np.eye(Bl.shape[1]), atol=1e-12)
@@ -252,8 +336,8 @@ def test_basis_dimensions_ex5():
 
 def test_basis_dimensions_ex2():
     problem, sol = catalog("ex2")
-    Bl = appl_basis(problem, sol.z_bar)
-    Bp = app_basis(problem, sol.z_bar)
+    Bl = null_basis(problem, sol.z_bar, "U0")
+    Bp = null_basis(problem, sol.z_bar, "UI")
     assert Bl.shape == (3, 0)
     assert Bp.shape == (3, 2)
     assert_allclose(Bp.T @ Bp, np.eye(2), atol=1e-12)
@@ -262,8 +346,8 @@ def test_basis_dimensions_ex2():
 @pytest.mark.parametrize("name", ["ex3", "ex4_primal", "ex5", "ex7"])
 def test_soc_subspace_contained_in_sosc_subspace(name):
     problem, sol = build(name)
-    Bl = appl_basis(problem, sol.z_bar)
-    Bp = app_basis(problem, sol.z_bar)
+    Bl = null_basis(problem, sol.z_bar, "U0")
+    Bp = null_basis(problem, sol.z_bar, "UI")
     if Bl.shape[1] == 0:
         return
     resid = Bl - Bp @ (Bp.T @ Bl)
@@ -282,7 +366,7 @@ def test_checks_reject_non_kkt_points():
     with pytest.raises(ValueError, match="KKT"):
         regularity_report(problem, z)
     with pytest.raises(ValueError, match="KKT"):
-        appl_basis(problem, z)
+        check_s_sosc(problem, z)
 
 
 def test_check_tol_raises_the_bar():

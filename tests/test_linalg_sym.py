@@ -10,7 +10,6 @@ from ssnsdp.linalg_sym import (
     dproj_psd,
     eig_sym,
     project_psd,
-    sigma_quadratic,
     smat,
     svec,
     svec_len,
@@ -140,14 +139,6 @@ def test_eig_sym_reconstructs():
         assert np.all(np.diff(dec.lam) <= 1e-12)
         assert_allclose((dec.P * dec.lam) @ dec.P.T, A, atol=1e-12)
         assert_allclose(dec.P.T @ dec.P, np.eye(n), atol=1e-13)
-
-
-def test_lam_classified_snaps_beta_to_zero():
-    A = np.diag([1.0, 1e-14, -2.0])
-    dec = eig_sym(A)
-    lam = dec.lam_classified()
-    assert lam[1] == 0.0
-    assert lam[0] == dec.lam[0] and lam[2] == dec.lam[2]
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +320,4 @@ def test_eigenbasis_choice_does_not_matter():
     for variant in ("V0", "VI"):
         assert_allclose(apply_V(dec1, variant, H),
                         apply_V(dec2, variant, H), atol=1e-12)
-    s1 = sigma_quadratic(dec1, dec1.P.T @ H @ dec1.P)
-    s2 = sigma_quadratic(dec2, P2.T @ H @ P2)
-    assert_allclose(s1, s2, atol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# curvature term
-
-
-def test_sigma_quadratic_hand_case():
-    dec = eig_sym(np.diag([2.0, 0.0, -3.0]))
-    B = np.zeros((3, 3))
-    B[0, 2] = 1.0
-    assert_allclose(sigma_quadratic(dec, B), -3.0)
-
-
-def test_sigma_quadratic_zero_without_mixed_sectors():
-    rng = np.random.default_rng(14)
-    B = rng.standard_normal((3, 3))
-    psd = eig_sym(np.diag([2.0, 1.0, 0.5]))
-    assert sigma_quadratic(psd, B) == 0.0
-    nsd = eig_sym(np.diag([-0.5, -1.0, -2.0]))
-    assert sigma_quadratic(nsd, B) == 0.0
-
-
-def test_sigma_quadratic_scales_quadratically():
-    rng = np.random.default_rng(15)
-    dec = eig_sym(sym_with_spectrum(rng, [3.0, 1.0, -1.0, -4.0]))
-    B = rng.standard_normal((4, 4))
-    base = sigma_quadratic(dec, B)
-    assert base < 0.0
-    assert_allclose(sigma_quadratic(dec, 2.5 * B), 2.5**2 * base, rtol=1e-12)

@@ -649,6 +649,24 @@ def test_dense_backend_flagged_singular_reads_zero():
     assert backend.sigma_min() == 0.0
 
 
+def test_dense_trace_row_falls_back_to_svd_when_lanczos_stops(monkeypatch):
+    lanczos = solver_mod._lanczos_sigma_min
+    runs = []
+
+    def capped(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+        return runs[-1]
+
+    monkeypatch.setattr(solver_mod, "_lanczos_sigma_min", capped)
+    problem, sol = catalog("ex3")
+    start = perturbed_start(sol.z_bar, 1.0, seed=1)
+    res = ssn_solve(problem, start, SolverParams(max_iter=0))
+    assert len(runs) == 1 and np.isnan(runs[0])
+    _, _, decomps = solver_mod._correct_with_decomps(problem, start, 0.5)
+    U = assemble_U(problem, res.z_final, "U0", _decomps=decomps)
+    assert res.trace[0].sigma_min == min_singular_value(U)
+
+
 def lanczos_sigma_of(M, **kwargs):
     """_lanczos_sigma_min driven by LU solves of a dense matrix."""
     lu = scipy.linalg.lu_factor(M)
