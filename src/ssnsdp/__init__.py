@@ -39,7 +39,6 @@ from .catalog import catalog_names
 from .kkt import (
     DenseOperator,
     KktResidual,
-    apply_U,
     assemble_U,
     clarke_combination,
     example2_family,
@@ -89,7 +88,6 @@ __all__ = [
     "catalog_names",
     "DenseOperator",
     "KktResidual",
-    "apply_U",
     "assemble_U",
     "clarke_combination",
     "example2_family",

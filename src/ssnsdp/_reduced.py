@@ -1,4 +1,4 @@
-"""Structured solve path for large Newton systems.
+"""The solver's Newton backends.
 
 Rotating the cone coordinates by the svec form of the eigenbasis turns the
 Newton operator into
@@ -37,19 +37,26 @@ all.  Of the solve path, only the build reads rotated rows of G
 regularity report in conditions.py reads the same rows as its
 constraints and curvature.
 
-The module also holds what every solver backend shares, the dense one in
-solver.py included.  _lu_with_rcond is the one singularity verdict of
-every dense factorization (assembled Newton matrix, dense R, Woodbury
-cores), _lu_solve the solve over its factors, and SingularSystemError
-what a solve raises on a matrix flagged singular; sparse R goes through
-splu, whose pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no
-condition estimator).  _lanczos_sigma_min is the one sigma_min routine
-of every backend.  It is deterministic: it starts from the same fixed
-Gaussian vector on every call, with no warm start from an earlier
-iterate, so a value and its cost repeat bitwise.  It stops as soon as
-the top Ritz value has converged, which on Newton operators with few
-distinct singular values takes a handful of solves, and it returns nan,
-not 0.0, when it does not converge within its cap.
+Every solve and every report runs on ReducedNewtonOperator or
+WoodburyNewtonOperator, at every problem size.  Their solve and solve_t
+take a right-hand side of shape (dim,) or a stack of columns, shape
+(dim, m), on one code path.
+
+The module also holds what the backends share with the assembled
+reference backend in solver.py.  _lu_with_rcond is the one singularity
+verdict of every dense factorization (dense R, Woodbury cores, the
+assembled Newton matrix), _lu_solve the solve over its factors, and
+SingularSystemError what a solve raises on a matrix flagged singular;
+sparse R goes through splu, whose pivot ratio reads the same
+_SINGULAR_RCOND (SuperLU has no condition estimator).
+_lanczos_sigma_min is the one sigma_min routine: exact up to
+_LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
+It starts from the same fixed Gaussian vector on every call, with no
+warm start from an earlier iterate, so a value and its cost repeat
+bitwise.  It stops as soon as the top Ritz value has converged, which on
+Newton operators with few distinct singular values takes a handful of
+solves, and it returns nan, not 0.0, when it does not converge within
+its cap.
 
 Everything here is internal; the public dense contract lives in kkt.py.
 """
@@ -61,11 +68,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .linalg_sym import smat, svec, svec_len, v_mask, _svec_rotation_rows
+from .linalg_sym import (smat, svec, svec_len, v_mask, _svec_rotation_rows,
+                         _triu)
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
 
 # sigma_min by Lanczos: residual tolerance of the top Ritz pair, relative to
-# its Ritz value; basis vectors kept before a restart; cap on the applies
+# its Ritz value; basis vectors kept before a restart (and up to this many
+# unknowns, sigma_min is exact instead); cap on the applies
 _LANCZOS_TOL = 1e-10
 _LANCZOS_BASIS = 30
 _LANCZOS_MAX_APPLIES = 1000
@@ -144,7 +153,10 @@ class _BlockData:
     symmetric matrix X supported on the rows and columns T through
     P X P' = Z P_T' + P_T Z', Z = P Y, where Y is X[:, T] with its T rows
     halved (back).  Each costs O(n^2 |T|); a block with T empty costs
-    nothing.  The regularity report reads its pair split from here too:
+    nothing.  Both work on stacks: cols maps svec columns, shape (len, m),
+    to an (m, n, |T|) stack, back the reverse; z_at and ag_at index a
+    stack.  iu, ju are linalg_sym's cached arrays, never written.  The
+    regularity report reads its pair split from here too:
     a variant's zer pairs are the constraint rows of its conditions, and
     the ag pairs, weighted by c_ag, their curvature.
     """
@@ -154,7 +166,7 @@ class _BlockData:
         self.dec = dec
         self.n = n
         self.len = svec_len(n)
-        iu, ju = np.triu_indices(n)
+        iu, ju = _triu(n)[:2]
         self.iu, self.ju = iu, ju
         self.D = D = v_mask(dec, variant)
         in_a = np.zeros(n, dtype=bool)
@@ -184,26 +196,29 @@ class _BlockData:
         col[T] = np.arange(T.size)
         zi, zj = iu[self.zer], ju[self.zer]
         j_in = col[zj] >= 0
-        self.z_at = (np.where(j_in, zi, zj), np.where(j_in, col[zj], col[zi]))
+        self.z_at = (slice(None), np.where(j_in, zi, zj),
+                     np.where(j_in, col[zj], col[zi]))
         # svec scale of each zer pair, and the factor that puts a pair's
         # svec value into Y (halved on the diagonal, whole off it: the
         # mirror position stays zero)
         self.z_scale = np.where(zi == zj, 1.0, np.sqrt(2.0))
         self.z_put = np.where(zi == zj, 0.5, np.sqrt(0.5))
         # ag pairs have i in alpha and j in gamma, always in T
-        self.ag_at = (iu[self.ag], col[ju[self.ag]])
+        self.ag_at = (slice(None), iu[self.ag], col[ju[self.ag]])
 
     def cols(self, h):
-        """Hh[:, T] = P' (smat(h) P_T) for the block's svec vector h."""
-        return self.dec.P.T @ (smat(h) @ self.PT)
+        """Hh[:, T] = P' (smat(h) P_T) per column h of the block's svec
+        vectors, as an (m, n, |T|) stack."""
+        return self.dec.P.T @ (smat(h.T) @ self.PT)
 
     def back(self, Y):
-        """svec of P X P' for the symmetric X that Y encodes (class doc)."""
+        """svec of P X P' for the X that each block of Y encodes (class
+        doc), as columns."""
         C = (self.dec.P @ Y) @ self.PT.T
-        return svec(C + C.T)
+        return svec(C + C.transpose(0, 2, 1)).T
 
     def v_defect(self, h):
-        """svec(H - V(H)) = svec(P ((1 - D) o Hh) P'), H = smat(h)."""
+        """svec(H - V(H)) = svec(P ((1 - D) o Hh) P') per column h."""
         return self.back(self.one_minus_d * self.cols(h))
 
     def s_rows(self, pairs, G_block):
@@ -368,6 +383,8 @@ class ReducedNewtonOperator:
     # -- shared pieces --------------------------------------------------------
 
     def _split(self, r):
+        """(r1, r2, r3), each with m columns, of a vector or a stack."""
+        r = np.asarray(r, dtype=float).reshape(self.dim, -1)
         x, e = self.x_dim, self.eq_dim
         return r[:x], r[x:x + e], r[x + e:]
 
@@ -385,13 +402,13 @@ class ReducedNewtonOperator:
 
     def solve(self, r):
         self._check()
-        r1, r2, r3 = self._split(np.asarray(r, dtype=float))
+        r1, r2, r3 = self._split(r)
         u = r3.copy()
         tail = []
         for b, cs, _ in self._t_blocks:
             rT = b.cols(r3[cs])
             u[cs] -= b.back(b.one_minus_e * rT)
-            tail.append(-rT[b.z_at] * b.z_scale)
+            tail.append(-(rT[b.z_at] * b.z_scale).T)
         rhs = np.concatenate([r1 - self.G.T @ u, r2] + tail)
         sol = self._solve_R(rhs)
         x, e = self.x_dim, self.eq_dim
@@ -400,12 +417,12 @@ class ReducedNewtonOperator:
         w = sol[x + e:]
         gdx = self.G @ dx if self._any_ag else None
         for b, cs, ws in self._t_blocks:
-            Y = np.zeros((b.n, b.T.size))
+            Y = np.zeros((r3.shape[1], b.n, b.T.size))
             if len(b.ag):
                 Y[b.ag_at] = b.c_ag * b.cols(gdx[cs])[b.ag_at]
-            Y[b.z_at] = b.z_put * w[ws]
+            Y[b.z_at] = b.z_put * w[ws].T
             u[cs] += b.back(Y)
-        return np.concatenate([dx, dxi, u])
+        return np.concatenate([dx, dxi, u]).reshape(np.shape(r))
 
     # -- transpose solve: U' d = r ----------------------------------------------
     #
@@ -415,17 +432,17 @@ class ReducedNewtonOperator:
 
     def solve_t(self, r):
         self._check()
-        r1, r2, r3 = self._split(np.asarray(r, dtype=float))
+        r1, r2, r3 = self._split(r)
         top = r1.copy()
         u = np.zeros_like(r3)
         tail = []
         for b, cs, _ in self._t_blocks:
             rT = b.cols(r3[cs])
             if len(b.ag):
-                Y = np.zeros((b.n, b.T.size))
+                Y = np.zeros_like(rT)
                 Y[b.ag_at] = b.c_ag * rT[b.ag_at]
                 u[cs] = b.back(Y)
-            tail.append(rT[b.z_at] * b.z_scale)
+            tail.append((rT[b.z_at] * b.z_scale).T)
         if self._any_ag:
             top += self.G.T @ u
         rhs = np.concatenate([top, r2] + tail)
@@ -438,38 +455,33 @@ class ReducedNewtonOperator:
         out3 = q.copy()
         for b, cs, ws in self._t_blocks:
             Y = b.one_minus_e * b.cols(q[cs])
-            Y[b.z_at] += b.z_put * w[ws]
+            Y[b.z_at] += b.z_put * w[ws].T
             out3[cs] -= b.back(Y)
-        return np.concatenate([a, bxi, out3])
+        return np.concatenate([a, bxi, out3]).reshape(np.shape(r))
 
     # -- application and diagnostics ----------------------------------------------
 
     def matvec(self, d):
         """Apply the (unreduced) Newton operator to a stacked direction."""
-        d = np.asarray(d, dtype=float)
-        x, e = self.x_dim, self.eq_dim
-        dx, dxi, dG = d[:x], d[x:x + e], d[x + e:]
+        dx, dxi, dG = self._split(d)
         r1 = self.W @ dx + self.G.T @ dG
-        if e:
+        if self.eq_dim:
             r1 = r1 + self.J.T @ dxi
-        r2 = self.J @ dx if e else np.zeros(0)
+        r2 = self.J @ dx if self.eq_dim else dxi
         # V(G dx + dG) - G dx = dG - (I - V)(G dx + dG)
         out3 = dG.copy()
         if self._t_blocks:
             h = self.G @ dx + dG
             for b, cs, _ in self._t_blocks:
                 out3[cs] -= b.v_defect(h[cs])
-        return np.concatenate([np.asarray(r1).ravel(),
-                               np.asarray(r2).ravel(), out3])
+        return np.concatenate([np.asarray(r1), np.asarray(r2),
+                               out3]).reshape(np.shape(d))
 
     def sigma_min(self):
-        """Smallest singular value of the Newton operator at this iterate.
-
-        Deterministic Lanczos iteration on (U' U)^{-1} over the factorized
-        solves (see _lanczos_sigma_min): the same fixed start on every
-        call, no warm start, stopping as soon as the top Ritz value has
-        converged.  Returns 0.0 when the factorization flagged
-        singularity, and nan when the iteration did not converge.
+        """Smallest singular value of the Newton operator at this iterate,
+        from the factorized solves (see _lanczos_sigma_min).  Returns 0.0
+        when the factorization flagged singularity, and nan when the
+        Lanczos iteration did not converge.
         """
         if self._sigma is None:
             self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
@@ -480,13 +492,20 @@ class ReducedNewtonOperator:
 def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
     """Smallest singular value of U from factorized forward/transpose solves.
 
-    Lanczos iteration on A = (U' U)^{-1}, applied as solve(solve_t(v)),
-    whose largest eigenvalue is 1 / sigma_min^2.  The start is the same
-    Gaussian vector on every call, so a result and its cost repeat
-    exactly; a Gaussian start has a component in every eigenspace with
-    probability one, which makes it safe to stop when the Krylov space
-    breaks down (becomes invariant).  Each new vector is reorthogonalized
-    fully by two classical Gram-Schmidt passes against the stored basis.
+    Up to _LANCZOS_BASIS unknowns a Krylov space would be the whole
+    space, so the value is exact instead: 1 / ||U^{-1}||_2, from one solve
+    against the identity (solve takes the columns as a batch) and the
+    singular values of that small matrix.  It never reads nan, and
+    max_applies does not apply.
+
+    Above that, Lanczos iteration on A = (U' U)^{-1}, applied as
+    solve(solve_t(v)), whose largest eigenvalue is 1 / sigma_min^2.  The
+    start is the same Gaussian vector on every call, so a result and its
+    cost repeat exactly; a Gaussian start has a component in every
+    eigenspace with probability one, which makes it safe to stop when the
+    Krylov space breaks down (becomes invariant).  Each new vector is
+    reorthogonalized fully by two classical Gram-Schmidt passes against
+    the stored basis.
 
     The iteration stops once the top Ritz pair (theta, y) of the
     tridiagonal T_j has a residual beta_j |y_j| <= tol * theta; a
@@ -498,7 +517,9 @@ def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
     from the top Ritz vector.  Returns nan when max_applies applies pass
     without convergence.
     """
-    m = min(_LANCZOS_BASIS, dim)
+    if dim <= _LANCZOS_BASIS:
+        return 1.0 / float(np.linalg.norm(solve(np.eye(dim)), 2))
+    m = _LANCZOS_BASIS
     V = np.empty((m, dim))
     # T_j = tridiag(beta[:j], alpha[:j+1], beta[:j]); entries past j are
     # stale after a restart and never read
@@ -689,6 +710,7 @@ class WoodburyNewtonOperator:
             raise SingularSystemError()
 
     def _v_apply(self, v):
+        """V applied to each column of v, shape (x_dim, m)."""
         out = v.copy()
         for b, cs, _ in self._t_blocks:
             out[cs] -= b.v_defect(v[cs])
@@ -696,47 +718,45 @@ class WoodburyNewtonOperator:
 
     def _core_solve(self, rhs):
         """Scattered c * F^{-1} rhs[support] over all blocks."""
-        t = np.zeros(self.x_dim)
+        t = np.zeros_like(rhs)
         for core in self._cores:
             if core is None:
                 continue
             factors, idx = core
-            t[idx] = self.c[idx] * _lu_solve(factors, rhs[idx])
+            t[idx] = self.c[idx, None] * _lu_solve(factors, rhs[idx])
         return t
+
+    def _split(self, r):
+        """(r1, r3), each of shape (x_dim, m), of a vector or a stack."""
+        r = np.asarray(r, dtype=float).reshape(self.dim, -1)
+        return r[:self.x_dim], r[self.x_dim:]
 
     def solve(self, r):
         self._check()
-        r = np.asarray(r, dtype=float)
-        N = self.x_dim
-        r1, r3 = r[:N], r[N:]
+        r1, r3 = self._split(r)
         b = r3 - self._v_apply(r1)
         dx = -(b + self._v_apply(self._core_solve(b)))
-        dG = r1 - self.w * dx
-        return np.concatenate([dx, dG])
+        dG = r1 - self.w[:, None] * dx
+        return np.concatenate([dx, dG]).reshape(np.shape(r))
 
     def solve_t(self, r):
         self._check()
-        r = np.asarray(r, dtype=float)
-        N = self.x_dim
-        r1, r3 = r[:N], r[N:]
-        b = r1 - self.w * r3
+        r1, r3 = self._split(r)
+        b = r1 - self.w[:, None] * r3
         y2 = -(b + self._core_solve(self._v_apply(b)))
         y1 = r3 - self._v_apply(y2)
-        return np.concatenate([y1, y2])
+        return np.concatenate([y1, y2]).reshape(np.shape(r))
 
     def matvec(self, d):
-        d = np.asarray(d, dtype=float)
-        N = self.x_dim
-        dx, dG = d[:N], d[N:]
-        return np.concatenate([self.w * dx + dG,
-                               self._v_apply(dx + dG) - dx])
+        dx, dG = self._split(d)
+        return np.concatenate([self.w[:, None] * dx + dG,
+                               self._v_apply(dx + dG) - dx]
+                              ).reshape(np.shape(d))
 
     def sigma_min(self):
-        """Smallest singular value, by the same deterministic Lanczos
-        iteration as ReducedNewtonOperator.sigma_min: a fixed start, no
-        warm start, an early stop once the top Ritz value has converged;
-        0.0 when the core is singular, nan when the iteration did not
-        converge."""
+        """Smallest singular value, as ReducedNewtonOperator.sigma_min:
+        0.0 when the core is singular, nan when the Lanczos iteration did
+        not converge."""
         if self._sigma is None:
             self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
                 self.dim, self.solve, self.solve_t)

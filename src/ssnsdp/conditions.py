@@ -37,12 +37,16 @@ from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of, to_dense
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
 from ._reduced import _BlockData
-from .solver import DENSE_LIMIT, _make_backend
+from .solver import _make_backend
 
 RESIDUAL_TOL = 1e-10
 
 # margins at or below this are treated as failures of the (open) condition
 CHECK_TOL = 1e-8
+
+# the Clarke-midpoint probe assembles both Newton matrices and takes a full
+# SVD of their midpoint, so it runs only up to this many unknowns
+CLARKE_PROBE_LIMIT = 1200
 
 
 @dataclass
@@ -57,15 +61,16 @@ class ConditionReport:
     zero-sided (U0) and identity-sided (UI) Newton matrices at the point,
     as the solver's backends compute them.  A sigma_min of 0.0 means the
     backend's factorization flagged the matrix singular, on every backend.
-    nan can only appear above the dense cutoff: it means the Lanczos
-    iteration of a structured backend did not converge, so the value is
-    unknown (it raises no certificate warning).
+    Up to _LANCZOS_BASIS (30) unknowns a sigma_min is exact.  nan can
+    only appear above that: it means the backend's Lanczos iteration did
+    not converge, so the value is unknown (it raises no certificate
+    warning).
 
     clarke_mid_sigma_min probes the Clarke midpoint 0.5 (U0 + UI), which
     can be nonsingular although both endpoints are not: the full-SVD
     smallest singular value of the assembled midpoint when both sigmas
-    are at most 1e-8 and the problem has at most DENSE_LIMIT unknowns,
-    None otherwise."""
+    are at most 1e-8 and the problem has at most CLARKE_PROBE_LIMIT
+    unknowns, None otherwise."""
 
     problem_name: str
     w_soc: ConditionResult
@@ -263,8 +268,9 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
     zero-sided Newton matrix, s_sosc together with w_srcq the
     identity-sided one.  A warning is recorded whenever a certificate
     holds but the computed smallest singular value is still tiny.  When
-    both are tiny on a problem of at most DENSE_LIMIT unknowns, the report
-    also probes the Clarke midpoint of the two assembled matrices.
+    both are tiny on a problem of at most CLARKE_PROBE_LIMIT unknowns,
+    the report also probes the Clarke midpoint of the two assembled
+    matrices.
     """
     decomps = _checked_decomps(problem, z, class_tol)
     w_soc = check_w_soc(problem, z, check_tol, _decomps=decomps)
@@ -282,7 +288,7 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
             f"UI certified nonsingular but sigma_min is {ui_sigma:.3e}")
     clarke_mid = None
     if (u0_sigma <= 1e-8 and ui_sigma <= 1e-8
-            and problem.total_dim <= DENSE_LIMIT):
+            and problem.total_dim <= CLARKE_PROBE_LIMIT):
         mid = clarke_combination(
             assemble_U(problem, z, "U0", _decomps=decomps),
             assemble_U(problem, z, "UI", _decomps=decomps), 0.5)

@@ -113,9 +113,10 @@ def _svec_diag(D):
 def assemble_U(problem, z, variant, class_tol=None, _decomps=None):
     """Dense Newton operator at z for the given surrogate variant.
 
-    Memory is quadratic in x_dim + eq_dim + cone svec length; intended for
-    small and medium instances (the solver routes large ones through a
-    structured path that never materializes U).
+    Memory is quadratic in x_dim + eq_dim + cone svec length.  The solver
+    never assembles U: its backends work on the structured form at every
+    size.  The assembled matrix is the oracle the tests compare them
+    against, and the Clarke-midpoint probe of the regularity report.
     """
     decomps = (_decomps if _decomps is not None
                else cone_decompositions(problem, z, class_tol))
@@ -140,29 +141,6 @@ def assemble_U(problem, z, variant, class_tol=None, _decomps=None):
     return DenseOperator(matrix=U, x_dim=nx, eq_dim=ne,
                          cone_blocks=list(problem.cone_blocks),
                          note=f"{variant} at {problem.name}")
-
-
-def apply_U(problem, z, variant, d, class_tol=None, _decomps=None):
-    """Matrix-free application of the Newton operator to a direction."""
-    decomps = (_decomps if _decomps is not None
-               else cone_decompositions(problem, z, class_tol))
-    d = np.asarray(d, dtype=float)
-    nx, ne = problem.x_dim, problem.eq_dim
-    dx = d[:nx]
-    dxi = d[nx:nx + ne]
-    dG = BlockSymMatrix.from_svec(problem.cone_blocks, d[nx + ne:])
-    row1 = problem.hess_lagrangian(z.x, z.xi, z.Gamma, dx) \
-        + problem.jac_g_adj(z.x, dG)
-    if ne:
-        row1 = row1 + problem.jac_h_adj(z.x, dxi)
-    row2 = problem.jac_h(z.x, dx) if ne else np.zeros(0)
-    gdx = problem.jac_g(z.x, dx)
-    row3 = []
-    for dec, Gb, Db in zip(decomps, gdx.blocks, dG.blocks):
-        H = Gb + Db
-        VH = dec.P @ (v_mask(dec, variant) * (dec.P.T @ H @ dec.P)) @ dec.P.T
-        row3.append(-Gb + VH)
-    return np.concatenate([row1, row2, BlockSymMatrix(row3).svec()])
 
 
 def fd_jacobian(problem, z, step=1e-5):

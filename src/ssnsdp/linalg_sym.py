@@ -42,31 +42,34 @@ def _triu(n):
 
 
 def svec(M):
-    """Map a symmetric matrix to its svec vector.
+    """Map a symmetric matrix to its svec vector; a stack of matrices,
+    shape (..., n, n), maps to a stack of vectors, shape (..., len).
 
     The input is trusted to be symmetric; only the upper triangle is read.
     """
     M = np.asarray(M, dtype=float)
-    _, _, scale, upper, _ = _triu(M.shape[0])
+    n = M.shape[-1]
+    _, _, scale, upper, _ = _triu(n)
     # reshape reads any memory layout in C order; take on flat positions
     # is several times faster than the two-array index M[iu, ju]
-    return M.reshape(-1).take(upper) * scale
+    return M.reshape(M.shape[:-2] + (n * n,)).take(upper, axis=-1) * scale
 
 
 def smat(v):
-    """Inverse of svec."""
+    """Inverse of svec, on one vector or on a stack, shape (..., len)."""
     v = np.asarray(v, dtype=float)
-    # solve k(k+1)/2 = len(v) for k
-    n = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
-    if svec_len(n) != v.size:
-        raise ValueError(f"svec vector of length {v.size} has no matrix order")
+    k = v.shape[-1]
+    # solve n(n+1)/2 = k for n
+    n = int(round((np.sqrt(8 * k + 1) - 1) / 2))
+    if svec_len(n) != k:
+        raise ValueError(f"svec vector of length {k} has no matrix order")
     _, _, scale, upper, lower = _triu(n)
     # the two scatters cover every position, diagonal ones twice
     q = v / scale
-    M = np.empty(n * n)
-    M[upper] = q
-    M[lower] = q
-    return M.reshape(n, n)
+    M = np.empty(v.shape[:-1] + (n * n,))
+    M[..., upper] = q
+    M[..., lower] = q
+    return M.reshape(v.shape[:-1] + (n, n))
 
 
 def svec_rotation(P):

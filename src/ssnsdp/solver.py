@@ -31,15 +31,10 @@ from .kkt import (
     min_singular_value,
 )
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
-                       WoodburyNewtonOperator, _lanczos_sigma_min,
-                       _lu_solve, _lu_with_rcond, reuse_compatible,
-                       separable_diagonal)
+                       WoodburyNewtonOperator, _lu_solve, _lu_with_rcond,
+                       reuse_compatible, separable_diagonal)
 
 logger = logging.getLogger("ssnsdp")
-
-# Above this total dimension the solver stops materializing Newton matrices
-# and works through the reduced representation instead.
-DENSE_LIMIT = 1200
 
 
 @dataclass
@@ -86,10 +81,10 @@ class IterationTrace:
     of the step taken from it (0.0 on the final row, where no step is
     solved).  sigma_min is the smallest singular value of the Newton
     matrix: 0.0 when the matrix is flagged singular; nan when it is
-    unknown rather than small, because the Lanczos iteration of a
-    structured backend did not converge or because the row is a diverged
-    iterate, for which no matrix is built.  The dense backend replaces an
-    unconverged Lanczos value with a full SVD, so it never reads nan."""
+    unknown rather than small, because the row is a diverged iterate,
+    for which no matrix is built, or because the problem has more than
+    _LANCZOS_BASIS (30) unknowns and the backend's Lanczos iteration did
+    not converge.  Up to 30 unknowns the value is exact."""
 
     k: int
     f_norm: float
@@ -154,56 +149,35 @@ def _correct_with_decomps(problem, z, delta):
 
 
 class _DenseBackend:
-    """Backend over an assembled Newton matrix (a DenseOperator).  One LU
-    factorization, with the singularity verdict every backend shares
-    (_lu_with_rcond), serves the step solves and the sigma_min
-    diagnostic, which runs the shared Lanczos iteration on (U' U)^{-1}
-    over those factors (_lanczos_sigma_min), as the structured backends
-    do, with a full SVD of the matrix when that iteration does not
-    converge.  The factorization works on a copy: matvec and the SVD
-    read the matrix.  The solver's trace rows and the regularity report
-    below the dense cutoff both take their sigma_min from here."""
+    """Reference backend over the assembled Newton matrix (assemble_U),
+    which the tests compare the solver's backends against; the solver
+    never builds it.  It takes the arguments of _make_backend, so a test
+    can put it in that function's place.  One LU factorization with the
+    shared singularity verdict (_lu_with_rcond) serves the Newton step;
+    sigma_min is 0.0 when that verdict reads singular and the full-SVD
+    value otherwise."""
 
-    def __init__(self, op):
-        self.op = op
-        self.dim = self.op.matrix.shape[0]
+    def __init__(self, problem, z, variant, decomps):
+        self.matrix = assemble_U(problem, z, variant, _decomps=decomps).matrix
+        self.dim = self.matrix.shape[0]
         self.structure_key = None
-        self._lu = _lu_with_rcond(self.op.matrix)
+        self._lu = _lu_with_rcond(self.matrix)
         self.singular = self._lu is None
-        self._sigma = None
 
     def solve(self, r):
         return _lu_solve(self._lu, r)
 
-    def solve_t(self, r):
-        return _lu_solve(self._lu, r, trans=1)
-
     def matvec(self, d):
-        return self.op.matrix @ d
+        return self.matrix @ d
 
     def sigma_min(self):
-        """Smallest singular value of the Newton matrix, by the same
-        deterministic Lanczos iteration as the structured backends: 0.0
-        when the factorization flagged singularity.  When the iteration
-        does not converge, a full SVD, which is affordable at this size,
-        replaces its nan."""
-        if self._sigma is None:
-            if self.singular:
-                self._sigma = 0.0
-            else:
-                sigma = _lanczos_sigma_min(self.dim, self.solve, self.solve_t)
-                self._sigma = (min_singular_value(self.op)
-                               if math.isnan(sigma) else sigma)
-        return self._sigma
+        return 0.0 if self.singular else min_singular_value(self.matrix)
 
 
 def _make_backend(problem, z, variant, decomps):
-    """The Newton-matrix backend at z: the assembled matrix up to
-    DENSE_LIMIT unknowns, above it the diagonal-plus-low-rank (Woodbury)
-    form when the problem has one, else block elimination."""
-    if problem.total_dim <= DENSE_LIMIT:
-        return _DenseBackend(
-            assemble_U(problem, z, variant, _decomps=decomps))
+    """The Newton-matrix backend at z, at every problem size: the
+    diagonal-plus-low-rank (Woodbury) form when the problem has one,
+    else block elimination."""
     w = separable_diagonal(problem, z)
     if w is not None:
         return WoodburyNewtonOperator(problem, z, variant, decomps, w)

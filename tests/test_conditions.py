@@ -36,7 +36,7 @@ from ssnsdp.problem import (
     qsdp_problem,
     to_dense,
 )
-from ssnsdp.solver import DENSE_LIMIT, _make_backend
+from ssnsdp.solver import _make_backend
 
 SMALL = [
     ("ex1", {"l1": 6, "l2": 4}),
@@ -215,7 +215,7 @@ def test_report_sigma_is_the_backend_sigma(name, reports):
 
 def test_report_sigma_at_the_dense_cutoff():
     problem, sol = catalog("ex5", l1=24, l2=10)
-    assert problem.total_dim == 1190 <= DENSE_LIMIT
+    assert problem.total_dim == 1190
     report = regularity_report(problem, sol.z_bar)
     assert_allclose(report.u0_sigma_min, (np.sqrt(5.0) - 1.0) / 2.0,
                     rtol=1e-8)
@@ -232,24 +232,6 @@ def test_dense_report_takes_no_full_svd(name, monkeypatch):
     problem, sol = build(name)
     report = regularity_report(problem, sol.z_bar)
     assert np.isfinite([report.u0_sigma_min, report.ui_sigma_min]).all()
-
-
-def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
-    lanczos = solver_mod._lanczos_sigma_min
-    runs = []
-
-    def capped(dim, solve, solve_t):
-        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
-        return runs[-1]
-
-    monkeypatch.setattr(solver_mod, "_lanczos_sigma_min", capped)
-    problem, sol = build("ex5")
-    report = regularity_report(problem, sol.z_bar)
-    # UI is flagged singular and runs no Lanczos; U0 stops at the cap
-    assert len(runs) == 1 and np.isnan(runs[0])
-    assert report.u0_sigma_min == min_singular_value(
-        assemble_U(problem, sol.z_bar, "U0"))
-    assert report.ui_sigma_min == 0.0
 
 
 def test_report_probes_the_clarke_midpoint():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import ssnsdp
@@ -25,7 +26,6 @@ from ssnsdp._reduced import (
 )
 from ssnsdp.catalog import catalog, example7_start
 from ssnsdp.kkt import (
-    DenseOperator,
     assemble_U,
     cone_decompositions,
     kkt_residual,
@@ -51,6 +51,7 @@ from ssnsdp.solver import (
     SolverParams,
     _DenseBackend,
     _direction,
+    _make_backend,
     classical_ssn_solve,
     correct,
     fitted_order,
@@ -107,7 +108,7 @@ def test_params_inexact_property(monkeypatch):
         return gmres(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod.spla, "gmres", counted)
-    backend = dense_backend_of(np.diag([2.0, 4.0]))
+    backend = MatrixBackend(np.diag([2.0, 4.0]))
     F = np.array([2.0, -8.0])
     fn = float(np.linalg.norm(F))
     _direction(backend, F, fn, SolverParams())
@@ -167,17 +168,33 @@ def test_correct_leaves_no_spectrum_in_band():
 
 
 # ---------------------------------------------------------------------------
-# the Newton step over an assembled matrix (_DenseBackend + _direction)
+# the Newton step (_direction) over a backend
 
 
-def dense_backend_of(M):
-    M = np.asarray(M, dtype=float)
-    return _DenseBackend(DenseOperator(M, M.shape[0], 0, []))
+class MatrixBackend:
+    """The backend contract over a given matrix: LU factors with the
+    shared singularity verdict, as the reference _DenseBackend holds for
+    an assembled Newton matrix."""
+
+    def __init__(self, M):
+        self.matrix = np.asarray(M, dtype=float)
+        self.dim = self.matrix.shape[0]
+        self._lu = _lu_with_rcond(self.matrix)
+        self.singular = self._lu is None
+
+    def solve(self, r):
+        return _lu_solve(self._lu, r)
+
+    def solve_t(self, r):
+        return _lu_solve(self._lu, r, trans=1)
+
+    def matvec(self, d):
+        return self.matrix @ d
 
 
 def newton_step(M, F, params=None):
     """The solver's step U d = -F, over the dense backend of M."""
-    return _direction(dense_backend_of(M), F, float(np.linalg.norm(F)),
+    return _direction(MatrixBackend(M), F, float(np.linalg.norm(F)),
                       params or SolverParams())
 
 
@@ -195,18 +212,20 @@ def test_newton_step_accepts_operator_and_residual():
     problem, sol = catalog("ex3")
     z = perturbed_start(sol.z_bar, 0.1, seed=5)
     z = correct(z, problem, 0.5)
+    decomps = cone_decompositions(problem, z)
     U = assemble_U(problem, z, "U0")
     F = kkt_residual(problem, z).to_vector()
-    backend = _DenseBackend(U)
-    d = _direction(backend, F, float(np.linalg.norm(F)), SolverParams())
-    assert_allclose(U.matrix @ d, -F, atol=1e-10)
-    assert_allclose(backend.matvec(d), -F, atol=1e-10)
+    for backend in (_make_backend(problem, z, "U0", decomps),
+                    _DenseBackend(problem, z, "U0", decomps)):
+        d = _direction(backend, F, float(np.linalg.norm(F)), SolverParams())
+        assert_allclose(U.matrix @ d, -F, atol=1e-10)
+        assert_allclose(backend.matvec(d), -F, atol=1e-10)
 
 
 def test_newton_step_raises_on_singular_matrix():
     M = np.eye(3)
     M[2, 2] = 0.0
-    backend = dense_backend_of(M)
+    backend = MatrixBackend(M)
     assert backend.singular
     with pytest.raises(SingularSystemError):
         backend.solve(np.ones(3))
@@ -542,9 +561,12 @@ def reduced_cases():
     """(problem, corrected point, variant) for the reduced-operator check:
     catalog problems, blocks of order >= 4 with alpha, beta and gamma all
     nonempty (so UI has beta x gamma zero-mask pairs), and a block whose
-    UI mask is all ones (T empty) beside one with T = gamma."""
-    for name, variant in (("ex3", "U0"), ("ex4_dual", "U0"), ("ex7", "UI")):
-        problem, sol = catalog(name)
+    UI mask is all ones (T empty) beside one with T = gamma.  ex1 under
+    UI factors its reduced system sparse."""
+    for name, params, variant in (("ex3", {}, "U0"), ("ex4_dual", {}, "U0"),
+                                  ("ex7", {}, "UI"),
+                                  ("ex1", {"l1": 4, "l2": 3}, "UI")):
+        problem, sol = catalog(name, **params)
         yield (problem, correct(perturbed_start(sol.z_bar, 0.5, seed=13),
                                 problem, 0.5), variant)
     for case in ("ex5-U0", "ex5-UI", "two-block-U0", "two-block-UI"):
@@ -581,6 +603,41 @@ def test_reduced_operator_matches_dense():
     assert any(t == n for n, t, _ in t_sizes)
 
 
+def assert_batch_is_columns(op, m=5):
+    """solve and solve_t of a (dim, m) right-hand side equal m column
+    solves, to 1e-13 relative."""
+    R = np.random.default_rng(17).standard_normal((op.dim, m))
+    for f in (op.solve, op.solve_t):
+        got = f(R)
+        want = np.column_stack([f(R[:, k]) for k in range(m)])
+        assert got.shape == (op.dim, m)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_batched_solves_match_column_solves():
+    kinds = set()
+    for problem, z, variant in reduced_cases():
+        op = ReducedNewtonOperator(problem, z, variant,
+                                   cone_decompositions(problem, z))
+        if op.singular:
+            continue
+        assert_batch_is_columns(op)
+        kinds.add("sparse R" if isinstance(getattr(op, "_lu", None),
+                                           spla.SuperLU) else "dense R")
+        kinds.update("ag" for b in op.blocks if len(b.ag))
+        kinds.update("T empty" if b.T.size == 0 else
+                     "T whole" if b.T.size == b.n else "T partial"
+                     for b in op.blocks)
+    assert kinds == {"sparse R", "dense R", "ag", "T empty", "T partial",
+                     "T whole"}
+    for case in ("ex5-U0", "ex5-UI"):
+        problem, z, variant = woodbury_case(case)
+        op = WoodburyNewtonOperator(problem, z, variant,
+                                    cone_decompositions(problem, z))
+        assert not op.singular
+        assert_batch_is_columns(op)
+
+
 @pytest.mark.parametrize("variant", ["U0", "UI"])
 @pytest.mark.parametrize("lam", [
     [2.0, 1.3, 0.7, 0.4, 0.2, 1.1, 1.6, 0.9, 2.5],
@@ -603,14 +660,15 @@ def test_block_v_apply_matches_apply_V(lam, variant):
         H = rng.standard_normal((n, n))
         H = H + H.T
         h = svec(H)
-        got = h - b.v_defect(h) if b.T.size else h
+        got = h - b.v_defect(h[:, None])[:, 0] if b.T.size else h
         assert_allclose(got, svec(apply_V(dec, variant, H)),
                         rtol=0, atol=1e-13)
 
 
 # (problem, catalog kwargs, variant, start magnitude, seed): corrected
 # starts where every Newton matrix is well away from singular; with UI
-# the ex5 operator is singular whenever |gamma| < l2
+# the ex5 operator is singular whenever |gamma| < l2.  The ex5 cases (90
+# unknowns) run Lanczos, the others (7 or 8) take the exact path.
 DENSE_SIGMA_CASES = [
     ("ex3", {}, "U0", 1.0, 1),
     ("ex3", {}, "UI", 1.0, 1),
@@ -623,48 +681,71 @@ DENSE_SIGMA_CASES = [
 ]
 
 
-def dense_backend_at(name, params, variant, magnitude, seed):
+def backend_at(name, params, variant, magnitude, seed,
+               backend=_make_backend):
+    """(backend at a corrected start, its assembled Newton matrix)."""
     problem, sol = catalog(name, **params)
     z = correct(perturbed_start(sol.z_bar, magnitude, seed=seed), problem,
                 0.5)
-    return solver_mod._DenseBackend(assemble_U(
-        problem, z, variant, _decomps=cone_decompositions(problem, z)))
+    decomps = cone_decompositions(problem, z)
+    return (backend(problem, z, variant, decomps),
+            assemble_U(problem, z, variant, _decomps=decomps))
 
 
 @pytest.mark.parametrize("case", DENSE_SIGMA_CASES,
                          ids=[f"{c[0]}-{c[2]}" for c in DENSE_SIGMA_CASES])
 def test_dense_backend_sigma_matches_full_svd(case):
-    backend = dense_backend_at(*case)
+    """The solver's backend on the small catalog cases gives the full-SVD
+    sigma_min of the assembled matrix."""
+    backend, U = backend_at(*case)
     assert not backend.singular
     sigma = backend.sigma_min()
-    assert_allclose(sigma, min_singular_value(backend.op), rtol=1e-8)
-    # fixed start, no state kept between backends: bitwise repeatable
-    assert dense_backend_at(*case).sigma_min() == sigma
+    assert_allclose(sigma, min_singular_value(U), rtol=1e-8)
+    # no state kept between backends: bitwise repeatable
+    assert backend_at(*case)[0].sigma_min() == sigma
 
 
 def test_dense_backend_flagged_singular_reads_zero():
-    backend = dense_backend_at("ex7", {}, "U0", 0.5, 1)
-    assert backend.singular
-    assert min_singular_value(backend.op) < 1e-15
-    assert backend.sigma_min() == 0.0
+    for backend in (_make_backend, _DenseBackend):
+        op, U = backend_at("ex7", {}, "U0", 0.5, 1, backend=backend)
+        assert op.singular
+        assert min_singular_value(U) < 1e-15
+        assert op.sigma_min() == 0.0
 
 
-def test_dense_trace_row_falls_back_to_svd_when_lanczos_stops(monkeypatch):
-    lanczos = solver_mod._lanczos_sigma_min
-    runs = []
+def test_small_operator_sigma_is_exact(monkeypatch):
+    """Up to _LANCZOS_BASIS unknowns sigma_min is 1 / ||U^{-1}||_2 from
+    one batched solve: no transpose solve, no cap on applies, never
+    nan."""
+    M = LANCZOS_CASES["n7"]()
+    lu = scipy.linalg.lu_factor(M)
+    calls = []
 
-    def capped(dim, solve, solve_t):
-        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
-        return runs[-1]
+    def solve(r):
+        calls.append(("solve", r.shape))
+        return scipy.linalg.lu_solve(lu, r)
 
-    monkeypatch.setattr(solver_mod, "_lanczos_sigma_min", capped)
+    def solve_t(r):
+        calls.append(("solve_t", r.shape))
+        return scipy.linalg.lu_solve(lu, r, trans=1)
+
+    sigma = _lanczos_sigma_min(7, solve, solve_t, max_applies=0)
+    assert calls == [("solve", (7, 7))]
+    assert_allclose(sigma, min_singular_value(M), rtol=1e-12)
+
+    # a trace row on ex3 (7 unknowns) with Lanczos capped at one apply
+    # reads the SVD value, not nan
+    lanczos = reduced_mod._lanczos_sigma_min
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min",
+                        lambda *a: lanczos(*a, max_applies=1))
     problem, sol = catalog("ex3")
+    assert problem.total_dim <= _LANCZOS_BASIS
     start = perturbed_start(sol.z_bar, 1.0, seed=1)
     res = ssn_solve(problem, start, SolverParams(max_iter=0))
-    assert len(runs) == 1 and np.isnan(runs[0])
     _, _, decomps = solver_mod._correct_with_decomps(problem, start, 0.5)
     U = assemble_U(problem, res.z_final, "U0", _decomps=decomps)
-    assert res.trace[0].sigma_min == min_singular_value(U)
+    assert_allclose(res.trace[0].sigma_min, min_singular_value(U),
+                    rtol=1e-12)
 
 
 def lanczos_sigma_of(M, **kwargs):
@@ -684,8 +765,7 @@ def with_singular_values(s, seed):
 
 
 LANCZOS_CASES = {
-    # bases smaller than _LANCZOS_BASIS: the Krylov space becomes
-    # invariant before the basis fills
+    # at most _LANCZOS_BASIS unknowns: the exact value, no Lanczos run
     "n3": lambda: np.random.default_rng(34).standard_normal((3, 3)),
     "n7": lambda: np.random.default_rng(38).standard_normal((7, 7)),
     "generic": lambda: np.random.default_rng(31).standard_normal((40, 40)),
@@ -739,9 +819,9 @@ def test_structured_path_reproduces_dense_run(name, params, variant,
     problem, sol = catalog(name, **params)
     z0 = perturbed_start(sol.z_bar, magnitude, seed=15)
     sp_ = SolverParams(variant=variant, delta=0.5)
-    dense = ssn_solve(problem, z0, sp_, z_bar=sol.z_bar)
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 0)
     structured = ssn_solve(problem, z0, sp_, z_bar=sol.z_bar)
+    monkeypatch.setattr(solver_mod, "_make_backend", _DenseBackend)
+    dense = ssn_solve(problem, z0, sp_, z_bar=sol.z_bar)
     assert structured.status == dense.status
     assert structured.iterations == dense.iterations
     for rd, rs in zip(dense.trace, structured.trace):
@@ -766,7 +846,7 @@ def test_every_backend_flags_the_cancelled_core_singular():
     decomps = cone_decompositions(problem, z)
     U = assemble_U(problem, z, "UI", _decomps=decomps)
     assert min_singular_value(U) < 1e-12
-    dense = _DenseBackend(U)
+    dense = _DenseBackend(problem, z, "UI", decomps)
     woodbury = WoodburyNewtonOperator(problem, z, "UI", decomps)
     assert dense.singular and woodbury.singular
     assert dense.sigma_min() == 0.0 and woodbury.sigma_min() == 0.0
@@ -779,20 +859,20 @@ def test_every_backend_flags_the_cancelled_core_singular():
     ("ex5", 8, 4)])
 def test_structured_path_reaches_the_dense_verdict(name, l1, l2,
                                                    monkeypatch):
-    """Dense and structured runs stop with the same status after the same
-    number of steps, singular starts included."""
+    """Runs on the assembled reference backend and on the solver's own
+    backends stop with the same status after the same number of steps,
+    singular starts included."""
     problem, sol = catalog(name, l1=l1, l2=l2)
-    dense_limit = solver_mod.DENSE_LIMIT
     mismatches = []
     for variant in ("U0", "UI"):
         params = SolverParams(variant=variant, delta=0.5)
         for magnitude in (1.0, 10.0):
             for seed in range(5):
                 z0 = perturbed_start(sol.z_bar, magnitude, seed=seed)
-                monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
-                dense = ssn_solve(problem, z0, params)
-                monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 0)
                 structured = ssn_solve(problem, z0, params)
+                with monkeypatch.context() as m:
+                    m.setattr(solver_mod, "_make_backend", _DenseBackend)
+                    dense = ssn_solve(problem, z0, params)
                 if (structured.status, structured.iterations) != (
                         dense.status, dense.iterations):
                     mismatches.append(
