@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import ssnsdp._reduced as reduced_mod
 import ssnsdp.conditions as conditions_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import WoodburyNewtonOperator
@@ -232,6 +233,28 @@ def test_dense_report_takes_no_full_svd(name, monkeypatch):
     problem, sol = build(name)
     report = regularity_report(problem, sol.z_bar)
     assert np.isfinite([report.u0_sigma_min, report.ui_sigma_min]).all()
+
+
+def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
+    """With Lanczos capped at one apply, a report on ex5 at the
+    _LANCZOS_BASIS cutoff (30 unknowns) reads the SVD value from the
+    exact small-operator path, not nan."""
+    lanczos = reduced_mod._lanczos_sigma_min
+    runs = []
+
+    def capped(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+        return runs[-1]
+
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", capped)
+    problem, sol = catalog("ex5", l1=3, l2=2)
+    assert problem.total_dim == reduced_mod._LANCZOS_BASIS
+    report = regularity_report(problem, sol.z_bar)
+    # UI is flagged singular and runs no Lanczos; U0 takes the exact path
+    assert len(runs) == 1 and np.isfinite(runs[0])
+    assert_allclose(report.u0_sigma_min, min_singular_value(
+        assemble_U(problem, sol.z_bar, "U0")), rtol=1e-12)
+    assert report.ui_sigma_min == 0.0
 
 
 def test_report_probes_the_clarke_midpoint():

@@ -713,7 +713,7 @@ def test_dense_backend_flagged_singular_reads_zero():
         assert op.sigma_min() == 0.0
 
 
-def test_small_operator_sigma_is_exact(monkeypatch):
+def test_small_operator_sigma_is_exact():
     """Up to _LANCZOS_BASIS unknowns sigma_min is 1 / ||U^{-1}||_2 from
     one batched solve: no transpose solve, no cap on applies, never
     nan."""
@@ -733,15 +733,23 @@ def test_small_operator_sigma_is_exact(monkeypatch):
     assert calls == [("solve", (7, 7))]
     assert_allclose(sigma, min_singular_value(M), rtol=1e-12)
 
-    # a trace row on ex3 (7 unknowns) with Lanczos capped at one apply
-    # reads the SVD value, not nan
+
+def test_dense_trace_row_falls_back_to_svd_when_lanczos_stops(monkeypatch):
+    """A trace row on ex3 (7 unknowns) with Lanczos capped at one apply
+    reads the SVD value from the exact small-operator path, not nan."""
     lanczos = reduced_mod._lanczos_sigma_min
-    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min",
-                        lambda *a: lanczos(*a, max_applies=1))
+    runs = []
+
+    def capped(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+        return runs[-1]
+
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", capped)
     problem, sol = catalog("ex3")
     assert problem.total_dim <= _LANCZOS_BASIS
     start = perturbed_start(sol.z_bar, 1.0, seed=1)
     res = ssn_solve(problem, start, SolverParams(max_iter=0))
+    assert len(runs) == 1 and np.isfinite(runs[0])
     _, _, decomps = solver_mod._correct_with_decomps(problem, start, 0.5)
     U = assemble_U(problem, res.z_final, "U0", _decomps=decomps)
     assert_allclose(res.trace[0].sigma_min, min_singular_value(U),
