@@ -33,9 +33,11 @@ per block instead of the O(n^3) of a full rotation, the mask split of
 SDPNAL (Zhao, Sun and Toh, SIAM J. Optim. 20 (2010), Sec. 3).  A block
 with T empty, where V is the identity, needs no GEMM and no svec/smat at
 all.  Of the solve path, only the build reads rotated rows of G
-(_BlockData.s_rows), for the zero-mask and alpha-gamma pairs; the
-regularity report in conditions.py reads the same rows as its
-constraints and curvature.
+(_BlockData.s_rows): _border stacks the zero-mask rows into Gz under
+J, and _curvature forms K from the alpha-gamma rows.  The regularity
+report in conditions.py derives its constraint rows and curvature
+through the same two helpers, so R and the paper's conditions read one
+derivation.
 
 Every solve and every report runs on ReducedNewtonOperator or
 WoodburyNewtonOperator, at every problem size.  Their solve and solve_t
@@ -70,7 +72,8 @@ from scipy.linalg import lapack
 
 from .linalg_sym import (smat, svec, svec_len, v_mask, _svec_rotation_rows,
                          _triu)
-from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
+from .problem import (hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of,
+                      to_dense)
 
 # sigma_min by Lanczos: residual tolerance of the top Ritz pair, relative to
 # its Ritz value; basis vectors kept before a restart (and up to this many
@@ -241,6 +244,42 @@ class _BlockData:
         return out.toarray() if sp.issparse(out) else np.asarray(out)
 
 
+def _g_rows(blocks, G):
+    """(block, its rows of the svec-stacked cone Jacobian G) per block."""
+    off = np.cumsum([0] + [b.len for b in blocks])
+    return [(b, G[off[i]:off[i + 1]]) for i, b in enumerate(blocks)]
+
+
+def _border(J, blocks, G):
+    """[J; Gz], the border of R: the equality Jacobian J (None when there
+    are no equality constraints) over Gz, the rotated cone rows of every
+    block's zero-mask pairs.  CSR when every part is sparse (see
+    _BlockData.s_rows for when a block's rows are), dense otherwise."""
+    rows = [] if J is None else [J]
+    rows += [b.s_rows(b.zer, Gb) for b, Gb in _g_rows(blocks, G)]
+    if all(sp.issparse(r) for r in rows):
+        return sp.vstack(rows, format="csr")
+    return np.vstack([to_dense(r) for r in rows])
+
+
+def _curvature(W, blocks, G):
+    """K = W + Gp' C Gp of R: W plus, per block with alpha-gamma pairs,
+    S' S for its ag rows S scaled by sqrt(c_ag).  K stays sparse while W
+    and the rows are; otherwise both go dense first."""
+    K = W
+    for b, Gb in _g_rows(blocks, G):
+        if b.ag.size == 0:
+            continue
+        rows = b.s_rows(b.ag, Gb)
+        s = np.sqrt(b.c_ag)[:, None]
+        if sp.issparse(K) and sp.issparse(rows):
+            rows = rows.multiply(s).tocsr()
+        else:
+            K, rows = to_dense(K), to_dense(rows) * s
+        K = K + rows.T @ rows
+    return K
+
+
 def _t_blocks(blocks, block_off):
     """(block, slice of its cone coordinates, slice of its zer entries in
     the stacked multipliers) for each block with T nonempty; a block with
@@ -291,7 +330,6 @@ class ReducedNewtonOperator:
         self.W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
         self.J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
         self.G = jac_g_matrix_of(problem, z.x)
-        self.z_len = int(sum(len(b.zer) for b in self.blocks))
         self._t_blocks = _t_blocks(self.blocks, self.block_off)
         self._any_ag = any(len(b.ag) for b in self.blocks)
         self.dim = problem.x_dim + problem.eq_dim + int(self.block_off[-1])
@@ -301,33 +339,12 @@ class ReducedNewtonOperator:
 
     # -- assembly -----------------------------------------------------------
 
-    def _g_block(self, i):
-        lo, hi = self.block_off[i], self.block_off[i + 1]
-        return self.G[lo:hi]
-
     def _build(self):
-        x, e, zn = self.x_dim, self.eq_dim, self.z_len
-        m = x + e + zn
-        gz_rows = [b.s_rows(b.zer, self._g_block(i))
-                   for i, b in enumerate(self.blocks)]
-        sparse_ok = (not self._any_ag and sp.issparse(self.W)
-                     and (self.J is None or sp.issparse(self.J))
-                     and all(sp.issparse(g) for g in gz_rows))
+        x = self.x_dim
+        B = _border(self.J, self.blocks, self.G)
         self.singular = False
-        if sparse_ok:
-            ncols = 1 + (1 if e else 0) + (1 if zn else 0)
-            Gz = sp.vstack(gz_rows).tocsr() if zn else None
-            top = [self.W.tocsr()]
-            if e:
-                top.append(self.J.T)
-            if zn:
-                top.append(Gz.T)
-            rows = [top]
-            if e:
-                rows.append([self.J] + [None] * (ncols - 1))
-            if zn:
-                rows.append([Gz] + [None] * (ncols - 1))
-            R = sp.bmat(rows, format="csc")
+        if not self._any_ag and sp.issparse(self.W) and sp.issparse(B):
+            R = sp.bmat([[self.W, B.T], [B, None]], format="csc")
             try:
                 self._lu = spla.splu(R)
             except RuntimeError:
@@ -341,39 +358,12 @@ class ReducedNewtonOperator:
             return
 
         # dense reduction; Fortran order so the factorization works in place
+        m = x + B.shape[0]
         R = np.zeros((m, m), order="F")
-        if sp.issparse(self.W):
-            Wc = self.W.tocoo()
-            R[Wc.row, Wc.col] = Wc.data
-        else:
-            R[:x, :x] = self.W
-        for i, b in enumerate(self.blocks):
-            if len(b.ag) == 0:
-                continue
-            rows = b.s_rows(b.ag, self._g_block(i))
-            if sp.issparse(rows):
-                rows = rows.toarray()
-            rows = rows * np.sqrt(b.c_ag)[:, None]
-            R[:x, :x] += rows.T @ rows
-        if e:
-            if sp.issparse(self.J):
-                Jc = self.J.tocoo()
-                R[x + Jc.row, Jc.col] = Jc.data
-                R[Jc.col, x + Jc.row] = Jc.data
-            else:
-                R[x:x + e, :x] = self.J
-                R[:x, x:x + e] = np.asarray(self.J).T
-        at = x + e
-        for i, b in enumerate(self.blocks):
-            g = gz_rows[i]
-            k = g.shape[0]
-            if k == 0:
-                continue
-            if sp.issparse(g):
-                g = g.toarray()
-            R[at:at + k, :x] = g
-            R[:x, at:at + k] = g.T
-            at += k
+        R[:x, :x] = _curvature(to_dense(self.W), self.blocks, self.G)
+        B = to_dense(B)
+        R[x:, :x] = B
+        R[:x, x:] = B.T
         factors = _lu_with_rcond(R, overwrite=True)
         if factors is None:
             self.singular = True

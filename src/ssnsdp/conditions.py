@@ -3,15 +3,17 @@
 Each condition pairs with the Newton element it certifies: W-SOC together
 with CN certifies the zero-sided U0, S-SOSC together with W-SRCQ the
 identity-sided UI (the classical form of this link is D. Sun, Math. Oper.
-Res. 31 (2006) 761-776).  A check reads the pair split of its variant's
-reduced Newton system (_BlockData in _reduced.py):
+Res. 31 (2006) 761-776).  The conditions are statements about the blocks
+of the variant's reduced Newton system R = [[K, J', Gz'], [J, 0, 0],
+[Gz, 0, 0]] (see _reduced.py), and a check derives them with the same
+helpers that build R, over the variant's pair split (_BlockData):
 
-* constraint rows: the equality Jacobian plus the rotated cone Jacobian
-  rows of the eigenvalue pairs that the variant's mask zeroes, which are
-  beta-beta, beta-gamma and gamma-gamma under U0, and beta-gamma and
-  gamma-gamma under UI;
-* curvature: the Lagrangian Hessian plus the alpha-gamma rows weighted by
-  -lam_j / lam_i, the same under either variant.
+* constraint rows, the border [J; Gz] (_border): the equality Jacobian
+  plus the rotated cone Jacobian rows of the eigenvalue pairs that the
+  variant's mask zeroes, which are beta-beta, beta-gamma and gamma-gamma
+  under U0, and beta-gamma and gamma-gamma under UI;
+* curvature, K: the Lagrangian Hessian plus the alpha-gamma rows weighted
+  by -lam_j / lam_i (_curvature), the same under either variant.
 
 The second order conditions (check_w_soc on U0, check_s_sosc on UI) ask
 the curvature form to be positive definite on the null space of the
@@ -19,7 +21,8 @@ rows; the margin is its smallest eigenvalue there.  The qualification
 conditions (check_cn on U0, check_w_srcq on UI) ask the rows to be
 linearly independent; the margin is their smallest singular value.  A
 condition over a zero subspace or over no rows holds vacuously with
-margin +inf.
+margin +inf.  regularity_report derives each variant's rows and the
+curvature once and hands them to the four checks.
 
 Every entry point validates that the supplied point actually satisfies
 the KKT system (residual norm at most 1e-10) and raises ValueError
@@ -32,11 +35,10 @@ import scipy.sparse as sp
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg_sym import svec_len
 from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of, to_dense
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
-from ._reduced import _BlockData
+from ._reduced import _BlockData, _border, _curvature
 from .solver import _make_backend
 
 RESIDUAL_TOL = 1e-10
@@ -93,87 +95,43 @@ def _checked_decomps(problem, z, class_tol=None):
     return decomps
 
 
-def _g_blocks(problem, x):
-    G = jac_g_matrix_of(problem, x)
-    offs = np.cumsum([0] + [svec_len(n) for n in problem.cone_blocks])
-    return [G[offs[i]:offs[i + 1]] for i in range(len(problem.cone_blocks))]
-
-
-def _constraint_rows(problem, z, decomps, variant):
-    """Equality Jacobian plus the rotated cone rows of the pairs that the
-    variant's mask zeroes, as a list of row blocks (sparse or dense)."""
-    rows = []
-    if problem.eq_dim:
-        rows.append(jac_h_matrix_of(problem, z.x))
-    for dec, Gb in zip(decomps, _g_blocks(problem, z.x)):
-        b = _BlockData(dec, variant)
-        if b.zer.size:
-            rows.append(b.s_rows(b.zer, Gb))
-    return rows
-
-
-def _null_basis(rows, x_dim):
-    """Orthonormal null-space basis of the stacked rows.
-
-    Returned as ("coords", indices) when every row touches at most one
-    coordinate (then the basis is a subset of unit vectors), otherwise
-    as ("dense", N).
-    """
-    if not rows:
-        return ("coords", np.arange(x_dim))
-    if all(sp.issparse(r) for r in rows):
-        C = sp.vstack(rows).tocsr()
+def _constraint_rows(problem, z, blocks, G):
+    """The border [J; Gz] of R for the blocks' variant (_border), with
+    no explicit zeros when sparse."""
+    J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
+    C = _border(J, blocks, G)
+    if sp.issparse(C):
         C.eliminate_zeros()
+    return C
+
+
+def _null_basis(C):
+    """Orthonormal null-space basis of the rows C.
+
+    Returned as ("coords", indices) when C is sparse and every row
+    touches at most one coordinate (then the basis is a subset of unit
+    vectors), otherwise as ("dense", N).
+    """
+    if sp.issparse(C):
         if np.all(np.diff(C.indptr) <= 1):
-            keep = np.setdiff1d(np.arange(x_dim), np.unique(C.indices))
+            keep = np.setdiff1d(np.arange(C.shape[1]), np.unique(C.indices))
             return ("coords", keep)
         C = C.toarray()
-    else:
-        C = np.vstack([to_dense(r) for r in rows])
-    if x_dim <= 400:
-        return ("dense", scipy.linalg.null_space(C, rcond=1e-10))
-    Q, R, _ = scipy.linalg.qr(C.T, mode="full", pivoting=True)
-    d = np.abs(np.diag(R)) if min(R.shape) else np.zeros(0)
-    rank = int(np.sum(d > 1e-10 * (d[0] if d.size else 0.0)))
-    return ("dense", Q[:, rank:])
+    return ("dense", scipy.linalg.null_space(C, rcond=1e-10))
 
 
-def _add(A, B):
-    if sp.issparse(A) and not sp.issparse(B):
-        return A.toarray() + B
-    if sp.issparse(B) and not sp.issparse(A):
-        return A + B.toarray()
-    return A + B
+def _curvature_matrix(problem, z, blocks, G):
+    """K of R: the Lagrangian Hessian plus the alpha-gamma curvature of
+    the blocks.  The sqrt(2) svec scaling of the off-diagonal rows
+    supplies the pair-counting factor 2.  Those rows and weights do not
+    depend on the variant."""
+    return _curvature(hess_matrix_of(problem, z.x, z.xi, z.Gamma), blocks, G)
 
 
-def _curvature_matrix(problem, z, decomps):
-    """Lagrangian Hessian plus the cone curvature term.
-
-    The extra term is a positive combination of the alpha-gamma rows
-    weighted by c_ag = -lam_j / lam_i; the sqrt(2) svec scaling of the
-    off-diagonal rows supplies the pair-counting factor 2.  Those rows
-    and weights do not depend on the variant, and UI's block data is the
-    cheaper to build (its T, gamma only, is the smaller).
-    """
-    Q = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
-    for dec, Gb in zip(decomps, _g_blocks(problem, z.x)):
-        b = _BlockData(dec, "UI")
-        if b.ag.size == 0:
-            continue
-        R = b.s_rows(b.ag, Gb)
-        if sp.issparse(R):
-            Q = _add(Q, R.T @ sp.diags(b.c_ag) @ R)
-        else:
-            Q = _add(Q, R.T @ (b.c_ag[:, None] * R))
-    return Q
-
-
-def _second_order_margin(problem, z, decomps, variant):
-    """Smallest eigenvalue of the curvature form on the null space of the
-    variant's constraint rows (+inf when that space is zero)."""
-    kind, data = _null_basis(_constraint_rows(problem, z, decomps, variant),
-                             problem.x_dim)
-    Q = _curvature_matrix(problem, z, decomps)
+def _second_order_margin(C, Q):
+    """Smallest eigenvalue of the curvature form Q on the null space of
+    the rows C (+inf when that space is zero)."""
+    kind, data = _null_basis(C)
     if kind == "coords":
         idx = np.asarray(data)
         if idx.size == 0:
@@ -196,19 +154,14 @@ def _second_order_margin(problem, z, decomps, variant):
     return float(scipy.linalg.eigvalsh(M)[0])
 
 
-def _independence_margin(problem, z, decomps, variant):
-    """Smallest singular value of the variant's stacked constraint rows
-    (+inf when there are none, 0.0 when there are more rows than
-    columns)."""
-    rows = _constraint_rows(problem, z, decomps, variant)
-    total = sum(r.shape[0] for r in rows)
-    if total == 0:
+def _independence_margin(C):
+    """Smallest singular value of the rows C (+inf when there are none,
+    0.0 when there are more rows than columns)."""
+    if C.shape[0] == 0:
         return float("inf")
-    if total > problem.x_dim:
+    if C.shape[0] > C.shape[1]:
         return 0.0
-    if all(sp.issparse(r) for r in rows):
-        C = sp.vstack(rows).tocsr()
-        C.eliminate_zeros()
+    if sp.issparse(C):
         per_row = np.diff(C.indptr)
         if np.any(per_row == 0):
             return 0.0
@@ -218,41 +171,70 @@ def _independence_margin(problem, z, decomps, variant):
                 return 0.0
             return float(np.min(np.abs(C.data)))
         C = C.toarray()
-    else:
-        C = np.vstack([to_dense(r) for r in rows])
     w = scipy.linalg.eigvalsh(C @ C.T)
     return float(np.sqrt(max(w[0], 0.0)))
 
 
-def _check(margin_of, variant, problem, z, check_tol, class_tol, decomps):
-    if decomps is None:
-        decomps = _checked_decomps(problem, z, class_tol)
-    margin = margin_of(problem, z, decomps, variant)
+def _lone_blocks(problem, z, class_tol, variant):
+    """What a check called on its own derives for itself: the variant's
+    block data at the validated point, and the cone Jacobian."""
+    decomps = _checked_decomps(problem, z, class_tol)
+    return ([_BlockData(dec, variant) for dec in decomps],
+            jac_g_matrix_of(problem, z.x))
+
+
+def _second_order(variant, problem, z, check_tol, class_tol, C, K):
+    if C is None or K is None:
+        blocks, G = _lone_blocks(problem, z, class_tol, variant)
+        C = _constraint_rows(problem, z, blocks, G)
+        K = _curvature_matrix(problem, z, blocks, G)
+    margin = _second_order_margin(C, K)
+    return ConditionResult(margin > check_tol, margin)
+
+
+def _independence(variant, problem, z, check_tol, class_tol, C):
+    if C is None:
+        C = _constraint_rows(problem, z,
+                             *_lone_blocks(problem, z, class_tol, variant))
+    margin = _independence_margin(C)
     return ConditionResult(margin > check_tol, margin)
 
 
 def check_w_soc(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                _decomps=None):
-    return _check(_second_order_margin, "U0", problem, z, check_tol,
-                  class_tol, _decomps)
+                _rows=None, _K=None):
+    return _second_order("U0", problem, z, check_tol, class_tol, _rows, _K)
 
 
 def check_s_sosc(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                 _decomps=None):
-    return _check(_second_order_margin, "UI", problem, z, check_tol,
-                  class_tol, _decomps)
+                 _rows=None, _K=None):
+    return _second_order("UI", problem, z, check_tol, class_tol, _rows, _K)
 
 
 def check_w_srcq(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                 _decomps=None):
-    return _check(_independence_margin, "UI", problem, z, check_tol,
-                  class_tol, _decomps)
+                 _rows=None):
+    return _independence("UI", problem, z, check_tol, class_tol, _rows)
 
 
-def check_cn(problem, z, check_tol=CHECK_TOL, class_tol=None,
-             _decomps=None):
-    return _check(_independence_margin, "U0", problem, z, check_tol,
-                  class_tol, _decomps)
+def check_cn(problem, z, check_tol=CHECK_TOL, class_tol=None, _rows=None):
+    return _independence("U0", problem, z, check_tol, class_tol, _rows)
+
+
+def _checks(problem, z, decomps, check_tol):
+    """The four condition results of the report, from each variant's rows
+    and the curvature derived once.  The curvature reads UI's block data,
+    the cheaper to build (its T, gamma only, is the smaller); it does not
+    depend on the variant.  All of it is freed before the Newton sigmas
+    are computed."""
+    G = jac_g_matrix_of(problem, z.x)
+    u0 = [_BlockData(dec, "U0") for dec in decomps]
+    ui = [_BlockData(dec, "UI") for dec in decomps]
+    C0 = _constraint_rows(problem, z, u0, G)
+    CI = _constraint_rows(problem, z, ui, G)
+    K = _curvature_matrix(problem, z, ui, G)
+    return (check_w_soc(problem, z, check_tol, _rows=C0, _K=K),
+            check_s_sosc(problem, z, check_tol, _rows=CI, _K=K),
+            check_w_srcq(problem, z, check_tol, _rows=CI),
+            check_cn(problem, z, check_tol, _rows=C0))
 
 
 def _newton_sigma(problem, z, variant, decomps):
@@ -273,10 +255,7 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
     matrices.
     """
     decomps = _checked_decomps(problem, z, class_tol)
-    w_soc = check_w_soc(problem, z, check_tol, _decomps=decomps)
-    s_sosc = check_s_sosc(problem, z, check_tol, _decomps=decomps)
-    w_srcq = check_w_srcq(problem, z, check_tol, _decomps=decomps)
-    cn = check_cn(problem, z, check_tol, _decomps=decomps)
+    w_soc, s_sosc, w_srcq, cn = _checks(problem, z, decomps, check_tol)
     u0_sigma = _newton_sigma(problem, z, "U0", decomps)
     ui_sigma = _newton_sigma(problem, z, "UI", decomps)
     warnings = []

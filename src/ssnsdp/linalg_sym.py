@@ -162,13 +162,11 @@ def xi_matrix(decomp):
     lam_i / (lam_i - lam_j) on alpha x gamma (in (0, 1)); 0 on beta x gamma
     and gamma x gamma.  Symmetric.
     """
-    n = decomp.n
-    Xi = np.zeros((n, n))
     a, b, g = decomp.alpha, decomp.beta, decomp.gamma
-    Xi[np.ix_(a, a)] = 1.0
-    Xi[np.ix_(a, b)] = 1.0
-    Xi[np.ix_(b, a)] = 1.0
-    Xi[np.ix_(b, b)] = 1.0
+    ab = np.zeros(decomp.n, dtype=bool)
+    ab[a] = True
+    ab[b] = True
+    Xi = np.outer(ab, ab).astype(float)
     if len(a) and len(g):
         la = decomp.lam[a]
         lg = decomp.lam[g]

@@ -1,18 +1,27 @@
 """Regularity condition checkers against the catalog's known flags."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import ssnsdp._reduced as reduced_mod
 import ssnsdp.conditions as conditions_mod
 import ssnsdp.solver as solver_mod
-from ssnsdp._reduced import WoodburyNewtonOperator
+from ssnsdp._reduced import (
+    ReducedNewtonOperator,
+    WoodburyNewtonOperator,
+    _BlockData,
+)
 from ssnsdp.catalog import catalog
 from ssnsdp.conditions import (
     CHECK_TOL,
     _constraint_rows,
+    _curvature_matrix,
+    _independence_margin,
     _null_basis,
     check_cn,
     check_s_sosc,
@@ -26,7 +35,7 @@ from ssnsdp.kkt import (
     cone_decompositions,
     min_singular_value,
 )
-from ssnsdp.linalg_sym import svec_len, svec_rotation
+from ssnsdp.linalg_sym import smat, svec, svec_len, svec_rotation
 from ssnsdp.problem import (
     BlockSymMatrix,
     KktPoint,
@@ -37,7 +46,7 @@ from ssnsdp.problem import (
     qsdp_problem,
     to_dense,
 )
-from ssnsdp.solver import _make_backend
+from ssnsdp.solver import _DenseBackend, _make_backend
 
 SMALL = [
     ("ex1", {"l1": 6, "l2": 4}),
@@ -315,6 +324,108 @@ def test_report_invariant_under_cone_rotation(name, reports):
     assert rotated.warnings == base.warnings
 
 
+def test_report_derives_rows_and_curvature_once(monkeypatch):
+    calls = dict.fromkeys(("_constraint_rows", "_curvature_matrix",
+                           "check_w_soc", "check_s_sosc", "check_w_srcq",
+                           "check_cn"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(conditions_mod, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(conditions_mod, name, counted)
+    problem, sol = build("ex4_primal")
+    regularity_report(problem, sol.z_bar)
+    assert calls == {"_constraint_rows": 2, "_curvature_matrix": 1,
+                     "check_w_soc": 1, "check_s_sosc": 1,
+                     "check_w_srcq": 1, "check_cn": 1}
+
+
+# ---------------------------------------------------------------------------
+# alpha-gamma curvature
+
+
+def alpha_gamma_point(sparse):
+    """A strictly complementary QSDP KKT point with alpha and gamma in one
+    block: g(x) = diag(2, 0) and Gamma = diag(0, -1), so c_ag = 1/2, with
+    grad f chosen so that stationarity holds.  With sparse=True the
+    problem hands out G and the Hessian as scipy.sparse matrices."""
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    G = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+    x = np.array([0.5, -1.0, 1.0])
+    X, Gamma = np.diag([2.0, 0.0]), np.diag([0.0, -1.0])
+    problem = qsdp_problem({
+        "x_dim": 3, "eq_dim": 0, "cone_blocks": [2], "Q": Q,
+        "c": -(Q @ x + G.T @ svec(Gamma)), "H": np.zeros((0, 3)),
+        "p": np.zeros(0), "G": G, "q": G @ x - svec(X)}, name="ag-point")
+    if sparse:
+        problem = dataclasses.replace(
+            problem, jac_g_matrix=sp.csr_matrix(G),
+            hess_matrix_fn=lambda x, xi, Gamma: sp.csr_matrix(Q))
+    return problem, KktPoint(x, np.zeros(0), BlockSymMatrix([Gamma]))
+
+
+def curvature_by_loop(problem, z):
+    """W + 2 sum over alpha-gamma pairs (i, j) of (-lam_j / lam_i)
+    h_ij(e_k) h_ij(e_l), entry by entry, with
+    h_ij(d) = (P' smat(G d) P)_ij."""
+    K = to_dense(hess_matrix_of(problem, z.x, z.xi, z.Gamma)).copy()
+    G = to_dense(jac_g_matrix_of(problem, z.x))
+    at = 0
+    for n, dec in zip(problem.cone_blocks, cone_decompositions(problem, z)):
+        Gb = G[at:at + svec_len(n)]
+        at += svec_len(n)
+        h = [dec.P.T @ smat(Gb[:, k]) @ dec.P for k in range(problem.x_dim)]
+        for i in dec.alpha:
+            for j in dec.gamma:
+                c = -dec.lam[j] / dec.lam[i]
+                for k in range(problem.x_dim):
+                    for l in range(problem.x_dim):
+                        K[k, l] += 2.0 * c * h[k][i, j] * h[l][i, j]
+    return K
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_alpha_gamma_curvature_matches_the_pair_loop(sparse):
+    problem, z = alpha_gamma_point(sparse)
+    decomps = cone_decompositions(problem, z)
+    assert [(len(d.alpha), len(d.beta), len(d.gamma))
+            for d in decomps] == [(1, 0, 1)]
+    G = jac_g_matrix_of(problem, z.x)
+    want = curvature_by_loop(problem, z)
+    W = to_dense(hess_matrix_of(problem, z.x, z.xi, z.Gamma))
+    assert np.abs(want - W).max() > 0.1
+    for variant in ("U0", "UI"):
+        blocks = [_BlockData(dec, variant) for dec in decomps]
+        # sparse ag rows: the eigenbasis is a signed permutation
+        b = blocks[0]
+        assert sp.issparse(b.s_rows(b.ag, G)) == sparse
+        K = _curvature_matrix(problem, z, blocks, G)
+        assert sp.issparse(K) == sparse
+        assert_allclose(to_dense(K), want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_backends_at_the_alpha_gamma_point_match_dense(sparse):
+    """The dense reduced build with alpha-gamma pairs, from dense and from
+    sparse rows, against the assembled reference backend."""
+    problem, z = alpha_gamma_point(sparse)
+    decomps = cone_decompositions(problem, z)
+    rng = np.random.default_rng(14)
+    for variant in ("U0", "UI"):
+        op = _make_backend(problem, z, variant, decomps)
+        dense = _DenseBackend(problem, z, variant, decomps)
+        assert isinstance(op, ReducedNewtonOperator)
+        assert not op.singular and not dense.singular
+        U = dense.matrix
+        for r in rng.standard_normal((4, op.dim)):
+            assert_allclose(op.matvec(r), U @ r, atol=1e-12)
+            assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
+            assert_allclose(op.solve_t(r), np.linalg.solve(U.T, r),
+                            atol=1e-10)
+        assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # subspace bases
 
@@ -323,9 +434,10 @@ def null_basis(problem, z, variant):
     """Orthonormal basis (columns) of the null space of the variant's
     constraint rows: the subspace of check_w_soc for U0, of check_s_sosc
     for UI."""
-    rows = _constraint_rows(problem, z, cone_decompositions(problem, z),
-                            variant)
-    kind, data = _null_basis(rows, problem.x_dim)
+    blocks = [_BlockData(dec, variant)
+              for dec in cone_decompositions(problem, z)]
+    C = _constraint_rows(problem, z, blocks, jac_g_matrix_of(problem, z.x))
+    kind, data = _null_basis(C)
     return data if kind == "dense" else np.eye(problem.x_dim)[:, data]
 
 
@@ -346,6 +458,31 @@ def test_basis_dimensions_ex2():
     assert Bl.shape == (3, 0)
     assert Bp.shape == (3, 2)
     assert_allclose(Bp.T @ Bp, np.eye(2), atol=1e-12)
+
+
+def test_null_basis_of_dense_rows():
+    """450 unknowns, 40 dense rows of rank 25."""
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((40, 25)) @ rng.standard_normal((25, 450))
+    kind, N = _null_basis(C)
+    assert kind == "dense"
+    assert N.shape == (450, 450 - 25)
+    assert_allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+    assert np.abs(C @ N).max() <= 1e-10 * np.abs(C).max()
+
+
+@pytest.mark.parametrize("rows", [
+    # an empty row
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    # two rows on one coordinate
+    [[0.0, 2.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0]],
+    # rows that touch several coordinates
+    [[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]],
+], ids=["empty-row", "shared-coordinate", "several-coordinates"])
+def test_independence_margin_of_sparse_rows(rows):
+    C = sp.csr_matrix(np.array(rows))
+    want = scipy.linalg.svdvals(np.array(rows))[-1]
+    assert_allclose(_independence_margin(C), want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", ["ex3", "ex4_primal", "ex5", "ex7"])

@@ -43,7 +43,9 @@ from ssnsdp.problem import (
     BlockSymMatrix,
     KktPoint,
     NlsdpProblem,
+    hess_matrix_of,
     perturbed_start,
+    to_dense,
 )
 from ssnsdp.solver import (
     IterationTrace,
@@ -470,6 +472,72 @@ def two_block_separable_problem():
         jac_g_matrix=sp.identity(N, format="csr"),
         hess_matrix_fn=lambda x, xi, Gamma: sp.diags(w).tocsr(),
     )
+
+
+def quadratic_cone_problem(W, G, orders):
+    """min x'Wx/2 subject to smat(G x) in the PSD cone, with W and G
+    handed out in the storage given (sparse or dense)."""
+    Wd, Gd = to_dense(W), to_dense(G)
+    N = Wd.shape[0]
+    return NlsdpProblem(
+        name="quadratic_cone",
+        x_dim=N,
+        eq_dim=0,
+        cone_blocks=orders,
+        f=lambda x: float(0.5 * x @ (Wd @ x)),
+        grad_f=lambda x: Wd @ x,
+        h=lambda x: np.zeros(0),
+        jac_h=lambda x, v: np.zeros(0),
+        jac_h_adj=lambda x, y: np.zeros(N),
+        g=lambda x: BlockSymMatrix.from_svec(orders, Gd @ x),
+        jac_g=lambda x, v: BlockSymMatrix.from_svec(orders, Gd @ v),
+        jac_g_adj=lambda x, Gamma: Gd.T @ Gamma.svec(),
+        hess_lagrangian=lambda x, xi, Gamma, v: Wd @ v,
+        jac_h_matrix=sp.csr_matrix((0, N)),
+        jac_g_matrix=G,
+        hess_matrix_fn=lambda x, xi, Gamma: W,
+    )
+
+
+def fallback_case(name):
+    """(problem, corrected point, variant): a problem one structural fact
+    short of the Woodbury backend, at a point where that variant's Newton
+    operator is nonsingular."""
+    if name == "ex5-half-diagonal":
+        problem, sol = catalog("ex5", l1=1, l2=4)
+        z0 = perturbed_start(sol.z_bar, 1.0, seed=11)
+        return problem, correct(z0, problem, 0.5), "U0"
+    N = svec_len(4) + svec_len(3)
+    w = np.ones(N)
+    w[[0, 7, 13]] = [0.0, 0.3, -0.5]
+    W, G = sp.diags(w).tocsr(), sp.identity(N, format="csr")
+    if name == "sparse-G":
+        G = sp.diags(np.where(np.arange(N) == 2, 2.0, 1.0)).tocsr()
+    elif name == "dense-W":
+        W = np.diag(w)
+    elif name == "off-diagonal-W":
+        W = (W + 0.2 * (sp.eye(N, k=1) + sp.eye(N, k=-1))).tocsr()
+    problem = quadratic_cone_problem(W, G, [4, 3])
+    return problem, correct(two_block_start(problem, seed=5), problem,
+                            0.5), "UI"
+
+
+@pytest.mark.parametrize("name", ["sparse-G", "dense-W", "off-diagonal-W",
+                                  "ex5-half-diagonal"])
+def test_backend_choice_falls_back_to_block_elimination(name):
+    problem, z, variant = fallback_case(name)
+    if name == "ex5-half-diagonal":
+        w = hess_matrix_of(problem, z.x, z.xi, z.Gamma).diagonal()
+        assert np.count_nonzero(w != 1.0) == 10 and w.size == 15
+    assert separable_diagonal(problem, z) is None
+    decomps = cone_decompositions(problem, z)
+    op = _make_backend(problem, z, variant, decomps)
+    dense = _DenseBackend(problem, z, variant, decomps)
+    assert isinstance(op, ReducedNewtonOperator)
+    assert not op.singular and not dense.singular
+    for r in np.random.default_rng(3).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), atol=1e-10)
 
 
 def two_block_start(problem, seed,
