@@ -295,26 +295,11 @@ def _t_blocks(blocks, block_off):
     return out
 
 
-def _structure_signature(decomps, variant):
-    """Hashable key, or None when the reduced matrix depends on the basis.
-
-    A later iterate may reuse a factorization exactly when no pair carries
-    an eliminated weight (alpha and gamma never coexist in a block) and no
-    pair survives as a constraint row (no zero-mask sectors), because then
-    R = [[W, J'], [J, 0]] involves no rotated quantity at all.
-    """
-    key = []
-    for dec in decomps:
-        na, nb, ng = len(dec.alpha), len(dec.beta), len(dec.gamma)
-        if na and ng:
-            return None
-        if variant == "U0" and (nb or ng):
-            return None
-        if variant == "UI" and ng:
-            return None
-        key.append((tuple(dec.alpha.tolist()), tuple(dec.beta.tolist()),
-                    tuple(dec.gamma.tolist())))
-    return (variant, tuple(key))
+def _v_is_identity(decomps, variant):
+    """True when the variant's mask is all ones in every block, so V = I:
+    no pair survives as a constraint row and none carries a curvature
+    weight, and R = [[W, J'], [J, 0]] reads no eigenbasis."""
+    return all(np.all(v_mask(dec, variant) == 1.0) for dec in decomps)
 
 
 class ReducedNewtonOperator:
@@ -333,7 +318,8 @@ class ReducedNewtonOperator:
         self._t_blocks = _t_blocks(self.blocks, self.block_off)
         self._any_ag = any(len(b.ag) for b in self.blocks)
         self.dim = problem.x_dim + problem.eq_dim + int(self.block_off[-1])
-        self.structure_key = _structure_signature(decomps, variant)
+        # every block has T empty exactly when V = I (see reuse_compatible)
+        self.reusable = not self._t_blocks
         self._build()
         self._sigma = None
 
@@ -618,8 +604,9 @@ class WoodburyNewtonOperator:
     """Newton operator for separable projection-type problems.
 
     Applies when the problem has no equality constraints, the cone
-    Jacobian is the identity, and the Hessian is diagonal.  Writing the
-    Hessian as I - C with C diagonal and supported on k coordinates, the
+    Jacobian is the identity, and the Hessian is diagonal, with diagonal
+    w from separable_diagonal.  Writing the Hessian as I - C with C
+    diagonal and supported on k coordinates, the
     forward system collapses to
 
         (V C - I) dx = r3 - V r1,    dGamma = r1 - W dx,
@@ -659,11 +646,7 @@ class WoodburyNewtonOperator:
     index block, so p = k.
     """
 
-    def __init__(self, problem, z, variant, decomps, w=None):
-        if w is None:
-            w = separable_diagonal(problem, z)
-            if w is None:
-                raise ValueError("problem lacks separable structure")
+    def __init__(self, problem, z, variant, decomps, w):
         self.problem = problem
         self.variant = variant
         self.x_dim = problem.x_dim
@@ -672,7 +655,7 @@ class WoodburyNewtonOperator:
         self.block_off = np.cumsum([0] + [b.len for b in self.blocks])
         self._t_blocks = _t_blocks(self.blocks, self.block_off)
         self.dim = 2 * problem.x_dim
-        self.structure_key = None
+        self.reusable = False
         self.w = np.asarray(w, dtype=float)
         self.c = 1.0 - self.w
         self._build()
@@ -756,13 +739,14 @@ class WoodburyNewtonOperator:
 def reuse_compatible(cached, problem, z_new, decomps, variant):
     """True when a cached operator's factorization remains valid.
 
-    Requires the basis-independent structure (see _structure_signature),
-    explicitly constant Jacobians, and a Hessian that evaluates to the
-    same matrix at the new iterate.
+    Requires a backend built where V = I (reusable), the same variant,
+    V = I at the new iterate (_v_is_identity), explicitly constant
+    Jacobians, and a Hessian that evaluates to the same matrix at the new
+    iterate; R = [[W, J'], [J, 0]] then reads no eigenbasis at either.
     """
-    if cached is None or cached.singular or cached.structure_key is None:
+    if cached is None or cached.singular or not cached.reusable:
         return False
-    if _structure_signature(decomps, variant) != cached.structure_key:
+    if cached.variant != variant or not _v_is_identity(decomps, variant):
         return False
     if problem.eq_dim and problem.jac_h_matrix is None:
         return False

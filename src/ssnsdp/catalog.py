@@ -171,6 +171,8 @@ def example4_primal(eps=0.0):
     For eps = 0 the solution and multipliers are known in closed form;
     for eps != 0 no reference solution is recorded.
     """
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
     B12 = _b4_sqrt()
     b = np.linalg.solve(B12, np.array([2.5, -1.0]))
     r2 = np.sqrt(2.0)
@@ -212,6 +214,8 @@ def example4_dual(eps=0.0):
     convention).  For eps = 0 the solution is Y = e1 e1' with zero
     multipliers.
     """
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
     B12 = _b4_sqrt()
     b = np.linalg.solve(B12, np.array([2.5, -1.0]))
     B12b = B12 @ b

@@ -85,8 +85,8 @@ class ConditionReport:
     warnings: list = field(default_factory=list)
 
 
-def _checked_decomps(problem, z, class_tol=None):
-    decomps = cone_decompositions(problem, z, class_tol)
+def _checked_decomps(problem, z):
+    decomps = cone_decompositions(problem, z)
     res = kkt_residual(problem, z, _decomps=decomps).norm()
     if not res <= RESIDUAL_TOL:
         raise ValueError(
@@ -175,48 +175,44 @@ def _independence_margin(C):
     return float(np.sqrt(max(w[0], 0.0)))
 
 
-def _lone_blocks(problem, z, class_tol, variant):
+def _lone_blocks(problem, z, variant):
     """What a check called on its own derives for itself: the variant's
     block data at the validated point, and the cone Jacobian."""
-    decomps = _checked_decomps(problem, z, class_tol)
+    decomps = _checked_decomps(problem, z)
     return ([_BlockData(dec, variant) for dec in decomps],
             jac_g_matrix_of(problem, z.x))
 
 
-def _second_order(variant, problem, z, check_tol, class_tol, C, K):
+def _second_order(variant, problem, z, check_tol, C, K):
     if C is None or K is None:
-        blocks, G = _lone_blocks(problem, z, class_tol, variant)
+        blocks, G = _lone_blocks(problem, z, variant)
         C = _constraint_rows(problem, z, blocks, G)
         K = _curvature_matrix(problem, z, blocks, G)
     margin = _second_order_margin(C, K)
     return ConditionResult(margin > check_tol, margin)
 
 
-def _independence(variant, problem, z, check_tol, class_tol, C):
+def _independence(variant, problem, z, check_tol, C):
     if C is None:
-        C = _constraint_rows(problem, z,
-                             *_lone_blocks(problem, z, class_tol, variant))
+        C = _constraint_rows(problem, z, *_lone_blocks(problem, z, variant))
     margin = _independence_margin(C)
     return ConditionResult(margin > check_tol, margin)
 
 
-def check_w_soc(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                _rows=None, _K=None):
-    return _second_order("U0", problem, z, check_tol, class_tol, _rows, _K)
+def check_w_soc(problem, z, check_tol=CHECK_TOL, _rows=None, _K=None):
+    return _second_order("U0", problem, z, check_tol, _rows, _K)
 
 
-def check_s_sosc(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                 _rows=None, _K=None):
-    return _second_order("UI", problem, z, check_tol, class_tol, _rows, _K)
+def check_s_sosc(problem, z, check_tol=CHECK_TOL, _rows=None, _K=None):
+    return _second_order("UI", problem, z, check_tol, _rows, _K)
 
 
-def check_w_srcq(problem, z, check_tol=CHECK_TOL, class_tol=None,
-                 _rows=None):
-    return _independence("UI", problem, z, check_tol, class_tol, _rows)
+def check_w_srcq(problem, z, check_tol=CHECK_TOL, _rows=None):
+    return _independence("UI", problem, z, check_tol, _rows)
 
 
-def check_cn(problem, z, check_tol=CHECK_TOL, class_tol=None, _rows=None):
-    return _independence("U0", problem, z, check_tol, class_tol, _rows)
+def check_cn(problem, z, check_tol=CHECK_TOL, _rows=None):
+    return _independence("U0", problem, z, check_tol, _rows)
 
 
 def _checks(problem, z, decomps, check_tol):
@@ -243,7 +239,7 @@ def _newton_sigma(problem, z, variant, decomps):
     return _make_backend(problem, z, variant, decomps).sigma_min()
 
 
-def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
+def regularity_report(problem, z, check_tol=CHECK_TOL):
     """All four condition checks plus Newton-matrix singular values.
 
     Nonsingularity certificates: w_soc together with cn certifies the
@@ -254,7 +250,7 @@ def regularity_report(problem, z, check_tol=CHECK_TOL, class_tol=None):
     the report also probes the Clarke midpoint of the two assembled
     matrices.
     """
-    decomps = _checked_decomps(problem, z, class_tol)
+    decomps = _checked_decomps(problem, z)
     w_soc, s_sosc, w_srcq, cn = _checks(problem, z, decomps, check_tol)
     u0_sigma = _newton_sigma(problem, z, "U0", decomps)
     ui_sigma = _newton_sigma(problem, z, "UI", decomps)

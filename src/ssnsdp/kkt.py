@@ -42,15 +42,11 @@ def assembly_class_tol(A):
     return 1e-12 * (1.0 + float(np.linalg.norm(A)))
 
 
-def cone_decompositions(problem, z, class_tol=None):
+def cone_decompositions(problem, z):
     """Spectral decompositions of g(x) + Gamma, one per block."""
     gx = problem.g(z.x)
-    out = []
-    for Gb, Cb in zip(gx.blocks, z.Gamma.blocks):
-        A = Gb + Cb
-        tol = assembly_class_tol(A) if class_tol is None else class_tol
-        out.append(eig_sym(A, class_tol=tol))
-    return out
+    args = [Gb + Cb for Gb, Cb in zip(gx.blocks, z.Gamma.blocks)]
+    return [eig_sym(A, class_tol=assembly_class_tol(A)) for A in args]
 
 
 @dataclass
@@ -71,17 +67,13 @@ class KktResidual:
 
 def kkt_residual(problem, z, _decomps=None):
     """Evaluate F at a primal-dual point."""
+    if _decomps is None:
+        _decomps = cone_decompositions(problem, z)
     gx = problem.g(z.x)
     stat = problem.grad_f(z.x) + problem.jac_g_adj(z.x, z.Gamma)
     if problem.eq_dim:
         stat = stat + problem.jac_h_adj(z.x, z.xi)
-    cone = []
-    for i, (Gb, Cb) in enumerate(zip(gx.blocks, z.Gamma.blocks)):
-        if _decomps is None:
-            dec = eig_sym(Gb + Cb, class_tol=assembly_class_tol(Gb + Cb))
-        else:
-            dec = _decomps[i]
-        cone.append(-Gb + project_psd(dec))
+    cone = [-Gb + project_psd(dec) for Gb, dec in zip(gx.blocks, _decomps)]
     return KktResidual(
         stationarity=stat,
         feasibility_eq=problem.h(z.x) if problem.eq_dim else np.zeros(0),
@@ -97,7 +89,6 @@ class DenseOperator:
     x_dim: int
     eq_dim: int
     cone_blocks: list
-    note: str = ""
 
     @property
     def shape(self):
@@ -110,7 +101,7 @@ def _svec_diag(D):
     return D[iu, ju]
 
 
-def assemble_U(problem, z, variant, class_tol=None, _decomps=None):
+def assemble_U(problem, z, variant, _decomps=None):
     """Dense Newton operator at z for the given surrogate variant.
 
     Memory is quadratic in x_dim + eq_dim + cone svec length.  The solver
@@ -119,7 +110,7 @@ def assemble_U(problem, z, variant, class_tol=None, _decomps=None):
     against, and the Clarke-midpoint probe of the regularity report.
     """
     decomps = (_decomps if _decomps is not None
-               else cone_decompositions(problem, z, class_tol))
+               else cone_decompositions(problem, z))
     W = to_dense(hess_matrix_of(problem, z.x, z.xi, z.Gamma))
     J = to_dense(jac_h_matrix_of(problem, z.x))
     G = to_dense(jac_g_matrix_of(problem, z.x))
@@ -139,8 +130,7 @@ def assemble_U(problem, z, variant, class_tol=None, _decomps=None):
     U[nx + ne:, :nx] = (V - np.eye(nc)) @ G
     U[nx + ne:, nx + ne:] = V
     return DenseOperator(matrix=U, x_dim=nx, eq_dim=ne,
-                         cone_blocks=list(problem.cone_blocks),
-                         note=f"{variant} at {problem.name}")
+                         cone_blocks=list(problem.cone_blocks))
 
 
 def fd_jacobian(problem, z, step=1e-5):
@@ -171,8 +161,7 @@ def fd_jacobian(problem, z, step=1e-5):
                    - kkt_residual(problem, zm).to_vector()) / (2.0 * step)
     return DenseOperator(matrix=M, x_dim=problem.x_dim,
                          eq_dim=problem.eq_dim,
-                         cone_blocks=list(problem.cone_blocks),
-                         note=f"fd at {problem.name}")
+                         cone_blocks=list(problem.cone_blocks))
 
 
 def _op_matrix(op):
@@ -201,7 +190,6 @@ def clarke_combination(U0, UI, t):
         x_dim=getattr(dims, "x_dim", A.shape[0]),
         eq_dim=getattr(dims, "eq_dim", 0),
         cone_blocks=list(getattr(dims, "cone_blocks", [])),
-        note=f"clarke t={t}",
     )
 
 
@@ -242,5 +230,4 @@ def example2_family(omega):
     U[nx + ne:, :nx] = V - np.eye(3)
     U[nx + ne:, nx + ne:] = V
     return DenseOperator(matrix=U, x_dim=nx, eq_dim=ne,
-                         cone_blocks=list(problem.cone_blocks),
-                         note=f"ex2 family omega={omega.tolist()}")
+                         cone_blocks=list(problem.cone_blocks))

@@ -352,6 +352,9 @@ def _validate_qsdp(data):
         raise ValueError(f"Q must be {x_dim} x {x_dim}, got {Q.shape}")
     if c.shape != (x_dim,):
         raise ValueError(f"c must have length {x_dim}")
+    for key, a in zip(("Q", "c", "H", "p", "G", "q"), (Q, c, H, p, G, q)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"qsdp {key} has a non-finite entry")
     skew = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
     if skew > 1e-12 * (1.0 + np.max(np.abs(Q), initial=0.0)):
         raise ValueError("Q must be symmetric")

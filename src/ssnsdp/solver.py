@@ -160,7 +160,7 @@ class _DenseBackend:
     def __init__(self, problem, z, variant, decomps):
         self.matrix = assemble_U(problem, z, variant, _decomps=decomps).matrix
         self.dim = self.matrix.shape[0]
-        self.structure_key = None
+        self.reusable = False
         self._lu = _lu_with_rcond(self.matrix)
         self.singular = self._lu is None
 

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (in-process, plus one
 `python -m ssnsdp` subprocess run)."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +318,43 @@ def test_point_with_asymmetric_gamma_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,value", [
+    ("Q", "nan"), ("c", "inf"), ("H", "-inf"), ("p", "nan"), ("G", "inf"),
+    ("q", "nan")])
+@pytest.mark.parametrize("command", [("run", "--perturb", "1"), ("check",)],
+                         ids=["run", "check"])
+def test_qsdp_with_non_finite_entry_exit_2(tmp_path, capsys, key, value,
+                                           command):
+    """ex2's data (it has equality rows) with one entry of an array made
+    non-finite, written as JSON's NaN / Infinity."""
+    problem, _ = catalog("ex2")
+    data = dict(problem.qsdp_data)
+    a = np.array(data[key], dtype=float)
+    a.flat[0] = float(value)
+    data[key] = a.tolist()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command[0], "--qsdp", str(path),
+                             *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot load {path}: qsdp {key} has a "
+                   "non-finite entry\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("example", ["ex4_primal", "ex4_dual"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_finite_eps_exit_2(capsys, example, eps, command):
+    code, out, err = run_cli(capsys, command, "--example", example,
+                             "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad parameters for {example}: eps must be finite\n"
+
+
 def test_point_symmetric_to_rounding_is_accepted(tmp_path, capsys):
     def nudge(raw):
         raw["Gamma"][0][0][1] = 1e-15
@@ -429,3 +468,22 @@ def test_module_invocation_and_debug_log():
     assert proc.returncode == 0
     assert "status: converged" in proc.stdout
     assert "DEBUG:ssnsdp" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# tools/cli_outputs.py
+
+
+def test_cli_outputs_commands_parse():
+    """Every command of the byte-identity list parses; a renamed flag or a
+    dropped choice fails here, not in a comparison of two checkouts."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(tool.COMMANDS) == 70
+    names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
+    assert len(names) == 70
+    parser = cli_mod._parser()
+    for cmd in tool.COMMANDS:
+        parser.parse_args(cmd + ["--output", "out"])

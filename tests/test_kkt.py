@@ -117,6 +117,18 @@ def test_residual_rows_have_expected_shapes():
     assert res.to_vector().shape == (problem.total_dim,)
 
 
+@pytest.mark.parametrize("name,params", SMALL)
+def test_residual_reads_the_shared_decompositions(name, params):
+    """Without _decomps the residual decomposes through
+    cone_decompositions, so both calls agree bitwise."""
+    problem, sol = catalog(name, **params)
+    for z in (sol.z_bar, rand_point(problem, 5)):
+        own = kkt_residual(problem, z).to_vector()
+        given = kkt_residual(
+            problem, z, _decomps=cone_decompositions(problem, z)).to_vector()
+        assert np.array_equal(own, given)
+
+
 # ---------------------------------------------------------------------------
 # operator assembly and application
 

@@ -222,6 +222,18 @@ def test_qsdp_q_shape_error():
         qsdp_problem(data)
 
 
+def test_save_qsdp_rejects_non_finite_data(tmp_path):
+    problem, _ = catalog("ex3")
+    data = dict(problem.qsdp_data)
+    G = np.array(data["G"], dtype=float)
+    G[2, 1] = np.inf
+    data["G"] = G.tolist()
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="qsdp G has a non-finite entry"):
+        save_qsdp(path, data)
+    assert not path.exists()
+
+
 def test_convex_flag():
     assert catalog("ex3")[0].convex
     assert catalog("ex7")[0].convex

@@ -621,7 +621,8 @@ def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
     monkeypatch.setattr(reduced_mod, "_svec_rotation_rows", refuse)
     problem, z, variant = woodbury_case("ex5-U0")
     op = WoodburyNewtonOperator(problem, z, variant,
-                                cone_decompositions(problem, z))
+                                cone_decompositions(problem, z),
+                                separable_diagonal(problem, z))
     assert not op.singular
 
 
@@ -701,7 +702,8 @@ def test_batched_solves_match_column_solves():
     for case in ("ex5-U0", "ex5-UI"):
         problem, z, variant = woodbury_case(case)
         op = WoodburyNewtonOperator(problem, z, variant,
-                                    cone_decompositions(problem, z))
+                                    cone_decompositions(problem, z),
+                                    separable_diagonal(problem, z))
         assert not op.singular
         assert_batch_is_columns(op)
 
@@ -923,7 +925,8 @@ def test_every_backend_flags_the_cancelled_core_singular():
     U = assemble_U(problem, z, "UI", _decomps=decomps)
     assert min_singular_value(U) < 1e-12
     dense = _DenseBackend(problem, z, "UI", decomps)
-    woodbury = WoodburyNewtonOperator(problem, z, "UI", decomps)
+    woodbury = WoodburyNewtonOperator(problem, z, "UI", decomps,
+                                      separable_diagonal(problem, z))
     assert dense.singular and woodbury.singular
     assert dense.sigma_min() == 0.0 and woodbury.sigma_min() == 0.0
     with pytest.raises(SingularSystemError):
@@ -966,7 +969,7 @@ def test_factorization_reuse_requires_matching_structure():
     decomps = cone_decompositions(problem, z)
     assert all(d.beta.size == 0 and d.gamma.size == 0 for d in decomps)
     op = ReducedNewtonOperator(problem, z, "U0", decomps)
-    assert op.structure_key is not None
+    assert op.reusable
     assert not op.singular
     z2 = KktPoint(np.array([0.5, 0.5, 0.25]), np.zeros(2),
                   BlockSymMatrix.zeros([1, 1, 1]))
@@ -977,6 +980,42 @@ def test_factorization_reuse_requires_matching_structure():
     # a zero eigenvalue invalidates the zero-variant structure
     decb = cone_decompositions(problem, sol.z_bar)
     assert not reuse_compatible(op, problem, sol.z_bar, decb, "U0")
+
+
+def test_factorization_reuse_across_changed_index_sets():
+    """Under UI with Gamma = 0, ex7's block 2 moves from alpha (x2 = 0.6)
+    to beta (x2 = 0): V = I at both points, so the operator built at the
+    first reuses at the second and answers as a fresh one, bitwise."""
+    problem, _ = catalog("ex7")
+    z1 = KktPoint(np.array([0.3, 0.6, 0.1]), np.zeros(2),
+                  BlockSymMatrix.zeros([1, 1, 1]))
+    z2 = KktPoint(np.array([0.3, 0.0, 0.1]), np.zeros(2),
+                  BlockSymMatrix.zeros([1, 1, 1]))
+    dec1 = cone_decompositions(problem, z1)
+    dec2 = cone_decompositions(problem, z2)
+    assert [d.alpha.size for d in dec1] == [1, 1, 1]
+    assert [d.beta.size for d in dec2] == [0, 1, 0]
+    op = ReducedNewtonOperator(problem, z1, "UI", dec1)
+    assert op.reusable and not op.singular
+    assert reuse_compatible(op, problem, z2, dec2, "UI")
+    fresh = ReducedNewtonOperator(problem, z2, "UI", dec2)
+    r = np.random.default_rng(3).standard_normal(op.dim)
+    assert np.array_equal(op.solve(r), fresh.solve(r))
+    assert np.array_equal(op.solve_t(r), fresh.solve_t(r))
+    assert op.sigma_min() == fresh.sigma_min()
+    # the zero variant zeroes beta x beta: no reuse at z2
+    op0 = ReducedNewtonOperator(problem, z1, "U0", dec1)
+    assert op0.reusable
+    assert not reuse_compatible(op0, problem, z2, dec2, "U0")
+
+
+def test_woodbury_and_dense_backends_never_reuse():
+    problem, z, variant = woodbury_case("ex5-UI")
+    decomps = cone_decompositions(problem, z)
+    for op in (_make_backend(problem, z, variant, decomps),
+               _DenseBackend(problem, z, variant, decomps)):
+        assert not op.reusable
+        assert not reuse_compatible(op, problem, z, decomps, variant)
 
 
 # ---------------------------------------------------------------------------
