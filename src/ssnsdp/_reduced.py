@@ -122,9 +122,10 @@ def _lu_solve(factors, rhs, trans=0):
     return x
 
 
-def _signed_permutation(P, tol=1e-13):
+def _signed_permutation(P):
     """(perm, signs) if P is a signed permutation matrix, else None."""
     n = P.shape[0]
+    tol = 1e-13
     A = np.abs(P)
     cols = np.argmax(A, axis=1)
     vals = A[np.arange(n), cols]
@@ -306,7 +307,6 @@ class ReducedNewtonOperator:
     """Factorized reduced system for one iterate; see module docstring."""
 
     def __init__(self, problem, z, variant, decomps):
-        self.problem = problem
         self.variant = variant
         self.x_dim = problem.x_dim
         self.eq_dim = problem.eq_dim
@@ -465,14 +465,14 @@ class ReducedNewtonOperator:
         return self._sigma
 
 
-def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
+def _lanczos_sigma_min(dim, solve, solve_t):
     """Smallest singular value of U from factorized forward/transpose solves.
 
     Up to _LANCZOS_BASIS unknowns a Krylov space would be the whole
     space, so the value is exact instead: 1 / ||U^{-1}||_2, from one solve
     against the identity (solve takes the columns as a batch) and the
     singular values of that small matrix.  It never reads nan, and
-    max_applies does not apply.
+    _LANCZOS_MAX_APPLIES does not apply.
 
     Above that, Lanczos iteration on A = (U' U)^{-1}, applied as
     solve(solve_t(v)), whose largest eigenvalue is 1 / sigma_min^2.  The
@@ -490,8 +490,8 @@ def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
     certificate warnings, where ten significant digits are plenty.
     Newton operators with few distinct singular values converge within a
     handful of applies.  A full basis of _LANCZOS_BASIS vectors restarts
-    from the top Ritz vector.  Returns nan when max_applies applies pass
-    without convergence.
+    from the top Ritz vector.  Returns nan when _LANCZOS_MAX_APPLIES
+    applies pass without convergence.
     """
     if dim <= _LANCZOS_BASIS:
         return 1.0 / float(np.linalg.norm(solve(np.eye(dim)), 2))
@@ -504,7 +504,7 @@ def _lanczos_sigma_min(dim, solve, solve_t, max_applies=_LANCZOS_MAX_APPLIES):
     v = np.random.default_rng(0).standard_normal(dim)
     V[0] = v / np.linalg.norm(v)
     j = 0
-    for _ in range(max_applies):
+    for _ in range(_LANCZOS_MAX_APPLIES):
         w = solve(solve_t(V[j]))
         Vj = V[:j + 1]
         a = 0.0
@@ -647,7 +647,6 @@ class WoodburyNewtonOperator:
     """
 
     def __init__(self, problem, z, variant, decomps, w):
-        self.problem = problem
         self.variant = variant
         self.x_dim = problem.x_dim
         self.eq_dim = 0

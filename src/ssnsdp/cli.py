@@ -314,8 +314,7 @@ def cmd_check(args):
     try:
         report = regularity_report(problem, z)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise _ConfigError(str(e)) from e
     _emit(_format_check(_check_payload(problem, report), args.format), args)
     return 0
 

@@ -43,7 +43,8 @@ from .solver import _make_backend
 
 RESIDUAL_TOL = 1e-10
 
-# margins at or below this are treated as failures of the (open) condition
+# the report's one zero test, read when a check runs: a condition margin
+# or a Newton sigma_min at or below this counts as zero
 CHECK_TOL = 1e-8
 
 # the Clarke-midpoint probe assembles both Newton matrices and takes a full
@@ -71,7 +72,7 @@ class ConditionReport:
     clarke_mid_sigma_min probes the Clarke midpoint 0.5 (U0 + UI), which
     can be nonsingular although both endpoints are not: the full-SVD
     smallest singular value of the assembled midpoint when both sigmas
-    are at most 1e-8 and the problem has at most CLARKE_PROBE_LIMIT
+    are at most CHECK_TOL and the problem has at most CLARKE_PROBE_LIMIT
     unknowns, None otherwise."""
 
     problem_name: str
@@ -183,39 +184,39 @@ def _lone_blocks(problem, z, variant):
             jac_g_matrix_of(problem, z.x))
 
 
-def _second_order(variant, problem, z, check_tol, C, K):
+def _second_order(variant, problem, z, C, K):
     if C is None or K is None:
         blocks, G = _lone_blocks(problem, z, variant)
         C = _constraint_rows(problem, z, blocks, G)
         K = _curvature_matrix(problem, z, blocks, G)
     margin = _second_order_margin(C, K)
-    return ConditionResult(margin > check_tol, margin)
+    return ConditionResult(margin > CHECK_TOL, margin)
 
 
-def _independence(variant, problem, z, check_tol, C):
+def _independence(variant, problem, z, C):
     if C is None:
         C = _constraint_rows(problem, z, *_lone_blocks(problem, z, variant))
     margin = _independence_margin(C)
-    return ConditionResult(margin > check_tol, margin)
+    return ConditionResult(margin > CHECK_TOL, margin)
 
 
-def check_w_soc(problem, z, check_tol=CHECK_TOL, _rows=None, _K=None):
-    return _second_order("U0", problem, z, check_tol, _rows, _K)
+def check_w_soc(problem, z, _rows=None, _K=None):
+    return _second_order("U0", problem, z, _rows, _K)
 
 
-def check_s_sosc(problem, z, check_tol=CHECK_TOL, _rows=None, _K=None):
-    return _second_order("UI", problem, z, check_tol, _rows, _K)
+def check_s_sosc(problem, z, _rows=None, _K=None):
+    return _second_order("UI", problem, z, _rows, _K)
 
 
-def check_w_srcq(problem, z, check_tol=CHECK_TOL, _rows=None):
-    return _independence("UI", problem, z, check_tol, _rows)
+def check_w_srcq(problem, z, _rows=None):
+    return _independence("UI", problem, z, _rows)
 
 
-def check_cn(problem, z, check_tol=CHECK_TOL, _rows=None):
-    return _independence("U0", problem, z, check_tol, _rows)
+def check_cn(problem, z, _rows=None):
+    return _independence("U0", problem, z, _rows)
 
 
-def _checks(problem, z, decomps, check_tol):
+def _checks(problem, z, decomps):
     """The four condition results of the report, from each variant's rows
     and the curvature derived once.  The curvature reads UI's block data,
     the cheaper to build (its T, gamma only, is the smaller); it does not
@@ -227,10 +228,10 @@ def _checks(problem, z, decomps, check_tol):
     C0 = _constraint_rows(problem, z, u0, G)
     CI = _constraint_rows(problem, z, ui, G)
     K = _curvature_matrix(problem, z, ui, G)
-    return (check_w_soc(problem, z, check_tol, _rows=C0, _K=K),
-            check_s_sosc(problem, z, check_tol, _rows=CI, _K=K),
-            check_w_srcq(problem, z, check_tol, _rows=CI),
-            check_cn(problem, z, check_tol, _rows=C0))
+    return (check_w_soc(problem, z, _rows=C0, _K=K),
+            check_s_sosc(problem, z, _rows=CI, _K=K),
+            check_w_srcq(problem, z, _rows=CI),
+            check_cn(problem, z, _rows=C0))
 
 
 def _newton_sigma(problem, z, variant, decomps):
@@ -239,30 +240,30 @@ def _newton_sigma(problem, z, variant, decomps):
     return _make_backend(problem, z, variant, decomps).sigma_min()
 
 
-def regularity_report(problem, z, check_tol=CHECK_TOL):
+def regularity_report(problem, z):
     """All four condition checks plus Newton-matrix singular values.
 
     Nonsingularity certificates: w_soc together with cn certifies the
     zero-sided Newton matrix, s_sosc together with w_srcq the
     identity-sided one.  A warning is recorded whenever a certificate
-    holds but the computed smallest singular value is still tiny.  When
-    both are tiny on a problem of at most CLARKE_PROBE_LIMIT unknowns,
-    the report also probes the Clarke midpoint of the two assembled
-    matrices.
+    holds but the computed smallest singular value is still at most
+    CHECK_TOL.  When both are that small on a problem of at most
+    CLARKE_PROBE_LIMIT unknowns, the report also probes the Clarke
+    midpoint of the two assembled matrices.
     """
     decomps = _checked_decomps(problem, z)
-    w_soc, s_sosc, w_srcq, cn = _checks(problem, z, decomps, check_tol)
+    w_soc, s_sosc, w_srcq, cn = _checks(problem, z, decomps)
     u0_sigma = _newton_sigma(problem, z, "U0", decomps)
     ui_sigma = _newton_sigma(problem, z, "UI", decomps)
     warnings = []
-    if w_soc.holds and cn.holds and u0_sigma <= 1e-8:
+    if w_soc.holds and cn.holds and u0_sigma <= CHECK_TOL:
         warnings.append(
             f"U0 certified nonsingular but sigma_min is {u0_sigma:.3e}")
-    if s_sosc.holds and w_srcq.holds and ui_sigma <= 1e-8:
+    if s_sosc.holds and w_srcq.holds and ui_sigma <= CHECK_TOL:
         warnings.append(
             f"UI certified nonsingular but sigma_min is {ui_sigma:.3e}")
     clarke_mid = None
-    if (u0_sigma <= 1e-8 and ui_sigma <= 1e-8
+    if (u0_sigma <= CHECK_TOL and ui_sigma <= CHECK_TOL
             and problem.total_dim <= CLARKE_PROBE_LIMIT):
         mid = clarke_combination(
             assemble_U(problem, z, "U0", _decomps=decomps),

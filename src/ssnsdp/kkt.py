@@ -37,16 +37,10 @@ from .problem import (
 from .catalog import example2
 
 
-def assembly_class_tol(A):
-    """Eigenvalue classification tolerance used when building operators."""
-    return 1e-12 * (1.0 + float(np.linalg.norm(A)))
-
-
 def cone_decompositions(problem, z):
     """Spectral decompositions of g(x) + Gamma, one per block."""
     gx = problem.g(z.x)
-    args = [Gb + Cb for Gb, Cb in zip(gx.blocks, z.Gamma.blocks)]
-    return [eig_sym(A, class_tol=assembly_class_tol(A)) for A in args]
+    return [eig_sym(Gb + Cb) for Gb, Cb in zip(gx.blocks, z.Gamma.blocks)]
 
 
 @dataclass

@@ -119,34 +119,33 @@ class SpectralDecomposition:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    class_tol: float
 
     @property
     def n(self):
         return self.lam.size
 
 
-def eig_sym(A, class_tol=None):
+def _classified(P, lam, tol):
+    """SpectralDecomposition of P diag(lam) P.T whose alpha / beta / gamma
+    are lam > tol, |lam| <= tol and lam < -tol."""
+    idx = np.arange(lam.size)
+    return SpectralDecomposition(
+        P=P, lam=lam, alpha=idx[lam > tol], beta=idx[np.abs(lam) <= tol],
+        gamma=idx[lam < -tol])
+
+
+def eig_sym(A):
     """Spectral decomposition with nonincreasing eigenvalues.
 
-    class_tol defaults to 1e-12 * max(1, max|lam|).  Ties inside repeated
-    eigenvalues resolve to whatever basis LAPACK returns; consumers must
-    not depend on the choice.
+    Eigenvalues within 1e-12 * (1 + ||A||_F) of zero are classified beta;
+    the solver, the KKT map and the regularity report all read this one
+    rule.  Ties inside repeated eigenvalues resolve to whatever basis
+    LAPACK returns; consumers must not depend on the choice.
     """
     A = np.asarray(A, dtype=float)
     lam, P = np.linalg.eigh(A)
-    lam = lam[::-1].copy()
-    P = P[:, ::-1].copy()
-    if class_tol is None:
-        top = abs(lam[0]) if lam.size else 0.0
-        bot = abs(lam[-1]) if lam.size else 0.0
-        class_tol = 1e-12 * max(1.0, top, bot)
-    idx = np.arange(lam.size)
-    alpha = idx[lam > class_tol]
-    gamma = idx[lam < -class_tol]
-    beta = idx[(lam <= class_tol) & (lam >= -class_tol)]
-    return SpectralDecomposition(P=P, lam=lam, alpha=alpha, beta=beta,
-                                 gamma=gamma, class_tol=class_tol)
+    return _classified(P[:, ::-1].copy(), lam[::-1].copy(),
+                       1e-12 * (1.0 + float(np.linalg.norm(A))))
 
 
 def project_psd(decomp):

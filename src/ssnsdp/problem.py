@@ -178,43 +178,39 @@ class KnownSolution:
     expected_conditions: dict
 
 
+def _by_columns(rows, cols, apply):
+    """The rows x cols matrix whose column i is apply(e_i)."""
+    M = np.zeros((rows, cols))
+    e = np.zeros(cols)
+    for i in range(cols):
+        e[i] = 1.0
+        M[:, i] = apply(e)
+        e[i] = 0.0
+    return M
+
+
 def jac_h_matrix_of(problem, x):
     """Equality Jacobian as a matrix, assembled by columns when needed."""
     if problem.jac_h_matrix is not None:
         return problem.jac_h_matrix
-    J = np.zeros((problem.eq_dim, problem.x_dim))
-    e = np.zeros(problem.x_dim)
-    for i in range(problem.x_dim):
-        e[i] = 1.0
-        J[:, i] = problem.jac_h(x, e)
-        e[i] = 0.0
-    return J
+    return _by_columns(problem.eq_dim, problem.x_dim,
+                       lambda e: problem.jac_h(x, e))
 
 
 def jac_g_matrix_of(problem, x):
     """Cone Jacobian as an svec-stacked matrix."""
     if problem.jac_g_matrix is not None:
         return problem.jac_g_matrix
-    G = np.zeros((problem.cone_dim, problem.x_dim))
-    e = np.zeros(problem.x_dim)
-    for i in range(problem.x_dim):
-        e[i] = 1.0
-        G[:, i] = problem.jac_g(x, e).svec()
-        e[i] = 0.0
-    return G
+    return _by_columns(problem.cone_dim, problem.x_dim,
+                       lambda e: problem.jac_g(x, e).svec())
 
 
 def hess_matrix_of(problem, x, xi, Gamma):
     """Lagrangian Hessian as a matrix at the given multiplier point."""
     if problem.hess_matrix_fn is not None:
         return problem.hess_matrix_fn(x, xi, Gamma)
-    W = np.zeros((problem.x_dim, problem.x_dim))
-    e = np.zeros(problem.x_dim)
-    for i in range(problem.x_dim):
-        e[i] = 1.0
-        W[:, i] = problem.hess_lagrangian(x, xi, Gamma, e)
-        e[i] = 0.0
-    return W
+    return _by_columns(problem.x_dim, problem.x_dim,
+                       lambda e: problem.hess_lagrangian(x, xi, Gamma, e))
 
 
 def to_dense(M):

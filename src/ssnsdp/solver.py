@@ -21,15 +21,10 @@ import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg_sym import SpectralDecomposition, eig_sym
+from .linalg_sym import _classified, eig_sym
 from .problem import BlockSymMatrix, KktPoint
-from .kkt import (
-    assemble_U,
-    assembly_class_tol,
-    cone_decompositions,
-    kkt_residual,
-    min_singular_value,
-)
+from .kkt import (assemble_U, cone_decompositions, kkt_residual,
+                  min_singular_value)
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
                        WoodburyNewtonOperator, _lu_solve, _lu_with_rcond,
                        reuse_compatible, separable_diagonal)
@@ -129,8 +124,7 @@ def _correct_with_decomps(problem, z, delta):
     decomps = []
     shift_sq = 0.0
     for Gb, Cb in zip(gx.blocks, z.Gamma.blocks):
-        A = Gb + Cb
-        dec = eig_sym(A, class_tol=assembly_class_tol(A))
+        dec = eig_sym(Gb + Cb)
         clip = np.abs(dec.lam) <= delta
         lam_new = np.where(clip, 0.0, dec.lam)
         if np.any(clip):
@@ -139,11 +133,7 @@ def _correct_with_decomps(problem, z, delta):
             shift_sq += float(np.sum((dec.lam * clip) ** 2))
         else:
             new_blocks.append(Cb.copy())
-        idx = np.arange(dec.n)
-        decomps.append(SpectralDecomposition(
-            P=dec.P, lam=lam_new,
-            alpha=idx[lam_new > 0.0], beta=idx[lam_new == 0.0],
-            gamma=idx[lam_new < 0.0], class_tol=dec.class_tol))
+        decomps.append(_classified(dec.P, lam_new, 0.0))
     z_new = KktPoint(z.x.copy(), z.xi.copy(), BlockSymMatrix(new_blocks))
     return z_new, float(np.sqrt(shift_sq)), decomps
 

@@ -414,9 +414,7 @@ def test_check_table_and_csv(capsys):
 def test_unconverged_sigma_prints_nan(monkeypatch, capsys):
     # ex5 30/20 has 2 550 unknowns, so sigma_min comes from Lanczos; one
     # apply cannot converge it
-    lanczos = reduced_mod._lanczos_sigma_min
-    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min",
-                        lambda *a: lanczos(*a, max_applies=1))
+    monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
     sizes = ("--example", "ex5", "--l1", "30", "--l2", "20")
     code, out, _ = run_cli(capsys, "check", *sizes, "--format", "csv")
     assert code == 0
@@ -481,9 +479,9 @@ def test_cli_outputs_commands_parse():
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert len(tool.COMMANDS) == 70
+    assert len(tool.COMMANDS) == 194
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 70
+    assert len(names) == 194
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         parser.parse_args(cmd + ["--output", "out"])

@@ -251,11 +251,12 @@ def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
     lanczos = reduced_mod._lanczos_sigma_min
     runs = []
 
-    def capped(dim, solve, solve_t):
-        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+    def counted(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t))
         return runs[-1]
 
-    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", capped)
+    monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", counted)
     problem, sol = catalog("ex5", l1=3, l2=2)
     assert problem.total_dim == reduced_mod._LANCZOS_BASIS
     report = regularity_report(problem, sol.z_bar)
@@ -511,12 +512,30 @@ def test_checks_reject_non_kkt_points():
         check_s_sosc(problem, z)
 
 
-def test_check_tol_raises_the_bar():
+def test_check_tol_raises_the_bar(monkeypatch):
     problem, sol = catalog("ex3")
     assert check_w_soc(problem, sol.z_bar).holds
-    assert not check_w_soc(problem, sol.z_bar, check_tol=2.0).holds
     assert check_cn(problem, sol.z_bar).holds
-    assert not check_cn(problem, sol.z_bar, check_tol=1.0).holds
+    monkeypatch.setattr(conditions_mod, "CHECK_TOL", 2.0)
+    assert not check_w_soc(problem, sol.z_bar).holds
+    monkeypatch.setattr(conditions_mod, "CHECK_TOL", 1.0)
+    assert not check_cn(problem, sol.z_bar).holds
+
+
+def test_report_reads_check_tol_for_its_sigma_tests(monkeypatch):
+    """The certificate warning and the Clarke-midpoint probe test the
+    sigmas against CHECK_TOL as it stands when the report runs: on
+    ex5 6/4 U0 is certified with sigma_min 0.618, which counts as zero
+    once CHECK_TOL is 0.7."""
+    monkeypatch.setattr(conditions_mod, "CHECK_TOL", 0.7)
+    problem, sol = catalog("ex5", l1=6, l2=4)
+    report = regularity_report(problem, sol.z_bar)
+    assert report.w_soc.holds and report.cn.holds
+    assert "U0 certified nonsingular but sigma_min is 6.180e-01" \
+        in report.warnings
+    assert report.clarke_mid_sigma_min is not None
+    assert_allclose(report.clarke_mid_sigma_min, 0.4370160244488208,
+                    rtol=1e-12)
 
 
 def test_default_check_tol_value():

@@ -15,8 +15,8 @@ from ssnsdp.kkt import (
     kkt_residual,
     min_singular_value,
 )
-from ssnsdp.linalg_sym import smat, svec, svec_len
-from ssnsdp.problem import BlockSymMatrix, KktPoint, NlsdpProblem
+from ssnsdp.linalg_sym import eig_sym, smat, svec, svec_len
+from ssnsdp.problem import BlockSymMatrix, KktPoint, NlsdpProblem, qsdp_problem
 from ssnsdp.solver import _make_backend
 
 SMALL = [
@@ -127,6 +127,22 @@ def test_residual_reads_the_shared_decompositions(name, params):
         given = kkt_residual(
             problem, z, _decomps=cone_decompositions(problem, z)).to_vector()
         assert np.array_equal(own, given)
+
+
+def test_cone_decompositions_classify_as_eig_sym():
+    """A one-block QSDP whose g(x) + Gamma is diag(1, 1, 1, 1, 2e-12):
+    the solver's decompositions and a direct eig_sym call read the same
+    beta, the near-zero eigenvalue."""
+    A = np.diag([1.0] * 4 + [2e-12])
+    problem = qsdp_problem({
+        "x_dim": 1, "eq_dim": 0, "cone_blocks": [5], "Q": np.eye(1),
+        "c": np.zeros(1), "H": np.zeros((0, 1)), "p": np.zeros(0),
+        "G": np.zeros((svec_len(5), 1)), "q": -svec(A)})
+    z = KktPoint(np.zeros(1), np.zeros(0), BlockSymMatrix([np.zeros((5, 5))]))
+    (dec,) = cone_decompositions(problem, z)
+    assert_allclose(problem.g(z.x).blocks[0], A)
+    assert list(dec.beta) == list(eig_sym(A).beta) == [4]
+    assert list(dec.alpha) == list(eig_sym(A).alpha) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ssnsdp.linalg_sym import (
     SpectralDecomposition,
+    _classified,
     apply_V,
     dproj_psd,
     eig_sym,
@@ -122,6 +123,23 @@ def test_eig_sym_zero_matrix_is_all_beta():
     dec = eig_sym(np.zeros((2, 2)))
     assert list(dec.beta) == [0, 1]
     assert dec.alpha.size == 0 and dec.gamma.size == 0
+
+
+def test_eig_sym_classifies_relative_to_the_frobenius_norm():
+    # ||A||_F = 2, so the zero test is |lam| <= 3e-12; a test relative to
+    # max|lam| = 1 alone would call 2e-12 positive
+    dec = eig_sym(np.diag([1.0] * 4 + [2e-12]))
+    assert list(dec.alpha) == [0, 1, 2, 3]
+    assert list(dec.beta) == [4]
+    assert dec.gamma.size == 0
+
+
+def test_classified_counts_signed_zeros_as_beta():
+    lam = np.array([1.0, 0.0, -0.0, -1.0])
+    dec = _classified(np.eye(4), lam, 0.0)
+    assert list(dec.alpha) == [0]
+    assert list(dec.beta) == [1, 2]
+    assert list(dec.gamma) == [3]
 
 
 def test_eig_sym_hand_2x2():
@@ -312,8 +330,7 @@ def test_eigenbasis_choice_does_not_matter():
         Q = np.linalg.qr(rng.standard_normal((idx.size, idx.size)))[0]
         P2[:, idx] = P2[:, idx] @ Q
     dec2 = SpectralDecomposition(P=P2, lam=dec1.lam.copy(), alpha=dec1.alpha,
-                                 beta=dec1.beta, gamma=dec1.gamma,
-                                 class_tol=dec1.class_tol)
+                                 beta=dec1.beta, gamma=dec1.gamma)
     H = rand_sym(rng, 6)
     assert_allclose(project_psd(dec1), project_psd(dec2), atol=1e-12)
     assert_allclose(dproj_psd(dec1, H), dproj_psd(dec2, H), atol=1e-12)

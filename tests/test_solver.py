@@ -783,7 +783,7 @@ def test_dense_backend_flagged_singular_reads_zero():
         assert op.sigma_min() == 0.0
 
 
-def test_small_operator_sigma_is_exact():
+def test_small_operator_sigma_is_exact(monkeypatch):
     """Up to _LANCZOS_BASIS unknowns sigma_min is 1 / ||U^{-1}||_2 from
     one batched solve: no transpose solve, no cap on applies, never
     nan."""
@@ -799,7 +799,8 @@ def test_small_operator_sigma_is_exact():
         calls.append(("solve_t", r.shape))
         return scipy.linalg.lu_solve(lu, r, trans=1)
 
-    sigma = _lanczos_sigma_min(7, solve, solve_t, max_applies=0)
+    monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 0)
+    sigma = _lanczos_sigma_min(7, solve, solve_t)
     assert calls == [("solve", (7, 7))]
     assert_allclose(sigma, min_singular_value(M), rtol=1e-12)
 
@@ -810,11 +811,12 @@ def test_dense_trace_row_falls_back_to_svd_when_lanczos_stops(monkeypatch):
     lanczos = reduced_mod._lanczos_sigma_min
     runs = []
 
-    def capped(dim, solve, solve_t):
-        runs.append(lanczos(dim, solve, solve_t, max_applies=1))
+    def counted(dim, solve, solve_t):
+        runs.append(lanczos(dim, solve, solve_t))
         return runs[-1]
 
-    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", capped)
+    monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
+    monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", counted)
     problem, sol = catalog("ex3")
     assert problem.total_dim <= _LANCZOS_BASIS
     start = perturbed_start(sol.z_bar, 1.0, seed=1)
@@ -826,12 +828,12 @@ def test_dense_trace_row_falls_back_to_svd_when_lanczos_stops(monkeypatch):
                     rtol=1e-12)
 
 
-def lanczos_sigma_of(M, **kwargs):
+def lanczos_sigma_of(M):
     """_lanczos_sigma_min driven by LU solves of a dense matrix."""
     lu = scipy.linalg.lu_factor(M)
     return _lanczos_sigma_min(
         M.shape[0], lambda r: scipy.linalg.lu_solve(lu, r),
-        lambda r: scipy.linalg.lu_solve(lu, r, trans=1), **kwargs)
+        lambda r: scipy.linalg.lu_solve(lu, r, trans=1))
 
 
 def with_singular_values(s, seed):
@@ -881,9 +883,10 @@ def test_lanczos_sigma_min_restarts_on_close_spectrum():
     assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-8)
 
 
-def test_lanczos_sigma_min_reads_nan_when_not_converged():
+def test_lanczos_sigma_min_reads_nan_when_not_converged(monkeypatch):
+    monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 3)
     M = LANCZOS_CASES["clustered"]()
-    assert np.isnan(lanczos_sigma_of(M, max_applies=3))
+    assert np.isnan(lanczos_sigma_of(M))
 
 
 @pytest.mark.parametrize("name,params,variant,magnitude", [
