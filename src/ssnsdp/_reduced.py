@@ -16,12 +16,17 @@ survive as constraints.  What remains is one symmetric system
         [ Gz   0    0   ]
 
 where C = (1 - d)/d is nonzero exactly on the positive/negative eigenvalue
-pairs, with value -lam_j / lam_i there.  The same R serves the forward and
-the transpose solve (right-hand sides differ), so one factorization per
-iterate covers Newton steps, adjoint solves, and the smallest singular
-value via Lanczos iteration on (U' U)^{-1}.  The rotation is orthogonal,
-so singular values of the reduced representation match the original
-operator exactly.
+pairs, with value -lam_j / lam_i there.  One factorization of R per
+iterate serves the Newton steps and, by Lanczos iteration on (U' U)^{-1},
+the smallest singular value.
+
+The transpose solve is the forward solve.  In the original coordinates
+U = S Y Q with S = diag(I, I, -I), Q = [[I, 0, 0], [0, I, 0], [G, 0, I]]
+and Y = [[W - G'G, J', G'], [J, 0, 0], [G, 0, -V]] symmetric, because V
+is self-adjoint in svec coordinates.  So U^{-T} = S Y^{-1} Q^{-T} =
+S Q U^{-1} S Q^{-T}: solve_t solves forward against (r1 - G' r3, r2, -r3)
+and returns (d1, d2, -(d3 + G d1)).  The Woodbury backend is the case
+G = I with no equality rows.
 
 The rotation is never applied whole.  With T = {t : D[t, t] != 1} the
 non-unit eigenvalue indices of a block (beta and gamma under U0, gamma
@@ -303,6 +308,18 @@ def _v_is_identity(decomps, variant):
     return all(np.all(v_mask(dec, variant) == 1.0) for dec in decomps)
 
 
+def _sigma_min(op):
+    """Smallest singular value of the Newton operator at op's iterate,
+    from its factorized solves (see _lanczos_sigma_min), cached.  Returns
+    0.0 when the build flagged singularity, and nan when the Lanczos
+    iteration did not converge.  Each backend binds it as its sigma_min.
+    """
+    if op._sigma is None:
+        op._sigma = 0.0 if op.singular else _lanczos_sigma_min(
+            op.dim, op.solve, op.solve_t)
+    return op._sigma
+
+
 class ReducedNewtonOperator:
     """Factorized reduced system for one iterate; see module docstring."""
 
@@ -315,6 +332,8 @@ class ReducedNewtonOperator:
         self.W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
         self.J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
         self.G = jac_g_matrix_of(problem, z.x)
+        # G' once per build: in CSR form it applies about twice as fast
+        self.GT = self.G.T.tocsr() if sp.issparse(self.G) else self.G.T
         self._t_blocks = _t_blocks(self.blocks, self.block_off)
         self._any_ag = any(len(b.ag) for b in self.blocks)
         self.dim = problem.x_dim + problem.eq_dim + int(self.block_off[-1])
@@ -364,10 +383,6 @@ class ReducedNewtonOperator:
         x, e = self.x_dim, self.eq_dim
         return r[:x], r[x:x + e], r[x + e:]
 
-    def _check(self):
-        if self.singular:
-            raise SingularSystemError()
-
     # -- forward solve: U d = r -----------------------------------------------
     #
     # Per block, with Rh = P' smat(r3) P and E = 1/D where D > 0, 0 where
@@ -377,7 +392,8 @@ class ReducedNewtonOperator:
     # Gh = P' smat(G dx) P and W the multipliers w on the zer pairs.
 
     def solve(self, r):
-        self._check()
+        if self.singular:
+            raise SingularSystemError()
         r1, r2, r3 = self._split(r)
         u = r3.copy()
         tail = []
@@ -385,7 +401,7 @@ class ReducedNewtonOperator:
             rT = b.cols(r3[cs])
             u[cs] -= b.back(b.one_minus_e * rT)
             tail.append(-(rT[b.z_at] * b.z_scale).T)
-        rhs = np.concatenate([r1 - self.G.T @ u, r2] + tail)
+        rhs = np.concatenate([r1 - self.GT @ u, r2] + tail)
         sol = self._solve_R(rhs)
         x, e = self.x_dim, self.eq_dim
         dx = sol[:x]
@@ -400,47 +416,20 @@ class ReducedNewtonOperator:
             u[cs] += b.back(Y)
         return np.concatenate([dx, dxi, u]).reshape(np.shape(r))
 
-    # -- transpose solve: U' d = r ----------------------------------------------
-    #
-    # The right-hand side of R is r1 + G' back(C_ag o Rh) over the zer
-    # entries of Rh; with q = r3 - G a and Qh = P' smat(q) P, the cone
-    # part of the answer is q - back((1 - E) o Qh + W).
-
     def solve_t(self, r):
-        self._check()
+        """U' d = r, as U^{-T} = S Q U^{-1} S Q^{-T} (module docstring)."""
         r1, r2, r3 = self._split(r)
-        top = r1.copy()
-        u = np.zeros_like(r3)
-        tail = []
-        for b, cs, _ in self._t_blocks:
-            rT = b.cols(r3[cs])
-            if len(b.ag):
-                Y = np.zeros_like(rT)
-                Y[b.ag_at] = b.c_ag * rT[b.ag_at]
-                u[cs] = b.back(Y)
-            tail.append((rT[b.z_at] * b.z_scale).T)
-        if self._any_ag:
-            top += self.G.T @ u
-        rhs = np.concatenate([top, r2] + tail)
-        sol = self._solve_R(rhs)
-        x, e = self.x_dim, self.eq_dim
-        a = sol[:x]
-        bxi = sol[x:x + e]
-        w = sol[x + e:]
-        q = r3 - self.G @ a
-        out3 = q.copy()
-        for b, cs, ws in self._t_blocks:
-            Y = b.one_minus_e * b.cols(q[cs])
-            Y[b.z_at] += b.z_put * w[ws].T
-            out3[cs] -= b.back(Y)
-        return np.concatenate([a, bxi, out3]).reshape(np.shape(r))
+        d = self.solve(np.concatenate([r1 - self.GT @ r3, r2, -r3]))
+        d1, d2, d3 = self._split(d)
+        return np.concatenate([d1, d2, -(d3 + self.G @ d1)]
+                              ).reshape(np.shape(r))
 
     # -- application and diagnostics ----------------------------------------------
 
     def matvec(self, d):
         """Apply the (unreduced) Newton operator to a stacked direction."""
         dx, dxi, dG = self._split(d)
-        r1 = self.W @ dx + self.G.T @ dG
+        r1 = self.W @ dx + self.GT @ dG
         if self.eq_dim:
             r1 = r1 + self.J.T @ dxi
         r2 = self.J @ dx if self.eq_dim else dxi
@@ -453,16 +442,7 @@ class ReducedNewtonOperator:
         return np.concatenate([np.asarray(r1), np.asarray(r2),
                                out3]).reshape(np.shape(d))
 
-    def sigma_min(self):
-        """Smallest singular value of the Newton operator at this iterate,
-        from the factorized solves (see _lanczos_sigma_min).  Returns 0.0
-        when the factorization flagged singularity, and nan when the
-        Lanczos iteration did not converge.
-        """
-        if self._sigma is None:
-            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
-                self.dim, self.solve, self.solve_t)
-        return self._sigma
+    sigma_min = _sigma_min
 
 
 def _lanczos_sigma_min(dim, solve, solve_t):
@@ -613,13 +593,14 @@ class WoodburyNewtonOperator:
 
     and the Woodbury identity makes (V C - I)^{-1} an identity plus a
     rank-k update whose k-by-k core F = I - V[S, S] diag(c_S) factors once
-    per iterate, S being the support of C.  The transpose solve shares
-    the same core, and the smallest singular value comes from the usual
-    Lanczos iteration on the solves.  V is block diagonal over cone
-    blocks, so the core is too.  Each block's core gets the shared
-    verdict, _lu_with_rcond, measured against the scale of its terms
-    before they cancel (see _woodbury_core): a core that cancels to
-    rounding noise reads singular, as the assembled matrix does.
+    per iterate, S being the support of C.  The transpose solve is the
+    forward solve (see the module docstring), and the smallest singular
+    value comes from the usual Lanczos iteration on the solves.  V is
+    block diagonal over cone blocks, so the core is too.  Each block's
+    core gets the shared verdict, _lu_with_rcond, measured against the
+    scale of its terms before they cancel (see _woodbury_core): a core
+    that cancels to rounding noise reads singular, as the assembled
+    matrix does.
 
     Each solve applies V twice, and each application of V works on the
     non-unit indices T of every block only (see _BlockData): V(H) =
@@ -677,10 +658,6 @@ class WoodburyNewtonOperator:
                 return
             self._cores.append((factors, lo + loc))
 
-    def _check(self):
-        if self.singular:
-            raise SingularSystemError()
-
     def _v_apply(self, v):
         """V applied to each column of v, shape (x_dim, m)."""
         out = v.copy()
@@ -704,7 +681,8 @@ class WoodburyNewtonOperator:
         return r[:self.x_dim], r[self.x_dim:]
 
     def solve(self, r):
-        self._check()
+        if self.singular:
+            raise SingularSystemError()
         r1, r3 = self._split(r)
         b = r3 - self._v_apply(r1)
         dx = -(b + self._v_apply(self._core_solve(b)))
@@ -712,12 +690,10 @@ class WoodburyNewtonOperator:
         return np.concatenate([dx, dG]).reshape(np.shape(r))
 
     def solve_t(self, r):
-        self._check()
+        """U' d = r, as ReducedNewtonOperator.solve_t with G = I."""
         r1, r3 = self._split(r)
-        b = r1 - self.w[:, None] * r3
-        y2 = -(b + self._core_solve(self._v_apply(b)))
-        y1 = r3 - self._v_apply(y2)
-        return np.concatenate([y1, y2]).reshape(np.shape(r))
+        d1, d3 = self._split(self.solve(np.concatenate([r1 - r3, -r3])))
+        return np.concatenate([d1, -(d3 + d1)]).reshape(np.shape(r))
 
     def matvec(self, d):
         dx, dG = self._split(d)
@@ -725,14 +701,7 @@ class WoodburyNewtonOperator:
                                self._v_apply(dx + dG) - dx]
                               ).reshape(np.shape(d))
 
-    def sigma_min(self):
-        """Smallest singular value, as ReducedNewtonOperator.sigma_min:
-        0.0 when the core is singular, nan when the Lanczos iteration did
-        not converge."""
-        if self._sigma is None:
-            self._sigma = 0.0 if self.singular else _lanczos_sigma_min(
-                self.dim, self.solve, self.solve_t)
-        return self._sigma
+    sigma_min = _sigma_min
 
 
 def reuse_compatible(cached, problem, z_new, decomps, variant):

@@ -130,14 +130,14 @@ def _load_point(path, problem):
 
 def _build_start(args, problem, solution):
     given = [args.point is not None,
-             getattr(args, "perturb", None) is not None,
-             getattr(args, "start_eps", None) is not None]
+             args.perturb is not None,
+             args.start_eps is not None]
     if sum(given) > 1:
         raise _ConfigError(
             "--point, --perturb and --start-eps are mutually exclusive")
     if args.point is not None:
         return _load_point(args.point, problem)
-    if getattr(args, "start_eps", None) is not None:
+    if args.start_eps is not None:
         if args.example != "ex7":
             raise _ConfigError("--start-eps only applies to ex7")
         from .catalog import example7_start
@@ -145,7 +145,7 @@ def _build_start(args, problem, solution):
             return example7_start(args.start_eps)
         except ValueError as e:
             raise _ConfigError(str(e)) from e
-    if getattr(args, "perturb", None) is not None:
+    if args.perturb is not None:
         if solution is None:
             raise _ConfigError(
                 "--perturb needs a problem with a known solution")

@@ -195,16 +195,15 @@ def dproj_psd(decomp, H):
 def v_mask(decomp, variant):
     """Sector mask of the Newton surrogate for the projection derivative.
 
-    Variant "V0" (alias "U0") takes the zero map on the beta x beta
-    block, "VI" (alias "UI") the identity; both agree with the divided
-    differences elsewhere.  The returned symmetric matrix D acts as
-    H -> P (D o (P.T H P)) P.T and in svec coordinates its operator is
-    orthogonally similar to diag(svec-mask), so every operator eigenvalue
-    is an entry of D.
+    Variant "U0" takes the zero map on the beta x beta block, "UI" the
+    identity; both agree with the divided differences elsewhere.  The
+    returned symmetric matrix D acts as H -> P (D o (P.T H P)) P.T and in
+    svec coordinates its operator is orthogonally similar to
+    diag(svec-mask), so every operator eigenvalue is an entry of D.
     """
-    if variant in ("V0", "U0"):
+    if variant == "U0":
         beta_val = 0.0
-    elif variant in ("VI", "UI"):
+    elif variant == "UI":
         beta_val = 1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")

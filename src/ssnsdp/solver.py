@@ -15,6 +15,7 @@ achieved linear-solve residual.
 
 import logging
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -61,8 +62,9 @@ class SolverParams:
             raise ValueError("delta must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 0:
+            raise ValueError("max_iter must be a nonnegative integer")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:

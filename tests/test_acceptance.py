@@ -161,7 +161,7 @@ def test_criterion_1_projection_core_properties():
             worst_moreau = max(worst_moreau,
                                np.linalg.norm(A - (pos - neg)) / tol,
                                abs(np.tensordot(pos, neg)) / tol)
-            variant = "V0" if trial % 2 else "VI"
+            variant = "U0" if trial % 2 else "UI"
             if n <= 20:
                 ev = np.linalg.eigvalsh(_dense_operator(dec, variant, N))
             else:

@@ -249,7 +249,7 @@ def test_dproj_matches_finite_differences_when_smooth():
 
 def test_v_mask_variants_and_unknown():
     dec = eig_sym(np.diag([1.0, 0.0, -1.0]))
-    D0 = v_mask(dec, "V0")
+    D0 = v_mask(dec, "U0")
     DI = v_mask(dec, "UI")
     assert D0[1, 1] == 0.0
     assert DI[1, 1] == 1.0
@@ -260,10 +260,16 @@ def test_v_mask_variants_and_unknown():
 
 
 def test_v_mask_aliases_agree():
+    """The variants are named "U0" and "UI" only: the old aliases "V0" and
+    "VI" are rejected, by v_mask and through it by apply_V, as
+    SolverParams rejects them."""
     rng = np.random.default_rng(9)
     dec = eig_sym(rand_sym(rng, 5))
-    assert_allclose(v_mask(dec, "V0"), v_mask(dec, "U0"))
-    assert_allclose(v_mask(dec, "VI"), v_mask(dec, "UI"))
+    for alias in ("V0", "VI"):
+        with pytest.raises(ValueError):
+            v_mask(dec, alias)
+        with pytest.raises(ValueError):
+            apply_V(dec, alias, np.eye(5))
 
 
 def test_apply_V_agrees_with_dproj_when_strictly_complementary():
@@ -272,28 +278,28 @@ def test_apply_V_agrees_with_dproj_when_strictly_complementary():
     dec = eig_sym(A)
     H = rand_sym(rng, 4)
     D = dproj_psd(dec, H)
-    assert_allclose(apply_V(dec, "V0", H), D, atol=1e-13)
-    assert_allclose(apply_V(dec, "VI", H), D, atol=1e-13)
+    assert_allclose(apply_V(dec, "U0", H), D, atol=1e-13)
+    assert_allclose(apply_V(dec, "UI", H), D, atol=1e-13)
 
 
 def test_apply_V_at_zero_matrix():
     rng = np.random.default_rng(11)
     dec = eig_sym(np.zeros((3, 3)))
     H = rand_sym(rng, 3)
-    assert_allclose(apply_V(dec, "V0", H), np.zeros((3, 3)), atol=1e-15)
-    assert_allclose(apply_V(dec, "VI", H), H, atol=1e-14)
+    assert_allclose(apply_V(dec, "U0", H), np.zeros((3, 3)), atol=1e-15)
+    assert_allclose(apply_V(dec, "UI", H), H, atol=1e-14)
 
 
 def test_apply_V_hand_case():
     dec = eig_sym(np.diag([2.0, 0.0, -3.0]))
     H = np.ones((3, 3))
-    out0 = apply_V(dec, "V0", H)
+    out0 = apply_V(dec, "U0", H)
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     want[0, 1] = want[1, 0] = 1.0
     want[0, 2] = want[2, 0] = 0.4
     assert_allclose(out0, want, atol=1e-14)
-    outI = apply_V(dec, "VI", H)
+    outI = apply_V(dec, "UI", H)
     want[1, 1] = 1.0
     assert_allclose(outI, want, atol=1e-14)
 
@@ -306,7 +312,7 @@ def test_apply_V_operator_is_symmetric_contraction():
         A = rand_sym(rng, n, scale=2.0)
         dec = eig_sym(A)
         m = svec_len(n)
-        for variant in ("V0", "VI"):
+        for variant in ("U0", "UI"):
             op = np.empty((m, m))
             basis = np.eye(m)
             for j in range(m):
@@ -334,7 +340,7 @@ def test_eigenbasis_choice_does_not_matter():
     H = rand_sym(rng, 6)
     assert_allclose(project_psd(dec1), project_psd(dec2), atol=1e-12)
     assert_allclose(dproj_psd(dec1, H), dproj_psd(dec2, H), atol=1e-12)
-    for variant in ("V0", "VI"):
+    for variant in ("U0", "UI"):
         assert_allclose(apply_V(dec1, variant, H),
                         apply_V(dec2, variant, H), atol=1e-12)
 

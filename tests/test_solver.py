@@ -44,6 +44,7 @@ from ssnsdp.problem import (
     KktPoint,
     NlsdpProblem,
     hess_matrix_of,
+    jac_g_matrix_of,
     perturbed_start,
     to_dense,
 )
@@ -81,6 +82,9 @@ def spectrum_point(problem, lam, seed=0):
     {"delta": -1.0},
     {"tol": 0.0},
     {"max_iter": -1},
+    # range() takes integers only, and nan would pass every comparison
+    {"max_iter": 2.5},
+    {"max_iter": math.nan},
     {"eta": -0.1},
     {"tau": 0.0},
     {"tau": 1.5},
@@ -96,8 +100,12 @@ def spectrum_point(problem, lam, seed=0):
     {"eta": 2.5},
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         SolverParams(**kwargs)
+
+
+def test_params_accept_numpy_integer_max_iter():
+    assert SolverParams(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_params_inexact_property(monkeypatch):
@@ -245,6 +253,19 @@ def test_newton_step_inexact_hits_relative_target():
     fn = np.linalg.norm(F)
     target = min(params.eta, fn ** params.tau) * fn
     assert np.linalg.norm(M @ d + F) <= target * (1 + 1e-9)
+
+
+def test_structured_solve_t_raises_when_flagged_singular():
+    """ex2 at its solution: both variants' reduced systems are singular,
+    and the transpose solve raises as the forward solve does."""
+    problem, sol = catalog("ex2")
+    decomps = cone_decompositions(problem, sol.z_bar)
+    for variant in ("U0", "UI"):
+        op = ReducedNewtonOperator(problem, sol.z_bar, variant, decomps)
+        assert op.singular
+        for f in (op.solve, op.solve_t):
+            with pytest.raises(SingularSystemError):
+                f(np.ones(op.dim))
 
 
 def test_singular_system_error_is_one_exception():
@@ -672,6 +693,21 @@ def test_reduced_operator_matches_dense():
     assert any(t == n for n, t, _ in t_sizes)
 
 
+def test_newton_matrix_is_symmetric_after_the_shear():
+    """U = S Y Q with S = diag(I, I, -I), Q = [[I, 0, 0], [0, I, 0],
+    [G, 0, I]] and Y symmetric, the identity that makes solve_t one
+    forward solve.  reduced_cases() includes every woodbury_case."""
+    for problem, z, variant in reduced_cases():
+        U = assemble_U(problem, z, variant).matrix
+        G = to_dense(jac_g_matrix_of(problem, z.x))
+        x, e, c = problem.x_dim, problem.eq_dim, G.shape[0]
+        S = np.diag(np.r_[np.ones(x + e), -np.ones(c)])
+        Qinv = np.eye(x + e + c)
+        Qinv[x + e:, :x] = -G
+        Y = S @ U @ Qinv
+        assert np.linalg.norm(Y - Y.T) <= 1e-12 * np.linalg.norm(Y)
+
+
 def assert_batch_is_columns(op, m=5):
     """solve and solve_t of a (dim, m) right-hand side equal m column
     solves, to 1e-13 relative."""
@@ -932,8 +968,9 @@ def test_every_backend_flags_the_cancelled_core_singular():
                                       separable_diagonal(problem, z))
     assert dense.singular and woodbury.singular
     assert dense.sigma_min() == 0.0 and woodbury.sigma_min() == 0.0
-    with pytest.raises(SingularSystemError):
-        woodbury.solve(np.ones(woodbury.dim))
+    for f in (woodbury.solve, woodbury.solve_t):
+        with pytest.raises(SingularSystemError):
+            f(np.ones(woodbury.dim))
 
 
 @pytest.mark.parametrize("name,l1,l2", [
