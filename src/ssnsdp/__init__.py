@@ -37,7 +37,6 @@ from .problem import (
 )
 from .catalog import catalog_names
 from .kkt import (
-    DenseOperator,
     KktResidual,
     assemble_U,
     clarke_combination,
@@ -86,7 +85,6 @@ __all__ = [
     "perturbed_start",
     "save_qsdp",
     "catalog_names",
-    "DenseOperator",
     "KktResidual",
     "assemble_U",
     "clarke_combination",

@@ -80,7 +80,6 @@ def example1(l1=60, l2=40):
         jac_g=lambda x, v: BlockSymMatrix([smat(v)]),
         jac_g_adj=lambda x, W: W.svec(),
         hess_lagrangian=lambda x, xi, Gamma, v: sgn * v,
-        convex=False,
         jac_h_matrix=J,
         jac_g_matrix=sp.identity(N, format="csr"),
         hess_matrix_fn=lambda x, xi, Gamma: sp.diags(sgn).tocsr(),
@@ -283,7 +282,6 @@ def example5(l1=60, l2=40):
         jac_g=lambda x, v: BlockSymMatrix([smat(v)]),
         jac_g_adj=lambda x, W: W.svec(),
         hess_lagrangian=lambda x, xi, Gamma, v: mask * v,
-        convex=True,
         jac_h_matrix=sp.csr_matrix((0, N)),
         jac_g_matrix=sp.identity(N, format="csr"),
         hess_matrix_fn=lambda x, xi, Gamma: sp.diags(mask).tocsr(),

@@ -279,8 +279,11 @@ def _format_check(payload, fmt):
 
 def _emit(text, args):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _ConfigError(f"cannot write {args.output}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -292,6 +295,8 @@ def cmd_run(args):
             max_iter=args.max_iter, eta=args.eta, tau=args.tau)
     except ValueError as e:
         raise _ConfigError(str(e)) from e
+    if args.seed < 0:
+        raise _ConfigError("--seed must be nonnegative")
     problem, solution = _build_problem(args)
     start = _build_start(args, problem, solution)
     z_bar = solution.z_bar if solution is not None else None

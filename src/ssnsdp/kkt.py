@@ -75,20 +75,6 @@ def kkt_residual(problem, z, _decomps=None):
     )
 
 
-@dataclass
-class DenseOperator:
-    """Assembled Newton matrix with its block dimensions for labeling."""
-
-    matrix: np.ndarray
-    x_dim: int
-    eq_dim: int
-    cone_blocks: list
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
 def _svec_diag(D):
     """svec-coordinate diagonal of a Hadamard mask matrix."""
     iu, ju = np.triu_indices(D.shape[0])
@@ -96,7 +82,8 @@ def _svec_diag(D):
 
 
 def assemble_U(problem, z, variant, _decomps=None):
-    """Dense Newton operator at z for the given surrogate variant.
+    """Dense Newton matrix at z for the given surrogate variant, as a
+    fresh N x N array (N = problem.total_dim).
 
     Memory is quadratic in x_dim + eq_dim + cone svec length.  The solver
     never assembles U: its backends work on the structured form at every
@@ -123,12 +110,12 @@ def assemble_U(problem, z, variant, _decomps=None):
     U[nx:nx + ne, :nx] = J
     U[nx + ne:, :nx] = (V - np.eye(nc)) @ G
     U[nx + ne:, nx + ne:] = V
-    return DenseOperator(matrix=U, x_dim=nx, eq_dim=ne,
-                         cone_blocks=list(problem.cone_blocks))
+    return U
 
 
 def fd_jacobian(problem, z, step=1e-5):
-    """Central-difference Jacobian of the residual map at z.
+    """Central-difference Jacobian of the residual map at z, as an
+    N x N array.
 
     Valid only where F is differentiable: every eigenvalue of each cone
     argument must clear the step size by a safe factor, otherwise the
@@ -153,38 +140,24 @@ def fd_jacobian(problem, z, step=1e-5):
         zm = z.add_vector(-e)
         M[:, i] = (kkt_residual(problem, zp).to_vector()
                    - kkt_residual(problem, zm).to_vector()) / (2.0 * step)
-    return DenseOperator(matrix=M, x_dim=problem.x_dim,
-                         eq_dim=problem.eq_dim,
-                         cone_blocks=list(problem.cone_blocks))
+    return M
 
 
-def _op_matrix(op):
-    return op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-
-
-def min_singular_value(op):
-    """Smallest singular value via a full SVD of the assembled matrix."""
-    M = _op_matrix(op)
+def min_singular_value(M):
+    """Smallest singular value of an assembled matrix, by a full SVD."""
     return float(scipy.linalg.svdvals(M)[-1])
 
 
 def clarke_combination(U0, UI, t):
-    """Convex combination t * U0 + (1 - t) * UI of two assembled operators.
+    """Convex combination t * U0 + (1 - t) * UI of two assembled matrices.
 
     t = 1 returns the first operand, t = 0 the second; t in [0, 1].
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    A, B = _op_matrix(U0), _op_matrix(UI)
-    if A.shape != B.shape:
+    if U0.shape != UI.shape:
         raise ValueError("operands have different shapes")
-    dims = U0 if isinstance(U0, DenseOperator) else UI
-    return DenseOperator(
-        matrix=t * A + (1.0 - t) * B,
-        x_dim=getattr(dims, "x_dim", A.shape[0]),
-        eq_dim=getattr(dims, "eq_dim", 0),
-        cone_blocks=list(getattr(dims, "cone_blocks", [])),
-    )
+    return t * U0 + (1.0 - t) * UI
 
 
 def example2_family(omega):
@@ -193,8 +166,8 @@ def example2_family(omega):
     omega is the 2 x 2 Hadamard mask of the projection surrogate in the
     (identity) eigenbasis.  Admissible masks: the all-zeros and all-ones
     corners, and the two edges [[0, t], [t, 1]] / [[1, t], [t, 0]] for
-    t in [0, 1].  omega = 0 reproduces the "U0" operator, omega = ones
-    the "UI" operator.
+    t in [0, 1].  omega = 0 reproduces the "U0" matrix, omega = ones
+    the "UI" matrix; the member is returned as a 6 x 6 array.
     """
     omega = np.asarray(omega, dtype=float)
     tol = 1e-12
@@ -217,11 +190,9 @@ def example2_family(omega):
 
     problem, solution = example2()
     z = solution.z_bar
-    base = assemble_U(problem, z, "U0")
-    U = base.matrix.copy()
+    U = assemble_U(problem, z, "U0")
     nx, ne = problem.x_dim, problem.eq_dim
     V = np.diag(_svec_diag(omega))
     U[nx + ne:, :nx] = V - np.eye(3)
     U[nx + ne:, nx + ne:] = V
-    return DenseOperator(matrix=U, x_dim=nx, eq_dim=ne,
-                         cone_blocks=list(problem.cone_blocks))
+    return U

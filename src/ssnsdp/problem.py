@@ -16,6 +16,7 @@ matrices are both accepted there.
 """
 
 import json
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,7 +118,6 @@ class NlsdpProblem:
     jac_g: Callable
     jac_g_adj: Callable
     hess_lagrangian: Callable
-    convex: bool = False
     jac_h_matrix: Optional[object] = None
     jac_g_matrix: Optional[object] = None
     hess_matrix_fn: Optional[Callable] = None
@@ -328,13 +328,19 @@ def perturbed_start(z_bar, magnitude, seed):
 _QSDP_KEYS = ("x_dim", "eq_dim", "cone_blocks", "Q", "c", "H", "p", "G", "q")
 
 
+def _qsdp_int(key, n):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"qsdp {key}: expected an integer, got {n!r}")
+    return int(n)
+
+
 def _validate_qsdp(data):
     missing = [k for k in _QSDP_KEYS if k not in data]
     if missing:
         raise ValueError(f"qsdp data missing keys: {missing}")
-    x_dim = int(data["x_dim"])
-    eq_dim = int(data["eq_dim"])
-    blocks = [int(n) for n in data["cone_blocks"]]
+    x_dim = _qsdp_int("x_dim", data["x_dim"])
+    eq_dim = _qsdp_int("eq_dim", data["eq_dim"])
+    blocks = [_qsdp_int("cone_blocks", n) for n in data["cone_blocks"]]
     if x_dim <= 0 or eq_dim < 0 or any(n <= 0 for n in blocks) or not blocks:
         raise ValueError("qsdp dimensions must be positive (eq_dim >= 0)")
     Q = np.array(data["Q"], dtype=float)
@@ -361,8 +367,6 @@ def qsdp_problem(data, name="qsdp"):
     """Build an NlsdpProblem from validated qsdp schema data."""
     x_dim, eq_dim, blocks, Q, c, H, p, G, q = _validate_qsdp(data)
     Qs = 0.5 * (Q + Q.T)
-    lam = np.linalg.eigvalsh(Qs) if x_dim else np.zeros(0)
-    convex = bool(lam.size == 0 or lam[0] >= -1e-10 * (1.0 + abs(lam[-1])))
 
     def g_fn(x):
         return BlockSymMatrix.from_svec(blocks, G @ x - q)
@@ -381,7 +385,6 @@ def qsdp_problem(data, name="qsdp"):
         jac_g=lambda x, v: BlockSymMatrix.from_svec(blocks, G @ v),
         jac_g_adj=lambda x, W: G.T @ W.svec(),
         hess_lagrangian=lambda x, xi, Gamma, v: Qs @ v,
-        convex=convex,
         jac_h_matrix=H,
         jac_g_matrix=G,
         hess_matrix_fn=lambda x, xi, Gamma: Qs,

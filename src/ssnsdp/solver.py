@@ -141,16 +141,16 @@ def _correct_with_decomps(problem, z, delta):
 
 
 class _DenseBackend:
-    """Reference backend over the assembled Newton matrix (assemble_U),
-    which the tests compare the solver's backends against; the solver
-    never builds it.  It takes the arguments of _make_backend, so a test
-    can put it in that function's place.  One LU factorization with the
-    shared singularity verdict (_lu_with_rcond) serves the Newton step;
-    sigma_min is 0.0 when that verdict reads singular and the full-SVD
-    value otherwise."""
+    """Reference backend over the assembled Newton matrix: `matrix` is
+    the array assemble_U returns, which the tests compare the solver's
+    backends against; the solver never builds it.  It takes the
+    arguments of _make_backend, so a test can put it in that function's
+    place.  One LU factorization with the shared singularity verdict
+    (_lu_with_rcond) serves the Newton step; sigma_min is 0.0 when that
+    verdict reads singular and the full-SVD value otherwise."""
 
     def __init__(self, problem, z, variant, decomps):
-        self.matrix = assemble_U(problem, z, variant, _decomps=decomps).matrix
+        self.matrix = assemble_U(problem, z, variant, _decomps=decomps)
         self.dim = self.matrix.shape[0]
         self.reusable = False
         self._lu = _lu_with_rcond(self.matrix)

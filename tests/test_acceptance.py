@@ -208,8 +208,8 @@ def test_criterion_2_jacobian_oracle_equivalence():
         problem, _ = catalog(name, **kw)
         z = _complementary_point(problem, seed=300 + 7 * i, margin=5e-2)
         variant = "U0" if i % 2 else "UI"
-        U = assemble_U(problem, z, variant).matrix
-        fd = fd_jacobian(problem, z).matrix
+        U = assemble_U(problem, z, variant)
+        fd = fd_jacobian(problem, z)
         err = np.max(np.abs(U - fd))
         tol = 1e-6 * (1.0 + np.max(np.abs(U)))
         worst = max(worst, err / tol)

@@ -230,6 +230,8 @@ def test_run_point_accepts_svec_encoding(tmp_path, capsys):
     ("run", "--example", "ex5", "--l1", "0", "--l2", "0"),  # bad sizes
     ("run", "--example", "ex5", "--l1", "-3"),
     ("check", "--example", "ex1", "--l1", "0", "--l2", "0"),
+    ("run", "--example", "ex3", "--perturb", "1", "--seed", "-1"),
+    ("run", "--example", "ex3", "--output", "/nonexistent/dir/out.csv"),
 ])
 def test_config_errors_exit_2(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -479,9 +481,9 @@ def test_cli_outputs_commands_parse():
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert len(tool.COMMANDS) == 194
+    assert len(tool.COMMANDS) == 201
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 194
+    assert len(names) == 201
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         parser.parse_args(cmd + ["--output", "out"])

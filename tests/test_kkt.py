@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from ssnsdp.catalog import catalog
 from ssnsdp.kkt import (
-    DenseOperator,
     assemble_U,
     clarke_combination,
     cone_decompositions,
@@ -162,7 +161,7 @@ def test_apply_matches_assembled_matrix(name, params):
             backend = _make_backend(problem, z, variant, decomps)
             for _ in range(3):
                 d = rng.standard_normal(problem.total_dim)
-                lhs = U.matrix @ d
+                lhs = U @ d
                 rhs = backend.matvec(d)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (
                     1.0 + np.max(np.abs(lhs)))
@@ -174,7 +173,7 @@ def test_variants_agree_at_strict_complementarity(name, params):
     z = complementary_point(problem, 30)
     U0 = assemble_U(problem, z, "U0")
     UI = assemble_U(problem, z, "UI")
-    assert np.array_equal(U0.matrix, UI.matrix)
+    assert np.array_equal(U0, UI)
 
 
 def test_assemble_rejects_unknown_variant():
@@ -193,8 +192,8 @@ def test_fd_jacobian_matches_operator(name, params):
     z = complementary_point(problem, 40, margin=5e-2)
     U = assemble_U(problem, z, "U0")
     fd = fd_jacobian(problem, z, step=1e-5)
-    tol = 1e-6 * (1.0 + np.max(np.abs(U.matrix)))
-    assert np.max(np.abs(fd.matrix - U.matrix)) <= tol
+    tol = 1e-6 * (1.0 + np.max(np.abs(U)))
+    assert np.max(np.abs(fd - U)) <= tol
 
 
 def test_fd_jacobian_warns_at_kink():
@@ -221,7 +220,7 @@ def test_residual_is_strongly_semismooth_at_solution(name, params):
         for t in ts:
             zt = z.add_vector(t * d)
             r = (kkt_residual(problem, zt).to_vector()
-                 - t * (assemble_U(problem, zt, "U0").matrix @ d))
+                 - t * (assemble_U(problem, zt, "U0") @ d))
             rs.append(np.linalg.norm(r))
         rs = np.asarray(rs)
         keep = rs > 1e-13
@@ -244,7 +243,7 @@ def test_semismooth_slope_on_nonlinear_cone_map():
         for t in ts:
             zt = z.add_vector(t * d)
             r = (kkt_residual(problem, zt).to_vector()
-                 - t * (assemble_U(problem, zt, "U0").matrix @ d))
+                 - t * (assemble_U(problem, zt, "U0") @ d))
             rs.append(np.linalg.norm(r))
         rs = np.asarray(rs)
         keep = rs > 1e-14
@@ -277,9 +276,9 @@ def test_min_singular_value_golden_ratio():
 def test_clarke_combination_endpoints_and_interior():
     A = np.eye(3)
     B = 3.0 * np.eye(3)
-    assert_allclose(clarke_combination(A, B, 1.0).matrix, A)
-    assert_allclose(clarke_combination(A, B, 0.0).matrix, B)
-    assert_allclose(clarke_combination(A, B, 0.25).matrix, 2.5 * np.eye(3))
+    assert_allclose(clarke_combination(A, B, 1.0), A)
+    assert_allclose(clarke_combination(A, B, 0.0), B)
+    assert_allclose(clarke_combination(A, B, 0.25), 2.5 * np.eye(3))
 
 
 def test_clarke_combination_validation():
@@ -292,14 +291,23 @@ def test_clarke_combination_validation():
         clarke_combination(A, np.eye(4), 0.5)
 
 
-def test_clarke_combination_keeps_block_dims():
+def test_clarke_midpoint_of_assembled_operators():
     problem, sol = catalog("ex2")
     U0 = assemble_U(problem, sol.z_bar, "U0")
     UI = assemble_U(problem, sol.z_bar, "UI")
     mid = clarke_combination(U0, UI, 0.5)
-    assert isinstance(mid, DenseOperator)
-    assert mid.x_dim == problem.x_dim and mid.eq_dim == problem.eq_dim
-    assert_allclose(mid.matrix, 0.5 * (U0.matrix + UI.matrix))
+    assert_allclose(mid, 0.5 * (U0 + UI))
+
+
+def test_dense_oracle_returns_arrays():
+    problem, sol = catalog("ex2")
+    N = problem.total_dim
+    z = complementary_point(problem, 40, margin=5e-2)
+    U0 = assemble_U(problem, z, "U0")
+    UI = assemble_U(problem, z, "UI")
+    for M in (U0, fd_jacobian(problem, z), clarke_combination(U0, UI, 0.5),
+              example2_family(np.ones((2, 2)))):
+        assert type(M) is np.ndarray and M.shape == (N, N)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +318,8 @@ def test_example2_family_corners_match_variants():
     problem, sol = catalog("ex2")
     U0 = assemble_U(problem, sol.z_bar, "U0")
     UI = assemble_U(problem, sol.z_bar, "UI")
-    assert np.array_equal(example2_family(np.zeros((2, 2))).matrix, U0.matrix)
-    assert_allclose(example2_family(np.ones((2, 2))).matrix, UI.matrix,
+    assert np.array_equal(example2_family(np.zeros((2, 2))), U0)
+    assert_allclose(example2_family(np.ones((2, 2))), UI,
                     atol=1e-14)
 
 

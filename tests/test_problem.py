@@ -205,6 +205,11 @@ def test_qsdp_loaded_problem_matches_builder():
     (lambda d: d.update(c=[0.0]), "length"),
     (lambda d: d.update(x_dim=0), "positive"),
     (lambda d: d.update(cone_blocks=[]), "positive"),
+    (lambda d: d.update(x_dim=3.7), "x_dim: expected an integer"),
+    (lambda d: d.update(eq_dim=0.5), "eq_dim: expected an integer"),
+    (lambda d: d.update(cone_blocks=[2.9, 1]),
+     "cone_blocks: expected an integer"),
+    (lambda d: d.update(x_dim="3"), "x_dim: expected an integer"),
 ])
 def test_qsdp_validation_errors(mutate, msg):
     problem, _ = catalog("ex3")
@@ -232,11 +237,6 @@ def test_save_qsdp_rejects_non_finite_data(tmp_path):
     with pytest.raises(ValueError, match="qsdp G has a non-finite entry"):
         save_qsdp(path, data)
     assert not path.exists()
-
-
-def test_convex_flag():
-    assert catalog("ex3")[0].convex
-    assert catalog("ex7")[0].convex
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_newton_step_accepts_operator_and_residual():
     for backend in (_make_backend(problem, z, "U0", decomps),
                     _DenseBackend(problem, z, "U0", decomps)):
         d = _direction(backend, F, float(np.linalg.norm(F)), SolverParams())
-        assert_allclose(U.matrix @ d, -F, atol=1e-10)
+        assert_allclose(U @ d, -F, atol=1e-10)
         assert_allclose(backend.matvec(d), -F, atol=1e-10)
 
 
@@ -597,7 +597,7 @@ def test_woodbury_operator_matches_dense(case):
     w = separable_diagonal(problem, z)
     assert w is not None
     op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
-    U = assemble_U(problem, z, variant).matrix
+    U = assemble_U(problem, z, variant)
     assert not op.singular
     rng = np.random.default_rng(12)
     lu = np.linalg.inv(U)
@@ -672,7 +672,7 @@ def test_reduced_operator_matches_dense():
     for problem, z, variant in reduced_cases():
         decomps = cone_decompositions(problem, z)
         op = ReducedNewtonOperator(problem, z, variant, decomps)
-        U = assemble_U(problem, z, variant).matrix
+        U = assemble_U(problem, z, variant)
         if op.singular:
             continue
         t_sizes.update((b.n, b.T.size, len(b.dec.beta) * len(b.dec.gamma))
@@ -698,7 +698,7 @@ def test_newton_matrix_is_symmetric_after_the_shear():
     [G, 0, I]] and Y symmetric, the identity that makes solve_t one
     forward solve.  reduced_cases() includes every woodbury_case."""
     for problem, z, variant in reduced_cases():
-        U = assemble_U(problem, z, variant).matrix
+        U = assemble_U(problem, z, variant)
         G = to_dense(jac_g_matrix_of(problem, z.x))
         x, e, c = problem.x_dim, problem.eq_dim, G.shape[0]
         S = np.diag(np.r_[np.ones(x + e), -np.ones(c)])

@@ -19,7 +19,7 @@ EXAMPLES = ("ex1", "ex2", "ex3", "ex4_primal", "ex4_dual", "ex5", "ex7")
 def _commands():
     out = []
     for ex in EXAMPLES:
-        for fmt in ("json", "csv"):
+        for fmt in ("json", "csv", "table"):
             out.append(["check", "--example", ex, "--format", fmt])
     for ex in ("ex1", "ex5"):
         for l1, l2 in ((30, 20), (6, 4)):
