@@ -37,7 +37,6 @@ from .problem import (
 )
 from .catalog import catalog_names
 from .kkt import (
-    KktResidual,
     assemble_U,
     clarke_combination,
     example2_family,
@@ -85,7 +84,6 @@ __all__ = [
     "perturbed_start",
     "save_qsdp",
     "catalog_names",
-    "KktResidual",
     "assemble_U",
     "clarke_combination",
     "example2_family",

@@ -113,15 +113,14 @@ def _lu_with_rcond(M, anorm=None, overwrite=False):
     return lu, piv
 
 
-def _lu_solve(factors, rhs, trans=0):
-    """x with M x = rhs (M' x = rhs when trans=1) from _lu_with_rcond's
-    factors; None factors, a matrix flagged singular, raise
-    SingularSystemError.  dgetrs directly: scipy.linalg.lu_solve
-    re-checks finiteness on every call, which dominates the small solves
-    of a Lanczos run."""
+def _lu_solve(factors, rhs):
+    """x with M x = rhs from _lu_with_rcond's factors; None factors, a
+    matrix flagged singular, raise SingularSystemError.  dgetrs directly:
+    scipy.linalg.lu_solve re-checks finiteness on every call, which
+    dominates the small solves of a Lanczos run."""
     if factors is None:
         raise SingularSystemError()
-    x, info = lapack.dgetrs(*factors, rhs, trans=trans)
+    x, info = lapack.dgetrs(*factors, rhs)
     if info != 0:
         raise RuntimeError(f"dgetrs failed with info={info}")
     return x
@@ -649,7 +648,6 @@ class WoodburyNewtonOperator:
             cb = self.c[lo:hi]
             loc = np.where(cb != 0.0)[0]
             if loc.size == 0:
-                self._cores.append(None)
                 continue
             F, anorm = _woodbury_core(b, b.D, loc, cb[loc])
             factors = _lu_with_rcond(F, anorm, overwrite=True)
@@ -668,10 +666,7 @@ class WoodburyNewtonOperator:
     def _core_solve(self, rhs):
         """Scattered c * F^{-1} rhs[support] over all blocks."""
         t = np.zeros_like(rhs)
-        for core in self._cores:
-            if core is None:
-                continue
-            factors, idx = core
+        for factors, idx in self._cores:
             t[idx] = self.c[idx, None] * _lu_solve(factors, rhs[idx])
         return t
 

@@ -39,6 +39,30 @@ def _block_coord_masks(l1, l2):
     return in11, in12, in22
 
 
+def _diagonal_quadratic(name, n, d, t, J):
+    """minimize 0.5 (x - t)' diag(d) (x - t) subject to J x = 0 and
+    smat(x) in S^n_+: one svec block with an identity cone Jacobian."""
+    N = svec_len(n)
+    return NlsdpProblem(
+        name=name,
+        x_dim=N,
+        eq_dim=J.shape[0],
+        cone_blocks=[n],
+        f=lambda x: float(0.5 * np.sum(d * (x - t) ** 2)),
+        grad_f=lambda x: d * (x - t),
+        h=lambda x: J @ x,
+        jac_h=lambda x, v: J @ v,
+        jac_h_adj=lambda x, w: J.T @ w,
+        g=lambda x: BlockSymMatrix([smat(x)]),
+        jac_g=lambda x, v: BlockSymMatrix([smat(v)]),
+        jac_g_adj=lambda x, W: W.svec(),
+        hess_lagrangian=lambda x, xi, Gamma, v: d * v,
+        jac_h_matrix=J,
+        jac_g_matrix=sp.identity(N, format="csr"),
+        hess_matrix_fn=lambda x, xi, Gamma: sp.diags(d).tocsr(),
+    )
+
+
 def example1(l1=60, l2=40):
     """Indefinite quadratic over the PSD cone with a zero solution.
 
@@ -66,24 +90,7 @@ def example1(l1=60, l2=40):
     eq_dim = cols.size
     J = sp.csr_matrix((vals, (np.arange(eq_dim), cols)), shape=(eq_dim, N))
 
-    problem = NlsdpProblem(
-        name="ex1",
-        x_dim=N,
-        eq_dim=eq_dim,
-        cone_blocks=[n],
-        f=lambda x: float(0.5 * x @ (sgn * x)),
-        grad_f=lambda x: sgn * x,
-        h=lambda x: J @ x,
-        jac_h=lambda x, v: J @ v,
-        jac_h_adj=lambda x, w: J.T @ w,
-        g=lambda x: BlockSymMatrix([smat(x)]),
-        jac_g=lambda x, v: BlockSymMatrix([smat(v)]),
-        jac_g_adj=lambda x, W: W.svec(),
-        hess_lagrangian=lambda x, xi, Gamma, v: sgn * v,
-        jac_h_matrix=J,
-        jac_g_matrix=sp.identity(N, format="csr"),
-        hess_matrix_fn=lambda x, xi, Gamma: sp.diags(sgn).tocsr(),
-    )
+    problem = _diagonal_quadratic("ex1", n, sgn, np.zeros(N), J)
     solution = KnownSolution(
         z_bar=KktPoint(np.zeros(N), np.zeros(eq_dim),
                        BlockSymMatrix.zeros([n])),
@@ -141,8 +148,6 @@ def example3():
         "q": [0.0, 0.0, 0.0, -1.0],
     }
     problem = qsdp_problem(data, name="ex3")
-    problem.f = lambda x: float(0.5 * (x[0] - 1.0) ** 2
-                                + 0.5 * (x[2] - r2 * x[1]) ** 2)
     solution = KnownSolution(
         z_bar=KktPoint(np.array([1.0, 0.0, 0.0]), np.zeros(0),
                        BlockSymMatrix.zeros([2, 1])),
@@ -263,29 +268,12 @@ def example5(l1=60, l2=40):
     N = svec_len(n)
     in11, in12, in22 = _block_coord_masks(l1, l2)
     mask = (in11 | in12).astype(float)
-    target = np.zeros(N)
     X_bar = np.zeros((n, n))
     X_bar[:l1, :l1] = np.eye(l1)
-    target[:] = svec(X_bar)
+    target = svec(X_bar)
 
-    problem = NlsdpProblem(
-        name="ex5",
-        x_dim=N,
-        eq_dim=0,
-        cone_blocks=[n],
-        f=lambda x: float(0.5 * np.sum(mask * (x - target) ** 2)),
-        grad_f=lambda x: mask * (x - target),
-        h=lambda x: np.zeros(0),
-        jac_h=lambda x, v: np.zeros(0),
-        jac_h_adj=lambda x, w: np.zeros(N),
-        g=lambda x: BlockSymMatrix([smat(x)]),
-        jac_g=lambda x, v: BlockSymMatrix([smat(v)]),
-        jac_g_adj=lambda x, W: W.svec(),
-        hess_lagrangian=lambda x, xi, Gamma, v: mask * v,
-        jac_h_matrix=sp.csr_matrix((0, N)),
-        jac_g_matrix=sp.identity(N, format="csr"),
-        hess_matrix_fn=lambda x, xi, Gamma: sp.diags(mask).tocsr(),
-    )
+    problem = _diagonal_quadratic("ex5", n, mask, target,
+                                  sp.csr_matrix((0, N)))
     solution = KnownSolution(
         z_bar=KktPoint(target.copy(), np.zeros(0), BlockSymMatrix.zeros([n])),
         delta_max=1.0,
@@ -313,8 +301,6 @@ def example7():
         "q": [0.0, 0.0, 0.0],
     }
     problem = qsdp_problem(data, name="ex7")
-    problem.f = lambda x: float(0.5 * ((x[0]) ** 2 + (x[1] - 1.0) ** 2
-                                       + (x[2]) ** 2))
     solution = KnownSolution(
         z_bar=KktPoint(np.array([0.0, 1.0, 0.0]), np.zeros(2),
                        BlockSymMatrix.zeros([1, 1, 1])),

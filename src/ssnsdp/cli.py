@@ -96,7 +96,7 @@ def _build_problem(args):
                 f"bad parameters for {args.example}: {e}") from e
     try:
         return load_qsdp(args.qsdp), None
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise _ConfigError(f"cannot load {args.qsdp}: {e}") from e
 
 
@@ -113,7 +113,7 @@ def _load_point(path, problem):
         else:
             Gamma = BlockSymMatrix(
                 [np.asarray(b, dtype=float) for b in raw["Gamma"]])
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise _ConfigError(f"cannot load point {path}: {e}") from e
     if x.shape != (problem.x_dim,) or xi.shape != (problem.eq_dim,) \
             or [b.shape for b in Gamma.blocks] \

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of, to_dense
+from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
 from ._reduced import _BlockData, _border, _curvature
@@ -88,7 +88,7 @@ class ConditionReport:
 
 def _checked_decomps(problem, z):
     decomps = cone_decompositions(problem, z)
-    res = kkt_residual(problem, z, _decomps=decomps).norm()
+    res = np.linalg.norm(kkt_residual(problem, z, _decomps=decomps))
     if not res <= RESIDUAL_TOL:
         raise ValueError(
             f"point does not satisfy the KKT system (residual {res:.3e}); "

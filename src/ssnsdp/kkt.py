@@ -24,11 +24,9 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from dataclasses import dataclass
 
-from .linalg_sym import eig_sym, project_psd, svec_rotation, v_mask
+from .linalg_sym import eig_sym, project_psd, svec, svec_rotation, v_mask
 from .problem import (
-    BlockSymMatrix,
     hess_matrix_of,
     jac_g_matrix_of,
     jac_h_matrix_of,
@@ -43,36 +41,21 @@ def cone_decompositions(problem, z):
     return [eig_sym(Gb + Cb) for Gb, Cb in zip(gx.blocks, z.Gamma.blocks)]
 
 
-@dataclass
-class KktResidual:
-    """Residual split into its three rows; cone rows stay in matrix form."""
-
-    stationarity: np.ndarray
-    feasibility_eq: np.ndarray
-    cone: BlockSymMatrix
-
-    def to_vector(self):
-        return np.concatenate([self.stationarity, self.feasibility_eq,
-                               self.cone.svec()])
-
-    def norm(self):
-        return float(np.linalg.norm(self.to_vector()))
-
-
 def kkt_residual(problem, z, _decomps=None):
-    """Evaluate F at a primal-dual point."""
+    """F at a primal-dual point, as one vector of length
+    problem.total_dim laid out like KktPoint.to_vector: the stationarity
+    row, then h(x), then svec(-g_b(x) + proj(g_b(x) + Gamma_b)) for each
+    cone block b in order."""
     if _decomps is None:
         _decomps = cone_decompositions(problem, z)
     gx = problem.g(z.x)
     stat = problem.grad_f(z.x) + problem.jac_g_adj(z.x, z.Gamma)
     if problem.eq_dim:
         stat = stat + problem.jac_h_adj(z.x, z.xi)
-    cone = [-Gb + project_psd(dec) for Gb, dec in zip(gx.blocks, _decomps)]
-    return KktResidual(
-        stationarity=stat,
-        feasibility_eq=problem.h(z.x) if problem.eq_dim else np.zeros(0),
-        cone=BlockSymMatrix(cone),
-    )
+    feas = problem.h(z.x) if problem.eq_dim else np.zeros(0)
+    cone = [svec(-Gb + project_psd(dec))
+            for Gb, dec in zip(gx.blocks, _decomps)]
+    return np.concatenate([stat, feas, *cone])
 
 
 def _svec_diag(D):
@@ -138,8 +121,8 @@ def fd_jacobian(problem, z, step=1e-5):
         e[i] = step
         zp = z.add_vector(e)
         zm = z.add_vector(-e)
-        M[:, i] = (kkt_residual(problem, zp).to_vector()
-                   - kkt_residual(problem, zm).to_vector()) / (2.0 * step)
+        M[:, i] = (kkt_residual(problem, zp)
+                   - kkt_residual(problem, zm)) / (2.0 * step)
     return M
 
 

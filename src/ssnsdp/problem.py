@@ -335,11 +335,17 @@ def _qsdp_int(key, n):
 
 
 def _validate_qsdp(data):
+    if not isinstance(data, dict):
+        raise ValueError("qsdp data: expected an object, "
+                         f"got {type(data).__name__}")
     missing = [k for k in _QSDP_KEYS if k not in data]
     if missing:
         raise ValueError(f"qsdp data missing keys: {missing}")
     x_dim = _qsdp_int("x_dim", data["x_dim"])
     eq_dim = _qsdp_int("eq_dim", data["eq_dim"])
+    if not isinstance(data["cone_blocks"], list):
+        raise ValueError("qsdp cone_blocks: expected a list, "
+                         f"got {type(data['cone_blocks']).__name__}")
     blocks = [_qsdp_int("cone_blocks", n) for n in data["cone_blocks"]]
     if x_dim <= 0 or eq_dim < 0 or any(n <= 0 for n in blocks) or not blocks:
         raise ValueError("qsdp dimensions must be positive (eq_dim >= 0)")
@@ -396,7 +402,9 @@ def load_qsdp(path):
     """Read a quadratic cone problem from a JSON file."""
     with open(path) as fh:
         data = json.load(fh)
-    return qsdp_problem(data, name=str(data.get("name", "qsdp")))
+    problem = qsdp_problem(data)
+    problem.name = str(data.get("name", "qsdp"))
+    return problem
 
 
 def save_qsdp(path, data):

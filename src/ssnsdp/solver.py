@@ -228,8 +228,7 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         else:
             z, shift = hat, 0.0
             decomps = cone_decompositions(problem, z)
-        F = kkt_residual(problem, z, _decomps=decomps)
-        Fvec = F.to_vector()
+        Fvec = kkt_residual(problem, z, _decomps=decomps)
         fn = float(np.linalg.norm(Fvec))
         if f0 is None:
             f0 = fn

@@ -232,11 +232,39 @@ def test_run_point_accepts_svec_encoding(tmp_path, capsys):
     ("check", "--example", "ex1", "--l1", "0", "--l2", "0"),
     ("run", "--example", "ex3", "--perturb", "1", "--seed", "-1"),
     ("run", "--example", "ex3", "--output", "/nonexistent/dir/out.csv"),
+    # malformed files, as _malformed_files writes them
+    ("check", "--qsdp", "qsdp_list.json"),
+    ("check", "--qsdp", "qsdp_blocks_int.json"),
+    ("check", "--qsdp", "qsdp_Q_object.json"),
+    ("run", "--example", "ex3", "--point", "point_list.json"),
+    ("check", "--example", "ex3", "--point", "point_Gamma_int.json"),
+    ("run", "--example", "ex3", "--point", "point_x_object.json"),
+    ("check", "--example", "ex3", "--point", "point_svec_object.json"),
 ])
-def test_config_errors_exit_2(argv, capsys):
+def test_config_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, raw in _malformed_files().items():
+        Path(name).write_text(json.dumps(raw))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _malformed_files():
+    """QSDP and point files of the wrong JSON type somewhere, by name."""
+    problem, sol = catalog("ex3")
+    point = {"x": sol.z_bar.x.tolist(), "xi": [],
+             "Gamma": [b.tolist() for b in sol.z_bar.Gamma.blocks]}
+    return {
+        "qsdp_list.json": [1, 2],
+        "qsdp_blocks_int.json": dict(problem.qsdp_data, cone_blocks=5),
+        "qsdp_Q_object.json": dict(problem.qsdp_data, Q={"a": 1}),
+        "point_list.json": [1, 2],
+        "point_Gamma_int.json": dict(point, Gamma=5),
+        "point_x_object.json": dict(point, x={"a": 1}),
+        "point_svec_object.json": {"x": point["x"], "xi": [],
+                                   "gamma_svec": {"a": 1}},
+    }
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -474,16 +502,34 @@ def test_module_invocation_and_debug_log():
 # tools/cli_outputs.py
 
 
-def test_cli_outputs_commands_parse():
-    """Every command of the byte-identity list parses; a renamed flag or a
-    dropped choice fails here, not in a comparison of two checkouts."""
+def cli_outputs_tool():
     path = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert len(tool.COMMANDS) == 201
+    return tool
+
+
+def test_cli_outputs_commands_parse():
+    """Every command of the byte-identity list parses; a renamed flag or a
+    dropped choice fails here, not in a comparison of two checkouts."""
+    tool = cli_outputs_tool()
+    assert len(tool.COMMANDS) == 219
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 201
+    assert len(names) == 219
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
-        parser.parse_args(cmd + ["--output", "out"])
+        args = parser.parse_args(cmd + ["--output", "out"])
+        assert {args.qsdp, args.point} <= {None, *tool.INPUTS}
+
+
+def test_cli_outputs_inputs_load(tmp_path, capsys):
+    """The harness's input files give a converged run and a report."""
+    tool = cli_outputs_tool()
+    tool.write_inputs(tmp_path)
+    qsdp, solution, start = (str(tmp_path / name) for name in tool.INPUTS)
+    code, out, _ = run_cli(capsys, "check", "--qsdp", qsdp,
+                           "--point", solution)
+    assert code == 0 and "theorem_consistent: yes" in out
+    code, out, _ = run_cli(capsys, "run", "--qsdp", qsdp, "--point", start)
+    assert code == 0 and "fitted order" in out

@@ -325,6 +325,38 @@ def test_report_invariant_under_cone_rotation(name, reports):
     assert rotated.warnings == base.warnings
 
 
+def sparse_clone(problem):
+    """The problem with its equality Jacobian, cone Jacobian and Hessian
+    handed out as CSR matrices."""
+    J = sp.csr_matrix(to_dense(problem.jac_h_matrix))
+    G = sp.csr_matrix(to_dense(problem.jac_g_matrix))
+    hess = problem.hess_matrix_fn
+    return dataclasses.replace(
+        problem, name=f"{problem.name}-csr", jac_h_matrix=J, jac_g_matrix=G,
+        hess_matrix_fn=lambda x, xi, Gamma: sp.csr_matrix(
+            to_dense(hess(x, xi, Gamma))))
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3", "ex4_primal", "ex4_dual",
+                                  "ex7"])
+def test_report_invariant_under_sparse_storage(name, reports):
+    """The catalog QSDPs with CSR Jacobians and Hessian give the same
+    report, to rounding.  Their sparse rows touch several coordinates and their
+    sparse curvature has off-diagonal entries, so the checks take the
+    densifying branches of _null_basis and _second_order_margin."""
+    base, sol = reports[name]
+    problem, _ = build(name)
+    clone = regularity_report(sparse_clone(problem), sol.z_bar)
+    for cond in ("w_soc", "s_sosc", "w_srcq", "cn"):
+        got, want = getattr(clone, cond), getattr(base, cond)
+        assert got.holds == want.holds, cond
+        assert_allclose(got.margin, want.margin, rtol=1e-12, err_msg=cond)
+    # the sparse and dense factorizations round differently
+    assert_allclose([clone.u0_sigma_min, clone.ui_sigma_min],
+                    [base.u0_sigma_min, base.ui_sigma_min], rtol=1e-12)
+    assert clone.warnings == base.warnings
+
+
 def test_report_derives_rows_and_curvature_once(monkeypatch):
     calls = dict.fromkeys(("_constraint_rows", "_curvature_matrix",
                            "check_w_soc", "check_s_sosc", "check_w_srcq",

@@ -94,7 +94,7 @@ def test_residual_zero_at_feasible_complementary_points():
     # X = I is feasible with zero multipliers: X_12 = 0 and X is interior
     z = KktPoint(np.array([1.0, 0.0, 1.0]), np.zeros(1),
                  BlockSymMatrix.zeros([2]))
-    assert kkt_residual(problem, z).norm() <= 1e-15
+    assert np.linalg.norm(kkt_residual(problem, z)) <= 1e-15
 
 
 def test_residual_zero_on_flat_directions():
@@ -104,16 +104,36 @@ def test_residual_zero_on_flat_directions():
     X = np.eye(5)
     X[3, 3] = X[4, 4] = 0.25
     z = KktPoint(svec(X), np.zeros(0), BlockSymMatrix.zeros([5]))
-    assert kkt_residual(problem, z).norm() <= 1e-15
+    assert np.linalg.norm(kkt_residual(problem, z)) <= 1e-15
 
 
 def test_residual_rows_have_expected_shapes():
     problem, sol = catalog("ex7")
     res = kkt_residual(problem, rand_point(problem, 3))
-    assert res.stationarity.shape == (3,)
-    assert res.feasibility_eq.shape == (2,)
-    assert res.cone.orders == [1, 1, 1]
-    assert res.to_vector().shape == (problem.total_dim,)
+    assert res.shape == (problem.total_dim,)
+
+
+@pytest.mark.parametrize("name,params", SMALL)
+def test_residual_is_one_vector_in_point_layout(name, params):
+    """F is a plain array laid out like KktPoint.to_vector: stationarity,
+    h(x), then the svec of each cone block's -g + proj(g + Gamma)."""
+    problem, sol = catalog(name, **params)
+    z = rand_point(problem, 4)
+    F = kkt_residual(problem, z)
+    assert type(F) is np.ndarray
+    assert F.shape == (problem.total_dim,)
+    stat = problem.grad_f(z.x) + problem.jac_g_adj(z.x, z.Gamma)
+    if problem.eq_dim:
+        stat = stat + problem.jac_h_adj(z.x, z.xi)
+    cone = []
+    for Gb, Cb in zip(problem.g(z.x).blocks, z.Gamma.blocks):
+        lam, P = np.linalg.eigh(Gb + Cb)
+        cone.append(svec(-Gb + (P * np.maximum(lam, 0.0)) @ P.T))
+    nx, ne = problem.x_dim, problem.eq_dim
+    assert_allclose(F[:nx], stat, rtol=0, atol=1e-12)
+    assert_allclose(F[nx:nx + ne], problem.h(z.x) if ne else np.zeros(0),
+                    rtol=0, atol=1e-12)
+    assert_allclose(F[nx + ne:], np.concatenate(cone), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,params", SMALL)
@@ -122,9 +142,9 @@ def test_residual_reads_the_shared_decompositions(name, params):
     cone_decompositions, so both calls agree bitwise."""
     problem, sol = catalog(name, **params)
     for z in (sol.z_bar, rand_point(problem, 5)):
-        own = kkt_residual(problem, z).to_vector()
+        own = kkt_residual(problem, z)
         given = kkt_residual(
-            problem, z, _decomps=cone_decompositions(problem, z)).to_vector()
+            problem, z, _decomps=cone_decompositions(problem, z))
         assert np.array_equal(own, given)
 
 
@@ -219,7 +239,7 @@ def test_residual_is_strongly_semismooth_at_solution(name, params):
         rs = []
         for t in ts:
             zt = z.add_vector(t * d)
-            r = (kkt_residual(problem, zt).to_vector()
+            r = (kkt_residual(problem, zt)
                  - t * (assemble_U(problem, zt, "U0") @ d))
             rs.append(np.linalg.norm(r))
         rs = np.asarray(rs)
@@ -233,7 +253,7 @@ def test_residual_is_strongly_semismooth_at_solution(name, params):
 def test_semismooth_slope_on_nonlinear_cone_map():
     problem = smooth_cone_toy()
     z = KktPoint(np.zeros(2), np.zeros(0), BlockSymMatrix.zeros([2]))
-    assert kkt_residual(problem, z).norm() <= 1e-15
+    assert np.linalg.norm(kkt_residual(problem, z)) <= 1e-15
     rng = np.random.default_rng(51)
     ts = np.logspace(-1, -5, 5)
     for _ in range(5):
@@ -242,7 +262,7 @@ def test_semismooth_slope_on_nonlinear_cone_map():
         rs = []
         for t in ts:
             zt = z.add_vector(t * d)
-            r = (kkt_residual(problem, zt).to_vector()
+            r = (kkt_residual(problem, zt)
                  - t * (assemble_U(problem, zt, "U0") @ d))
             rs.append(np.linalg.norm(r))
         rs = np.asarray(rs)

@@ -193,8 +193,8 @@ def test_qsdp_loaded_problem_matches_builder():
     clone = qsdp_problem(problem.qsdp_data, name="clone")
     for seed in range(5):
         z = rand_point(problem, seed, scale=2.0)
-        r1 = kkt_residual(problem, z).to_vector()
-        r2 = kkt_residual(clone, z).to_vector()
+        r1 = kkt_residual(problem, z)
+        r2 = kkt_residual(clone, z)
         assert_allclose(r1, r2, atol=1e-14)
 
 
@@ -210,6 +210,7 @@ def test_qsdp_loaded_problem_matches_builder():
     (lambda d: d.update(cone_blocks=[2.9, 1]),
      "cone_blocks: expected an integer"),
     (lambda d: d.update(x_dim="3"), "x_dim: expected an integer"),
+    (lambda d: d.update(cone_blocks=5), "cone_blocks: expected a list"),
 ])
 def test_qsdp_validation_errors(mutate, msg):
     problem, _ = catalog("ex3")
@@ -217,6 +218,11 @@ def test_qsdp_validation_errors(mutate, msg):
     mutate(data)
     with pytest.raises(ValueError, match=msg):
         qsdp_problem(data)
+
+
+def test_qsdp_data_must_be_an_object():
+    with pytest.raises(ValueError, match="qsdp data: expected an object"):
+        qsdp_problem([1, 2])
 
 
 def test_qsdp_q_shape_error():
