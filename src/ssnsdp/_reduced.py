@@ -50,12 +50,15 @@ take a right-hand side of shape (dim,) or a stack of columns, shape
 (dim, m), on one code path.
 
 The module also holds what the backends share with the assembled
-reference backend in solver.py.  _lu_with_rcond is the one singularity
-verdict of every dense factorization (dense R, Woodbury cores, the
-assembled Newton matrix), _lu_solve the solve over its factors, and
-SingularSystemError what a solve raises on a matrix flagged singular;
-sparse R goes through splu, whose pivot ratio reads the same
-_SINGULAR_RCOND (SuperLU has no condition estimator).
+reference backend in solver.py.  _factor_with_rcond is the one
+singularity verdict of every dense factorization: Cholesky with dpocon
+for a definite Woodbury core, LU with dgecon for every other core, dense
+R and the assembled Newton matrix.  _factor_solve is the solve over its
+factors, and SingularSystemError what a solve raises on a matrix flagged
+singular.  A Woodbury block where V = I has a diagonal core, judged by
+the same 1-norm rcond rule exactly.  Sparse R goes through splu, whose
+pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
+estimator).
 _lanczos_sigma_min is the one sigma_min routine: exact up to
 _LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
@@ -93,18 +96,32 @@ _SINGULAR_RCOND = 1e-14
 
 
 class SingularSystemError(Exception):
-    """Newton matrix is numerically singular (see _lu_with_rcond)."""
+    """Newton matrix is numerically singular (see _factor_with_rcond)."""
 
 
-def _lu_with_rcond(M, anorm=None, overwrite=False):
-    """LU factors (lu, piv) of M, or None when M is numerically singular:
-    dgetrf meets an exact zero pivot, or dgecon's estimate of
+def _factor_with_rcond(M, anorm=None, overwrite=False, definite=False):
+    """Factors of M, or None when M is numerically singular: the
+    factorization breaks down, or the LAPACK estimate of
     1 / (anorm ||M^{-1}||_1) falls below _SINGULAR_RCOND.  anorm is
     ||M||_1 by default; a matrix whose terms cancel passes their scale,
     so that the rounding noise left by the cancellation reads singular.
-    overwrite lets dgetrf factor a Fortran-order M in place."""
+    overwrite lets LAPACK factor a Fortran-order M in place.
+
+    A general M gets LU, dgetrf and dgecon, with factors (lu, piv); an
+    exact zero pivot reads singular.  A definite M, symmetric positive
+    semidefinite in exact arithmetic, gets Cholesky of its lower triangle
+    (the upper one is never read), dpotrf and dpocon, with factors
+    (L, None); a breakdown, a pivot that is not positive, reads singular.
+    """
     if anorm is None:
         anorm = float(np.abs(M).sum(axis=0).max())
+    if definite:
+        L, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
+        if info < 0:
+            raise RuntimeError(f"dpotrf failed with info={info}")
+        if info > 0 or lapack.dpocon(L, anorm, uplo="L")[0] < _SINGULAR_RCOND:
+            return None
+        return L, None
     lu, piv, info = lapack.dgetrf(M, overwrite_a=overwrite)
     if info < 0:
         raise RuntimeError(f"dgetrf failed with info={info}")
@@ -113,17 +130,27 @@ def _lu_with_rcond(M, anorm=None, overwrite=False):
     return lu, piv
 
 
-def _lu_solve(factors, rhs):
-    """x with M x = rhs from _lu_with_rcond's factors; None factors, a
+def _factor_solve(factors, rhs):
+    """x with M x = rhs from _factor_with_rcond's factors; None factors, a
     matrix flagged singular, raise SingularSystemError.  dgetrs directly:
     scipy.linalg.lu_solve re-checks finiteness on every call, which
-    dominates the small solves of a Lanczos run."""
+    dominates the small solves of a Lanczos run.  Cholesky factors solve
+    by two dtrtrs calls, L then L', not dpotrs: at 820 unknowns and one
+    column (one BLAS thread, Xeon), dpotrs took 565 us against 205 us for
+    the two dtrtrs, and dgetrs on LU factors of that order 258 us."""
     if factors is None:
         raise SingularSystemError()
-    x, info = lapack.dgetrs(*factors, rhs)
-    if info != 0:
-        raise RuntimeError(f"dgetrs failed with info={info}")
-    return x
+    if factors[1] is not None:
+        x, info = lapack.dgetrs(*factors, rhs)
+        if info != 0:
+            raise RuntimeError(f"dgetrs failed with info={info}")
+        return x
+    x = rhs[:, None] if rhs.ndim == 1 else rhs
+    for trans in (0, 1):
+        x, info = lapack.dtrtrs(factors[0], x, lower=1, trans=trans)
+        if info != 0:
+            raise RuntimeError(f"dtrtrs failed with info={info}")
+    return x[:, 0] if rhs.ndim == 1 else x
 
 
 def _signed_permutation(P):
@@ -368,11 +395,11 @@ class ReducedNewtonOperator:
         B = to_dense(B)
         R[x:, :x] = B
         R[:x, x:] = B.T
-        factors = _lu_with_rcond(R, overwrite=True)
+        factors = _factor_with_rcond(R, overwrite=True)
         if factors is None:
             self.singular = True
             return
-        self._solve_R = lambda rhs: _lu_solve(factors, rhs)
+        self._solve_R = lambda rhs: _factor_solve(factors, rhs)
 
     # -- shared pieces --------------------------------------------------------
 
@@ -545,38 +572,51 @@ def separable_diagonal(problem, z):
 
 
 def _woodbury_core(b, D, loc, c):
-    """Core I - V[loc, loc] diag(c) of one cone block, and the scale of
-    its terms before they cancel, ||I||_1 + ||V[loc, loc] diag(c)||_1,
-    for _lu_with_rcond: measured against its own norm, a core that
-    cancels to rounding noise would pass as well conditioned.
+    """Lower triangle of the core M = diag(1/c) - V[S, S] of one cone
+    block, S the support pairs loc taken in the order `order`, and the
+    scale of its terms before they cancel, max|1/c| + ||V[S, S]||_1, for
+    _factor_with_rcond: measured against its own norm, a core that
+    cancels to rounding noise would pass as well conditioned.  Returns
+    (M, scale, order); M is Fortran order, ready to be factored in place,
+    and its upper triangle outside the diagonal blocks is never written.
 
-    See WoodburyNewtonOperator for the formula.  Q holds the eigenbasis
-    rows the support touches; for each distinct second index t,
-    Z = (Q o q_t) D and one GEMM gives every core row whose pair ends in
-    t.  F comes back in Fortran order, ready to be factored in place.
+    See WoodburyNewtonOperator for the formula.  The support pairs are
+    sorted by (second index, first index), so the pairs of each second
+    index t take one contiguous range [lo, hi).  Q holds the eigenbasis
+    rows the support touches; for each t, Z = (Q o q_t) D and one GEMM
+    give the core rows [lo, hi) from column lo on, stored transposed as
+    the columns [lo, hi) of M from row lo down: the lower triangle.
+    The column sums of |V[S, S]| add up, per t, the column sums of those
+    rows and, by symmetry, the row sums of their part right of the
+    diagonal block into the columns [lo, hi).
     """
     ka, la = b.iu[loc], b.ju[loc]
+    order = np.lexsort((ka, la))
+    ka, la, c = ka[order], la[order], c[order]
     idx = np.unique(np.concatenate([ka, la]))
     kl = np.searchsorted(idx, ka)
     ll = np.searchsorted(idx, la)
     Q = b.dec.P[idx]
     w = np.where(ka == la, 1.0, np.sqrt(2.0))
-    # the column scale -w_b c_b rides on the factors of B
-    s = (-w * c)[:, None]
-    Qk = Q[kl] * s
-    Ql = Q[ll] * s
+    # the column scale -w_b rides on the factors of B
+    Qk = Q[kl] * -w[:, None]
+    Ql = Q[ll] * -w[:, None]
     k = loc.size
-    F = np.empty((k, k), order="F")
+    M = np.empty((k, k), order="F")
     colsum = np.zeros(k)
-    for t in np.unique(ll):
-        rows = np.where(ll == t)[0]
-        Z = (Q * Q[t]) @ D
-        B = Qk * Z[ll] + Ql * Z[kl]
-        block = (0.5 * w[rows, None] * Q[kl[rows]]) @ B.T
-        colsum += np.abs(block).sum(axis=0)
-        block[np.arange(rows.size), rows] += 1.0
-        F[rows] = block
-    return F, 1.0 + float(colsum.max())
+    bounds = np.append(np.flatnonzero(np.diff(ll, prepend=-1)), k).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        Z = (Q * Q[ll[lo]]) @ D
+        B = Qk[lo:] * Z[ll[lo:]] + Ql[lo:] * Z[kl[lo:]]
+        block = (0.5 * w[lo:hi, None] * Q[kl[lo:hi]]) @ B.T
+        a = np.abs(block)
+        colsum[lo:] += a.sum(axis=0)
+        colsum[lo:hi] += a[:, hi - lo:].sum(axis=1)
+        M[lo:, lo:hi] = block.T
+    inv_c = 1.0 / c
+    d = np.arange(k)
+    M[d, d] += inv_c
+    return M, float(np.abs(inv_c).max() + colsum.max()), order
 
 
 class WoodburyNewtonOperator:
@@ -591,15 +631,24 @@ class WoodburyNewtonOperator:
         (V C - I) dx = r3 - V r1,    dGamma = r1 - W dx,
 
     and the Woodbury identity makes (V C - I)^{-1} an identity plus a
-    rank-k update whose k-by-k core F = I - V[S, S] diag(c_S) factors once
-    per iterate, S being the support of C.  The transpose solve is the
-    forward solve (see the module docstring), and the smallest singular
-    value comes from the usual Lanczos iteration on the solves.  V is
-    block diagonal over cone blocks, so the core is too.  Each block's
-    core gets the shared verdict, _lu_with_rcond, measured against the
-    scale of its terms before they cancel (see _woodbury_core): a core
-    that cancels to rounding noise reads singular, as the assembled
-    matrix does.
+    rank-k update, S being the support of C.  Its k-by-k core is the
+    symmetric M = diag(1/c_S) - V[S, S], which factors once per iterate.
+    The transpose solve is the forward solve (see the module docstring),
+    and the smallest singular value comes from the usual Lanczos
+    iteration on the solves.  V is block diagonal over cone blocks, so
+    the core is too.
+
+    In svec coordinates V is orthogonally similar to the mask, whose
+    entries lie in [0, 1], so V[S, S] is between 0 and I.  When every c
+    of a block lies in (0, 1], diag(1/c) >= I and the block's core is
+    positive semidefinite: it factors by Cholesky, and a breakdown means
+    singular.  Any other c takes LU.  Both go through the shared
+    verdict, _factor_with_rcond, measured against the scale of the
+    core's terms before they cancel (see _woodbury_core): a core that
+    cancels to rounding noise reads singular, as the assembled matrix
+    does.  A block with T empty has V = I there, so its core is the
+    diagonal diag(1/c - 1), stored inverted and judged by the same rcond
+    rule, with no build and no factorization.
 
     Each solve applies V twice, and each application of V works on the
     non-unit indices T of every block only (see _BlockData): V(H) =
@@ -619,7 +668,8 @@ class WoodburyNewtonOperator:
     vectors q_s o q_t over the p index pairs {s, t} with s an index the
     support touches and t the second index of a support pair.  That Gram
     is never formed whole: for each second index t one GEMM gives the
-    rows (q_s o q_t)' D, and another every core row with second index t.
+    rows (q_s o q_t)' D, and another the core rows with second index t,
+    from the diagonal on, which is the lower triangle of the symmetric M.
     The build costs O(p n^2 + k^2 n) flops, within the O(p n^2 + p^2 n)
     of the whole Gram, and O(k^2 + k n) memory; no svec rotation-row
     matrix (k by n(n+1)/2) is made.  On ex5 the support is one whole
@@ -649,12 +699,27 @@ class WoodburyNewtonOperator:
             loc = np.where(cb != 0.0)[0]
             if loc.size == 0:
                 continue
-            F, anorm = _woodbury_core(b, b.D, loc, cb[loc])
-            factors = _lu_with_rcond(F, anorm, overwrite=True)
+            c = cb[loc]
+            if b.T.size == 0:
+                # V = I on the block: M = diag(1/c - 1), and the 1-norm
+                # rcond rule applied exactly to a diagonal
+                m = 1.0 / c - 1.0
+                if np.abs(m).min() < _SINGULAR_RCOND * (
+                        np.abs(1.0 / c).max() + 1.0):
+                    self.singular = True
+                    return
+                self._cores.append((1.0 / m, lo + loc))
+                continue
+            M, anorm, order = _woodbury_core(b, b.D, loc, c)
+            definite = bool(np.all((c > 0.0) & (c <= 1.0)))
+            if not definite:
+                M = np.tril(M) + np.tril(M, -1).T
+            factors = _factor_with_rcond(M, anorm, overwrite=True,
+                                         definite=definite)
             if factors is None:
                 self.singular = True
                 return
-            self._cores.append((factors, lo + loc))
+            self._cores.append((factors, lo + loc[order]))
 
     def _v_apply(self, v):
         """V applied to each column of v, shape (x_dim, m)."""
@@ -664,10 +729,14 @@ class WoodburyNewtonOperator:
         return out
 
     def _core_solve(self, rhs):
-        """Scattered c * F^{-1} rhs[support] over all blocks."""
+        """Scattered M^{-1} rhs[support] over all blocks; a diagonal core
+        is stored as M^{-1} itself."""
         t = np.zeros_like(rhs)
-        for factors, idx in self._cores:
-            t[idx] = self.c[idx, None] * _lu_solve(factors, rhs[idx])
+        for core, idx in self._cores:
+            if isinstance(core, np.ndarray):
+                t[idx] = core[:, None] * rhs[idx]
+            else:
+                t[idx] = _factor_solve(core, rhs[idx])
         return t
 
     def _split(self, r):

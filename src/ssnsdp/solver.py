@@ -27,8 +27,9 @@ from .problem import BlockSymMatrix, KktPoint
 from .kkt import (assemble_U, cone_decompositions, kkt_residual,
                   min_singular_value)
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
-                       WoodburyNewtonOperator, _lu_solve, _lu_with_rcond,
-                       reuse_compatible, separable_diagonal)
+                       WoodburyNewtonOperator, _factor_solve,
+                       _factor_with_rcond, reuse_compatible,
+                       separable_diagonal)
 
 logger = logging.getLogger("ssnsdp")
 
@@ -146,18 +147,18 @@ class _DenseBackend:
     backends against; the solver never builds it.  It takes the
     arguments of _make_backend, so a test can put it in that function's
     place.  One LU factorization with the shared singularity verdict
-    (_lu_with_rcond) serves the Newton step; sigma_min is 0.0 when that
+    (_factor_with_rcond) serves the Newton step; sigma_min is 0.0 when that
     verdict reads singular and the full-SVD value otherwise."""
 
     def __init__(self, problem, z, variant, decomps):
         self.matrix = assemble_U(problem, z, variant, _decomps=decomps)
         self.dim = self.matrix.shape[0]
         self.reusable = False
-        self._lu = _lu_with_rcond(self.matrix)
+        self._lu = _factor_with_rcond(self.matrix)
         self.singular = self._lu is None
 
     def solve(self, r):
-        return _lu_solve(self._lu, r)
+        return _factor_solve(self._lu, r)
 
     def matvec(self, d):
         return self.matrix @ d

@@ -17,14 +17,15 @@ from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
+    _factor_solve,
+    _factor_with_rcond,
     _lanczos_sigma_min,
-    _lu_solve,
-    _lu_with_rcond,
     _woodbury_core,
     reuse_compatible,
     separable_diagonal,
 )
 from ssnsdp.catalog import catalog, example7_start
+from ssnsdp.conditions import regularity_report
 from ssnsdp.kkt import (
     assemble_U,
     cone_decompositions,
@@ -189,11 +190,11 @@ class MatrixBackend:
     def __init__(self, M):
         self.matrix = np.asarray(M, dtype=float)
         self.dim = self.matrix.shape[0]
-        self._lu = _lu_with_rcond(self.matrix)
+        self._lu = _factor_with_rcond(self.matrix)
         self.singular = self._lu is None
 
     def solve(self, r):
-        return _lu_solve(self._lu, r)
+        return _factor_solve(self._lu, r)
 
     def solve_t(self, r):
         if self.singular:
@@ -276,22 +277,22 @@ def test_singular_system_error_is_one_exception():
 
 
 # ---------------------------------------------------------------------------
-# the singularity verdict (_lu_with_rcond)
+# the singularity verdict (_factor_with_rcond), LU and Cholesky
 
 
 def test_lu_with_rcond_hand_case():
     M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     kept = M.copy()
-    factors = _lu_with_rcond(M)
+    factors = _factor_with_rcond(M)
     assert factors is not None
     assert np.array_equal(M, kept)  # not overwritten by default
     # M^{-1} = [[1, -2, 0], [0, 1, 0], [0, 0, 1/2]]
-    assert_allclose(_lu_solve(factors, np.ones(3)), [-1.0, 1.0, 0.5])
+    assert_allclose(_factor_solve(factors, np.ones(3)), [-1.0, 1.0, 0.5])
 
 
 def test_lu_with_rcond_exact_zero_pivot():
     # dgetrf stops with info > 0 on the zero column
-    assert _lu_with_rcond(np.diag([1.0, 0.0, 1.0])) is None
+    assert _factor_with_rcond(np.diag([1.0, 0.0, 1.0])) is None
 
 
 def test_lu_with_rcond_measures_against_the_scale_given():
@@ -302,8 +303,39 @@ def test_lu_with_rcond_measures_against_the_scale_given():
     F = 1e-16 * R
     A = np.eye(3) - F
     scale = 1.0 + float(np.abs(A).sum(axis=0).max())
-    assert _lu_with_rcond(F.copy()) is not None
-    assert _lu_with_rcond(F.copy(), anorm=scale) is None
+    assert _factor_with_rcond(F.copy()) is not None
+    assert _factor_with_rcond(F.copy(), anorm=scale) is None
+
+
+def test_cholesky_with_rcond_hand_case():
+    M = np.array([[4.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    kept = M.copy()
+    factors = _factor_with_rcond(M, definite=True)
+    assert factors is not None and factors[1] is None
+    assert np.array_equal(M, kept)  # not overwritten by default
+    # M^{-1} = [[1/2, -1/2, 0], [-1/2, 1, 0], [0, 0, 1/2]]
+    assert_allclose(_factor_solve(factors, np.ones(3)), [0.0, 0.5, 0.5])
+    assert_allclose(_factor_solve(factors, np.eye(3)), np.linalg.inv(M))
+    # only the lower triangle is read
+    lower = np.tril(M) + np.triu(np.full((3, 3), np.nan), 1)
+    factors = _factor_with_rcond(lower, anorm=6.0, definite=True)
+    assert_allclose(_factor_solve(factors, np.ones(3)), [0.0, 0.5, 0.5])
+
+
+def test_cholesky_with_rcond_breakdown():
+    # dpotrf stops with info > 0 on the zero pivot
+    assert _factor_with_rcond(np.diag([1.0, 0.0, 1.0]), definite=True) is None
+
+
+def test_cholesky_with_rcond_measures_against_the_scale_given():
+    """The definite branch of test_lu_with_rcond_measures_against_the_
+    scale_given: R is positive definite, and so is 1e-16 R."""
+    R = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    F = 1e-16 * R
+    A = np.eye(3) - F
+    scale = 1.0 + float(np.abs(A).sum(axis=0).max())
+    assert _factor_with_rcond(F.copy(), definite=True) is not None
+    assert _factor_with_rcond(F.copy(), anorm=scale, definite=True) is None
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +625,13 @@ def woodbury_case(name):
     return problem, correct(z0, problem, 0.5), name[-2:]
 
 
+def core_kind(core):
+    """How WoodburyNewtonOperator holds one block's core."""
+    if isinstance(core, np.ndarray):
+        return "diagonal"
+    return "cholesky" if core[1] is None else "lu"
+
+
 @pytest.mark.parametrize("case", [
     "ex5-U0", "ex5-UI", "two-block-U0", "two-block-UI", "unit-block-U0",
     "unit-block-UI"])
@@ -606,8 +645,12 @@ def test_woodbury_operator_matches_dense(case):
     op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
     U = assemble_U(problem, z, variant)
     assert not op.singular
-    # a block whose Hessian is the identity has no core
-    assert len(op._cores) == len(op.blocks) - case.startswith("unit-block")
+    # a block whose Hessian is the identity has no core; a core with c in
+    # (0, 1] factors by Cholesky (ex5: c = 1, two-block's first block:
+    # c = (1, 0.7)), any other c by LU (two-block's second: c = 1.5)
+    kinds = {"ex5": ["cholesky"], "two-block": ["cholesky", "lu"],
+             "unit-block": ["cholesky"]}[case[:-3]]
+    assert [core_kind(core) for core, _ in op._cores] == kinds
     rng = np.random.default_rng(12)
     lu = np.linalg.inv(U)
     for _ in range(5):
@@ -632,16 +675,24 @@ def test_woodbury_core_matches_rotation_rows(support, variant):
            "diagonal": np.where(b.iu == b.ju)[0],
            "scattered": np.sort(rng.choice(b.len, 12, replace=False)),
            "all": np.arange(b.len)}[support]
-    c = rng.standard_normal(loc.size)
-    F, anorm = _woodbury_core(b, v_mask(dec, variant), loc, c)
-    # reference: rows of the svec rotation by P', one per support pair
-    R = svec_rotation(dec.P.T)[loc]
-    ref = np.eye(loc.size) - (R * b.D[b.iu, b.ju]) @ R.T * c
-    assert F.flags.f_contiguous
-    assert_allclose(F, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-    # the scale of the core's terms before they cancel: ||I|| + ||V c||
-    assert_allclose(anorm, 1.0 + np.abs(np.eye(loc.size) - ref).sum(
-        axis=0).max(), rtol=1e-13)
+    D = b.D[b.iu, b.ju]
+    # c in (0, 1], the definite core, and Gaussian c
+    for c in (1.0 - rng.random(loc.size), rng.standard_normal(loc.size)):
+        M, anorm, order = _woodbury_core(b, v_mask(dec, variant), loc, c)
+        # support pairs sorted by (second index, first index)
+        assert np.array_equal(np.sort(order), np.arange(loc.size))
+        pairs = np.c_[b.ju[loc[order]], b.iu[loc[order]]]
+        assert np.all(np.diff(pairs[:, 0] * b.n + pairs[:, 1]) > 0)
+        # reference: rows of the svec rotation by P', one per support pair
+        R = svec_rotation(dec.P.T)[loc[order]]
+        V = (R * D) @ R.T
+        ref = np.diag(1.0 / c[order]) - V
+        assert M.flags.f_contiguous
+        assert_allclose(np.tril(M), np.tril(ref), rtol=0,
+                        atol=1e-13 * np.abs(ref).max())
+        # the scale of the core's terms before they cancel
+        assert_allclose(anorm, np.abs(1.0 / c).max()
+                        + np.abs(V).sum(axis=0).max(), rtol=1e-13)
 
 
 def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
@@ -654,6 +705,61 @@ def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
                                 cone_decompositions(problem, z),
                                 separable_diagonal(problem, z))
     assert not op.singular
+
+
+def t_empty_case(values=(0.5, 0.3, -0.5)):
+    """Two-block separable problem with support coordinates in both
+    blocks, at a start whose spectra are all positive: every eigenvalue
+    is alpha, so T is empty and V = I in both blocks."""
+    problem = two_block_separable_problem(([0, 7, 13], list(values)))
+    z0 = two_block_start(problem, seed=5, spectra=([1.5, 1.2, 0.9, 2.0],
+                                                   [0.9, 1.3, 1.1]))
+    return problem, correct(z0, problem, 0.5)
+
+
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_woodbury_t_empty_core_is_diagonal(variant, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("core built for a block with T empty")
+
+    monkeypatch.setattr(reduced_mod, "_woodbury_core", refuse)
+    problem, z = t_empty_case()
+    decomps = cone_decompositions(problem, z)
+    op = WoodburyNewtonOperator(problem, z, variant, decomps,
+                                separable_diagonal(problem, z))
+    assert [b.T.size for b in op.blocks] == [0, 0]
+    assert not op.singular
+    assert [core_kind(core) for core, _ in op._cores] == ["diagonal"] * 2
+    U = assemble_U(problem, z, variant)
+    Ui = np.linalg.inv(U)
+    for r in np.random.default_rng(8).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), Ui @ r, atol=1e-12)
+        assert_allclose(op.solve_t(r), Ui.T @ r, atol=1e-12)
+    assert_allclose(op.sigma_min(),
+                    np.linalg.svd(U, compute_uv=False)[-1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_woodbury_t_empty_core_reads_singular(variant):
+    """w = 0 on a support coordinate of a block with V = I: the diagonal
+    core has an exact zero, as the assembled matrix has a zero column."""
+    problem, z = t_empty_case((0.0, 0.3, -0.5))
+    decomps = cone_decompositions(problem, z)
+    op = WoodburyNewtonOperator(problem, z, variant, decomps,
+                                separable_diagonal(problem, z))
+    assert op.singular and op.sigma_min() == 0.0
+    assert _DenseBackend(problem, z, variant, decomps).singular
+
+
+def test_ex5_ui_report_reads_the_diagonal_core_singular():
+    """At the ex5 reference point the UI mask is all ones, so its core is
+    diagonal, and the report still reads it singular."""
+    problem, sol = catalog("ex5", l1=6, l2=4)
+    decomps = cone_decompositions(problem, sol.z_bar)
+    op = _make_backend(problem, sol.z_bar, "UI", decomps)
+    assert isinstance(op, WoodburyNewtonOperator)
+    assert all(b.T.size == 0 for b in op.blocks) and op.singular
+    assert regularity_report(problem, sol.z_bar).ui_sigma_min == 0.0
 
 
 def reduced_cases():
