@@ -58,15 +58,17 @@ factors, and SingularSystemError what a solve raises on a matrix flagged
 singular.  A Woodbury block where V = I has a diagonal core, judged by
 the same 1-norm rcond rule exactly.  Sparse R goes through splu, whose
 pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
-estimator).
+estimator).  Before either, R with more border rows [J; Gz] than x_dim
+reads singular by the count, with no factorization: its last columns,
+[B'; 0], have rank at most x_dim.
 _lanczos_sigma_min is the one sigma_min routine: exact up to
 _LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
 warm start from an earlier iterate, so a value and its cost repeat
-bitwise.  It stops as soon as the top Ritz value has converged, which on
-Newton operators with few distinct singular values takes a handful of
-solves, and it returns nan, not 0.0, when it does not converge within
-its cap.
+bitwise.  It stops as soon as the top Ritz value has converged, judged
+by its residual and by the gap to the next Ritz value, which on Newton
+operators with few distinct singular values takes a handful of solves.
+It returns nan, not 0.0, when it does not converge within its cap.
 
 Everything here is internal; the public dense contract lives in kkt.py.
 """
@@ -372,8 +374,13 @@ class ReducedNewtonOperator:
 
     def _build(self):
         x = self.x_dim
+        # more border rows than x_dim: the last columns of R, [B'; 0],
+        # have rank at most x_dim, so R is singular by the count alone
+        self.singular = self.eq_dim + sum(
+            b.zer.size for b in self.blocks) > x
+        if self.singular:
+            return
         B = _border(self.J, self.blocks, self.G)
-        self.singular = False
         if not self._any_ag and sp.issparse(self.W) and sp.issparse(B):
             R = sp.bmat([[self.W, B.T], [B, None]], format="csc")
             try:
@@ -490,14 +497,22 @@ def _lanczos_sigma_min(dim, solve, solve_t):
     the stored basis.
 
     The iteration stops once the top Ritz pair (theta, y) of the
-    tridiagonal T_j has a residual beta_j |y_j| <= tol * theta; a
-    breakdown, beta_j near zero, meets that test as well.  The
-    tolerance is diagnostic grade: the value feeds trace reporting and
-    certificate warnings, where ten significant digits are plenty.
-    Newton operators with few distinct singular values converge within a
-    handful of applies.  A full basis of _LANCZOS_BASIS vectors restarts
-    from the top Ritz vector.  Returns nan when _LANCZOS_MAX_APPLIES
-    applies pass without convergence.
+    tridiagonal T_j has a residual res = beta_j |y_j| <= tol * theta; a
+    breakdown, beta_j near zero, meets that test as well.  It also stops
+    when res^2 <= tol * theta * (theta - theta_2), theta_2 the second
+    largest Ritz value, and res <= 10 tol * theta.  The first part is the
+    gap bound res^2 / gap on the error of theta (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11).  The cap is there because the Ritz gap
+    can be far too large: an eigenvalue within about res of the top one
+    stays hidden from T_j until the rest of the spectrum has converged,
+    and it moves theta by up to about res.  With the gap test alone, a
+    top pair 1e-6 apart, relative, came out 4e-7 off.  The tolerance is
+    diagnostic grade: the value feeds trace reporting and certificate
+    warnings, where ten significant digits are plenty.  Newton operators
+    with few distinct singular values converge within a handful of
+    applies.  A full basis of _LANCZOS_BASIS vectors restarts from the
+    top Ritz vector.  Returns nan when _LANCZOS_MAX_APPLIES applies pass
+    without convergence.
     """
     if dim <= _LANCZOS_BASIS:
         return 1.0 / float(np.linalg.norm(solve(np.eye(dim)), 2))
@@ -529,7 +544,10 @@ def _lanczos_sigma_min(dim, solve, solve_t):
             raise RuntimeError(f"dstev failed with info={info}")
         theta = float(evals[j])
         y = Y[:, j]
-        if theta > 0.0 and b * abs(y[j]) <= _LANCZOS_TOL * theta:
+        res = b * abs(y[j])
+        gap_ok = j and res <= 10 * _LANCZOS_TOL * theta and (
+            res * res <= _LANCZOS_TOL * theta * (theta - evals[j - 1]))
+        if theta > 0.0 and (res <= _LANCZOS_TOL * theta or gap_ok):
             return 1.0 / math.sqrt(theta)
         if j + 1 == m:
             v = y @ V
@@ -713,7 +731,10 @@ class WoodburyNewtonOperator:
             M, anorm, order = _woodbury_core(b, b.D, loc, c)
             definite = bool(np.all((c > 0.0) & (c <= 1.0)))
             if not definite:
-                M = np.tril(M) + np.tril(M, -1).T
+                # mirror the lower triangle in place: M stays Fortran
+                # order, so dgetrf factors it without a copy
+                for j in range(loc.size - 1):
+                    M[j, j + 1:] = M[j + 1:, j]
             factors = _factor_with_rcond(M, anorm, overwrite=True,
                                          definite=definite)
             if factors is None:

@@ -115,8 +115,8 @@ def _null_basis(C):
     """
     if sp.issparse(C):
         if np.all(np.diff(C.indptr) <= 1):
-            keep = np.setdiff1d(np.arange(C.shape[1]), np.unique(C.indices))
-            return ("coords", keep)
+            hits = np.bincount(C.indices, minlength=C.shape[1])
+            return ("coords", np.flatnonzero(hits == 0))
         C = C.toarray()
     return ("dense", scipy.linalg.null_space(C, rcond=1e-10))
 
@@ -168,7 +168,7 @@ def _independence_margin(C):
             return 0.0
         if np.all(per_row == 1):
             # mutually orthogonal unless two rows share a coordinate
-            if np.unique(C.indices).size < C.shape[0]:
+            if np.bincount(C.indices).max() > 1:
                 return 0.0
             return float(np.min(np.abs(C.data)))
         C = C.toarray()

@@ -17,6 +17,7 @@ from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
+    _border,
     _factor_solve,
     _factor_with_rcond,
     _lanczos_sigma_min,
@@ -46,6 +47,7 @@ from ssnsdp.problem import (
     NlsdpProblem,
     hess_matrix_of,
     jac_g_matrix_of,
+    jac_h_matrix_of,
     perturbed_start,
     to_dense,
 )
@@ -662,6 +664,38 @@ def test_woodbury_operator_matches_dense(case):
     assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
 
 
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_woodbury_lu_core_is_factored_in_place(variant, monkeypatch):
+    """The second block's core has c = (0.6, 1.5), one outside (0, 1],
+    so it takes LU: its mirrored core reaches dgetrf in Fortran order,
+    which factors it in place, and the operator still answers as the
+    assembled one."""
+    factor = reduced_mod._factor_with_rcond
+    seen = []
+
+    def recorded(M, *args, **kwargs):
+        factors = factor(M, *args, **kwargs)
+        seen.append((kwargs["definite"], M.flags.f_contiguous,
+                     np.shares_memory(factors[0], M)))
+        return factors
+
+    monkeypatch.setattr(reduced_mod, "_factor_with_rcond", recorded)
+    problem = two_block_separable_problem(([0, 7, 11, 13],
+                                           [0.0, 0.3, 0.4, -0.5]))
+    z = correct(two_block_start(problem, seed=5), problem, 0.5)
+    decomps = cone_decompositions(problem, z)
+    op = WoodburyNewtonOperator(problem, z, variant, decomps,
+                                separable_diagonal(problem, z))
+    assert [idx.size for _, idx in op._cores] == [2, 2]
+    assert seen == [(True, True, True), (False, True, True)]
+    dense = _DenseBackend(problem, z, variant, decomps)
+    for r in np.random.default_rng(4).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
+        assert_allclose(op.solve_t(r), np.linalg.solve(dense.matrix.T, r),
+                        atol=1e-10)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), atol=1e-10)
+
+
 @pytest.mark.parametrize("support", ["block", "diagonal", "scattered", "all"])
 @pytest.mark.parametrize("variant", ["U0", "UI"])
 def test_woodbury_core_matches_rotation_rows(support, variant):
@@ -958,6 +992,34 @@ def test_dense_backend_flagged_singular_reads_zero():
         assert backend.sigma_min() == 0.0
 
 
+@pytest.mark.parametrize("name,params,sparse_border", [
+    ("ex1", {"l1": 4, "l2": 3}, True), ("ex2", {}, False),
+    ("ex4_primal", {}, False), ("ex7", {}, False)])
+def test_more_border_rows_than_unknowns_reads_singular_unfactored(
+        name, params, sparse_border, monkeypatch):
+    """Under U0 at these reference points the border [J; Gz] has more
+    rows than x_dim, so R is singular by the count: no factorization
+    runs, on the sparse path (ex1) or the dense one (dense G)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization ran")
+
+    problem, sol = catalog(name, **params)
+    z = sol.z_bar
+    decomps = cone_decompositions(problem, z)
+    blocks = [_BlockData(dec, "U0") for dec in decomps]
+    J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
+    B = _border(J, blocks, jac_g_matrix_of(problem, z.x))
+    assert B.shape[0] > problem.x_dim
+    assert sp.issparse(B) == sparse_border
+    dense = _DenseBackend(problem, z, "U0", decomps)
+    monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(reduced_mod, "_factor_with_rcond", refuse)
+    op = _make_backend(problem, z, "U0", decomps)
+    assert isinstance(op, ReducedNewtonOperator)
+    assert op.singular and dense.singular
+    assert op.sigma_min() == 0.0 and dense.sigma_min() == 0.0
+
+
 def test_small_operator_sigma_is_exact(monkeypatch):
     """Up to _LANCZOS_BASIS unknowns sigma_min is 1 / ||U^{-1}||_2 from
     one batched solve: no transpose solve, no cap on applies, never
@@ -1056,6 +1118,38 @@ def test_lanczos_sigma_min_restarts_on_close_spectrum():
         M.shape[0], solve, lambda r: scipy.linalg.lu_solve(lu, r, trans=1))
     assert len(applies) > _LANCZOS_BASIS
     assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-8)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_lanczos_sigma_min_near_degenerate_top(gap, seed):
+    """The top two eigenvalues of (U' U)^{-1} lie within `gap`, relative:
+    the Krylov space resolves them late, so the Ritz gap misses the
+    second one for a while.  A stop on the Ritz gap alone returned these
+    about 4e-7 off at gap 1e-6; the residual cap keeps them exact."""
+    s = np.concatenate([[1.0, 1.0 / math.sqrt(1.0 - gap)],
+                        np.linspace(1.5, 3.0, 38)])
+    M = with_singular_values(s, seed)
+    assert_allclose(lanczos_sigma_of(M),
+                    np.linalg.svd(M, compute_uv=False)[-1], rtol=1e-9)
+
+
+def test_lanczos_gap_test_stops_early():
+    """On the generic case the residual test alone stops after 6
+    applies; the gap test accepts the converged value one apply before."""
+    M = LANCZOS_CASES["generic"]()
+    lu = scipy.linalg.lu_factor(M)
+    applies = []
+
+    def solve(r):
+        applies.append(1)
+        return scipy.linalg.lu_solve(lu, r)
+
+    sigma = _lanczos_sigma_min(
+        M.shape[0], solve, lambda r: scipy.linalg.lu_solve(lu, r, trans=1))
+    assert len(applies) < 6
+    assert_allclose(sigma, np.linalg.svd(M, compute_uv=False)[-1],
+                    rtol=1e-12)
 
 
 def test_lanczos_sigma_min_reads_nan_when_not_converged(monkeypatch):
