@@ -52,15 +52,15 @@ take a right-hand side of shape (dim,) or a stack of columns, shape
 The module also holds what the backends share with the assembled
 reference backend in solver.py.  _factor_with_rcond is the one
 singularity verdict of every dense factorization: Cholesky with dpocon
-for a definite Woodbury core, LU with dgecon for every other core, dense
-R and the assembled Newton matrix.  _factor_solve is the solve over its
-factors, and SingularSystemError what a solve raises on a matrix flagged
-singular.  A Woodbury block where V = I has a diagonal core, judged by
-the same 1-norm rcond rule exactly.  Sparse R goes through splu, whose
-pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
-estimator).  Before either, R with more border rows [J; Gz] than x_dim
-reads singular by the count, with no factorization: its last columns,
-[B'; 0], have rank at most x_dim.
+for the Woodbury cores, all positive semidefinite, and LU with dgecon
+for dense R and the assembled Newton matrix.  _factor_solve is the
+solve over its factors, and SingularSystemError what a solve raises on
+a matrix flagged singular.  A Woodbury block where V = I has a diagonal
+core, judged by the same 1-norm rcond rule exactly.  Sparse R goes
+through splu, whose pivot ratio reads the same _SINGULAR_RCOND (SuperLU
+has no condition estimator).  Before either, R with more border rows
+[J; Gz] than x_dim reads singular by the count, with no factorization:
+its last columns, [B'; 0], have rank at most x_dim.
 _lanczos_sigma_min is the one sigma_min routine: exact up to
 _LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
@@ -567,6 +567,9 @@ def separable_diagonal(problem, z):
     a constant identity cone Jacobian, and a diagonal Hessian.  The core
     it factors has one row per non-unit diagonal entry, so the path is
     only worthwhile while those stay well below the primal dimension.
+    Every w must also lie in [0, 1], so that each core is positive
+    semidefinite (see WoodburyNewtonOperator); other w solve exactly on
+    ReducedNewtonOperator.
     """
     if problem.eq_dim or problem.jac_g_matrix is None \
             or problem.hess_matrix_fn is None:
@@ -584,7 +587,8 @@ def separable_diagonal(problem, z):
     if np.any(Wc.row != Wc.col):
         return None
     w = np.asarray(W.diagonal(), dtype=float)
-    if 2 * np.count_nonzero(w != 1.0) > N:
+    if 2 * np.count_nonzero(w != 1.0) > N \
+            or not np.all((w >= 0.0) & (w <= 1.0)):
         return None
     return w
 
@@ -598,15 +602,24 @@ def _woodbury_core(b, D, loc, c):
     (M, scale, order); M is Fortran order, ready to be factored in place,
     and its upper triangle outside the diagonal blocks is never written.
 
-    See WoodburyNewtonOperator for the formula.  The support pairs are
-    sorted by (second index, first index), so the pairs of each second
-    index t take one contiguous range [lo, hi).  Q holds the eigenbasis
-    rows the support touches; for each t, Z = (Q o q_t) D and one GEMM
-    give the core rows [lo, hi) from column lo on, stored transposed as
-    the columns [lo, hi) of M from row lo down: the lower triangle.
-    The column sums of |V[S, S]| add up, per t, the column sums of those
-    rows and, by symmetry, the row sums of their part right of the
-    diagonal block into the columns [lo, hi).
+    With q_i = P[i, :] the rows of the eigenbasis, D the v_mask matrix
+    and w = 1 on diagonal pairs, sqrt(2) off them, the entry for support
+    pairs a = (i, j) and b = (p, q) is
+
+        V[a, b] = w_a w_b / 2 * [ (q_i o q_p)' D (q_j o q_q)
+                                  + (q_i o q_q)' D (q_j o q_p) ].
+
+    The support pairs are sorted by (second index, first index), so the
+    pairs of each second index t take one contiguous range [lo, hi).  Q
+    holds the eigenbasis rows the support touches; for each t, Z =
+    (Q o q_t) D and one GEMM give the core rows [lo, hi) from column lo
+    on, stored transposed as the columns [lo, hi) of M from row lo down:
+    the lower triangle.  That is O(p n^2 + k^2 n) flops, p the index
+    pairs {s, t} with s touched by the support, and O(k^2 + k n) memory;
+    no svec rotation-row matrix (k by n(n+1)/2) is made.  The column
+    sums of |V[S, S]| add up, per t, the column sums of those rows and,
+    by symmetry, the row sums of their part right of the diagonal block
+    into the columns [lo, hi).
     """
     ka, la = b.iu[loc], b.ju[loc]
     order = np.lexsort((ka, la))
@@ -643,8 +656,7 @@ class WoodburyNewtonOperator:
     Applies when the problem has no equality constraints, the cone
     Jacobian is the identity, and the Hessian is diagonal, with diagonal
     w from separable_diagonal.  Writing the Hessian as I - C with C
-    diagonal and supported on k coordinates, the
-    forward system collapses to
+    diagonal and supported on k coordinates, the forward system is
 
         (V C - I) dx = r3 - V r1,    dGamma = r1 - W dx,
 
@@ -657,16 +669,18 @@ class WoodburyNewtonOperator:
     the core is too.
 
     In svec coordinates V is orthogonally similar to the mask, whose
-    entries lie in [0, 1], so V[S, S] is between 0 and I.  When every c
-    of a block lies in (0, 1], diag(1/c) >= I and the block's core is
-    positive semidefinite: it factors by Cholesky, and a breakdown means
-    singular.  Any other c takes LU.  Both go through the shared
-    verdict, _factor_with_rcond, measured against the scale of the
-    core's terms before they cancel (see _woodbury_core): a core that
-    cancels to rounding noise reads singular, as the assembled matrix
-    does.  A block with T empty has V = I there, so its core is the
-    diagonal diag(1/c - 1), stored inverted and judged by the same rcond
-    rule, with no build and no factorization.
+    entries lie in [0, 1], so 0 <= V[S, S] <= I, and separable_diagonal
+    admits only w in [0, 1], so c lies in (0, 1] and each core is
+    positive semidefinite (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10).  Cholesky factors its scaling C^{1/2} M C^{1/2}
+    = I - C^{1/2} V[S, S] C^{1/2}, through the shared verdict
+    _factor_with_rcond, against the scale of its terms before they
+    cancel, at most 1 + ||V[S, S]||_1: a breakdown, or a core that
+    cancels to rounding noise, reads singular, as the assembled matrix
+    does; a tiny c, whose 1/c would swamp an unscaled core, does not.  A
+    block with T empty has V = I there, so its core is the diagonal
+    diag(1/c - 1), stored inverted and judged by the same rule, with no
+    build and no factorization.
 
     Each solve applies V twice, and each application of V works on the
     non-unit indices T of every block only (see _BlockData): V(H) =
@@ -674,24 +688,6 @@ class WoodburyNewtonOperator:
     block costs O(n^2 |T|) flops, not the O(n^3) of a full rotation, and
     a block with T empty costs nothing.  On ex5 at 60/40, |T| is about
     40 to 48 of 100.
-
-    The core is built from the rows q_i = P[i, :] of the eigenbasis.  With
-    w = 1 on diagonal pairs and sqrt(2) off them, the entry for support
-    pairs a = (i, j) and b = (p, q) is
-
-        V[a, b] = w_a w_b / 2 * [ (q_i o q_p)' D (q_j o q_q)
-                                  + (q_i o q_q)' D (q_j o q_p) ],
-
-    D the v_mask matrix, so V[S, S] gathers from the Gram matrix of the
-    vectors q_s o q_t over the p index pairs {s, t} with s an index the
-    support touches and t the second index of a support pair.  That Gram
-    is never formed whole: for each second index t one GEMM gives the
-    rows (q_s o q_t)' D, and another the core rows with second index t,
-    from the diagonal on, which is the lower triangle of the symmetric M.
-    The build costs O(p n^2 + k^2 n) flops, within the O(p n^2 + p^2 n)
-    of the whole Gram, and O(k^2 + k n) memory; no svec rotation-row
-    matrix (k by n(n+1)/2) is made.  On ex5 the support is one whole
-    index block, so p = k.
     """
 
     def __init__(self, problem, z, variant, decomps, w):
@@ -719,27 +715,26 @@ class WoodburyNewtonOperator:
                 continue
             c = cb[loc]
             if b.T.size == 0:
-                # V = I on the block: M = diag(1/c - 1), and the 1-norm
-                # rcond rule applied exactly to a diagonal
-                m = 1.0 / c - 1.0
-                if np.abs(m).min() < _SINGULAR_RCOND * (
-                        np.abs(1.0 / c).max() + 1.0):
+                # V = I: the exact rcond of C^{1/2} M C^{1/2} = diag(1 - c)
+                if (1.0 - c).min() < _SINGULAR_RCOND * (1.0 + c.max()):
                     self.singular = True
                     return
-                self._cores.append((1.0 / m, lo + loc))
+                self._cores.append((1.0 / (1.0 / c - 1.0), lo + loc))
                 continue
             M, anorm, order = _woodbury_core(b, b.D, loc, c)
-            definite = bool(np.all((c > 0.0) & (c <= 1.0)))
-            if not definite:
-                # mirror the lower triangle in place: M stays Fortran
-                # order, so dgetrf factors it without a copy
-                for j in range(loc.size - 1):
-                    M[j, j + 1:] = M[j + 1:, j]
+            # factor C^{1/2} M C^{1/2} against its scale 1 + ||V[S, S]||_1
+            # (c <= 1; anorm when all c = 1), then unscale L to M's factor
+            s = np.sqrt(c[order])
+            j = np.flatnonzero(s != 1.0)
+            M[:, j] *= s[j]
+            M[j] *= s[j, None]
+            anorm = anorm - 1.0 / c.min() + 1.0
             factors = _factor_with_rcond(M, anorm, overwrite=True,
-                                         definite=definite)
+                                         definite=True)
             if factors is None:
                 self.singular = True
                 return
+            factors[0][j] /= s[j, None]
             self._cores.append((factors, lo + loc[order]))
 
     def _v_apply(self, v):

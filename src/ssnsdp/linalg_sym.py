@@ -14,6 +14,7 @@ expressed through that classification.
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.linalg.blas import dnrm2
 
 
 def svec_len(n):
@@ -140,12 +141,14 @@ def eig_sym(A):
     Eigenvalues within 1e-12 * (1 + ||A||_F) of zero are classified beta;
     the solver, the KKT map and the regularity report all read this one
     rule.  Ties inside repeated eigenvalues resolve to whatever basis
-    LAPACK returns; consumers must not depend on the choice.
+    LAPACK returns; consumers must not depend on the choice.  ||A||_F is
+    BLAS dnrm2, which scales: a plain sum of squares overflows at 1.3e154.
     """
     A = np.asarray(A, dtype=float)
     lam, P = np.linalg.eigh(A)
+    fro = float(dnrm2(A.ravel())) if A.size else 0.0
     return _classified(P[:, ::-1].copy(), lam[::-1].copy(),
-                       1e-12 * (1.0 + float(np.linalg.norm(A))))
+                       1e-12 * (1.0 + fro))
 
 
 def project_psd(decomp):

@@ -229,8 +229,11 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         else:
             z, shift = hat, 0.0
             decomps = cone_decompositions(problem, z)
-        Fvec = kkt_residual(problem, z, _decomps=decomps)
-        fn = float(np.linalg.norm(Fvec))
+        # an iterate far out of range overflows here and reads diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            Fvec = kkt_residual(problem, z, _decomps=decomps)
+            fn = float(np.linalg.norm(Fvec))
+            dist = z.distance_to(z_bar) if z_bar is not None else None
         if f0 is None:
             f0 = fn
         diverged = not np.isfinite(fn) or fn > 1e6 * max(f0, 1e-300)
@@ -245,10 +248,8 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
             backend = _make_backend(problem, z, params.variant, decomps)
             sigma = backend.sigma_min()
         row = IterationTrace(
-            k=k, f_norm=fn,
-            dist_to_solution=(z.distance_to(z_bar)
-                              if z_bar is not None else None),
-            sigma_min=sigma, correction_shift=shift, newton_residual=0.0)
+            k=k, f_norm=fn, dist_to_solution=dist, sigma_min=sigma,
+            correction_shift=shift, newton_residual=0.0)
         trace.append(row)
         logger.debug("k=%d f=%.3e sigma=%.3e shift=%.3e",
                      k, fn, sigma, shift)

@@ -180,6 +180,24 @@ def test_run_non_finite_perturbation_exit_2(magnitude, capsys):
     assert err == "error: --perturb must be finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", ["1e160", "1e200", "1e308"])
+@pytest.mark.parametrize("example", [
+    ("ex3",), ("ex5", "--l1", "6", "--l2", "4"),
+    ("ex1", "--l1", "6", "--l2", "4", "--variant", "ui")],
+    ids=["ex3", "ex5", "ex1-ui"])
+def test_run_overflowing_start_diverges_quietly(magnitude, example, capsys):
+    """A start whose residual overflows reads diverged at k = 0, with
+    no floating-point warning on the way."""
+    code, out, err = run_cli(capsys, "run", "--example", *example,
+                             "--perturb", magnitude, "--format", "json")
+    assert code == 4
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "diverged"
+    assert [row["k"] for row in payload["iterations"]] == [0]
+
+
 def test_run_qsdp_file_with_point(ex3_qsdp, capsys):
     qsdp, point = ex3_qsdp
     code, out, _ = run_cli(capsys, "run", "--qsdp", qsdp,

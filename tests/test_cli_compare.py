@@ -85,6 +85,29 @@ def test_csv_and_exit_codes_compare_bytes(cli_compare, tmp_path):
         "check-format-csv: bytes differ", "exit_codes.txt: bytes differ"]
 
 
+CSV = "item,value\nui_sigma_min,{}\nw_soc,true\n"
+
+
+def test_csv_floats_in_the_last_digits_pass(cli_compare, tmp_path):
+    """A CSV cell that reads as a float on both sides takes the JSON
+    float rule: 3e-16 relative is rounding."""
+    a = write_outputs(tmp_path / "a", csv=CSV.format("0.327362939871023"))
+    b = write_outputs(tmp_path / "b", csv=CSV.format("0.32736293987102294"))
+    assert cli_compare.compare(a, b) == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("0.3273", "0.3274"),
+    lambda text: text.replace("true", "false"),
+    lambda text: text + "extra,1.0\n",
+], ids=["float", "flag", "extra-row"])
+def test_a_real_csv_change_fails(cli_compare, tmp_path, edit):
+    text = CSV.format("0.3273")
+    a = write_outputs(tmp_path / "a", csv=text)
+    b = write_outputs(tmp_path / "b", csv=edit(text))
+    assert cli_compare.compare(a, b) == ["check-format-csv: bytes differ"]
+
+
 def test_file_sets_must_match(cli_compare, tmp_path):
     a = write_outputs(tmp_path / "a")
     b = write_outputs(tmp_path / "b")

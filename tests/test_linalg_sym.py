@@ -134,6 +134,21 @@ def test_eig_sym_classifies_relative_to_the_frobenius_norm():
     assert dec.gamma.size == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_eig_sym_classifies_at_large_magnitudes():
+    # ||A||_F = 1.4e200: its sum of squares overflows, and a tolerance of
+    # inf would call all three eigenvalues beta
+    dec = eig_sym(np.diag([1e200, 2.0, -1e200]))
+    assert list(dec.alpha) == [0]
+    assert list(dec.beta) == [1]
+    assert list(dec.gamma) == [2]
+
+
+def test_eig_sym_empty_block():
+    dec = eig_sym(np.zeros((0, 0)))
+    assert dec.lam.size == dec.alpha.size == dec.beta.size == 0
+
+
 def test_classified_counts_signed_zeros_as_beta():
     lam = np.array([1.0, 0.0, -0.0, -1.0])
     dec = _classified(np.eye(4), lam, 0.0)

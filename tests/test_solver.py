@@ -501,7 +501,7 @@ def test_separable_diagonal_gate():
     assert separable_diagonal(p1, s1.z_bar) is None
 
 
-def two_block_separable_problem(support=([0, 7, 13], [0.0, 0.3, -0.5])):
+def two_block_separable_problem(support=([0, 7, 13], [0.0, 0.3, 0.5])):
     """Separable problem on S^4 x S^3 whose Hessian differs from the
     identity on the support coordinates only, by default three, so the
     Woodbury support covers no whole index block."""
@@ -647,10 +647,10 @@ def test_woodbury_operator_matches_dense(case):
     op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
     U = assemble_U(problem, z, variant)
     assert not op.singular
-    # a block whose Hessian is the identity has no core; a core with c in
-    # (0, 1] factors by Cholesky (ex5: c = 1, two-block's first block:
-    # c = (1, 0.7)), any other c by LU (two-block's second: c = 1.5)
-    kinds = {"ex5": ["cholesky"], "two-block": ["cholesky", "lu"],
+    # a block whose Hessian is the identity has no core; every other core
+    # has c in (0, 1] and factors by Cholesky (ex5: c = 1, two-block:
+    # c = (1, 0.7) and 0.5)
+    kinds = {"ex5": ["cholesky"], "two-block": ["cholesky", "cholesky"],
              "unit-block": ["cholesky"]}[case[:-3]]
     assert [core_kind(core) for core, _ in op._cores] == kinds
     rng = np.random.default_rng(12)
@@ -664,36 +664,93 @@ def test_woodbury_operator_matches_dense(case):
     assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
 
 
+@pytest.mark.parametrize("w", [1.5, -0.5])
 @pytest.mark.parametrize("variant", ["U0", "UI"])
-def test_woodbury_lu_core_is_factored_in_place(variant, monkeypatch):
-    """The second block's core has c = (0.6, 1.5), one outside (0, 1],
-    so it takes LU: its mirrored core reaches dgetrf in Fortran order,
-    which factors it in place, and the operator still answers as the
-    assembled one."""
-    factor = reduced_mod._factor_with_rcond
-    seen = []
-
-    def recorded(M, *args, **kwargs):
-        factors = factor(M, *args, **kwargs)
-        seen.append((kwargs["definite"], M.flags.f_contiguous,
-                     np.shares_memory(factors[0], M)))
-        return factors
-
-    monkeypatch.setattr(reduced_mod, "_factor_with_rcond", recorded)
-    problem = two_block_separable_problem(([0, 7, 11, 13],
-                                           [0.0, 0.3, 0.4, -0.5]))
+def test_hessian_outside_unit_interval_routes_to_block_elimination(
+        w, variant):
+    """A Hessian diagonal entry outside [0, 1] would give a core with c
+    outside (0, 1], which need not be definite: the Woodbury gate
+    refuses it, and the exact block elimination answers as the
+    assembled operator."""
+    problem = two_block_separable_problem(([0, 7, 13], [0.0, 0.3, w]))
     z = correct(two_block_start(problem, seed=5), problem, 0.5)
+    assert separable_diagonal(problem, z) is None
+    decomps = cone_decompositions(problem, z)
+    op = _make_backend(problem, z, variant, decomps)
+    dense = _DenseBackend(problem, z, variant, decomps)
+    assert isinstance(op, ReducedNewtonOperator)
+    assert not op.singular and not dense.singular
+    for r in np.random.default_rng(4).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("t_empty", [False, True], ids=["core", "diagonal"])
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_woodbury_tiny_c_reads_nonsingular(variant, t_empty):
+    """w = 1 - 2^-53 gives c = 1.1e-16 beside c = 0.5 in one block:
+    measured unscaled, its 1/c = 9e15 swamped the rest of the core and
+    read a well-conditioned operator singular."""
+    values = (0.5, 1.0 - 2.0**-53, 0.2)
+    if t_empty:
+        problem, z = t_empty_case(values)
+    else:
+        problem = two_block_separable_problem(([0, 7, 13], list(values)))
+        z = correct(two_block_start(problem, seed=5), problem, 0.5)
     decomps = cone_decompositions(problem, z)
     op = WoodburyNewtonOperator(problem, z, variant, decomps,
                                 separable_diagonal(problem, z))
-    assert [idx.size for _, idx in op._cores] == [2, 2]
-    assert seen == [(True, True, True), (False, True, True)]
     dense = _DenseBackend(problem, z, variant, decomps)
-    for r in np.random.default_rng(4).standard_normal((3, op.dim)):
+    assert not op.singular and dense.sigma_min() > 1e-2
+    for r in np.random.default_rng(6).standard_normal((3, op.dim)):
         assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
-        assert_allclose(op.solve_t(r), np.linalg.solve(dense.matrix.T, r),
-                        atol=1e-10)
-    assert_allclose(op.sigma_min(), dense.sigma_min(), atol=1e-10)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-8)
+
+
+def test_woodbury_cores_are_definite_and_match_dense():
+    """Property: for any Hessian diagonal in [0, 1] (exact 0s and 1s
+    included) at any corrected iterate, every core is Cholesky or
+    diagonal, and the operator gives the assembled one's verdict, solves
+    and sigma_min."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    N = svec_len(4) + svec_len(3)
+    eigenvalue = st.floats(-2.0, 2.0)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(
+        support=st.lists(st.integers(0, N - 1), min_size=1,
+                         max_size=N // 2, unique=True),
+        values=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=N // 2, max_size=N // 2),
+        spectra=st.tuples(st.lists(eigenvalue, min_size=4, max_size=4),
+                          st.lists(eigenvalue, min_size=3, max_size=3)),
+        seed=st.integers(0, 2**16),
+        variant=st.sampled_from(["U0", "UI"]))
+    def check(support, values, spectra, seed, variant):
+        problem = two_block_separable_problem(
+            (support, values[:len(support)]))
+        z = correct(two_block_start(problem, seed, spectra), problem, 0.5)
+        decomps = cone_decompositions(problem, z)
+        w = separable_diagonal(problem, z)
+        assert w is not None
+        op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
+        dense = _DenseBackend(problem, z, variant, decomps)
+        assert {core_kind(core) for core, _ in op._cores} <= {
+            "cholesky", "diagonal"}
+        assert op.singular == dense.singular
+        if op.singular:
+            return
+        # both sides are accurate to about eps cond(U), relative: the
+        # tolerances hold as stated up to cond(U) = 1e3
+        slack = max(1.0, 1e-3 * np.linalg.cond(dense.matrix))
+        for r in np.random.default_rng(seed).standard_normal((3, op.dim)):
+            x = dense.solve(r)
+            assert np.linalg.norm(op.solve(r) - x) <= 1e-10 * slack * max(
+                1.0, np.linalg.norm(x))
+        assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-6 * slack)
+
+    check()
 
 
 @pytest.mark.parametrize("support", ["block", "diagonal", "scattered", "all"])
@@ -741,7 +798,7 @@ def test_woodbury_core_builds_without_rotation_rows(monkeypatch):
     assert not op.singular
 
 
-def t_empty_case(values=(0.5, 0.3, -0.5)):
+def t_empty_case(values=(0.5, 0.3, 0.2)):
     """Two-block separable problem with support coordinates in both
     blocks, at a start whose spectra are all positive: every eigenvalue
     is alpha, so T is empty and V = I in both blocks."""
@@ -777,7 +834,7 @@ def test_woodbury_t_empty_core_is_diagonal(variant, monkeypatch):
 def test_woodbury_t_empty_core_reads_singular(variant):
     """w = 0 on a support coordinate of a block with V = I: the diagonal
     core has an exact zero, as the assembled matrix has a zero column."""
-    problem, z = t_empty_case((0.0, 0.3, -0.5))
+    problem, z = t_empty_case((0.0, 0.3, 0.2))
     decomps = cone_decompositions(problem, z)
     op = WoodburyNewtonOperator(problem, z, variant, decomps,
                                 separable_diagonal(problem, z))

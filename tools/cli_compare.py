@@ -6,17 +6,23 @@
 real change in behaviour.  This compares by kind of output instead:
 
 - both directories hold the same files, and exit_codes.txt is the same;
-- table and CSV outputs are byte-identical;
+- table outputs are byte-identical;
+- CSV outputs (a name ending in "csv") have the same rows, each with the
+  same number of cells; a pair of cells that both read as one float
+  literal, with no surrounding space, follows the float rule below, and
+  every other pair of cells is equal as text;
 - JSON outputs (a name ending in "json") are equal in every field that is
   not a float: keys, list lengths, statuses, iteration counts, flags;
-- each pair of JSON floats agrees within RTOL relative or ATOL absolute
-  (two nan agree).
+- each pair of floats agrees within RTOL relative or ATOL absolute (two
+  nan agree).
 
 It prints one line per file that differs, with its first difference, and
 exits 1 when any file differs, 0 otherwise.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -35,6 +41,32 @@ def file_set(root):
 def floats_agree(a, b):
     return (a == b or (math.isnan(a) and math.isnan(b))
             or math.isclose(a, b, rel_tol=RTOL, abs_tol=ATOL))
+
+
+def as_float(cell):
+    """The float a CSV cell spells, or None when it is not one float
+    literal with no surrounding space."""
+    if cell != cell.strip():
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_agrees(ta, tb):
+    """True when two CSV texts differ at most in float cells that agree."""
+    ra = list(csv.reader(io.StringIO(ta.decode())))
+    rb = list(csv.reader(io.StringIO(tb.decode())))
+    if len(ra) != len(rb) or any(len(x) != len(y) for x, y in zip(ra, rb)):
+        return False
+    for x, y in zip(ra, rb):
+        for cx, cy in zip(x, y):
+            fx, fy = as_float(cx), as_float(cy)
+            if cx != cy and (fx is None or fy is None
+                             or not floats_agree(fx, fy)):
+                return False
+    return True
 
 
 def json_diff(a, b, path="$"):
@@ -71,7 +103,8 @@ def compare(a, b):
             d = json_diff(json.loads(ta), json.loads(tb))
             if d is not None:
                 out.append(f"{name}: {d}")
-        elif ta != tb:
+        elif ta != tb and not (name.endswith("csv")
+                               and csv_agrees(ta, tb)):
             out.append(f"{name}: bytes differ")
     return out
 
