@@ -37,9 +37,12 @@ through one rank-2|T| update of P_T (see _BlockData): O(n^2 |T|) flops
 per block instead of the O(n^3) of a full rotation, the mask split of
 SDPNAL (Zhao, Sun and Toh, SIAM J. Optim. 20 (2010), Sec. 3).  A block
 with T empty, where V is the identity, needs no GEMM and no svec/smat at
-all.  Of the solve path, only the build reads rotated rows of G
-(_BlockData.s_rows): _border stacks the zero-mask rows into Gz under
-J, and _curvature forms K from the alpha-gamma rows.  The regularity
+all.  The Woodbury solve goes one step further: one cols and one back
+per block and solve, and its reads and writes on the core's support
+pairs touch only the support's rows of P (_SupportMaps).  Of the solve
+path, only the build reads rotated rows of G (_BlockData.s_rows):
+_border stacks the zero-mask rows into Gz under J, and _curvature forms
+K from the alpha-gamma rows.  The regularity
 report in conditions.py derives its constraint rows and curvature
 through the same two helpers, so R and the paper's conditions read one
 derivation.
@@ -595,12 +598,12 @@ def separable_diagonal(problem, z):
 
 def _woodbury_core(b, D, loc, c):
     """Lower triangle of the core M = diag(1/c) - V[S, S] of one cone
-    block, S the support pairs loc taken in the order `order`, and the
-    scale of its terms before they cancel, max|1/c| + ||V[S, S]||_1, for
-    _factor_with_rcond: measured against its own norm, a core that
-    cancels to rounding noise would pass as well conditioned.  Returns
-    (M, scale, order); M is Fortran order, ready to be factored in place,
-    and its upper triangle outside the diagonal blocks is never written.
+    block, S the support pairs loc taken in the order `order`, the 1-norm
+    ||V[S, S]||_1 for _factor_with_rcond's scale (see
+    WoodburyNewtonOperator), and the solve's _SupportMaps.  Returns (M,
+    vnorm, order, maps); M is Fortran order, ready to be factored in
+    place, and its upper triangle outside the diagonal blocks is never
+    written.
 
     With q_i = P[i, :] the rows of the eigenbasis, D the v_mask matrix
     and w = 1 on diagonal pairs, sqrt(2) off them, the entry for support
@@ -612,14 +615,14 @@ def _woodbury_core(b, D, loc, c):
     The support pairs are sorted by (second index, first index), so the
     pairs of each second index t take one contiguous range [lo, hi).  Q
     holds the eigenbasis rows the support touches; for each t, Z =
-    (Q o q_t) D and one GEMM give the core rows [lo, hi) from column lo
-    on, stored transposed as the columns [lo, hi) of M from row lo down:
-    the lower triangle.  That is O(p n^2 + k^2 n) flops, p the index
-    pairs {s, t} with s touched by the support, and O(k^2 + k n) memory;
-    no svec rotation-row matrix (k by n(n+1)/2) is made.  The column
-    sums of |V[S, S]| add up, per t, the column sums of those rows and,
-    by symmetry, the row sums of their part right of the diagonal block
-    into the columns [lo, hi).
+    (Q o q_t) D and one GEMM give the core rows [lo, hi) up to column
+    hi, the lower triangle, from the rows of B over the pairs before hi
+    only.  That is O(p n^2 + k^2 n) flops, p the index pairs {s, t} with
+    s touched by the support, and O(k^2 + k n) memory; no svec
+    rotation-row matrix (k by n(n+1)/2) is made.  The column sums of
+    |V[S, S]| add up, per t, the column sums of those rows and, by
+    symmetry, the row sums of their part left of the diagonal block into
+    the columns [lo, hi).
     """
     ka, la = b.iu[loc], b.ju[loc]
     order = np.lexsort((ka, la))
@@ -638,16 +641,55 @@ def _woodbury_core(b, D, loc, c):
     bounds = np.append(np.flatnonzero(np.diff(ll, prepend=-1)), k).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         Z = (Q * Q[ll[lo]]) @ D
-        B = Qk[lo:] * Z[ll[lo:]] + Ql[lo:] * Z[kl[lo:]]
+        B = Qk[:hi] * Z[ll[:hi]] + Ql[:hi] * Z[kl[:hi]]
         block = (0.5 * w[lo:hi, None] * Q[kl[lo:hi]]) @ B.T
         a = np.abs(block)
-        colsum[lo:] += a.sum(axis=0)
-        colsum[lo:hi] += a[:, hi - lo:].sum(axis=1)
-        M[lo:, lo:hi] = block.T
-    inv_c = 1.0 / c
+        colsum[:hi] += a.sum(axis=0)
+        colsum[lo:hi] += a[:, :lo].sum(axis=1)
+        M[lo:hi, :hi] = block
     d = np.arange(k)
-    M[d, d] += inv_c
-    return M, float(np.abs(inv_c).max() + colsum.max()), order
+    M[d, d] += 1.0 / c
+    return M, float(colsum.max()), order, _SupportMaps(Q, b.T, kl, ll, w)
+
+
+class _SupportMaps:
+    """What a Woodbury solve reads and writes of one block on its support
+    pairs, in core order (see _woodbury_core): pair a = (i, j) sits at
+    (kl[a], ll[a]) of the idx x idx submatrix, idx the eigenbasis rows Q =
+    P[idx] that the support touches.  Everything is O(|idx| n |T|) per
+    column, not the O(n^2 |T|) of _BlockData's cols and back.
+    """
+
+    def __init__(self, Q, T, kl, ll, w):
+        ni, k = Q.shape[0], kl.size
+        self.Q = Q
+        self.QT = Q[:, T]
+        self.w = w
+        self.at = kl * ni + ll
+        self.at_t = ll * ni + kl
+        # every position of the idx x idx submatrix to its support pair,
+        # or to the zero past the last one
+        self.put = np.full(ni * ni, k)
+        self.put[self.at] = self.put[self.at_t] = np.arange(k)
+
+    def read(self, Y):
+        """The support entries of _BlockData.back(Y), as (k, m) columns:
+        with C = P Y P_T', the svec entries of C + C' on the support read
+        only the idx rows and columns of C, Q Y Q_T'."""
+        C = ((self.Q @ Y) @ self.QT.T).reshape(Y.shape[0], -1)
+        return ((C.take(self.at, axis=1) + C.take(self.at_t, axis=1))
+                * self.w).T
+
+    def cols(self, t):
+        """_BlockData.cols of the block's svec columns that are t on the
+        support and zero elsewhere: smat of them lives on idx x idx, so
+        Hh[:, T] = Q' smat(t) Q_T."""
+        k, m = t.shape
+        ni = self.Q.shape[0]
+        v = np.zeros((m, k + 1))
+        v[:, :k] = t.T / self.w
+        X = v.take(self.put, axis=1).reshape(m, ni, ni)
+        return self.Q.T @ (X @ self.QT)
 
 
 class WoodburyNewtonOperator:
@@ -674,20 +716,24 @@ class WoodburyNewtonOperator:
     positive semidefinite (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 10).  Cholesky factors its scaling C^{1/2} M C^{1/2}
     = I - C^{1/2} V[S, S] C^{1/2}, through the shared verdict
-    _factor_with_rcond, against the scale of its terms before they
-    cancel, at most 1 + ||V[S, S]||_1: a breakdown, or a core that
+    _factor_with_rcond, against 1 + ||V[S, S]||_1, which bounds the
+    scale of its terms before they cancel: a breakdown, or a core that
     cancels to rounding noise, reads singular, as the assembled matrix
     does; a tiny c, whose 1/c would swamp an unscaled core, does not.  A
     block with T empty has V = I there, so its core is the diagonal
     diag(1/c - 1), stored inverted and judged by the same rule, with no
     build and no factorization.
 
-    Each solve applies V twice, and each application of V works on the
-    non-unit indices T of every block only (see _BlockData): V(H) =
-    H - P ((1 - D) o P'HP) P' reads P'HP through its T columns, so a
-    block costs O(n^2 |T|) flops, not the O(n^3) of a full rotation, and
-    a block with T empty costs nothing.  On ex5 at 60/40, |T| is about
-    40 to 48 of 100.
+    A solve is dx = -(b + V t), with b = r3 - V r1 and t = M^{-1} b on
+    the support.  V(H) = H - back((1 - D) o cols(H)) (see _BlockData),
+    so dx = r1 - r3 - t - back((1 - D) o (cols(r1) - cols(t))): per
+    block, one cols of r1 and one back are the only maps over the whole
+    block, each O(n^2 |T|) flops, not the O(n^3) of a full rotation.  b
+    on the support reads the idx rows and columns of the first back, and
+    t, supported on idx x idx, has cols Q' smat(t) Q_T, Q the support's
+    rows idx of P (_SupportMaps, built with the core): O(|idx| n |T|)
+    each.  A block with T empty costs no matrix product.  On ex5 at
+    60/40, |T| is about 40 to 48 of n = 100, and |idx| = 40.
     """
 
     def __init__(self, problem, z, variant, decomps, w):
@@ -706,12 +752,19 @@ class WoodburyNewtonOperator:
 
     def _build(self):
         self.singular = False
+        # (core, (support, block, its coordinates, _SupportMaps or None))
+        # per block with a core; (block, its coordinates) per block with
+        # T nonempty but no core
         self._cores = []
+        self._bare = []
         for i, b in enumerate(self.blocks):
             lo, hi = self.block_off[i], self.block_off[i + 1]
+            cs = slice(lo, hi)
             cb = self.c[lo:hi]
             loc = np.where(cb != 0.0)[0]
             if loc.size == 0:
+                if b.T.size:
+                    self._bare.append((b, cs))
                 continue
             c = cb[loc]
             if b.T.size == 0:
@@ -719,23 +772,23 @@ class WoodburyNewtonOperator:
                 if (1.0 - c).min() < _SINGULAR_RCOND * (1.0 + c.max()):
                     self.singular = True
                     return
-                self._cores.append((1.0 / (1.0 / c - 1.0), lo + loc))
+                self._cores.append((1.0 / (1.0 / c - 1.0),
+                                    (lo + loc, b, cs, None)))
                 continue
-            M, anorm, order = _woodbury_core(b, b.D, loc, c)
+            M, vnorm, order, maps = _woodbury_core(b, b.D, loc, c)
             # factor C^{1/2} M C^{1/2} against its scale 1 + ||V[S, S]||_1
-            # (c <= 1; anorm when all c = 1), then unscale L to M's factor
+            # (c <= 1), then unscale L to M's factor
             s = np.sqrt(c[order])
             j = np.flatnonzero(s != 1.0)
             M[:, j] *= s[j]
             M[j] *= s[j, None]
-            anorm = anorm - 1.0 / c.min() + 1.0
-            factors = _factor_with_rcond(M, anorm, overwrite=True,
+            factors = _factor_with_rcond(M, 1.0 + vnorm, overwrite=True,
                                          definite=True)
             if factors is None:
                 self.singular = True
                 return
             factors[0][j] /= s[j, None]
-            self._cores.append((factors, lo + loc[order]))
+            self._cores.append((factors, (lo + loc[order], b, cs, maps)))
 
     def _v_apply(self, v):
         """V applied to each column of v, shape (x_dim, m)."""
@@ -744,28 +797,34 @@ class WoodburyNewtonOperator:
             out[cs] -= b.v_defect(v[cs])
         return out
 
-    def _core_solve(self, rhs):
-        """Scattered M^{-1} rhs[support] over all blocks; a diagonal core
-        is stored as M^{-1} itself."""
-        t = np.zeros_like(rhs)
-        for core, idx in self._cores:
-            if isinstance(core, np.ndarray):
-                t[idx] = core[:, None] * rhs[idx]
-            else:
-                t[idx] = _factor_solve(core, rhs[idx])
-        return t
-
     def _split(self, r):
         """(r1, r3), each of shape (x_dim, m), of a vector or a stack."""
         r = np.asarray(r, dtype=float).reshape(self.dim, -1)
         return r[:self.x_dim], r[self.x_dim:]
 
     def solve(self, r):
+        """U d = r: dx = -(b + V t), with b = r3 - V r1 and t = M^{-1} b on
+        the support, is r1 - r3 - t - back((1 - D) o (cols(r1) - cols(t)))
+        block by block, one full cols and one back each; b on the support
+        and the cols of t read only the support's rows of P."""
         if self.singular:
             raise SingularSystemError()
         r1, r3 = self._split(r)
-        b = r3 - self._v_apply(r1)
-        dx = -(b + self._v_apply(self._core_solve(b)))
+        dx = r1 - r3
+        for core, (at, b, cs, maps) in self._cores:
+            # r3 - r1 on the support: dx there is still r1 - r3
+            rhs = -dx[at]
+            if maps is None:
+                # V = I on the block, and the core is stored inverted
+                dx[at] -= core[:, None] * rhs
+                continue
+            Y = b.one_minus_d * b.cols(r1[cs])
+            rhs += maps.read(Y)
+            t = _factor_solve(core, rhs)
+            dx[at] -= t
+            dx[cs] -= b.back(Y - b.one_minus_d * maps.cols(t))
+        for b, cs in self._bare:
+            dx[cs] -= b.v_defect(r1[cs])
         dG = r1 - self.w[:, None] * dx
         return np.concatenate([dx, dG]).reshape(np.shape(r))
 

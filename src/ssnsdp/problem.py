@@ -46,6 +46,8 @@ class BlockSymMatrix:
     @classmethod
     def from_svec(cls, orders, v):
         v = np.asarray(v, dtype=float)
+        if v.ndim != 1:
+            raise ValueError("svec vector must be one-dimensional")
         out = []
         at = 0
         for n in orders:

@@ -19,6 +19,7 @@ import numbers
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dnrm2
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,7 +126,7 @@ def _correct_with_decomps(problem, z, delta):
     gx = problem.g(z.x)
     new_blocks = []
     decomps = []
-    shift_sq = 0.0
+    clipped = []
     for Gb, Cb in zip(gx.blocks, z.Gamma.blocks):
         dec = eig_sym(Gb + Cb)
         clip = np.abs(dec.lam) <= delta
@@ -133,12 +134,15 @@ def _correct_with_decomps(problem, z, delta):
         if np.any(clip):
             shift = (dec.P * (dec.lam * clip)) @ dec.P.T
             new_blocks.append(Cb - shift)
-            shift_sq += float(np.sum((dec.lam * clip) ** 2))
+            clipped.append(dec.lam[clip])
         else:
             new_blocks.append(Cb.copy())
         decomps.append(_classified(dec.P, lam_new, 0.0))
     z_new = KktPoint(z.x.copy(), z.xi.copy(), BlockSymMatrix(new_blocks))
-    return z_new, float(np.sqrt(shift_sq)), decomps
+    # dnrm2 scales: a sum of squares overflows once an eigenvalue passes
+    # 1.3e154, far from overflow of the norm itself
+    size = float(dnrm2(np.concatenate(clipped))) if clipped else 0.0
+    return z_new, size, decomps
 
 
 class _DenseBackend:

@@ -198,6 +198,22 @@ def test_run_overflowing_start_diverges_quietly(magnitude, example, capsys):
     assert [row["k"] for row in payload["iterations"]] == [0]
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_with_overflowing_correction_shift_is_quiet(capsys):
+    """delta = 1e300 clips eigenvalues near 1e200, whose sum of squares
+    overflows; the shift is their norm, finite, and the run still reads
+    diverged at k = 0 with no floating-point warning."""
+    code, out, err = run_cli(capsys, "run", "--example", "ex3",
+                             "--delta", "1e300", "--perturb", "1e200",
+                             "--format", "json")
+    assert code == 4
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "diverged"
+    (row,) = payload["iterations"]
+    assert 1e200 < row["correction_shift"] < 1e201
+
+
 def test_run_qsdp_file_with_point(ex3_qsdp, capsys):
     qsdp, point = ex3_qsdp
     code, out, _ = run_cli(capsys, "run", "--qsdp", qsdp,
@@ -363,6 +379,26 @@ def test_point_with_asymmetric_gamma_exit_2(tmp_path, capsys):
                              "--point", point)
     assert code == 2
     assert err == f"error: point {point}: Gamma block 0 is not symmetric\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("gamma_svec", [None, 0.0, [[0.0, 0.0, 0.0]]],
+                         ids=["null", "scalar", "nested"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_point_with_non_vector_gamma_svec_exit_2(tmp_path, capsys,
+                                                 gamma_svec, command):
+    """gamma_svec that is not a flat list is a bad point file, not an
+    IndexError from indexing a 0-d array."""
+    def replace(raw):
+        del raw["Gamma"]
+        raw["gamma_svec"] = gamma_svec
+
+    point = ex3_point(tmp_path, replace)
+    code, out, err = run_cli(capsys, command, "--example", "ex3",
+                             "--point", point)
+    assert code == 2
+    assert err == (f"error: cannot load point {point}: svec vector must be "
+                   "one-dimensional\n")
     assert out == ""
 
 

@@ -89,6 +89,16 @@ def test_svec_smat_bitwise_equal_index_formula(n, layout):
     S[ju, iu] = S[iu, ju]
     out = smat(v)
     assert out.shape == (n, n) and out.tobytes() == S.tobytes()
+    # stacks of shape (m, len), C order and the transpose of the (len, m)
+    # columns that _BlockData.cols passes
+    for m in (0, 1, 3):
+        V = rng.standard_normal((m, v.size))
+        S = np.zeros((m, n, n))
+        S[:, iu, ju] = V / scale
+        S[:, ju, iu] = S[:, iu, ju]
+        for stack in (V, np.ascontiguousarray(V.T).T):
+            out = smat(stack)
+            assert out.shape == (m, n, n) and out.tobytes() == S.tobytes()
 
 
 def test_smat_rejects_non_triangular_length():
