@@ -28,8 +28,17 @@ class _ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a _ConfigError, so it prints the
+    one-line message every other configuration error prints; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise _ConfigError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ssnsdp",
         description="Corrected semismooth Newton solver for NLSDP KKT "
                     "systems, with regularity-condition checks.")
@@ -59,10 +68,6 @@ def _parser():
                    help="correction radius")
     r.add_argument("--tol", type=float, default=1e-10)
     r.add_argument("--max-iter", type=int, default=50)
-    r.add_argument("--eta", type=float, default=0.0,
-                   help="inexact solve forcing term in [0, 1) (0 = exact)")
-    r.add_argument("--tau", type=float, default=1.0,
-                   help="inexact solve forcing exponent")
     r.add_argument("--no-correction", action="store_true",
                    help="plain semismooth Newton, no spectrum correction")
     r.add_argument("--perturb", type=float, metavar="MAG",
@@ -180,8 +185,6 @@ def _run_payload(problem, args, result):
             "delta": args.delta,
             "tol": args.tol,
             "max_iter": args.max_iter,
-            "eta": args.eta,
-            "tau": args.tau,
             "correction": not args.no_correction,
         },
         "seed": args.seed,
@@ -292,7 +295,7 @@ def cmd_run(args):
     try:
         params = SolverParams(
             variant=args.variant.upper(), delta=args.delta, tol=args.tol,
-            max_iter=args.max_iter, eta=args.eta, tau=args.tau)
+            max_iter=args.max_iter)
     except ValueError as e:
         raise _ConfigError(str(e)) from e
     if args.seed < 0:
@@ -330,8 +333,8 @@ def main(argv=None):
         logging.basicConfig(
             stream=sys.stderr,
             level=getattr(logging, level.upper(), logging.INFO))
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "run":
             return cmd_run(args)
         return cmd_check(args)

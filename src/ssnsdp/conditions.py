@@ -32,6 +32,7 @@ otherwise; the pair split is meaningless away from a solution.
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dnrm2
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,7 +89,8 @@ class ConditionReport:
 
 def _checked_decomps(problem, z):
     decomps = cone_decompositions(problem, z)
-    res = np.linalg.norm(kkt_residual(problem, z, _decomps=decomps))
+    # dnrm2 scales, so a finite F past 1.3e154 reads finite, not overflow
+    res = dnrm2(kkt_residual(problem, z, _decomps=decomps))
     if not res <= RESIDUAL_TOL:
         raise ValueError(
             f"point does not satisfy the KKT system (residual {res:.3e}); "

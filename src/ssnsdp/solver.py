@@ -18,7 +18,6 @@ import math
 import numbers
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dnrm2
 from dataclasses import dataclass
 from typing import Optional
@@ -41,23 +40,18 @@ class SolverParams:
 
     variant selects the surrogate derivative ("U0" or "UI"); delta is the
     correction radius; tol is the residual norm target; max_iter caps the
-    number of Newton steps.  Linear solves are exact when eta = 0; with
-    eta in (0, 1) an iterative solve only has to reach the residual
-    target min(eta, ||F||^tau) * ||F||.  eta >= 1 would let that target
-    reach ||F|| itself, which the zero step already meets.
+    number of Newton steps.
     """
 
     variant: str = "U0"
     delta: float = 0.5
     tol: float = 1e-10
     max_iter: int = 50
-    eta: float = 0.0
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.variant not in ("U0", "UI"):
             raise ValueError("variant must be 'U0' or 'UI'")
-        for name in ("delta", "tol", "eta"):
+        for name in ("delta", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.delta > 0:
@@ -67,10 +61,6 @@ class SolverParams:
         if not isinstance(self.max_iter, numbers.Integral) \
                 or self.max_iter < 0:
             raise ValueError("max_iter must be a nonnegative integer")
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError("eta must lie in [0, 1)")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
 
 
 @dataclass
@@ -181,16 +171,9 @@ def _make_backend(problem, z, variant, decomps):
     return ReducedNewtonOperator(problem, z, variant, decomps)
 
 
-def _direction(backend, Fvec, fn, params):
-    if params.eta > 0.0:
-        target = min(params.eta, fn ** params.tau) * fn
-        op = spla.LinearOperator((backend.dim, backend.dim),
-                                 matvec=backend.matvec)
-        d, info = spla.gmres(op, -Fvec, rtol=0.0, atol=target,
-                             restart=50, maxiter=400)
-        if info == 0 and np.linalg.norm(backend.matvec(d) + Fvec) \
-                <= target * (1 + 1e-9):
-            return d
+def _direction(backend, Fvec):
+    """The Newton step d with U d = -F: one exact solve with the
+    backend's factorization."""
     return backend.solve(-Fvec)
 
 
@@ -269,7 +252,7 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         if backend.singular:
             status = "singular_system"
             break
-        d = _direction(backend, Fvec, fn, params)
+        d = _direction(backend, Fvec)
         row.newton_residual = float(np.linalg.norm(backend.matvec(d) + Fvec))
         hat = z.add_vector(d)
         backend_prev = backend

@@ -22,8 +22,7 @@ from ssnsdp.problem import BlockSymMatrix, KktPoint, NlsdpProblem, save_qsdp
 RUN_KEYS = {"iterations", "params", "problem", "seed", "status"}
 ROW_KEYS = {"correction_shift", "dist", "f_norm", "k", "newton_residual",
             "sigma_min"}
-PARAM_KEYS = {"correction", "delta", "eta", "max_iter", "tau", "tol",
-              "variant"}
+PARAM_KEYS = {"correction", "delta", "max_iter", "tol", "variant"}
 
 
 def run_cli(capsys, *argv):
@@ -258,9 +257,16 @@ def test_run_point_accepts_svec_encoding(tmp_path, capsys):
     ("run", "--example", "ex5", "--tol", "inf"),       # "converges" at k = 0
     ("run", "--example", "ex5", "--delta", "inf"),     # clips every eigenvalue
     ("run", "--example", "ex5", "--delta", "nan"),
-    ("run", "--example", "ex3", "--eta", "nan"),       # silently exact
-    ("run", "--example", "ex3", "--eta", "inf", "--perturb", "1"),  # d = 0
-    ("run", "--example", "ex3", "--eta", "1"),
+    ("run", "--example", "ex3", "--eta", "0.5"),       # no inexact mode
+    ("run", "--example", "ex3", "--tau", "1"),
+    ("run", "--example", "ex3", "--eta", "0.1"),
+    # argparse's own errors print one line too, not the usage block
+    ("run", "--example", "ex5", "--l1", "abc"),
+    ("run", "--example", "ex3", "--variant", "x"),
+    ("run", "--example", "ex3", "--delta", "-inf"),    # read as a flag
+    ("run", "--example", "nope"),
+    ("solve", "--example", "ex3"),
+    (),
     ("run", "--example", "ex5", "--l1", "0", "--l2", "0"),  # bad sizes
     ("run", "--example", "ex5", "--l1", "-3"),
     ("check", "--example", "ex1", "--l1", "0", "--l2", "0"),
@@ -282,6 +288,17 @@ def test_config_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("run", "-h"), ("check", "--help")])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ssnsdp")
+    # every step is an exact solve: no inexact-mode flags are offered
+    assert "--eta" not in out and "--tau" not in out
 
 
 def _malformed_files():
@@ -521,6 +538,23 @@ def test_check_rejects_non_kkt_point(tmp_path, capsys):
     assert "KKT" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_huge_finite_residual_is_quiet(tmp_path, capsys):
+    """At eps = 1e300 the residual at x = (1, 0, 0) has an entry of
+    1e300: its sum of squares overflows, its norm does not."""
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"x": [1.0, 0.0, 0.0], "xi": [],
+                                 "Gamma": [[[0.0, 0.0], [0.0, 0.0]],
+                                           [[0.0]]]}))
+    code, out, err = run_cli(capsys, "check", "--example", "ex4_primal",
+                             "--eps", "1e300", "--point", str(point))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: point does not satisfy the KKT system "
+                   "(residual 1.000e+300); sector-based checks need a "
+                   "solution\n")
+
+
 def test_check_is_reproducible(tmp_path, capsys):
     outs = []
     for i in range(2):
@@ -568,9 +602,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 219
+    assert len(tool.COMMANDS) == 169
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 219
+    assert len(names) == 169
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])

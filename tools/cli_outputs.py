@@ -57,15 +57,14 @@ def _commands():
                             "--l2", str(l2), "--variant", variant,
                             "--perturb", "1", "--seed", str(seed),
                             "--format", "json"])
-    # the uncorrected and the inexact iterations classify the spectrum of
-    # iterates the correction would have snapped
-    for mode in (["--no-correction"], ["--eta", "0.5"]):
-        for ex in ("ex2", "ex3", "ex4_primal", "ex4_dual", "ex7"):
-            for variant in ("U0", "UI"):
-                for seed in range(5):
-                    out.append(["run", "--example", ex, "--variant", variant,
-                                *mode, "--perturb", "0.3", "--seed",
-                                str(seed), "--format", "csv"])
+    # the uncorrected iteration classifies the spectrum of iterates the
+    # correction would have snapped
+    for ex in ("ex2", "ex3", "ex4_primal", "ex4_dual", "ex7"):
+        for variant in ("U0", "UI"):
+            for seed in range(5):
+                out.append(["run", "--example", ex, "--variant", variant,
+                            "--no-correction", "--perturb", "0.3", "--seed",
+                            str(seed), "--format", "csv"])
     for eps in ("0.001", "0.01", "0.05", "0.09"):
         for variant in ("U0", "UI"):
             for mode in ([], ["--no-correction"]):
