@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .catalog import catalog, catalog_names
-from .problem import BlockSymMatrix, KktPoint, load_qsdp, perturbed_start
+from .problem import (BlockSymMatrix, KktPoint, _validate_point, load_qsdp,
+                      perturbed_start)
 from .conditions import regularity_report
 from .solver import SolverParams, classical_ssn_solve, fitted_order, ssn_solve
 
@@ -120,17 +121,12 @@ def _load_point(path, problem):
                 [np.asarray(b, dtype=float) for b in raw["Gamma"]])
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise _ConfigError(f"cannot load point {path}: {e}") from e
-    if x.shape != (problem.x_dim,) or xi.shape != (problem.eq_dim,) \
-            or [b.shape for b in Gamma.blocks] \
-            != [(n, n) for n in problem.cone_blocks]:
-        raise _ConfigError(f"point dimensions do not match {problem.name}")
-    if not all(np.all(np.isfinite(a)) for a in [x, xi] + Gamma.blocks):
-        raise _ConfigError(f"point {path} has a non-finite entry")
-    for i, B in enumerate(Gamma.blocks):
-        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
-            raise _ConfigError(f"point {path}: Gamma block {i} is not "
-                               "symmetric")
-    return KktPoint(x, xi, Gamma)
+    z = KktPoint(x, xi, Gamma)
+    try:
+        _validate_point(problem, z, f"point {path}")
+    except ValueError as e:
+        raise _ConfigError(str(e)) from e
+    return z
 
 
 def _build_start(args, problem, solution):

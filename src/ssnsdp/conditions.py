@@ -21,12 +21,15 @@ rows; the margin is its smallest eigenvalue there.  The qualification
 conditions (check_cn on U0, check_w_srcq on UI) ask the rows to be
 linearly independent; the margin is their smallest singular value.  A
 condition over a zero subspace or over no rows holds vacuously with
-margin +inf.  regularity_report derives each variant's rows and the
-curvature once and hands them to the four checks.
+margin +inf.  regularity_report builds each variant's backend once, for
+its sigma_min, and reads the variant's rows from that backend's block
+data, and the curvature from UI's, so R and the conditions read one
+derivation; the four checks get them ready made.
 
-Every entry point validates that the supplied point actually satisfies
-the KKT system (residual norm at most 1e-10) and raises ValueError
-otherwise; the pair split is meaningless away from a solution.
+Every entry point validates the point (problem._validate_point) and
+that it actually satisfies the KKT system (residual norm at most 1e-10),
+and raises ValueError otherwise; the pair split is meaningless away from
+a solution.
 """
 
 import numpy as np
@@ -36,7 +39,8 @@ from scipy.linalg.blas import dnrm2
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .problem import hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of
+from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
+                      jac_h_matrix_of)
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
 from ._reduced import _BlockData, _border, _curvature
@@ -88,6 +92,7 @@ class ConditionReport:
 
 
 def _checked_decomps(problem, z):
+    _validate_point(problem, z, "point")
     decomps = cone_decompositions(problem, z)
     # dnrm2 scales, so a finite F past 1.3e154 reads finite, not overflow
     res = dnrm2(kkt_residual(problem, z, _decomps=decomps))
@@ -218,45 +223,38 @@ def check_cn(problem, z, _rows=None):
     return _independence("U0", problem, z, _rows)
 
 
-def _checks(problem, z, decomps):
-    """The four condition results of the report, from each variant's rows
-    and the curvature derived once.  The curvature reads UI's block data,
-    the cheaper to build (its T, gamma only, is the smaller); it does not
-    depend on the variant.  All of it is freed before the Newton sigmas
-    are computed."""
-    G = jac_g_matrix_of(problem, z.x)
-    u0 = [_BlockData(dec, "U0") for dec in decomps]
-    ui = [_BlockData(dec, "UI") for dec in decomps]
-    C0 = _constraint_rows(problem, z, u0, G)
-    CI = _constraint_rows(problem, z, ui, G)
-    K = _curvature_matrix(problem, z, ui, G)
-    return (check_w_soc(problem, z, _rows=C0, _K=K),
-            check_s_sosc(problem, z, _rows=CI, _K=K),
-            check_w_srcq(problem, z, _rows=CI),
-            check_cn(problem, z, _rows=C0))
-
-
 def _newton_sigma(problem, z, variant, decomps):
     """Smallest singular value of the Newton matrix at z, from the solver's
-    own backend (see its sigma_min)."""
-    return _make_backend(problem, z, variant, decomps).sigma_min()
+    own backend (see its sigma_min), and the backend's block data.  The
+    backend and its factorization are freed on return."""
+    op = _make_backend(problem, z, variant, decomps)
+    return op.sigma_min(), op.blocks
 
 
 def regularity_report(problem, z):
     """All four condition checks plus Newton-matrix singular values.
 
-    Nonsingularity certificates: w_soc together with cn certifies the
-    zero-sided Newton matrix, s_sosc together with w_srcq the
-    identity-sided one.  A warning is recorded whenever a certificate
+    One backend per variant, U0 then UI, each freed before the next is
+    built; the rows and the curvature come from their block data once
+    both are gone.  Nonsingularity certificates: w_soc together with cn
+    certifies the zero-sided Newton matrix, s_sosc together with w_srcq
+    the identity-sided one.  A warning is recorded whenever a certificate
     holds but the computed smallest singular value is still at most
     CHECK_TOL.  When both are that small on a problem of at most
     CLARKE_PROBE_LIMIT unknowns, the report also probes the Clarke
     midpoint of the two assembled matrices.
     """
     decomps = _checked_decomps(problem, z)
-    w_soc, s_sosc, w_srcq, cn = _checks(problem, z, decomps)
-    u0_sigma = _newton_sigma(problem, z, "U0", decomps)
-    ui_sigma = _newton_sigma(problem, z, "UI", decomps)
+    u0_sigma, u0 = _newton_sigma(problem, z, "U0", decomps)
+    ui_sigma, ui = _newton_sigma(problem, z, "UI", decomps)
+    G = jac_g_matrix_of(problem, z.x)
+    C0 = _constraint_rows(problem, z, u0, G)
+    CI = _constraint_rows(problem, z, ui, G)
+    K = _curvature_matrix(problem, z, ui, G)
+    w_soc = check_w_soc(problem, z, _rows=C0, _K=K)
+    s_sosc = check_s_sosc(problem, z, _rows=CI, _K=K)
+    w_srcq = check_w_srcq(problem, z, _rows=CI)
+    cn = check_cn(problem, z, _rows=C0)
     warnings = []
     if w_soc.holds and cn.holds and u0_sigma <= CHECK_TOL:
         warnings.append(

@@ -180,6 +180,28 @@ class KnownSolution:
     expected_conditions: dict
 
 
+def _validate_point(problem, z, what):
+    """Raise ValueError, naming the field, unless z fits problem: x, xi and
+    the Gamma blocks of the problem's dimensions, every entry finite, and
+    each Gamma block symmetric to 1e-12 max(1, max|B|).  what opens the
+    message ("start point", "point FILE")."""
+    blocks = z.Gamma.blocks
+    for field, got, want in (
+            ("x", np.shape(z.x), (problem.x_dim,)),
+            ("xi", np.shape(z.xi), (problem.eq_dim,)),
+            ("Gamma", [b.shape for b in blocks],
+             [(n, n) for n in problem.cone_blocks])):
+        if got != want:
+            raise ValueError(f"{what}: {field} has dimensions {got}, "
+                             f"{problem.name} needs {want}")
+    for field, parts in (("x", [z.x]), ("xi", [z.xi]), ("Gamma", blocks)):
+        if not all(np.all(np.isfinite(a)) for a in parts):
+            raise ValueError(f"{what} has a non-finite entry in {field}")
+    for i, B in enumerate(blocks):
+        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
+            raise ValueError(f"{what}: Gamma block {i} is not symmetric")
+
+
 def _by_columns(rows, cols, apply):
     """The rows x cols matrix whose column i is apply(e_i)."""
     M = np.zeros((rows, cols))
@@ -330,10 +352,23 @@ def perturbed_start(z_bar, magnitude, seed):
 _QSDP_KEYS = ("x_dim", "eq_dim", "cone_blocks", "Q", "c", "H", "p", "G", "q")
 
 
-def _qsdp_int(key, n):
+def _qsdp_int(key, n, least=1):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"qsdp {key}: expected an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"qsdp {key}: must be "
+                         f"{'positive' if least else 'nonnegative'}, got {n}")
     return int(n)
+
+
+def _qsdp_array(data, key, shape=None):
+    """data[key] as a float array, reshaped when a shape is given; an
+    entry or a shape that does not convert names the key."""
+    try:
+        a = np.array(data[key], dtype=float)
+        return a if shape is None else a.reshape(shape)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"qsdp {key}: {e}") from e
 
 
 def _validate_qsdp(data):
@@ -344,30 +379,29 @@ def _validate_qsdp(data):
     if missing:
         raise ValueError(f"qsdp data missing keys: {missing}")
     x_dim = _qsdp_int("x_dim", data["x_dim"])
-    eq_dim = _qsdp_int("eq_dim", data["eq_dim"])
-    if not isinstance(data["cone_blocks"], list):
-        raise ValueError("qsdp cone_blocks: expected a list, "
-                         f"got {type(data['cone_blocks']).__name__}")
-    blocks = [_qsdp_int("cone_blocks", n) for n in data["cone_blocks"]]
-    if x_dim <= 0 or eq_dim < 0 or any(n <= 0 for n in blocks) or not blocks:
-        raise ValueError("qsdp dimensions must be positive (eq_dim >= 0)")
-    Q = np.array(data["Q"], dtype=float)
-    c = np.array(data["c"], dtype=float)
-    H = np.array(data["H"], dtype=float).reshape(eq_dim, x_dim)
-    p = np.array(data["p"], dtype=float).reshape(eq_dim)
+    eq_dim = _qsdp_int("eq_dim", data["eq_dim"], least=0)
+    orders = data["cone_blocks"]
+    if not isinstance(orders, list) or not orders:
+        raise ValueError("qsdp cone_blocks: expected a list of positive "
+                         f"orders, got {orders!r:.40}")
+    blocks = [_qsdp_int("cone_blocks", n) for n in orders]
+    Q = _qsdp_array(data, "Q")
+    c = _qsdp_array(data, "c")
+    H = _qsdp_array(data, "H", (eq_dim, x_dim))
+    p = _qsdp_array(data, "p", eq_dim)
     cone_dim = sum(svec_len(n) for n in blocks)
-    G = np.array(data["G"], dtype=float).reshape(cone_dim, x_dim)
-    q = np.array(data["q"], dtype=float).reshape(cone_dim)
+    G = _qsdp_array(data, "G", (cone_dim, x_dim))
+    q = _qsdp_array(data, "q", cone_dim)
     if Q.shape != (x_dim, x_dim):
-        raise ValueError(f"Q must be {x_dim} x {x_dim}, got {Q.shape}")
+        raise ValueError(f"qsdp Q: must be {x_dim} x {x_dim}, got {Q.shape}")
     if c.shape != (x_dim,):
-        raise ValueError(f"c must have length {x_dim}")
+        raise ValueError(f"qsdp c: must have length {x_dim}")
     for key, a in zip(("Q", "c", "H", "p", "G", "q"), (Q, c, H, p, G, q)):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"qsdp {key} has a non-finite entry")
     skew = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
     if skew > 1e-12 * (1.0 + np.max(np.abs(Q), initial=0.0)):
-        raise ValueError("Q must be symmetric")
+        raise ValueError("qsdp Q: must be symmetric")
     return x_dim, eq_dim, blocks, Q, c, H, p, G, q
 
 

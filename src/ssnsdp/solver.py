@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg_sym import _classified, eig_sym
-from .problem import BlockSymMatrix, KktPoint
+from .problem import BlockSymMatrix, KktPoint, _validate_point
 from .kkt import (assemble_U, cone_decompositions, kkt_residual,
                   min_singular_value)
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
@@ -58,7 +58,8 @@ class SolverParams:
             raise ValueError("delta must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_iter, numbers.Integral) \
+        if isinstance(self.max_iter, bool) \
+                or not isinstance(self.max_iter, numbers.Integral) \
                 or self.max_iter < 0:
             raise ValueError("max_iter must be a nonnegative integer")
 
@@ -185,8 +186,9 @@ def ssn_solve(problem, z0_hat, params=None, z_bar=None):
     value or left the floating range).  The final trace row carries the
     Newton matrix's smallest singular value at the last iterate,
     converged or not; a diverged row builds no matrix and records nan.
-    Raises ValueError, naming the field, when an entry of the start's x,
-    xi or Gamma is not finite.
+    Raises ValueError, naming the field, when the start's x, xi or Gamma
+    does not have the problem's dimensions, has a non-finite entry, or
+    (Gamma) is not symmetric.
     """
     return _solve_loop(problem, z0_hat, params or SolverParams(), z_bar,
                        corrected=True)
@@ -199,10 +201,7 @@ def classical_ssn_solve(problem, z0, params=None, z_bar=None):
 
 
 def _solve_loop(problem, z0, params, z_bar, corrected):
-    for field, parts in (("x", [z0.x]), ("xi", [z0.xi]),
-                         ("Gamma", z0.Gamma.blocks)):
-        if not all(np.all(np.isfinite(a)) for a in parts):
-            raise ValueError(f"start point has a non-finite entry in {field}")
+    _validate_point(problem, z0, "start point")
     hat = z0
     trace = []
     f0 = None

@@ -382,8 +382,9 @@ def test_point_with_non_finite_entry_exit_2(tmp_path, capsys, edit):
     point = ex3_point(tmp_path, edit)
     code, out, err = run_cli(capsys, "run", "--example", "ex3",
                              "--point", point)
+    field = "x" if edit is set_x0_nan else "Gamma"
     assert code == 2
-    assert err == f"error: point {point} has a non-finite entry\n"
+    assert err == f"error: point {point} has a non-finite entry in {field}\n"
     assert out == ""
 
 

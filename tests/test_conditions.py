@@ -1,6 +1,7 @@
 """Regularity condition checkers against the catalog's known flags."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +359,9 @@ def test_report_invariant_under_sparse_storage(name, reports):
 
 
 def test_report_derives_rows_and_curvature_once(monkeypatch):
+    """The report builds one backend per variant, frees U0's before it
+    builds UI's, and reads the rows and the curvature from their block
+    data: one _BlockData per variant per cone block."""
     calls = dict.fromkeys(("_constraint_rows", "_curvature_matrix",
                            "check_w_soc", "check_s_sosc", "check_w_srcq",
                            "check_cn"), 0)
@@ -367,11 +371,27 @@ def test_report_derives_rows_and_curvature_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(conditions_mod, name, counted)
+    variants, built, alive = [], [], []
+
+    def block_init(self, dec, variant, _fn=_BlockData.__init__):
+        variants.append(variant)
+        _fn(self, dec, variant)
+    monkeypatch.setattr(_BlockData, "__init__", block_init)
+
+    def make_backend(*args, _fn=conditions_mod._make_backend):
+        alive.append([ref() is not None for ref in built])
+        op = _fn(*args)
+        built.append(weakref.ref(op))
+        return op
+    monkeypatch.setattr(conditions_mod, "_make_backend", make_backend)
     problem, sol = build("ex4_primal")
     regularity_report(problem, sol.z_bar)
     assert calls == {"_constraint_rows": 2, "_curvature_matrix": 1,
                      "check_w_soc": 1, "check_s_sosc": 1,
                      "check_w_srcq": 1, "check_cn": 1}
+    blocks = len(problem.cone_blocks)
+    assert variants == ["U0"] * blocks + ["UI"] * blocks
+    assert alive == [[], [False]]
 
 
 # ---------------------------------------------------------------------------

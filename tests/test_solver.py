@@ -93,6 +93,8 @@ def spectrum_point(problem, lam, seed=0):
     {"delta": math.nan},
     {"tol": math.inf},
     {"tol": math.nan},
+    # a bool is an Integral, but True is no iteration count
+    {"max_iter": True},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
