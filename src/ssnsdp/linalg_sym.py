@@ -164,20 +164,9 @@ def xi_matrix(decomp):
 
     Entries by sector: 1 on alpha x alpha, alpha x beta and beta x beta;
     lam_i / (lam_i - lam_j) on alpha x gamma (in (0, 1)); 0 on beta x gamma
-    and gamma x gamma.  Symmetric.
+    and gamma x gamma.  Symmetric.  It is the UI mask of v_mask.
     """
-    a, b, g = decomp.alpha, decomp.beta, decomp.gamma
-    ab = np.zeros(decomp.n, dtype=bool)
-    ab[a] = True
-    ab[b] = True
-    Xi = np.outer(ab, ab).astype(float)
-    if len(a) and len(g):
-        la = decomp.lam[a]
-        lg = decomp.lam[g]
-        frac = la[:, None] / (la[:, None] - lg[None, :])
-        Xi[np.ix_(a, g)] = frac
-        Xi[np.ix_(g, a)] = frac.T
-    return Xi
+    return v_mask(decomp, "UI")
 
 
 def dproj_psd(decomp, H):
@@ -206,16 +195,23 @@ def v_mask(decomp, variant):
     svec coordinates its operator is orthogonally similar to
     diag(svec-mask), so every operator eigenvalue is an entry of D.
     """
-    if variant == "U0":
-        beta_val = 0.0
-    elif variant == "UI":
-        beta_val = 1.0
-    else:
+    if variant not in ("U0", "UI"):
         raise ValueError(f"unknown variant {variant!r}")
-    D = xi_matrix(decomp)
-    b = decomp.beta
-    if len(b):
-        D[np.ix_(b, b)] = beta_val
+    # class labels alpha 0, beta 1, gamma 3: a pair's label sum is 0, 1 or
+    # 2 exactly on alpha x alpha, alpha x beta and beta x beta, so the 1s
+    # of D come from the labels in one broadcast, with no index-set scatter
+    lab = np.ones(decomp.n, dtype=np.int8)
+    lab[decomp.alpha] = 0
+    lab[decomp.gamma] = 3
+    D = (lab[:, None] + lab <= (2 if variant == "UI" else 1)).astype(float)
+    if len(decomp.alpha) and len(decomp.gamma):
+        la = decomp.lam[decomp.alpha]
+        frac = la[:, None] / (la[:, None] - decomp.lam[decomp.gamma])
+        # a boolean mask takes its values in row-major order: alpha rows
+        # by gamma columns is frac, and its transpose frac.T
+        ag = (lab == 0)[:, None] & (lab == 3)
+        D[ag] = frac.ravel()
+        D[ag.T] = frac.T.ravel()
     return D
 
 

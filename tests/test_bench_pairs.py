@@ -126,3 +126,34 @@ def test_pairs_of_different_length_are_an_error(bench_pairs, tmp_path,
         assert err == ""
         assert json.loads(out.read_text())["workloads"]["w"]["change"][
             "run_s"] == [25.0, 37.0, 25.0, 25.0]
+
+
+def write_bytecode(checkout):
+    cache = checkout / "src" / "ssnsdp" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "solver.cpython-311.pyc").write_bytes(b"\0")
+
+
+@pytest.mark.parametrize("cached", [(), ("parent",), ("change",),
+                                    ("parent", "change")])
+def test_bytecode_is_recorded_and_a_difference_warned(bench_pairs, tmp_path,
+                                                      capsys, cached):
+    parent, change = checkouts(tmp_path)
+    dirs = {"parent": parent, "change": change}
+    for label in cached:
+        write_bytecode(dirs[label])
+    # a cache directory without bytecode holds none
+    for label in set(dirs) - set(cached):
+        (dirs[label] / "src" / "ssnsdp" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main([str(parent), str(change), "t",
+                             "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["bytecode"] == {label: label in cached for label in dirs}
+    assert bench["workloads"]["w"]["metrics"]["solve_s_p50"]["wins"] == 3
+    err = capsys.readouterr().err
+    if len(cached) == 1:
+        assert err.count("\n") == 1 and err.startswith("warning:")
+        assert f"only the {cached[0]} checkout" in err
+    else:
+        assert err == ""

@@ -297,6 +297,49 @@ def test_v_mask_aliases_agree():
             apply_V(dec, alias, np.eye(5))
 
 
+def sector_by_sector(dec, beta_beta):
+    """The mask written one index-set sector at a time."""
+    a, b, g = dec.alpha, dec.beta, dec.gamma
+    D = np.zeros((dec.n, dec.n))
+    for rows, cols in ((a, a), (a, b), (b, a)):
+        D[np.ix_(rows, cols)] = 1.0
+    D[np.ix_(b, b)] = beta_beta
+    la, lg = dec.lam[a], dec.lam[g]
+    frac = la[:, None] / (la[:, None] - lg[None, :])
+    D[np.ix_(a, g)] = frac
+    D[np.ix_(g, a)] = frac.T
+    return D
+
+
+def test_masks_match_the_sector_by_sector_reference_bitwise():
+    """Property: over spectra in any order, with alpha, beta or gamma
+    empty, xi_matrix and both variants' v_mask equal the sector-by-sector
+    construction bit for bit."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    magnitude = st.floats(1e-6, 1e6)
+    eigenvalue = (st.sampled_from([0.0, -0.0, 1e-14, -1e-14]) | magnitude
+                  | magnitude.map(lambda t: -t))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(lam=st.lists(eigenvalue, max_size=9))
+    @hyp.example(lam=[])
+    @hyp.example(lam=[3.0, 0.0])          # gamma empty
+    @hyp.example(lam=[3.0, -2.0, 1.0])    # beta empty
+    @hyp.example(lam=[0.0, -2.0])         # alpha empty
+    def check(lam):
+        dec = _classified(np.eye(len(lam)), np.array(lam, dtype=float),
+                          1e-12)
+        for got, beta_beta in ((xi_matrix(dec), 1.0),
+                               (v_mask(dec, "UI"), 1.0),
+                               (v_mask(dec, "U0"), 0.0)):
+            want = sector_by_sector(dec, beta_beta)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    check()
+
+
 def test_apply_V_agrees_with_dproj_when_strictly_complementary():
     rng = np.random.default_rng(10)
     A = sym_with_spectrum(rng, [3.0, 1.0, -0.5, -2.0])

@@ -1054,6 +1054,28 @@ def test_dense_backend_flagged_singular_reads_zero():
         assert backend.sigma_min() == 0.0
 
 
+def test_sparse_r_matches_the_assembled_operator():
+    """ex1 at 12/8 under UI, from a start at which the correction clips
+    every eigenvalue (all beta, so V = I): R = [[W, J'], [J, 0]] of order
+    342 is factored by SuperLU, and the solves and sigma_min match dense
+    solves and the full SVD of the assembled U."""
+    problem, sol = catalog("ex1", l1=12, l2=8)
+    z = correct(perturbed_start(sol.z_bar, 0.1, seed=1), problem, 0.5)
+    decomps = cone_decompositions(problem, z)
+    assert all(dec.beta.size == dec.n for dec in decomps)
+    op = _make_backend(problem, z, "UI", decomps)
+    assert isinstance(op, ReducedNewtonOperator) and not op.singular
+    assert isinstance(op._lu, spla.SuperLU)
+    # x_dim 210 plus eq_dim 132
+    assert op._lu.shape == (342, 342)
+    U = assemble_U(problem, z, "UI", _decomps=decomps)
+    R = np.random.default_rng(24).standard_normal((op.dim, 3))
+    assert_allclose(op.solve(R), np.linalg.solve(U, R), rtol=0, atol=1e-9)
+    assert_allclose(op.solve_t(R), np.linalg.solve(U.T, R), rtol=0,
+                    atol=1e-9)
+    assert_allclose(op.sigma_min(), min_singular_value(U), rtol=1e-8)
+
+
 @pytest.mark.parametrize("name,params,sparse_border", [
     ("ex1", {"l1": 4, "l2": 3}, True), ("ex2", {}, False),
     ("ex4_primal", {}, False), ("ex7", {}, False)])

@@ -18,7 +18,11 @@ was correct, how many operations failed, the machine facts of its runs,
 and each run's timed length in seconds (rounds times the wall time of a
 round).  The tool exits 1, naming the workloads, when the two runs of a
 pair differ in timed length by more than a factor of RUN_LENGTH_RATIO:
-runs of different lengths are not a pair.
+runs of different lengths are not a pair.  The top-level "bytecode"
+records, per side, whether src/ssnsdp/__pycache__ holds bytecode when the
+tool runs, and one warning line goes to stderr when the sides differ: a
+worker that finds the bytecode skips compiling the package, which lowers
+setup_s and peak_rss_mb.
 """
 
 import argparse
@@ -42,6 +46,12 @@ def load_runs(checkout):
             with open(path) as f:
                 runs[m["workload"], int(m["seed"])] = json.load(f)
     return runs
+
+
+def holds_bytecode(checkout):
+    """True when the checkout's src/ssnsdp/__pycache__ holds bytecode."""
+    cache = Path(checkout) / "src" / "ssnsdp" / "__pycache__"
+    return any(cache.glob("*.pyc"))
 
 
 def run_length(run):
@@ -100,6 +110,13 @@ def main(argv=None):
         declared = json.load(f)["end_to_end"]
     metrics = {m["name"]: (1 if m["better"] == "lower" else -1, m["bound"])
                for m in declared}
+    bytecode = {"parent": holds_bytecode(args.parent),
+                "change": holds_bytecode(args.change)}
+    if bytecode["parent"] != bytecode["change"]:
+        only = "parent" if bytecode["parent"] else "change"
+        print(f"warning: only the {only} checkout holds bytecode in "
+              f"src/ssnsdp/__pycache__; setup_s and peak_rss_mb depend on "
+              f"it", file=sys.stderr)
     workloads = compare(load_runs(args.parent), load_runs(args.change),
                         metrics)
     if not workloads:
@@ -119,7 +136,8 @@ def main(argv=None):
     out = Path(args.out or f"BENCH_{args.name}.json")
     with open(out, "w") as f:
         json.dump({"name": args.name, "regressions": regressions,
-                   "workloads": workloads}, f, indent=1)
+                   "bytecode": bytecode, "workloads": workloads}, f,
+                  indent=1)
         f.write("\n")
     print(f"wrote {out}")
     return 0
