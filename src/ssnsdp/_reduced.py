@@ -591,7 +591,7 @@ def separable_diagonal(problem, z):
     N = problem.x_dim
     if not sp.issparse(G) or G.shape != (N, N):
         return None
-    if (G.tocsr() - sp.identity(N, format="csr")).count_nonzero():
+    if not _is_identity(G):
         return None
     W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
     if not sp.issparse(W):
@@ -604,6 +604,20 @@ def separable_diagonal(problem, z):
             or not np.all((w >= 0.0) & (w <= 1.0)):
         return None
     return w
+
+
+def _is_identity(G):
+    """(G.tocsr() - I).count_nonzero() == 0 for a square sparse G, without
+    building I or the difference.  In canonical CSR form (sorted, no
+    duplicates) that is a diagonal of exact 1s and no other nonzero
+    entry; otherwise the difference sums the duplicates, in its own
+    order, so it is kept."""
+    G = G.tocsr()
+    N = G.shape[0]
+    if not G.has_canonical_format:
+        return not (G - sp.identity(N, format="csr")).count_nonzero()
+    return bool(np.all(G.diagonal() == 1.0)
+                and np.count_nonzero(G.data) == N)
 
 
 def _woodbury_core(b, D, loc, c):

@@ -186,6 +186,9 @@ def ssn_solve(problem, z0_hat, params=None, z_bar=None):
     value or left the floating range).  The final trace row carries the
     Newton matrix's smallest singular value at the last iterate,
     converged or not; a diverged row builds no matrix and records nan.
+    A solve holds at most one backend: the previous row's factorization
+    is reused when reuse_compatible accepts it, and is otherwise freed
+    before the next one is built.
     Raises ValueError, naming the field, when the start's x, xi or Gamma
     does not have the problem's dimensions, has a non-finite entry, or
     (Gamma) is not symmetric.
@@ -205,7 +208,7 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
     hat = z0
     trace = []
     f0 = None
-    backend_prev = None
+    backend = None
     z = z0
     status = "max_iter"
     for k in range(params.max_iter + 1):
@@ -226,12 +229,14 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         if diverged:
             # no Newton system is built for a hopeless iterate
             backend, sigma = None, float("nan")
-        elif backend_prev is not None and reuse_compatible(
-                backend_prev, problem, z, decomps, params.variant):
-            backend = backend_prev
-            sigma = backend.sigma_min()
         else:
-            backend = _make_backend(problem, z, params.variant, decomps)
+            if not reuse_compatible(backend, problem, z, decomps,
+                                    params.variant):
+                # free the refused factorization before the next build, so
+                # that a solve never holds two (a Woodbury core on ex5 at
+                # 90/60 is 27 MB)
+                backend = None
+                backend = _make_backend(problem, z, params.variant, decomps)
             sigma = backend.sigma_min()
         row = IterationTrace(
             k=k, f_norm=fn, dist_to_solution=dist, sigma_min=sigma,
@@ -254,7 +259,6 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
         d = _direction(backend, Fvec)
         row.newton_residual = float(np.linalg.norm(backend.matvec(d) + Fvec))
         hat = z.add_vector(d)
-        backend_prev = backend
     return SolveResult(z_final=z, status=status, trace=trace)
 
 

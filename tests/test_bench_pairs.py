@@ -55,7 +55,7 @@ def test_pairs_by_workload_and_seed(bench_pairs, tmp_path):
                              "--out", str(out)]) == 0
     bench = json.loads(out.read_text())
     assert bench["name"] == "t"
-    assert bench["regressions"] == []
+    assert bench["regressions"] == [] and bench["unresolved"] == []
     assert list(bench["workloads"]) == ["w"]
     w = bench["workloads"]["w"]
     assert w["seeds"] == [5, 6, 7, 8]
@@ -97,6 +97,31 @@ def test_regressed_past_the_bound(bench_pairs, tmp_path, rss, regressed):
     assert bench["workloads"]["w"]["metrics"]["peak_rss_mb"][
         "regressed"] is regressed
     assert bench["regressions"] == (["w/peak_rss_mb"] if regressed else [])
+
+
+@pytest.mark.parametrize("parent_s, change_s, unresolved", [
+    # the change's quartiles span 1.75 - 1.1 s, wider than 0.25 x 2.05 s
+    ([2.0, 2.2, 1.8, 2.1], [1.0, 1.2, 2.5, 2.0], True),
+    # as wide, but every change run is faster than every parent run
+    ([2.0, 2.2, 1.8, 2.1], [0.2, 1.7, 0.4, 1.5], False),
+    # the parent's quartiles are the wide ones
+    ([1.0, 3.0, 2.0, 4.0], [2.0, 2.1, 2.2, 2.3], True),
+    # both within the bound, the change no better
+    ([2.0, 2.2, 1.8, 2.1], [2.1, 2.1, 2.0, 2.2], False)])
+def test_spread_wider_than_the_bound_is_unresolved(
+        bench_pairs, tmp_path, parent_s, change_s, unresolved):
+    parent, change = checkouts(tmp_path)
+    for seed, (p, c) in enumerate(zip(parent_s, change_s), start=5):
+        write_run(parent, "w", seed, p, 100.0)
+        write_run(change, "w", seed, c, 100.0)
+    out = tmp_path / "BENCH_t.json"
+    bench_pairs.main([str(parent), str(change), "t", "--out", str(out)])
+    bench = json.loads(out.read_text())
+    metrics = bench["workloads"]["w"]["metrics"]
+    assert metrics["solve_s_p50"]["unresolved"] is unresolved
+    assert metrics["peak_rss_mb"]["unresolved"] is False
+    assert bench["unresolved"] == (["w/solve_s_p50"] if unresolved else [])
+    assert bench["regressions"] == []
 
 
 def test_no_common_runs_is_an_error(bench_pairs, tmp_path, capsys):

@@ -574,14 +574,15 @@ def test_check_is_reproducible(tmp_path, capsys):
 def test_module_invocation_and_debug_log():
     # The minimal env has no PYTHONPATH: point the child at the directory
     # this suite imported ssnsdp from (src/ or site-packages), so it runs
-    # the code under test.
+    # the code under test.  PYTHONDONTWRITEBYTECODE keeps the child from
+    # writing a __pycache__ into that package.
     package_root = os.path.dirname(os.path.dirname(ssnsdp.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "ssnsdp", "run", "--example", "ex7",
          "--start-eps", "0.05", "--variant", "ui", "--delta", "0.2"],
         capture_output=True, text=True, timeout=120,
         env={"PATH": "/usr/bin:/bin", "SSN_SDP_LOG": "DEBUG",
-             "PYTHONPATH": package_root})
+             "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0
     assert "status: converged" in proc.stdout
     assert "DEBUG:ssnsdp" in proc.stderr

@@ -1,6 +1,7 @@
 """Solver tests: correction step, Newton systems, statuses, backends."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ssnsdp._reduced import (
     _border,
     _factor_solve,
     _factor_with_rcond,
+    _is_identity,
     _lanczos_sigma_min,
     _woodbury_core,
     reuse_compatible,
@@ -450,6 +452,85 @@ def test_separable_diagonal_gate():
     assert separable_diagonal(p3, s3.z_bar) is None
     p1, s1 = catalog("ex1", l1=4, l2=3)
     assert separable_diagonal(p1, s1.z_bar) is None
+
+
+def stored(G):
+    """What a sparse matrix stores, in storage order and to the last bit
+    (repr of Python floats), which a read must not change."""
+    if G.format == "lil":
+        return repr((G.rows.tolist(), G.data.tolist()))
+    if G.format == "dok":
+        return repr(sorted(G.items()))
+    return repr([getattr(G, name).tolist() for name in
+                 ("data", "indices", "indptr", "row", "col")
+                 if hasattr(G, name)])
+
+
+def test_identity_check_matches_the_difference():
+    """Property: _is_identity gives the verdict of (G.tocsr() -
+    I).count_nonzero() == 0, with duplicates that cancel (or do not, by
+    rounding), explicit zeros, nan, inf, unsorted indices and every
+    format, and leaves G as it was."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16,
+                             math.nan, math.inf, -math.inf])
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(n=st.integers(0, 4), data=st.data(),
+               fmt=st.sampled_from(["coo", "csr-raw", "csc-raw", "csr",
+                                    "csr_array", "bsr", "dok", "lil"]))
+    def check(n, data, fmt):
+        entries = data.draw(st.lists(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+            value), max_size=0 if n == 0 else 12))
+        # a diagonal of 1s, or of some other value, under the entries
+        diag = data.draw(st.sampled_from([None, 1.0, 2.0]))
+        if diag is not None:
+            entries = [(i, i, diag) for i in range(n)] + entries
+        rows, cols, vals = (
+            np.array([e[i] for e in entries], dtype=t)
+            for i, t in enumerate((np.int32, np.int32, float)))
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+        if fmt.endswith("-raw"):
+            # stored in the entries' order: duplicates and unsorted indices
+            major, minor = (rows, cols) if fmt == "csr-raw" else (cols,
+                                                                   rows)
+            order = np.argsort(major, kind="stable")
+            ptr = np.concatenate([[0], np.cumsum(np.bincount(
+                major, minlength=n))]).astype(np.int32)
+            cls = sp.csr_matrix if fmt == "csr-raw" else sp.csc_matrix
+            G = cls((vals[order], minor[order], ptr), shape=(n, n))
+        elif fmt == "csr_array":
+            G = sp.csr_array(coo)
+        else:
+            G = coo.asformat(fmt)
+        before = stored(G)
+        # inf and -inf duplicates sum to nan, on both sides
+        with np.errstate(invalid="ignore"):
+            want = not (G.copy().tocsr()
+                        - sp.identity(n, format="csr")).count_nonzero()
+            assert _is_identity(G) == want
+        assert stored(G) == before
+
+    check()
+    assert _is_identity(sp.identity(3, format="csr"))
+    assert not _is_identity(sp.diags([1.0, 1.0, math.nan]).tocsr())
+    # raw CSR (unsorted, duplicates): 5 and -5 cancel beside an explicit
+    # zero; whether the 1e16 duplicates cancel depends on the order in
+    # which they are summed, which the check leaves to the difference
+    for data, indices, indptr, identity in [
+            ([5.0, 1.0, -5.0, 1.0, 0.0, 1.0], [2, 0, 2, 1, 0, 2],
+             [0, 3, 5, 6], True),
+            ([1e16, 1.0, -1e16, 1.0, 1.0, 1.0], [1, 1, 1, 0, 1, 2],
+             [0, 4, 5, 6], None)]:
+        G = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        assert not G.has_canonical_format
+        for form in (G, G.tocoo(), G.tocsc()):
+            want = not (form.tocsr()
+                        - sp.identity(3, format="csr")).count_nonzero()
+            assert _is_identity(form) == want
+            assert identity is None or want == identity
 
 
 def two_block_separable_problem(support=([0, 7, 13], [0.0, 0.3, 0.5])):
@@ -1373,6 +1454,59 @@ def test_woodbury_and_dense_backends_never_reuse():
                _DenseBackend(problem, z, variant, decomps)):
         assert not op.reusable
         assert not reuse_compatible(op, problem, z, decomps, variant)
+
+
+def backend_lifetimes(monkeypatch):
+    """Wrap solver._make_backend: (a weakref, the type and the reusable
+    flag of each backend it returns; per build, whether each earlier
+    backend was still alive when it was called)."""
+    built, alive = [], []
+
+    def make_backend(*args, _fn=solver_mod._make_backend):
+        alive.append([ref() is not None for ref, _, _ in built])
+        op = _fn(*args)
+        built.append((weakref.ref(op), type(op), op.reusable))
+        return op
+    monkeypatch.setattr(solver_mod, "_make_backend", make_backend)
+    return built, alive
+
+
+@pytest.mark.parametrize("solve", [ssn_solve, classical_ssn_solve])
+@pytest.mark.parametrize("name,params,kind", [
+    ("ex5", {"l1": 6, "l2": 4}, WoodburyNewtonOperator),
+    ("ex3", {}, ReducedNewtonOperator)])
+def test_a_solve_frees_each_refused_backend_before_the_next_build(
+        solve, name, params, kind, monkeypatch):
+    """A backend that cannot be reused is gone before the next one is
+    built, so a solve never holds two factorizations."""
+    problem, sol = catalog(name, **params)
+    built, alive = backend_lifetimes(monkeypatch)
+    solve(problem, perturbed_start(sol.z_bar, 10.0, seed=1),
+          SolverParams(variant="U0"))
+    assert len(built) >= 2
+    assert {(k, reusable) for _, k, reusable in built} == {(kind, False)}
+    assert alive == [[False] * i for i in range(len(built))]
+
+
+def test_a_reusable_backend_is_built_once_and_kept(monkeypatch):
+    """ex1 under UI, where V = I: one build, which the next row reuses as
+    the same object."""
+    problem, sol = catalog("ex1", l1=6, l2=4)
+    built, _ = backend_lifetimes(monkeypatch)
+    reused = []
+
+    def reuse(cached, *args, _fn=solver_mod.reuse_compatible):
+        ok = _fn(cached, *args)
+        if ok:
+            reused.append(cached is built[0][0]())
+        return ok
+    monkeypatch.setattr(solver_mod, "reuse_compatible", reuse)
+    res = ssn_solve(problem, perturbed_start(sol.z_bar, 0.3, seed=0),
+                    SolverParams(variant="UI"))
+    assert res.converged and len(res.trace) == 2
+    assert [(k, reusable) for _, k, reusable in built] == [
+        (ReducedNewtonOperator, True)]
+    assert reused == [True]
 
 
 # ---------------------------------------------------------------------------

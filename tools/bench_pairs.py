@@ -13,7 +13,11 @@ least nine tenths of the pairs and the medians differ by more than the
 parent's quartile spread.  "regressed" is true when the change's median
 is worse than the parent's by more than the metric's declared bound, as
 a share of the parent's median; the top-level "regressions" lists each
-such "<workload>/<metric>".  Each side also records whether every run
+such "<workload>/<metric>".  "unresolved" is true when either side's
+quartile spread is wider than the bound times the parent's median, so
+the runs cannot tell a change of that size, unless every change run is
+better than every parent run; the top-level "unresolved" lists each such
+"<workload>/<metric>".  Each side also records whether every run
 was correct, how many operations failed, the machine facts of its runs,
 and each run's timed length in seconds (rounds times the wall time of a
 round).  The tool exits 1, naming the workloads, when the two runs of a
@@ -80,12 +84,17 @@ def compare(parent, change, metrics):
             wins = sum(sign * (b - a) < 0
                        for a, b in zip(p["values"], c["values"]))
             spread = p["quartiles"][1] - p["quartiles"][0]
+            widest = max(spread, c["quartiles"][1] - c["quartiles"][0])
             worse = sign * (c["median"] - p["median"])
+            separated = max(sign * v for v in c["values"]) < min(
+                sign * v for v in p["values"])
             entry["metrics"][name] = {
                 "parent": p, "change": c, "wins": wins,
                 "gain": bool(wins >= 0.9 * len(seeds)
                              and abs(c["median"] - p["median"]) > spread),
-                "regressed": bool(worse > bound * abs(p["median"]))}
+                "regressed": bool(worse > bound * abs(p["median"])),
+                "unresolved": bool(widest > bound * abs(p["median"])
+                                   and not separated)}
         for label, rs in (("parent", pr), ("change", cr)):
             entry[label] = {
                 "all_correct": all(r["correct"] for r in rs),
@@ -131,11 +140,13 @@ def main(argv=None):
               f"factor of {RUN_LENGTH_RATIO}: {', '.join(mixed)}",
               file=sys.stderr)
         return 1
-    regressions = [f"{w}/{name}" for w, entry in workloads.items()
-                   for name, m in entry["metrics"].items() if m["regressed"]]
+    flagged = {key: [f"{w}/{name}" for w, entry in workloads.items()
+                     for name, m in entry["metrics"].items() if m[key]]
+               for key in ("regressed", "unresolved")}
     out = Path(args.out or f"BENCH_{args.name}.json")
     with open(out, "w") as f:
-        json.dump({"name": args.name, "regressions": regressions,
+        json.dump({"name": args.name, "regressions": flagged["regressed"],
+                   "unresolved": flagged["unresolved"],
                    "bytecode": bytecode, "workloads": workloads}, f,
                   indent=1)
         f.write("\n")
