@@ -42,10 +42,11 @@ per block and solve, and its reads and writes on the core's support
 pairs touch only the support's rows of P (_SupportMaps).  Of the solve
 path, only the build reads rotated rows of G (_BlockData.s_rows):
 _border stacks the zero-mask rows into Gz under J, and _curvature forms
-K from the alpha-gamma rows.  The regularity
-report in conditions.py derives its constraint rows and curvature
-through the same two helpers, so R and the paper's conditions read one
-derivation.
+K from the alpha-gamma rows.  The regularity report in conditions.py
+derives its constraint rows and curvature through the same two helpers,
+so R and the paper's conditions read one derivation.  All of them read
+where a block sits from _block_split, the one constructor of a block
+list (see _BlockData's cs and ws).
 
 Every solve and every report runs on ReducedNewtonOperator or
 WoodburyNewtonOperator, at every problem size.  Their solve and solve_t
@@ -200,9 +201,12 @@ class _BlockData:
     nothing.  Both work on stacks: cols maps svec columns, shape (len, m),
     to an (m, n, |T|) stack, back the reverse; z_at and ag_at index a
     stack.  iu, ju are linalg_sym's cached arrays, never written.  The
-    regularity report reads its pair split from here too:
-    a variant's zer pairs are the constraint rows of its conditions, and
-    the ag pairs, weighted by c_ag, their curvature.
+    regularity report reads its pair split from here too: a variant's
+    zer pairs are the constraint rows of its conditions, and the ag
+    pairs, weighted by c_ag, their curvature.  cs and ws, set by
+    _block_split, are the block's slices of the stacked cone coordinates
+    and of the stacked zero-mask multipliers; a block built on its own
+    has neither, so it fails with AttributeError, not a wrong offset.
     """
 
     def __init__(self, dec, variant):
@@ -285,10 +289,18 @@ class _BlockData:
         return out.toarray() if sp.issparse(out) else np.asarray(out)
 
 
-def _g_rows(blocks, G):
-    """(block, its rows of the svec-stacked cone Jacobian G) per block."""
-    off = np.cumsum([0] + [b.len for b in blocks])
-    return [(b, G[off[i]:off[i + 1]]) for i, b in enumerate(blocks)]
+def _block_split(decomps, variant):
+    """The variant's _BlockData per cone block, in order, each with cs,
+    its slice of the stacked cone coordinates (and rows of G), and ws,
+    its slice of the stacked zero-mask multipliers: the order in which
+    _border stacks Gz and ReducedNewtonOperator.solve reads w."""
+    blocks = [_BlockData(dec, variant) for dec in decomps]
+    at = w_at = 0
+    for b in blocks:
+        b.cs = slice(at, at + b.len)
+        b.ws = slice(w_at, w_at + b.zer.size)
+        at, w_at = b.cs.stop, b.ws.stop
+    return blocks
 
 
 def _border(J, blocks, G):
@@ -297,7 +309,7 @@ def _border(J, blocks, G):
     block's zero-mask pairs.  CSR when every part is sparse (see
     _BlockData.s_rows for when a block's rows are), dense otherwise."""
     rows = [] if J is None else [J]
-    rows += [b.s_rows(b.zer, Gb) for b, Gb in _g_rows(blocks, G)]
+    rows += [b.s_rows(b.zer, G[b.cs]) for b in blocks]
     if all(sp.issparse(r) for r in rows):
         return sp.vstack(rows, format="csr")
     return np.vstack([to_dense(r) for r in rows])
@@ -308,10 +320,10 @@ def _curvature(W, blocks, G):
     S' S for its ag rows S scaled by sqrt(c_ag).  K stays sparse while W
     and the rows are; otherwise both go dense first."""
     K = W
-    for b, Gb in _g_rows(blocks, G):
+    for b in blocks:
         if b.ag.size == 0:
             continue
-        rows = b.s_rows(b.ag, Gb)
+        rows = b.s_rows(b.ag, G[b.cs])
         s = np.sqrt(b.c_ag)[:, None]
         if sp.issparse(K) and sp.issparse(rows):
             rows = rows.multiply(s).tocsr()
@@ -319,21 +331,6 @@ def _curvature(W, blocks, G):
             K, rows = to_dense(K), to_dense(rows) * s
         K = K + rows.T @ rows
     return K
-
-
-def _t_blocks(blocks, block_off):
-    """(block, slice of its cone coordinates, slice of its zer entries in
-    the stacked multipliers) for each block with T nonempty; a block with
-    T empty has no zer pairs and no cone work."""
-    out = []
-    at = 0
-    for i, b in enumerate(blocks):
-        if b.T.size:
-            k = len(b.zer)
-            out.append((b, slice(block_off[i], block_off[i + 1]),
-                        slice(at, at + k)))
-            at += k
-    return out
 
 
 def _v_is_identity(decomps, variant):
@@ -362,16 +359,16 @@ class ReducedNewtonOperator:
         self.variant = variant
         self.x_dim = problem.x_dim
         self.eq_dim = problem.eq_dim
-        self.blocks = [_BlockData(dec, variant) for dec in decomps]
-        self.block_off = np.cumsum([0] + [b.len for b in self.blocks])
+        self.blocks = _block_split(decomps, variant)
         self.W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
         self.J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
         self.G = jac_g_matrix_of(problem, z.x)
         # G' once per build: in CSR form it applies about twice as fast
         self.GT = self.G.T.tocsr() if sp.issparse(self.G) else self.G.T
-        self._t_blocks = _t_blocks(self.blocks, self.block_off)
+        # a block with T empty has no zer pairs and no cone work
+        self._t_blocks = [b for b in self.blocks if b.T.size]
         self._any_ag = any(len(b.ag) for b in self.blocks)
-        self.dim = problem.x_dim + problem.eq_dim + int(self.block_off[-1])
+        self.dim = problem.total_dim
         # every block has T empty exactly when V = I (see reuse_compatible)
         self.reusable = not self._t_blocks
         self._build()
@@ -443,9 +440,9 @@ class ReducedNewtonOperator:
         r1, r2, r3 = self._split(r)
         u = r3.copy()
         tail = []
-        for b, cs, _ in self._t_blocks:
-            rT = b.cols(r3[cs])
-            u[cs] -= b.back(b.one_minus_e * rT)
+        for b in self._t_blocks:
+            rT = b.cols(r3[b.cs])
+            u[b.cs] -= b.back(b.one_minus_e * rT)
             tail.append(-(rT[b.z_at] * b.z_scale).T)
         rhs = np.concatenate([r1 - self.GT @ u, r2] + tail)
         sol = self._solve_R(rhs)
@@ -454,12 +451,12 @@ class ReducedNewtonOperator:
         dxi = sol[x:x + e]
         w = sol[x + e:]
         gdx = self.G @ dx if self._any_ag else None
-        for b, cs, ws in self._t_blocks:
+        for b in self._t_blocks:
             Y = np.zeros((r3.shape[1], b.n, b.T.size))
             if len(b.ag):
-                Y[b.ag_at] = b.c_ag * b.cols(gdx[cs])[b.ag_at]
-            Y[b.z_at] = b.z_put * w[ws].T
-            u[cs] += b.back(Y)
+                Y[b.ag_at] = b.c_ag * b.cols(gdx[b.cs])[b.ag_at]
+            Y[b.z_at] = b.z_put * w[b.ws].T
+            u[b.cs] += b.back(Y)
         return np.concatenate([dx, dxi, u]).reshape(np.shape(r))
 
     def solve_t(self, r):
@@ -483,8 +480,8 @@ class ReducedNewtonOperator:
         out3 = dG.copy()
         if self._t_blocks:
             h = self.G @ dx + dG
-            for b, cs, _ in self._t_blocks:
-                out3[cs] -= b.v_defect(h[cs])
+            for b in self._t_blocks:
+                out3[b.cs] -= b.v_defect(h[b.cs])
         return np.concatenate([np.asarray(r1), np.asarray(r2),
                                out3]).reshape(np.shape(d))
 
@@ -764,10 +761,9 @@ class WoodburyNewtonOperator:
         self.variant = variant
         self.x_dim = problem.x_dim
         self.eq_dim = 0
-        self.blocks = [_BlockData(dec, variant) for dec in decomps]
-        self.block_off = np.cumsum([0] + [b.len for b in self.blocks])
-        self._t_blocks = _t_blocks(self.blocks, self.block_off)
-        self.dim = 2 * problem.x_dim
+        self.blocks = _block_split(decomps, variant)
+        self._t_blocks = [b for b in self.blocks if b.T.size]
+        self.dim = problem.total_dim
         self.reusable = False
         self.w = np.asarray(w, dtype=float)
         self.c = 1.0 - self.w
@@ -776,28 +772,25 @@ class WoodburyNewtonOperator:
 
     def _build(self):
         self.singular = False
-        # (core, (support, block, its coordinates, _SupportMaps or None))
-        # per block with a core; (block, its coordinates) per block with
-        # T nonempty but no core
+        # (core, (support, block, _SupportMaps or None)) per block with a
+        # core; the blocks with T nonempty but no core
         self._cores = []
         self._bare = []
-        for i, b in enumerate(self.blocks):
-            lo, hi = self.block_off[i], self.block_off[i + 1]
-            cs = slice(lo, hi)
-            cb = self.c[lo:hi]
+        for b in self.blocks:
+            cb = self.c[b.cs]
             loc = np.where(cb != 0.0)[0]
             if loc.size == 0:
                 if b.T.size:
-                    self._bare.append((b, cs))
+                    self._bare.append(b)
                 continue
             c = cb[loc]
+            at = b.cs.start + loc
             if b.T.size == 0:
                 # V = I: the exact rcond of C^{1/2} M C^{1/2} = diag(1 - c)
                 if (1.0 - c).min() < _SINGULAR_RCOND * (1.0 + c.max()):
                     self.singular = True
                     return
-                self._cores.append((1.0 / (1.0 / c - 1.0),
-                                    (lo + loc, b, cs, None)))
+                self._cores.append((1.0 / (1.0 / c - 1.0), (at, b, None)))
                 continue
             M, vnorm, order, maps = _woodbury_core(b, b.D, loc, c)
             # factor C^{1/2} M C^{1/2} against its scale 1 + ||V[S, S]||_1
@@ -812,13 +805,13 @@ class WoodburyNewtonOperator:
                 self.singular = True
                 return
             factors[0][j] /= s[j, None]
-            self._cores.append((factors, (lo + loc[order], b, cs, maps)))
+            self._cores.append((factors, (at[order], b, maps)))
 
     def _v_apply(self, v):
         """V applied to each column of v, shape (x_dim, m)."""
         out = v.copy()
-        for b, cs, _ in self._t_blocks:
-            out[cs] -= b.v_defect(v[cs])
+        for b in self._t_blocks:
+            out[b.cs] -= b.v_defect(v[b.cs])
         return out
 
     def _split(self, r):
@@ -835,20 +828,20 @@ class WoodburyNewtonOperator:
             raise SingularSystemError()
         r1, r3 = self._split(r)
         dx = r1 - r3
-        for core, (at, b, cs, maps) in self._cores:
+        for core, (at, b, maps) in self._cores:
             # r3 - r1 on the support: dx there is still r1 - r3
             rhs = -dx[at]
             if maps is None:
                 # V = I on the block, and the core is stored inverted
                 dx[at] -= core[:, None] * rhs
                 continue
-            Y = b.one_minus_d * b.cols(r1[cs])
+            Y = b.one_minus_d * b.cols(r1[b.cs])
             rhs += maps.read(Y)
             t = _factor_solve(core, rhs)
             dx[at] -= t
-            dx[cs] -= b.back(Y - b.one_minus_d * maps.cols(t))
-        for b, cs in self._bare:
-            dx[cs] -= b.v_defect(r1[cs])
+            dx[b.cs] -= b.back(Y - b.one_minus_d * maps.cols(t))
+        for b in self._bare:
+            dx[b.cs] -= b.v_defect(r1[b.cs])
         dG = r1 - self.w[:, None] * dx
         return np.concatenate([dx, dG]).reshape(np.shape(r))
 

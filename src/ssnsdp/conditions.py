@@ -6,7 +6,7 @@ identity-sided UI (the classical form of this link is D. Sun, Math. Oper.
 Res. 31 (2006) 761-776).  The conditions are statements about the blocks
 of the variant's reduced Newton system R = [[K, J', Gz'], [J, 0, 0],
 [Gz, 0, 0]] (see _reduced.py), and a check derives them with the same
-helpers that build R, over the variant's pair split (_BlockData):
+helpers that build R, over the variant's pair split (_block_split):
 
 * constraint rows, the border [J; Gz] (_border): the equality Jacobian
   plus the rotated cone Jacobian rows of the eigenvalue pairs that the
@@ -43,7 +43,7 @@ from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
                       jac_h_matrix_of)
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
-from ._reduced import _BlockData, _border, _curvature
+from ._reduced import _block_split, _border, _curvature
 from .solver import _make_backend
 
 RESIDUAL_TOL = 1e-10
@@ -164,7 +164,9 @@ def _second_order_margin(C, Q):
 
 def _independence_margin(C):
     """Smallest singular value of the rows C (+inf when there are none,
-    0.0 when there are more rows than columns)."""
+    0.0 when there are more rows than columns), by an SVD of C itself:
+    the eigenvalues of C C' would square the rows' conditioning, and
+    dependent rows would read a margin of about sqrt(eps) ||C||."""
     if C.shape[0] == 0:
         return float("inf")
     if C.shape[0] > C.shape[1]:
@@ -179,16 +181,14 @@ def _independence_margin(C):
                 return 0.0
             return float(np.min(np.abs(C.data)))
         C = C.toarray()
-    w = scipy.linalg.eigvalsh(C @ C.T)
-    return float(np.sqrt(max(w[0], 0.0)))
+    return float(scipy.linalg.svdvals(C)[-1])
 
 
 def _lone_blocks(problem, z, variant):
     """What a check called on its own derives for itself: the variant's
     block data at the validated point, and the cone Jacobian."""
     decomps = _checked_decomps(problem, z)
-    return ([_BlockData(dec, variant) for dec in decomps],
-            jac_g_matrix_of(problem, z.x))
+    return _block_split(decomps, variant), jac_g_matrix_of(problem, z.x)
 
 
 def _second_order(variant, problem, z, C, K):

@@ -443,12 +443,23 @@ def load_qsdp(path):
     return problem
 
 
+def _json_default(v):
+    """numpy arrays and scalars as lists and Python numbers, for json."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"Object of type {type(v).__name__} "
+                    "is not JSON serializable")
+
+
 def save_qsdp(path, data):
-    """Write qsdp schema data to JSON; floats round-trip exactly."""
+    """Write qsdp schema data to JSON; floats round-trip exactly.  The
+    payload is serialized whole before the file is opened, so data that
+    does not serialize leaves no file."""
     _validate_qsdp(data)
     payload = {k: data[k] for k in _QSDP_KEYS}
     if "name" in data:
         payload["name"] = data["name"]
+    text = json.dumps(payload, sort_keys=True, indent=1,
+                      default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -604,9 +604,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 169
+    assert len(tool.COMMANDS) == 172
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 169
+    assert len(names) == 172
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])
@@ -614,12 +614,19 @@ def test_cli_outputs_commands_parse():
 
 
 def test_cli_outputs_inputs_load(tmp_path, capsys):
-    """The harness's input files give a converged run and a report."""
+    """The harness's input files give a converged run and two reports,
+    the second with CN and W-SRCQ failing on dependent rows."""
     tool = cli_outputs_tool()
     tool.write_inputs(tmp_path)
-    qsdp, solution, start = (str(tmp_path / name) for name in tool.INPUTS)
+    qsdp, solution, start, dep_qsdp, dep_point = (
+        str(tmp_path / name) for name in tool.INPUTS)
     code, out, _ = run_cli(capsys, "check", "--qsdp", qsdp,
                            "--point", solution)
     assert code == 0 and "theorem_consistent: yes" in out
     code, out, _ = run_cli(capsys, "run", "--qsdp", qsdp, "--point", start)
     assert code == 0 and "fitted order" in out
+    code, out, _ = run_cli(capsys, "check", "--qsdp", dep_qsdp,
+                           "--point", dep_point)
+    assert code == 0 and "problem: dependent_rows" in out
+    assert "w_srcq  fails" in out and "cn      fails" in out
+    assert "theorem_consistent: yes" in out

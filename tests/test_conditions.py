@@ -16,6 +16,7 @@ from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
+    _block_split,
 )
 from ssnsdp.catalog import catalog
 from ssnsdp.conditions import (
@@ -449,7 +450,7 @@ def test_alpha_gamma_curvature_matches_the_pair_loop(sparse):
     W = to_dense(hess_matrix_of(problem, z.x, z.xi, z.Gamma))
     assert np.abs(want - W).max() > 0.1
     for variant in ("U0", "UI"):
-        blocks = [_BlockData(dec, variant) for dec in decomps]
+        blocks = _block_split(decomps, variant)
         # sparse ag rows: the eigenbasis is a signed permutation
         b = blocks[0]
         assert sp.issparse(b.s_rows(b.ag, G)) == sparse
@@ -487,8 +488,7 @@ def null_basis(problem, z, variant):
     """Orthonormal basis (columns) of the null space of the variant's
     constraint rows: the subspace of check_w_soc for U0, of check_s_sosc
     for UI."""
-    blocks = [_BlockData(dec, variant)
-              for dec in cone_decompositions(problem, z)]
+    blocks = _block_split(cone_decompositions(problem, z), variant)
     C = _constraint_rows(problem, z, blocks, jac_g_matrix_of(problem, z.x))
     kind, data = _null_basis(C)
     return data if kind == "dense" else np.eye(problem.x_dim)[:, data]
@@ -536,6 +536,44 @@ def test_independence_margin_of_sparse_rows(rows):
     C = sp.csr_matrix(np.array(rows))
     want = scipy.linalg.svdvals(np.array(rows))[-1]
     assert_allclose(_independence_margin(C), want, rtol=1e-12, atol=1e-15)
+
+
+def test_independence_margin_of_dependent_dense_rows():
+    """Dense rows of deficient rank read a margin at rounding level, not
+    the square root of it that the eigenvalues of C C' would give."""
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        C = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 12))
+        assert _independence_margin(C) < 1e-12 * np.linalg.norm(C, 2)
+
+
+def dependent_rows_point(s):
+    """A QSDP with dependent equality rows H = [h; 3h], h = s (1, 0.3 s,
+    0.7), at its KKT point (x*, 0, 0): x* = (1, 0, 1), Q = I, c = -x*,
+    G = I, q = 0, p = H x*, one cone block of order 2.  Returns the
+    problem, the point and H."""
+    x = np.array([1.0, 0.0, 1.0])
+    h = np.array([s, 0.3 * s * s, 0.7 * s])
+    H = np.array([h, 3.0 * h])
+    data = {"x_dim": 3, "eq_dim": 2, "cone_blocks": [2], "Q": np.eye(3),
+            "c": -x, "H": H, "p": H @ x, "G": np.eye(3), "q": np.zeros(3)}
+    z = KktPoint(x, np.zeros(2), BlockSymMatrix([np.zeros((2, 2))]))
+    return qsdp_problem(data), z, H
+
+
+@pytest.mark.parametrize("s", [1.0, 5.0])
+def test_dependent_rows_fail_cn_and_w_srcq(s):
+    """CN and W-SRCQ fail on dependent equality rows, with a margin at
+    rounding level, so neither certificate holds and the singular Newton
+    matrices raise no warning."""
+    problem, z, H = dependent_rows_point(s)
+    report = regularity_report(problem, z)
+    for r in (report.cn, report.w_srcq):
+        assert not r.holds
+        assert r.margin < 1e-12 * np.linalg.norm(H, 2)
+    assert report.u0_sigma_min <= CHECK_TOL
+    assert report.ui_sigma_min <= CHECK_TOL
+    assert report.warnings == []
 
 
 @pytest.mark.parametrize("name", ["ex3", "ex4_primal", "ex5", "ex7"])

@@ -245,6 +245,41 @@ def test_save_qsdp_rejects_non_finite_data(tmp_path):
     assert not path.exists()
 
 
+def test_qsdp_numpy_data_round_trips_exactly(tmp_path):
+    """numpy arrays and scalars, which qsdp_problem accepts, save as the
+    lists they hold: the file is the one list data give, and it loads
+    back bit for bit."""
+    problem, _ = catalog("ex3")
+    data = {k: np.asarray(v, dtype=float) / 3.0
+            for k, v in problem.qsdp_data.items()
+            if k in ("Q", "c", "H", "p", "G", "q")}
+    data.update(x_dim=np.int64(problem.x_dim),
+                eq_dim=np.int64(problem.eq_dim),
+                cone_blocks=[np.int64(n) for n in problem.cone_blocks],
+                name="numpy")
+    path = tmp_path / "numpy.json"
+    save_qsdp(path, data)
+    loaded = load_qsdp(path)
+    for key in ("Q", "c", "H", "p", "G", "q"):
+        got = np.asarray(loaded.qsdp_data[key], dtype=float)
+        assert np.array_equal(got.ravel(), data[key].ravel()), key
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in data.items()}
+    lists.update(x_dim=problem.x_dim, eq_dim=problem.eq_dim,
+                 cone_blocks=list(problem.cone_blocks))
+    as_lists = tmp_path / "lists.json"
+    save_qsdp(as_lists, lists)
+    assert path.read_bytes() == as_lists.read_bytes()
+
+
+def test_save_qsdp_that_does_not_serialize_leaves_no_file(tmp_path):
+    problem, _ = catalog("ex3")
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_qsdp(path, dict(problem.qsdp_data, name=object()))
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # the primal-dual pair
 

@@ -18,6 +18,7 @@ from ssnsdp._reduced import (
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
     _BlockData,
+    _block_split,
     _border,
     _factor_solve,
     _factor_with_rcond,
@@ -1157,6 +1158,44 @@ def test_sparse_r_matches_the_assembled_operator():
     assert_allclose(op.sigma_min(), min_singular_value(U), rtol=1e-8)
 
 
+def test_block_split_lays_out_coordinates_and_multipliers():
+    """Property: the cs slices of _block_split tile the stacked cone
+    coordinates and its ws slices the stacked zero-mask multipliers, in
+    block order, and _border holds block b's rows of Gz at b.ws."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    eigenvalue = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+    spectrum = st.integers(1, 5).flatmap(
+        lambda n: st.lists(eigenvalue, min_size=n, max_size=n))
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+    @hyp.given(spectra=st.lists(spectrum, min_size=1, max_size=4),
+               seed=st.integers(0, 2**16),
+               variant=st.sampled_from(["U0", "UI"]))
+    def check(spectra, seed, variant):
+        rng = np.random.default_rng(seed)
+        decomps = []
+        for lam in spectra:
+            Q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
+            decomps.append(eig_sym((Q * np.asarray(lam)) @ Q.T))
+        blocks = _block_split(decomps, variant)
+        lens = [svec_len(len(lam)) for lam in spectra]
+        zers = [b.zer.size for b in blocks]
+        assert [(b.cs.start, b.cs.stop) for b in blocks] == list(zip(
+            np.cumsum([0] + lens[:-1]).tolist(), np.cumsum(lens).tolist()))
+        assert [(b.ws.start, b.ws.stop) for b in blocks] == list(zip(
+            np.cumsum([0] + zers[:-1]).tolist(), np.cumsum(zers).tolist()))
+        G = rng.standard_normal((sum(lens), 3))
+        # CSR when no block has zero-mask rows
+        B = to_dense(_border(None, blocks, G))
+        assert B.shape == (sum(zers), 3)
+        for b in blocks:
+            want = svec_rotation(b.dec.P)[b.zer] @ G[b.cs]
+            assert_allclose(B[b.ws], want, rtol=0, atol=1e-13)
+
+    check()
+
+
 @pytest.mark.parametrize("name,params,sparse_border", [
     ("ex1", {"l1": 4, "l2": 3}, True), ("ex2", {}, False),
     ("ex4_primal", {}, False), ("ex7", {}, False)])
@@ -1171,7 +1210,7 @@ def test_more_border_rows_than_unknowns_reads_singular_unfactored(
     problem, sol = catalog(name, **params)
     z = sol.z_bar
     decomps = cone_decompositions(problem, z)
-    blocks = [_BlockData(dec, "U0") for dec in decomps]
+    blocks = _block_split(decomps, "U0")
     J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
     B = _border(J, blocks, jac_g_matrix_of(problem, z.x))
     assert B.shape[0] > problem.x_dim

@@ -18,8 +18,29 @@ from pathlib import Path
 
 EXAMPLES = ("ex1", "ex2", "ex3", "ex4_primal", "ex4_dual", "ex5", "ex7")
 
-# ex3 as a QSDP file, its solution, and a start perturbed from it
-INPUTS = ("ex3.qsdp.json", "ex3.solution.json", "ex3.start.json")
+# ex3 as a QSDP file, its solution, and a start perturbed from it; a QSDP
+# with dependent equality rows and its KKT point
+INPUTS = ("ex3.qsdp.json", "ex3.solution.json", "ex3.start.json",
+          "dependent.qsdp.json", "dependent.point.json")
+
+
+def dependent_rows():
+    """QSDP data with equality rows H = [h; 3h], h = s (1, 0.3 s, 0.7) at
+    s = 5, and its KKT point (x*, 0, 0): x* = (1, 0, 1), Q = I, c = -x*,
+    G = I, q = 0, p = H x*, one cone block of order 2.  The rows are
+    dependent, so CN and W-SRCQ fail there, and both Newton matrices are
+    singular."""
+    s = 5.0
+    x = [1.0, 0.0, 1.0]
+    h = [s, 0.3 * s * s, 0.7 * s]
+    H = [h, [3.0 * v for v in h]]
+    eye = [[float(i == j) for j in range(3)] for i in range(3)]
+    data = {"name": "dependent_rows", "x_dim": 3, "eq_dim": 2,
+            "cone_blocks": [2], "Q": eye, "c": [-v for v in x], "H": H,
+            "p": [sum(a * b for a, b in zip(row, x)) for row in H],
+            "G": eye, "q": [0.0] * 3}
+    return data, {"x": x, "xi": [0.0, 0.0], "Gamma": [[[0.0, 0.0],
+                                                       [0.0, 0.0]]]}
 
 
 def write_inputs(indir):
@@ -33,6 +54,9 @@ def write_inputs(indir):
         raw = {"x": z.x.tolist(), "xi": z.xi.tolist(),
                "Gamma": [b.tolist() for b in z.Gamma.blocks]}
         (indir / name).write_text(json.dumps(raw) + "\n")
+    data, point = dependent_rows()
+    save_qsdp(indir / INPUTS[3], data)
+    (indir / INPUTS[4]).write_text(json.dumps(point) + "\n")
 
 
 def _commands():
@@ -77,9 +101,11 @@ def _commands():
                             "--variant", variant, "--no-correction",
                             "--perturb", "1", "--seed", str(seed),
                             "--format", "json"])
-    qsdp, solution, start = INPUTS
+    qsdp, solution, start, dep_qsdp, dep_point = INPUTS
     for fmt in ("json", "csv", "table"):
         out.append(["check", "--qsdp", qsdp, "--point", solution,
+                    "--format", fmt])
+        out.append(["check", "--qsdp", dep_qsdp, "--point", dep_point,
                     "--format", fmt])
         out.append(["check", "--example", "ex3", "--point", solution,
                     "--format", fmt])
