@@ -30,8 +30,9 @@ G = I with no equality rows.
 
 The rotation is never applied whole.  With T = {t : D[t, t] != 1} the
 non-unit eigenvalue indices of a block (beta and gamma under U0, gamma
-under UI), every pair whose mask differs from 1, every zero-mask pair and
-every alpha-gamma pair touches T, so the solves and the operator's
+under UI), a suffix [t0, n) since the spectrum is nonincreasing, every
+pair whose mask differs from 1, every zero-mask pair and every
+alpha-gamma pair touches T, so the solves and the operator's
 application work in matrix form on Hh[:, T] = P' (H P_T) and write back
 through one rank-2|T| update of P_T (see _BlockData): O(n^2 |T|) flops
 per block instead of the O(n^3) of a full rotation, the mask split of
@@ -180,33 +181,31 @@ def _signed_permutation(P):
     return cols, signs
 
 
-def _triu_index(a, b, n):
-    """Row-major upper-triangle position of the sorted pair (a, b)."""
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return lo * n - lo * (lo - 1) // 2 + (hi - lo)
-
-
 class _BlockData:
     """Pair bookkeeping for one cone block at one iterate.
 
     T = {t : D[t, t] != 1} is the block's non-unit index set: beta and
-    gamma under U0, gamma under UI.  Every pair whose mask differs from 1
-    touches T, the zero-mask (zer) and alpha-gamma (ag) pairs included,
-    so every cone map of the Newton operator reads Hh = P' H P only
-    through its T columns Hh[:, T] = P' (H P_T) (cols) and writes back a
-    symmetric matrix X supported on the rows and columns T through
-    P X P' = Z P_T' + P_T Z', Z = P Y, where Y is X[:, T] with its T rows
-    halved (back).  Each costs O(n^2 |T|); a block with T empty costs
-    nothing.  Both work on stacks: cols maps svec columns, shape (len, m),
-    to an (m, n, |T|) stack, back the reverse; z_at and ag_at index a
-    stack.  iu, ju are linalg_sym's cached arrays, never written.  The
-    regularity report reads its pair split from here too: a variant's
-    zer pairs are the constraint rows of its conditions, and the ag
-    pairs, weighted by c_ag, their curvature.  cs and ws, set by
-    _block_split, are the block's slices of the stacked cone coordinates
-    and of the stacked zero-mask multipliers; a block built on its own
-    has neither, so it fails with AttributeError, not a wrong offset.
+    gamma under U0, gamma under UI.  The classes are ranges of the
+    nonincreasing spectrum, alpha [0, a), beta [a, k) and gamma [k, n),
+    so T is the suffix [t0, n), t0 the number of unit diagonal entries,
+    and the ag pairs are those with i < a and j >= k.  Every pair whose
+    mask differs from 1 touches T, the zero-mask (zer) and alpha-gamma
+    (ag) pairs included, so every cone map of the Newton operator reads
+    Hh = P' H P only through its T columns Hh[:, T] = P' (H P_T) (cols)
+    and writes back a symmetric matrix X supported on the rows and
+    columns T through P X P' = Z P_T' + P_T Z', Z = P Y, where Y is
+    X[:, T] with its T rows halved (back).  Each costs O(n^2 |T|); a
+    block with T empty costs nothing.  Both work on stacks: cols maps
+    svec columns, shape (len, m), to an (m, n, |T|) stack, back the
+    reverse; z_at and ag_at index a stack, a pair (i, j) at (i, j - t0),
+    since j is in T.  iu, ju and scale (svec's 1 or sqrt(2) per pair) are
+    linalg_sym._triu's cached arrays, never written.  The regularity
+    report reads its pair split from here too: a variant's zer pairs are
+    the constraint rows of its conditions, and the ag pairs, weighted by
+    c_ag, their curvature.  cs and ws, set by _block_split, are the
+    block's slices of the stacked cone coordinates and of the stacked
+    zero-mask multipliers; a block built on its own has neither, so it
+    fails with AttributeError, not a wrong offset.
     """
 
     def __init__(self, dec, variant):
@@ -214,45 +213,37 @@ class _BlockData:
         self.dec = dec
         self.n = n
         self.len = svec_len(n)
-        iu, ju = _triu(n)[:2]
-        self.iu, self.ju = iu, ju
+        iu, ju, scale = _triu(n)[:3]
+        self.iu, self.ju, self.scale = iu, ju, scale
         self.D = D = v_mask(dec, variant)
-        in_a = np.zeros(n, dtype=bool)
-        in_a[dec.alpha] = True
-        in_g = np.zeros(n, dtype=bool)
-        in_g[dec.gamma] = True
-        self.ag = np.where(in_a[iu] & in_g[ju])[0]
+        # lam is nonincreasing, so alpha is [0, a) and gamma is [k, n)
+        a, k = dec.alpha.size, n - dec.gamma.size
+        self.ag = np.where((iu < a) & (ju >= k))[0]
         # zero sectors of the mask are exact, so this split is too
         self.zer = np.where(D[iu, ju] == 0.0)[0]
         lam = dec.lam
         self.c_ag = -lam[ju[self.ag]] / lam[iu[self.ag]]
-        self.T = T = np.where(np.diag(D) != 1.0)[0]
-        if T.size == 0:
+        # the unit diagonal entries of D, alpha (and beta under UI), come
+        # first, so T is the suffix [t0, n)
+        t0 = int(np.count_nonzero(np.diag(D) == 1.0))
+        self.T = np.arange(t0, n)
+        if t0 == n:
             return
-        self.PT = np.ascontiguousarray(dec.P[:, T])
+        self.PT = np.ascontiguousarray(dec.P[:, t0:])
         # masks on Hh[:, T] with the T rows halved, ready for back
         half = np.ones((n, 1))
-        half[T] = 0.5
-        DT = D[:, T]
+        half[t0:] = 0.5
+        DT = D[:, t0:]
         self.one_minus_d = (1.0 - DT) * half
         inv = np.divide(1.0, DT, out=np.zeros_like(DT), where=DT > 0.0)
         self.one_minus_e = np.where(DT > 0.0, 1.0 - inv, 1.0) * half
-        # each zer or ag pair (i, j), i <= j, at one position of Hh[:, T]:
-        # (i, j) when j is in T, else its mirror (j, i); under UI a zer
-        # pair in beta x gamma has i outside T
-        col = np.full(n, -1)
-        col[T] = np.arange(T.size)
-        zi, zj = iu[self.zer], ju[self.zer]
-        j_in = col[zj] >= 0
-        self.z_at = (slice(None), np.where(j_in, zi, zj),
-                     np.where(j_in, col[zj], col[zi]))
-        # svec scale of each zer pair, and the factor that puts a pair's
-        # svec value into Y (halved on the diagonal, whole off it: the
-        # mirror position stays zero)
-        self.z_scale = np.where(zi == zj, 1.0, np.sqrt(2.0))
-        self.z_put = np.where(zi == zj, 0.5, np.sqrt(0.5))
-        # ag pairs have i in alpha and j in gamma, always in T
-        self.ag_at = (slice(None), iu[self.ag], col[ju[self.ag]])
+        # each zer or ag pair (i, j), i <= j, has j in T (beta or gamma
+        # under U0, gamma under UI), so it sits at (i, j - t0) of Hh[:, T]
+        self.z_at = (slice(None), iu[self.zer], ju[self.zer] - t0)
+        # svec scale of each zer pair; half of it puts a pair's svec value
+        # into Y (the mirror position stays zero)
+        self.z_scale = scale[self.zer]
+        self.ag_at = (slice(None), iu[self.ag], ju[self.ag] - t0)
 
     def cols(self, h):
         """Hh[:, T] = P' (smat(h) P_T) per column h of the block's svec
@@ -272,20 +263,21 @@ class _BlockData:
     def s_rows(self, pairs, G_block):
         """Rows of the eigenbasis-rotated cone Jacobian for the given svec
         pairs: row (i, j) maps dx to the svec entry (i, j) of
-        P' smat(G dx) P.  Sparse when the eigenbasis is a signed
-        permutation and the block Jacobian is sparse; dense otherwise."""
-        ri, rj = self.iu[pairs], self.ju[pairs]
-        if ri.size == 0:
+        P' smat(G dx) P.  Sparse when the block Jacobian is sparse and
+        the eigenbasis is a signed permutation, which is searched for only
+        then; dense otherwise."""
+        if pairs.size == 0:
             return sp.csr_matrix((0, G_block.shape[1]))
-        perm = _signed_permutation(self.dec.P)
-        if perm is not None and sp.issparse(G_block):
+        perm = sp.issparse(G_block) and _signed_permutation(self.dec.P)
+        if perm:
             cols_map, signs = perm
-            idx = _triu_index(cols_map[ri], cols_map[rj], self.n)
+            ri, rj = self.iu[pairs], self.ju[pairs]
+            idx = _triu(self.n)[4][cols_map[ri] * self.n + cols_map[rj]]
             S = sp.csr_matrix(
                 (signs[ri] * signs[rj], (np.arange(ri.size), idx)),
                 shape=(ri.size, self.len))
             return S @ G_block
-        out = _svec_rotation_rows(self.dec.P, ri, rj) @ G_block
+        out = _svec_rotation_rows(self.dec.P, pairs) @ G_block
         return out.toarray() if sp.issparse(out) else np.asarray(out)
 
 
@@ -455,7 +447,7 @@ class ReducedNewtonOperator:
             Y = np.zeros((r3.shape[1], b.n, b.T.size))
             if len(b.ag):
                 Y[b.ag_at] = b.c_ag * b.cols(gdx[b.cs])[b.ag_at]
-            Y[b.z_at] = b.z_put * w[b.ws].T
+            Y[b.z_at] = 0.5 * b.z_scale * w[b.ws].T
             u[b.cs] += b.back(Y)
         return np.concatenate([dx, dxi, u]).reshape(np.shape(r))
 
@@ -627,8 +619,8 @@ def _woodbury_core(b, D, loc, c):
     written.
 
     With q_i = P[i, :] the rows of the eigenbasis, D the v_mask matrix
-    and w = 1 on diagonal pairs, sqrt(2) off them, the entry for support
-    pairs a = (i, j) and b = (p, q) is
+    and w the svec scale b.scale, 1 on diagonal pairs and sqrt(2) off
+    them, the entry for support pairs a = (i, j) and b = (p, q) is
 
         V[a, b] = w_a w_b / 2 * [ (q_i o q_p)' D (q_j o q_q)
                                   + (q_i o q_q)' D (q_j o q_p) ].
@@ -652,7 +644,7 @@ def _woodbury_core(b, D, loc, c):
     kl = np.searchsorted(idx, ka)
     ll = np.searchsorted(idx, la)
     Q = b.dec.P[idx]
-    w = np.where(ka == la, 1.0, np.sqrt(2.0))
+    w = b.scale[loc[order]]
     # the column scale -w_b rides on the factors of B
     Qk = Q[kl] * -w[:, None]
     Ql = Q[ll] * -w[:, None]

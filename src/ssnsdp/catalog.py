@@ -16,7 +16,7 @@ normalization, and the reference values were derived for it.
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg_sym import svec, smat, svec_len
+from .linalg_sym import svec, smat, svec_len, _triu
 from .problem import (
     BlockSymMatrix,
     KktPoint,
@@ -32,7 +32,7 @@ def _block_coord_masks(l1, l2):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
     n = l1 + l2
-    iu, ju = np.triu_indices(n)
+    iu, ju = _triu(n)[:2]
     in11 = ju < l1
     in22 = iu >= l1
     in12 = ~(in11 | in22)
@@ -81,12 +81,10 @@ def example1(l1=60, l2=40):
 
     # Each row reads one raw matrix entry, so off-diagonal coordinates
     # (stored scaled by sqrt(2)) get coefficient 1/sqrt(2).
-    iu, ju = np.triu_indices(n)
     cross = np.where(in12)[0]
     lower = np.where(in22)[0]
     cols = np.concatenate([cross, lower])
-    off = iu[cols] != ju[cols]
-    vals = np.where(off, 1.0 / np.sqrt(2.0), 1.0)
+    vals = 1.0 / _triu(n)[2][cols]
     eq_dim = cols.size
     J = sp.csr_matrix((vals, (np.arange(eq_dim), cols)), shape=(eq_dim, N))
 

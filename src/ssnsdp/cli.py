@@ -64,11 +64,11 @@ def _parser():
     r = sub.add_parser("run", help="run the Newton iteration")
     common(r)
     r.add_argument("--variant", choices=("u0", "ui", "U0", "UI"),
-                   default="u0", help="surrogate derivative")
-    r.add_argument("--delta", type=float, default=0.5,
+                   default=SolverParams.variant, help="surrogate derivative")
+    r.add_argument("--delta", type=float, default=SolverParams.delta,
                    help="correction radius")
-    r.add_argument("--tol", type=float, default=1e-10)
-    r.add_argument("--max-iter", type=int, default=50)
+    r.add_argument("--tol", type=float, default=SolverParams.tol)
+    r.add_argument("--max-iter", type=int, default=SolverParams.max_iter)
     r.add_argument("--no-correction", action="store_true",
                    help="plain semismooth Newton, no spectrum correction")
     r.add_argument("--perturb", type=float, metavar="MAG",

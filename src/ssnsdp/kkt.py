@@ -25,7 +25,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .linalg_sym import eig_sym, project_psd, svec, svec_rotation, v_mask
+from .linalg_sym import (eig_sym, project_psd, svec, svec_rotation, v_mask,
+                         _triu)
 from .problem import (
     hess_matrix_of,
     jac_g_matrix_of,
@@ -60,7 +61,7 @@ def kkt_residual(problem, z, _decomps=None):
 
 def _svec_diag(D):
     """svec-coordinate diagonal of a Hadamard mask matrix."""
-    iu, ju = np.triu_indices(D.shape[0])
+    iu, ju = _triu(D.shape[0])[:2]
     return D[iu, ju]
 
 

@@ -81,31 +81,29 @@ def svec_rotation(P):
     S is orthogonal whenever P is.  Rows and columns are indexed by the
     row-major upper triangle.
     """
-    n = P.shape[0]
-    return _svec_rotation_rows(P, *np.triu_indices(n))
+    return _svec_rotation_rows(P, np.arange(svec_len(P.shape[0])))
 
 
-def _svec_rotation_rows(P, rows_i, rows_j):
-    """Selected rows of svec_rotation(P), one per (i, j) pair with i <= j.
+def _svec_rotation_rows(P, pairs):
+    """Selected rows of svec_rotation(P), one per svec position in pairs.
 
-    Row (i, j) applied to svec(H) yields the (i, j) svec coordinate of
-    P.T @ H @ P.  Built by chunks of batched outer products so large
-    selections stay within a modest memory envelope.
+    Row p, the pair (i, j) with i <= j, applied to svec(H) yields the
+    (i, j) svec coordinate of P.T @ H @ P.  Built by chunks of batched
+    outer products so large selections stay within a modest memory
+    envelope.
     """
     n = P.shape[0]
     iu, ju, scale = _triu(n)[:3]
-    k = len(rows_i)
+    k = len(pairs)
     out = np.empty((k, svec_len(n)))
     chunk = max(1, int(2_000_000 // max(svec_len(n), 1)))
     for s in range(0, k, chunk):
-        bi = rows_i[s:s + chunk]
-        bj = rows_j[s:s + chunk]
+        bp = pairs[s:s + chunk]
         # outer(P[:,i], P[:,j]) symmetrized, then svec-scaled
-        A = P[:, bi].T[:, :, None] * P[:, bj].T[:, None, :]
+        A = P[:, iu[bp]].T[:, :, None] * P[:, ju[bp]].T[:, None, :]
         A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
         block = A[:, iu, ju] * scale
-        w = np.where(bi == bj, 1.0, np.sqrt(2.0))
-        out[s:s + chunk] = block * w[:, None]
+        out[s:s + chunk] = block * scale[bp][:, None]
     return out
 
 
@@ -113,8 +111,11 @@ def _svec_rotation_rows(P, rows_i, rows_j):
 class SpectralDecomposition:
     """Eigendecomposition A = P diag(lam) P.T with classified spectrum.
 
-    lam is nonincreasing.  alpha / beta / gamma hold the indices of
-    eigenvalues above, within, and below the classification tolerance.
+    lam is nonincreasing, so alpha / beta / gamma, the indices of
+    eigenvalues above, within, and below the classification tolerance,
+    are the ranges [0, a), [a, k) and [k, n).  eig_sym and
+    solver._correct_with_decomps keep that order; _reduced._BlockData
+    relies on it, reading its alpha-gamma pairs and T as ranges.
     """
 
     P: np.ndarray

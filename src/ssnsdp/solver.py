@@ -52,8 +52,10 @@ class SolverParams:
         if self.variant not in ("U0", "UI"):
             raise ValueError("variant must be 'U0' or 'UI'")
         for name in ("delta", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite real number")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not self.tol > 0:
@@ -191,7 +193,8 @@ def ssn_solve(problem, z0_hat, params=None, z_bar=None):
     before the next one is built.
     Raises ValueError, naming the field, when the start's x, xi or Gamma
     does not have the problem's dimensions, has a non-finite entry, or
-    (Gamma) is not symmetric.
+    (Gamma) is not symmetric, and likewise for the reference point z_bar
+    when one is given.
     """
     return _solve_loop(problem, z0_hat, params or SolverParams(), z_bar,
                        corrected=True)
@@ -205,6 +208,8 @@ def classical_ssn_solve(problem, z0, params=None, z_bar=None):
 
 def _solve_loop(problem, z0, params, z_bar, corrected):
     _validate_point(problem, z0, "start point")
+    if z_bar is not None:
+        _validate_point(problem, z_bar, "reference point")
     hat = z0
     trace = []
     f0 = None

@@ -189,10 +189,15 @@ def test_library_names_a_malformed_point():
     # an asymmetric block, which used to run to max_iter
     @hyp.example(case=("ex3", "Gamma",
                        _ex3(blocks=[[[0.0, 1.0], [0.0, 0.0]], [[0.0]]])))
+    # a reference point with x of length 1 and no Gamma blocks, which
+    # broadcast into distances of a solve that read converged
+    @hyp.example(case=("ex3", "x", KktPoint(np.zeros(1), np.zeros(0),
+                                             BlockSymMatrix([]))))
     def check(case):
         name, field, z = case
         problem, _ = PROBLEMS[name]
-        for entry in (ssn_solve, regularity_report):
+        for entry in (ssn_solve, regularity_report,
+                      lambda p, z: ssn_solve(p, STARTS[name], z_bar=z)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=rf"\b{field}\b"):

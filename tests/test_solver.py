@@ -1,6 +1,7 @@
 """Solver tests: correction step, Newton systems, statuses, backends."""
 
 import math
+import types
 import weakref
 
 import numpy as np
@@ -98,6 +99,11 @@ def spectrum_point(problem, lam, seed=0):
     {"tol": math.nan},
     # a bool is an Integral, but True is no iteration count
     {"max_iter": True},
+    # nor a radius or a tolerance; and values that are not real numbers
+    {"delta": True},
+    {"tol": True},
+    {"delta": "0.5"},
+    {"tol": None},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -1192,6 +1198,84 @@ def test_block_split_lays_out_coordinates_and_multipliers():
         for b in blocks:
             want = svec_rotation(b.dec.P)[b.zer] @ G[b.cs]
             assert_allclose(B[b.ws], want, rtol=0, atol=1e-13)
+
+    check()
+
+
+def pairs_in_any_order(dec, variant):
+    """(ag, zer, T, z_at, ag_at, z_scale) of one block built pair by pair
+    from the class index sets, with no assumption on their order: the
+    construction _BlockData used before it read the classes as ranges.
+    A zer pair (i, j) whose j is outside T sits at its mirror (j, i)."""
+    n = dec.n
+    iu, ju = np.triu_indices(n)
+    D = v_mask(dec, variant)
+    in_a = np.zeros(n, dtype=bool)
+    in_a[dec.alpha] = True
+    in_g = np.zeros(n, dtype=bool)
+    in_g[dec.gamma] = True
+    ag = np.where(in_a[iu] & in_g[ju])[0]
+    zer = np.where(D[iu, ju] == 0.0)[0]
+    T = np.where(np.diag(D) != 1.0)[0]
+    col = np.full(n, -1)
+    col[T] = np.arange(T.size)
+    zi, zj = iu[zer], ju[zer]
+    j_in = col[zj] >= 0
+    z_at = (np.where(j_in, zi, zj), np.where(j_in, col[zj], col[zi]))
+    ag_at = (iu[ag], col[ju[ag]])
+    z_scale = np.where(zi == zj, 1.0, np.sqrt(2.0))
+    return ag, zer, T, z_at, ag_at, z_scale
+
+
+def test_block_data_reads_the_classes_as_ranges():
+    """Property: on spectra with positive, zero and negative eigenvalues,
+    from eig_sym and from the correction at a random delta, alpha, beta
+    and gamma are consecutive ranges in that order, and _BlockData's T,
+    pair split and pair positions, which read them as ranges, equal the
+    pair-by-pair construction (pairs_in_any_order)."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    magnitude = st.floats(1e-3, 10.0)
+    eigenvalue = (st.sampled_from([0.0, 1e-14, -1e-14, 1.0, -1.0])
+                  | magnitude | magnitude.map(lambda t: -t))
+    spectrum = st.integers(1, 6).flatmap(
+        lambda n: st.lists(eigenvalue, min_size=n, max_size=n))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(lam=spectrum, seed=st.integers(0, 2**16),
+               delta=st.none() | st.floats(1e-3, 2.0),
+               variant=st.sampled_from(["U0", "UI"]))
+    @hyp.example(lam=[2.0, 0.0, -1.0, 0.0, 3.0, -2.0], seed=0, delta=None,
+                 variant="UI")
+    @hyp.example(lam=[2.0, 0.3, -1.0, -0.2, 3.0, -2.0], seed=0, delta=0.5,
+                 variant="U0")
+    def check(lam, seed, delta, variant):
+        n = len(lam)
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+            (n, n)))[0]
+        A = (Q * np.asarray(lam)) @ Q.T
+        if delta is None:
+            dec = eig_sym(A)
+        else:
+            # the correction reads only g, so g(x) + Gamma = 0 + A
+            problem = types.SimpleNamespace(
+                g=lambda x: BlockSymMatrix([np.zeros((n, n))]))
+            z = KktPoint(np.zeros(0), np.zeros(0), BlockSymMatrix([A]))
+            dec = solver_mod._correct_with_decomps(problem, z, delta)[2][0]
+        assert np.array_equal(
+            np.concatenate([dec.alpha, dec.beta, dec.gamma]), np.arange(n))
+        b = _BlockData(dec, variant)
+        ag, zer, T, z_at, ag_at, z_scale = pairs_in_any_order(dec, variant)
+        assert np.array_equal(b.ag, ag) and np.array_equal(b.zer, zer)
+        assert np.array_equal(b.T, T)
+        if T.size == 0:
+            assert zer.size == ag.size == 0
+            return
+        for got, want in ((b.z_at, z_at), (b.ag_at, ag_at)):
+            assert got[0] == slice(None)
+            assert np.array_equal(got[1], want[0])
+            assert np.array_equal(got[2], want[1])
+        assert b.z_scale.tobytes() == z_scale.tobytes()
 
     check()
 
