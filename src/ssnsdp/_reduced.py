@@ -61,15 +61,16 @@ for the Woodbury cores, all positive semidefinite, and LU with dgecon
 for dense R and the assembled Newton matrix.  _factor_solve is the
 solve over its factors, and SingularSystemError what a solve raises on
 a matrix flagged singular.  A Woodbury block where V = I has a diagonal
-core, judged by the same 1-norm rcond rule exactly.  Sparse R goes
-through splu, whose pivot ratio reads the same _SINGULAR_RCOND (SuperLU
-has no condition estimator).  splu relaxes supernodes to at most one
-column and works in one-column panels (relax=1, panel_size=1), since the
-sparse R of the catalog is a permuted stack of 1x1 and 2x2 blocks;
-neither setting changes the column order or the pivoting, so the fill
-and the verdict are those of the defaults.  Before either, R with more
-border rows [J; Gz] than x_dim reads singular by the count, with no
-factorization: its last columns, [B'; 0], have rank at most x_dim.
+core, judged by the same 1-norm rcond rule exactly.  R is factored
+sparse exactly when K and the border are, through splu, whose pivot
+ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
+estimator).  splu relaxes supernodes to at most one column and works
+in one-column panels (relax=1, panel_size=1), since the sparse R of
+the catalog is a permuted stack of 1x1 and 2x2 blocks; neither setting
+changes the column order or the pivoting, so the fill and the verdict
+are those of the defaults.  Before either, R with more border rows
+[J; Gz] than x_dim reads singular by the count, with no factorization:
+its last columns, [B'; 0], have rank at most x_dim.
 _lanczos_sigma_min is the one sigma_min routine: exact up to
 _LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
@@ -165,20 +166,21 @@ def _factor_solve(factors, rhs):
 
 
 def _signed_permutation(P):
-    """(perm, signs) if P is a signed permutation matrix, else None."""
+    """(rows, signs) if P is a signed permutation matrix, column i being
+    signs[i] times the unit vector e_rows[i], else None."""
     n = P.shape[0]
     tol = 1e-13
     A = np.abs(P)
-    cols = np.argmax(A, axis=1)
-    vals = A[np.arange(n), cols]
+    rows = np.argmax(A, axis=0)
+    vals = A[rows, np.arange(n)]
     if np.any(np.abs(vals - 1.0) > tol):
         return None
     if np.count_nonzero(A > tol) != n:
         return None
-    if np.sort(cols).tolist() != list(range(n)):
+    if np.sort(rows).tolist() != list(range(n)):
         return None
-    signs = np.sign(P[np.arange(n), cols])
-    return cols, signs
+    signs = np.sign(P[rows, np.arange(n)])
+    return rows, signs
 
 
 class _BlockData:
@@ -270,9 +272,9 @@ class _BlockData:
             return sp.csr_matrix((0, G_block.shape[1]))
         perm = sp.issparse(G_block) and _signed_permutation(self.dec.P)
         if perm:
-            cols_map, signs = perm
+            rows, signs = perm
             ri, rj = self.iu[pairs], self.ju[pairs]
-            idx = _triu(self.n)[4][cols_map[ri] * self.n + cols_map[rj]]
+            idx = _triu(self.n)[4][rows[ri] * self.n + rows[rj]]
             S = sp.csr_matrix(
                 (signs[ri] * signs[rj], (np.arange(ri.size), idx)),
                 shape=(ri.size, self.len))
@@ -296,12 +298,11 @@ def _block_split(decomps, variant):
 
 
 def _border(J, blocks, G):
-    """[J; Gz], the border of R: the equality Jacobian J (None when there
-    are no equality constraints) over Gz, the rotated cone rows of every
-    block's zero-mask pairs.  CSR when every part is sparse (see
-    _BlockData.s_rows for when a block's rows are), dense otherwise."""
-    rows = [] if J is None else [J]
-    rows += [b.s_rows(b.zer, G[b.cs]) for b in blocks]
+    """[J; Gz], the border of R: the equality Jacobian J, with no rows
+    when there are no equality constraints, over Gz, the rotated cone
+    rows of every block's zero-mask pairs.  CSR when every part is sparse
+    (see _BlockData.s_rows for when a block's rows are), else dense."""
+    rows = [J] + [b.s_rows(b.zer, G[b.cs]) for b in blocks]
     if all(sp.issparse(r) for r in rows):
         return sp.vstack(rows, format="csr")
     return np.vstack([to_dense(r) for r in rows])
@@ -353,7 +354,7 @@ class ReducedNewtonOperator:
         self.eq_dim = problem.eq_dim
         self.blocks = _block_split(decomps, variant)
         self.W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
-        self.J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
+        self.J = jac_h_matrix_of(problem, z.x)
         self.G = jac_g_matrix_of(problem, z.x)
         # G' once per build: in CSR form it applies about twice as fast
         self.GT = self.G.T.tocsr() if sp.issparse(self.G) else self.G.T
@@ -376,9 +377,10 @@ class ReducedNewtonOperator:
             b.zer.size for b in self.blocks) > x
         if self.singular:
             return
+        K = _curvature(self.W, self.blocks, self.G)
         B = _border(self.J, self.blocks, self.G)
-        if not self._any_ag and sp.issparse(self.W) and sp.issparse(B):
-            R = sp.bmat([[self.W, B.T], [B, None]], format="csc")
+        if sp.issparse(K) and sp.issparse(B):
+            R = sp.bmat([[K, B.T], [B, None]], format="csc")
             # R is a permuted stack of 1x1 and 2x2 blocks: no relaxed
             # supernodes, one-column panels.  The default COLAMD order and
             # pivoting stay, so the fill and the verdict do.  On ex1 at
@@ -400,7 +402,7 @@ class ReducedNewtonOperator:
         # dense reduction; Fortran order so the factorization works in place
         m = x + B.shape[0]
         R = np.zeros((m, m), order="F")
-        R[:x, :x] = _curvature(to_dense(self.W), self.blocks, self.G)
+        R[:x, :x] = to_dense(K)
         B = to_dense(B)
         R[x:, :x] = B
         R[:x, x:] = B.T
@@ -464,10 +466,8 @@ class ReducedNewtonOperator:
     def matvec(self, d):
         """Apply the (unreduced) Newton operator to a stacked direction."""
         dx, dxi, dG = self._split(d)
-        r1 = self.W @ dx + self.GT @ dG
-        if self.eq_dim:
-            r1 = r1 + self.J.T @ dxi
-        r2 = self.J @ dx if self.eq_dim else dxi
+        r1 = self.W @ dx + self.GT @ dG + self.J.T @ dxi
+        r2 = self.J @ dx
         # V(G dx + dG) - G dx = dG - (I - V)(G dx + dG)
         out3 = dG.copy()
         if self._t_blocks:
@@ -567,9 +567,8 @@ def separable_diagonal(problem, z):
 
     The fast path needs three structural facts: no equality constraints,
     a constant identity cone Jacobian, and a diagonal Hessian.  The core
-    it factors has one row per non-unit diagonal entry, so the path is
-    only worthwhile while those stay well below the primal dimension.
-    Every w must also lie in [0, 1], so that each core is positive
+    it factors has one row per non-unit diagonal entry, at any count of
+    them.  Every w must also lie in [0, 1], so that each core is positive
     semidefinite (see WoodburyNewtonOperator); other w solve exactly on
     ReducedNewtonOperator.
     """
@@ -577,8 +576,7 @@ def separable_diagonal(problem, z):
             or problem.hess_matrix_fn is None:
         return None
     G = problem.jac_g_matrix
-    N = problem.x_dim
-    if not sp.issparse(G) or G.shape != (N, N):
+    if not sp.issparse(G) or G.shape != (problem.x_dim,) * 2:
         return None
     if not _is_identity(G):
         return None
@@ -589,8 +587,7 @@ def separable_diagonal(problem, z):
     if np.any(Wc.row != Wc.col):
         return None
     w = np.asarray(W.diagonal(), dtype=float)
-    if 2 * np.count_nonzero(w != 1.0) > N \
-            or not np.all((w >= 0.0) & (w <= 1.0)):
+    if not np.all((w >= 0.0) & (w <= 1.0)):
         return None
     return w
 
@@ -752,7 +749,6 @@ class WoodburyNewtonOperator:
     def __init__(self, problem, z, variant, decomps, w):
         self.variant = variant
         self.x_dim = problem.x_dim
-        self.eq_dim = 0
         self.blocks = _block_split(decomps, variant)
         self._t_blocks = [b for b in self.blocks if b.T.size]
         self.dim = problem.total_dim

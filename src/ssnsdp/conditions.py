@@ -106,8 +106,7 @@ def _checked_decomps(problem, z):
 def _constraint_rows(problem, z, blocks, G):
     """The border [J; Gz] of R for the blocks' variant (_border), with
     no explicit zeros when sparse."""
-    J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
-    C = _border(J, blocks, G)
+    C = _border(jac_h_matrix_of(problem, z.x), blocks, G)
     if sp.issparse(C):
         C.eliminate_zeros()
     return C

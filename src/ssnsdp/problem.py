@@ -214,7 +214,10 @@ def _by_columns(rows, cols, apply):
 
 
 def jac_h_matrix_of(problem, x):
-    """Equality Jacobian as a matrix, assembled by columns when needed."""
+    """Equality Jacobian as a matrix, assembled by columns when needed;
+    with no equality constraints, an empty CSR matrix of x_dim columns."""
+    if not problem.eq_dim:
+        return sp.csr_matrix((0, problem.x_dim))
     if problem.jac_h_matrix is not None:
         return problem.jac_h_matrix
     return _by_columns(problem.eq_dim, problem.x_dim,

@@ -499,6 +499,15 @@ def test_check_clarke_midpoint_when_both_variants_singular(capsys):
     assert payload["ui_sigma_min"] <= 1e-8
     assert payload["clarke_mid_sigma_min"] is not None
     assert payload["clarke_mid_sigma_min"] > 1e-8
+    mid = repr(payload["clarke_mid_sigma_min"])
+    code, out, _ = run_cli(capsys, "check", "--example", "ex2",
+                           "--format", "csv")
+    assert code == 0
+    assert f"clarke_mid_sigma_min,,{mid}\n" in out
+    code, out, _ = run_cli(capsys, "check", "--example", "ex2",
+                           "--format", "table")
+    assert code == 0
+    assert "  clarke midpoint sigma_min " in out
 
 
 def test_check_table_and_csv(capsys):
@@ -604,9 +613,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 172
+    assert len(tool.COMMANDS) == 177
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 172
+    assert len(names) == 177
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])

@@ -1,5 +1,6 @@
 """Solver tests: correction step, Newton systems, statuses, backends."""
 
+import dataclasses
 import math
 import types
 import weakref
@@ -38,6 +39,7 @@ from ssnsdp.kkt import (
     min_singular_value,
 )
 from ssnsdp.linalg_sym import (
+    SpectralDecomposition,
     apply_V,
     eig_sym,
     svec,
@@ -49,7 +51,6 @@ from ssnsdp.problem import (
     BlockSymMatrix,
     KktPoint,
     NlsdpProblem,
-    hess_matrix_of,
     jac_g_matrix_of,
     jac_h_matrix_of,
     perturbed_start,
@@ -595,14 +596,53 @@ def quadratic_cone_problem(W, G, orders):
     )
 
 
+def unconstrained_qp(W):
+    """min x'Qx/2 + c'x over R^2, Q = diag(1, 2), c = (1, -1): no
+    equality rows and no cone blocks, with the Hessian handed out as W
+    (Q, sparse or dense).  The minimizer is (-1, 0.5)."""
+    Q = to_dense(W)
+    c = np.array([1.0, -1.0])
+    none = BlockSymMatrix([])
+    return NlsdpProblem(
+        name="unconstrained_qp",
+        x_dim=2,
+        eq_dim=0,
+        cone_blocks=[],
+        f=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
+        grad_f=lambda x: Q @ x + c,
+        h=lambda x: np.zeros(0),
+        jac_h=lambda x, v: np.zeros(0),
+        jac_h_adj=lambda x, y: np.zeros(2),
+        g=lambda x: none,
+        jac_g=lambda x, v: none,
+        jac_g_adj=lambda x, Gamma: np.zeros(2),
+        hess_lagrangian=lambda x, xi, Gamma, v: Q @ v,
+        jac_g_matrix=sp.csr_matrix((0, 2)),
+        hess_matrix_fn=lambda x, xi, Gamma: W,
+    )
+
+
+@pytest.mark.parametrize("sparse_hessian", [False, True],
+                         ids=["dense", "sparse"])
+def test_problem_without_constraints_solves(sparse_hessian):
+    """With no equality rows and no cone blocks the border of R has no
+    rows at all: R = K = Q, one Newton step solves the QP, and the
+    report reads the curvature of Q on the whole space."""
+    Q = np.diag([1.0, 2.0])
+    problem = unconstrained_qp(sp.csr_matrix(Q) if sparse_hessian else Q)
+    z0 = KktPoint(np.array([0.3, 0.7]), np.zeros(0), BlockSymMatrix([]))
+    res = ssn_solve(problem, z0)
+    assert res.status == "converged" and res.iterations == 1
+    assert_allclose(res.z_final.x, [-1.0, 0.5], rtol=0, atol=1e-15)
+    report = regularity_report(problem, res.z_final)
+    assert report.w_soc.margin == 1.0
+    assert report.cn.margin == math.inf
+
+
 def fallback_case(name):
     """(problem, corrected point, variant): a problem one structural fact
     short of the Woodbury backend, at a point where that variant's Newton
     operator is nonsingular."""
-    if name == "ex5-half-diagonal":
-        problem, sol = catalog("ex5", l1=1, l2=4)
-        z0 = perturbed_start(sol.z_bar, 1.0, seed=11)
-        return problem, correct(z0, problem, 0.5), "U0"
     N = svec_len(4) + svec_len(3)
     w = np.ones(N)
     w[[0, 7, 13]] = [0.0, 0.3, -0.5]
@@ -618,18 +658,37 @@ def fallback_case(name):
                             0.5), "UI"
 
 
-@pytest.mark.parametrize("name", ["sparse-G", "dense-W", "off-diagonal-W",
-                                  "ex5-half-diagonal"])
+@pytest.mark.parametrize("name", ["sparse-G", "dense-W", "off-diagonal-W"])
 def test_backend_choice_falls_back_to_block_elimination(name):
     problem, z, variant = fallback_case(name)
-    if name == "ex5-half-diagonal":
-        w = hess_matrix_of(problem, z.x, z.xi, z.Gamma).diagonal()
-        assert np.count_nonzero(w != 1.0) == 10 and w.size == 15
     assert separable_diagonal(problem, z) is None
     decomps = cone_decompositions(problem, z)
     op = _make_backend(problem, z, variant, decomps)
     dense = _DenseBackend(problem, z, variant, decomps)
     assert isinstance(op, ReducedNewtonOperator)
+    assert not op.singular and not dense.singular
+    for r in np.random.default_rng(3).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), atol=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["U0", "UI"])
+def test_backend_choice_takes_woodbury_at_any_support_size(variant):
+    """ex5 at 1/4 has 10 non-unit Hessian entries among 15 unknowns, so
+    its core has more rows than half the unknowns: the Woodbury backend
+    still takes it and answers as the assembled operator under U0, and
+    reads singular with it under UI."""
+    problem, sol = catalog("ex5", l1=1, l2=4)
+    z = correct(perturbed_start(sol.z_bar, 1.0, seed=11), problem, 0.5)
+    w = separable_diagonal(problem, z)
+    assert np.count_nonzero(w != 1.0) == 10 and w.size == 15
+    decomps = cone_decompositions(problem, z)
+    op = _make_backend(problem, z, variant, decomps)
+    dense = _DenseBackend(problem, z, variant, decomps)
+    assert isinstance(op, WoodburyNewtonOperator)
+    if variant == "UI":
+        assert op.singular and dense.singular
+        return
     assert not op.singular and not dense.singular
     for r in np.random.default_rng(3).standard_normal((3, op.dim)):
         assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
@@ -1193,7 +1252,7 @@ def test_block_split_lays_out_coordinates_and_multipliers():
             np.cumsum([0] + zers[:-1]).tolist(), np.cumsum(zers).tolist()))
         G = rng.standard_normal((sum(lens), 3))
         # CSR when no block has zero-mask rows
-        B = to_dense(_border(None, blocks, G))
+        B = to_dense(_border(sp.csr_matrix((0, 3)), blocks, G))
         assert B.shape == (sum(zers), 3)
         for b in blocks:
             want = svec_rotation(b.dec.P)[b.zer] @ G[b.cs]
@@ -1280,6 +1339,33 @@ def test_block_data_reads_the_classes_as_ranges():
     check()
 
 
+def test_rows_near_a_signed_permutation_are_dense():
+    """An eigenbasis 1e-8 of a rotation away from a signed permutation:
+    every column's largest entry is 1 to within 1e-13, but more than n
+    entries exceed 1e-13, so it is no signed permutation, and with a
+    sparse G the rotated rows come out dense and equal to the svec
+    rotation rows.  The permutation itself, a 4-cycle and so not its own
+    inverse, gives the same rows sparse."""
+    n = 4
+    perm = np.eye(n)[[2, 0, 3, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
+    t = 1e-8
+    rot = np.eye(n)
+    rot[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    lam = np.array([2.0, 0.5, -0.3, -1.0])
+    G = sp.random(svec_len(n), 5, density=0.5, random_state=0,
+                  format="csr")
+    pairs = np.arange(svec_len(n))
+    for P, sparse_rows in ((perm @ rot, False), (perm, True)):
+        dec = SpectralDecomposition(P=P, lam=lam, alpha=np.arange(2),
+                                    beta=np.arange(0), gamma=np.arange(2, 4))
+        assert np.all(np.abs(np.abs(P).max(axis=0) - 1.0) <= 1e-13)
+        assert (reduced_mod._signed_permutation(P) is None) != sparse_rows
+        rows = _BlockData(dec, "U0").s_rows(pairs, G)
+        assert sp.issparse(rows) == sparse_rows
+        assert_allclose(to_dense(rows), svec_rotation(P)[pairs] @ G.toarray(),
+                        rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("name,params,sparse_border", [
     ("ex1", {"l1": 4, "l2": 3}, True), ("ex2", {}, False),
     ("ex4_primal", {}, False), ("ex7", {}, False)])
@@ -1295,7 +1381,7 @@ def test_more_border_rows_than_unknowns_reads_singular_unfactored(
     z = sol.z_bar
     decomps = cone_decompositions(problem, z)
     blocks = _block_split(decomps, "U0")
-    J = jac_h_matrix_of(problem, z.x) if problem.eq_dim else None
+    J = jac_h_matrix_of(problem, z.x)
     B = _border(J, blocks, jac_g_matrix_of(problem, z.x))
     assert B.shape[0] > problem.x_dim
     assert sp.issparse(B) == sparse_border
@@ -1630,6 +1716,59 @@ def test_a_reusable_backend_is_built_once_and_kept(monkeypatch):
     assert [(k, reusable) for _, k, reusable in built] == [
         (ReducedNewtonOperator, True)]
     assert reused == [True]
+
+
+def alternating_format(hess_matrix_fn):
+    """hess_matrix_fn whose value comes out dense on every other call."""
+    calls = []
+
+    def fn(*args):
+        calls.append(None)
+        W = hess_matrix_fn(*args)
+        return W.toarray() if len(calls) % 2 else W
+    return fn
+
+
+@pytest.mark.parametrize("case", ["hess_matrix_fn", "jac_g_matrix",
+                                  "jac_h_matrix", "hessian-format"])
+def test_reuse_refuses_matrices_that_may_change(case, monkeypatch):
+    """ex1 under UI, as in test_a_reusable_backend_is_built_once_and_kept,
+    with one constant matrix dropped, or a Hessian that changes format
+    between calls: reuse_compatible refuses every reusable backend, and
+    the solve builds once per row."""
+    problem, sol = catalog("ex1", l1=6, l2=4)
+    changed = {case: None}
+    if case == "hessian-format":
+        changed = {"hess_matrix_fn":
+                   alternating_format(problem.hess_matrix_fn)}
+    problem = dataclasses.replace(problem, **changed)
+    built, _ = backend_lifetimes(monkeypatch)
+    refused = []
+
+    def reuse(cached, *args, _fn=solver_mod.reuse_compatible):
+        ok = _fn(cached, *args)
+        refused.append(cached is not None and cached.reusable and not ok)
+        return ok
+    monkeypatch.setattr(solver_mod, "reuse_compatible", reuse)
+    res = ssn_solve(problem, perturbed_start(sol.z_bar, 0.3, seed=0),
+                    SolverParams(variant="UI"))
+    assert res.converged and len(res.trace) == 2
+    assert [(k, reusable) for _, k, reusable in built] == [
+        (ReducedNewtonOperator, True)] * 2
+    assert refused == [False, True]
+
+
+def test_reuse_refuses_a_cached_hessian_of_another_format_or_shape():
+    problem, sol = catalog("ex1", l1=6, l2=4)
+    z = correct(perturbed_start(sol.z_bar, 0.3, seed=0), problem, 0.5)
+    decomps = cone_decompositions(problem, z)
+    op = ReducedNewtonOperator(problem, z, "UI", decomps)
+    assert sp.issparse(op.W)
+    assert reuse_compatible(op, problem, z, decomps, "UI")
+    W = op.W
+    for cached in (W.toarray(), W[:-1, :-1]):
+        op.W = cached
+        assert not reuse_compatible(op, problem, z, decomps, "UI")
 
 
 # ---------------------------------------------------------------------------

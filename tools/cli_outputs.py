@@ -118,6 +118,15 @@ def _commands():
             out.append(["run", "--example", ex, "--variant", variant,
                         "--perturb", "1", "--seed", "2", "--format",
                         "table"])
+    # ex5 at 1/4: 10 of its 15 Hessian entries are not 1, so the Woodbury
+    # core has more rows than half the unknowns
+    for variant in ("U0", "UI"):
+        for seed in range(2):
+            out.append(["run", "--example", "ex5", "--l1", "1", "--l2", "4",
+                        "--variant", variant, "--perturb", "0.3", "--seed",
+                        str(seed), "--format", "csv"])
+    out.append(["check", "--example", "ex5", "--l1", "1", "--l2", "4",
+                "--format", "json"])
     return out
 
 
