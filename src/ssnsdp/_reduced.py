@@ -189,25 +189,26 @@ class _BlockData:
     T = {t : D[t, t] != 1} is the block's non-unit index set: beta and
     gamma under U0, gamma under UI.  The classes are ranges of the
     nonincreasing spectrum, alpha [0, a), beta [a, k) and gamma [k, n),
-    so T is the suffix [t0, n), t0 the number of unit diagonal entries,
-    and the ag pairs are those with i < a and j >= k.  Every pair whose
-    mask differs from 1 touches T, the zero-mask (zer) and alpha-gamma
-    (ag) pairs included, so every cone map of the Newton operator reads
-    Hh = P' H P only through its T columns Hh[:, T] = P' (H P_T) (cols)
-    and writes back a symmetric matrix X supported on the rows and
-    columns T through P X P' = Z P_T' + P_T Z', Z = P Y, where Y is
-    X[:, T] with its T rows halved (back).  Each costs O(n^2 |T|); a
-    block with T empty costs nothing.  Both work on stacks: cols maps
-    svec columns, shape (len, m), to an (m, n, |T|) stack, back the
-    reverse; z_at and ag_at index a stack, a pair (i, j) at (i, j - t0),
-    since j is in T.  iu, ju and scale (svec's 1 or sqrt(2) per pair) are
-    linalg_sym._triu's cached arrays, never written.  The regularity
-    report reads its pair split from here too: a variant's zer pairs are
-    the constraint rows of its conditions, and the ag pairs, weighted by
-    c_ag, their curvature.  cs and ws, set by _block_split, are the
-    block's slices of the stacked cone coordinates and of the stacked
-    zero-mask multipliers; a block built on its own has neither, so it
-    fails with AttributeError, not a wrong offset.
+    so T is the suffix [t0, n), t0 = _unit_count(dec, variant), the ag
+    pairs are those with i < a and j >= k, and the zer pairs, where D is
+    0 (beta x gamma, gamma x gamma, and beta x beta under U0), are those
+    with i >= a and j >= t0.  Every pair whose mask differs from 1
+    touches T, the zer and ag pairs included, so every cone map of the
+    Newton operator reads Hh = P' H P only through its T columns
+    Hh[:, T] = P' (H P_T) (cols) and writes back a symmetric matrix X
+    supported on the rows and columns T through P X P' = Z P_T' + P_T Z',
+    Z = P Y, where Y is X[:, T] with its T rows halved (back).  Each
+    costs O(n^2 |T|); a block with T empty costs nothing.  Both work on
+    stacks: cols maps svec columns, shape (len, m), to an (m, n, |T|)
+    stack, back the reverse; z_at and ag_at index a stack, a pair (i, j)
+    at (i, j - t0), since j is in T.  iu, ju and scale (svec's 1 or
+    sqrt(2) per pair) are linalg_sym._triu's cached arrays, never
+    written.  The regularity report reads its pair split from here too:
+    a variant's zer pairs are the constraint rows of its conditions, and
+    the ag pairs, weighted by c_ag, their curvature.  cs and ws, set by
+    _block_split, are the block's slices of the stacked cone coordinates
+    and of the stacked zero-mask multipliers; a block built on its own
+    has neither, so it fails with AttributeError, not a wrong offset.
     """
 
     def __init__(self, dec, variant):
@@ -221,13 +222,10 @@ class _BlockData:
         # lam is nonincreasing, so alpha is [0, a) and gamma is [k, n)
         a, k = dec.alpha.size, n - dec.gamma.size
         self.ag = np.where((iu < a) & (ju >= k))[0]
-        # zero sectors of the mask are exact, so this split is too
-        self.zer = np.where(D[iu, ju] == 0.0)[0]
+        t0 = _unit_count(dec, variant)
+        self.zer = np.where((iu >= a) & (ju >= t0))[0]
         lam = dec.lam
         self.c_ag = -lam[ju[self.ag]] / lam[iu[self.ag]]
-        # the unit diagonal entries of D, alpha (and beta under UI), come
-        # first, so T is the suffix [t0, n)
-        t0 = int(np.count_nonzero(np.diag(D) == 1.0))
         self.T = np.arange(t0, n)
         if t0 == n:
             return
@@ -326,11 +324,10 @@ def _curvature(W, blocks, G):
     return K
 
 
-def _v_is_identity(decomps, variant):
-    """True when the variant's mask is all ones in every block, so V = I:
-    no pair survives as a constraint row and none carries a curvature
-    weight, and R = [[W, J'], [J, 0]] reads no eigenbasis."""
-    return all(np.all(v_mask(dec, variant) == 1.0) for dec in decomps)
+def _unit_count(dec, variant):
+    """t0, the count of unit diagonal entries of the variant's mask, which
+    come first: |alpha| under U0, |alpha| + |beta| under UI."""
+    return dec.alpha.size + (dec.beta.size if variant == "UI" else 0)
 
 
 def _sigma_min(op):
@@ -393,7 +390,7 @@ class ReducedNewtonOperator:
                 self.singular = True
                 return
             du = np.abs(self._lu.U.diagonal())
-            if du.size and du.min() <= _SINGULAR_RCOND * max(du.max(), 1.0):
+            if du.size and du.min() < _SINGULAR_RCOND * max(du.max(), 1.0):
                 self.singular = True
                 return
             self._solve_R = self._lu.solve
@@ -852,13 +849,14 @@ def reuse_compatible(cached, problem, z_new, decomps, variant):
     """True when a cached operator's factorization remains valid.
 
     Requires a backend built where V = I (reusable), the same variant,
-    V = I at the new iterate (_v_is_identity), explicitly constant
+    V = I at the new iterate (t0 = n in every block), explicitly constant
     Jacobians, and a Hessian that evaluates to the same matrix at the new
     iterate; R = [[W, J'], [J, 0]] then reads no eigenbasis at either.
     """
     if cached is None or cached.singular or not cached.reusable:
         return False
-    if cached.variant != variant or not _v_is_identity(decomps, variant):
+    if cached.variant != variant or any(
+            _unit_count(dec, variant) < dec.n for dec in decomps):
         return False
     if problem.eq_dim and problem.jac_h_matrix is None:
         return False

@@ -112,10 +112,10 @@ class SpectralDecomposition:
     """Eigendecomposition A = P diag(lam) P.T with classified spectrum.
 
     lam is nonincreasing, so alpha / beta / gamma, the indices of
-    eigenvalues above, within, and below the classification tolerance,
-    are the ranges [0, a), [a, k) and [k, n).  eig_sym and
-    solver._correct_with_decomps keep that order; _reduced._BlockData
-    relies on it, reading its alpha-gamma pairs and T as ranges.
+    eigenvalues above, within, and below eig_sym's tolerance, are the
+    ranges [0, a), [a, k) and [k, n).  solver._correct_with_decomps keeps
+    them, moving what it clips into beta; _reduced._BlockData reads its
+    alpha-gamma pairs, zero-mask pairs and T as ranges of the classes.
     """
 
     P: np.ndarray

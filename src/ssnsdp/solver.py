@@ -4,8 +4,9 @@ Each outer step first snaps the spectrum of every cone argument onto exact
 activity (eigenvalues within delta of zero are removed from the multiplier,
 leaving hard zeros), then takes one Newton step on the KKT map using the
 chosen surrogate derivative.  The correction is what keeps the Newton
-matrices nonsingular near degenerate solutions; without it the plain
-iteration can hit singular matrices arbitrarily close to the solution.
+matrices nonsingular near degenerate solutions; the classical iteration,
+the same loop at radius 0 (only exact zeros clipped, no value changed), can
+hit singular matrices arbitrarily close to the solution.
 
 Iteration traces record, per outer step: the residual norm, the distance
 to a reference solution when one is supplied, the smallest singular value
@@ -22,10 +23,9 @@ from scipy.linalg.blas import dnrm2
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg_sym import _classified, eig_sym
+from .linalg_sym import SpectralDecomposition, eig_sym
 from .problem import BlockSymMatrix, KktPoint, _validate_point
-from .kkt import (assemble_U, cone_decompositions, kkt_residual,
-                  min_singular_value)
+from .kkt import assemble_U, kkt_residual, min_singular_value
 from ._reduced import (ReducedNewtonOperator, SingularSystemError,
                        WoodburyNewtonOperator, _factor_solve,
                        _factor_with_rcond, reuse_compatible,
@@ -115,7 +115,9 @@ def correct(z, problem, delta):
 
 def _correct_with_decomps(problem, z, delta):
     """Corrected point, total shift size, and decompositions of the new
-    cone arguments (exact zeros in place of the clipped eigenvalues)."""
+    cone arguments: exact zeros in place of the clipped eigenvalues, and
+    eig_sym's classes with the clipped run moved into beta, which is then
+    the range between what stays of alpha and of gamma."""
     gx = problem.g(z.x)
     new_blocks = []
     decomps = []
@@ -130,7 +132,9 @@ def _correct_with_decomps(problem, z, delta):
             clipped.append(dec.lam[clip])
         else:
             new_blocks.append(Cb.copy())
-        decomps.append(_classified(dec.P, lam_new, 0.0))
+        a, g = dec.alpha[~clip[dec.alpha]], dec.gamma[~clip[dec.gamma]]
+        decomps.append(SpectralDecomposition(
+            dec.P, lam_new, a, np.arange(a.size, dec.n - g.size), g))
     z_new = KktPoint(z.x.copy(), z.xi.copy(), BlockSymMatrix(new_blocks))
     # dnrm2 scales: a sum of squares overflows once an eigenvalue passes
     # 1.3e154, far from overflow of the norm itself
@@ -196,17 +200,18 @@ def ssn_solve(problem, z0_hat, params=None, z_bar=None):
     (Gamma) is not symmetric, and likewise for the reference point z_bar
     when one is given.
     """
-    return _solve_loop(problem, z0_hat, params or SolverParams(), z_bar,
-                       corrected=True)
+    params = params or SolverParams()
+    return _solve_loop(problem, z0_hat, params, z_bar, params.delta)
 
 
 def classical_ssn_solve(problem, z0, params=None, z_bar=None):
-    """Same iteration without the correction step (for contrast runs)."""
-    return _solve_loop(problem, z0, params or SolverParams(), z_bar,
-                       corrected=False)
+    """Same iteration without the correction (for contrast runs): it is
+    the correction at radius 0, and params.delta is not read."""
+    return _solve_loop(problem, z0, params or SolverParams(), z_bar, 0.0)
 
 
-def _solve_loop(problem, z0, params, z_bar, corrected):
+def _solve_loop(problem, z0, params, z_bar, delta):
+    """ssn_solve's iteration, every row corrected at radius delta."""
     _validate_point(problem, z0, "start point")
     if z_bar is not None:
         _validate_point(problem, z_bar, "reference point")
@@ -217,12 +222,7 @@ def _solve_loop(problem, z0, params, z_bar, corrected):
     z = z0
     status = "max_iter"
     for k in range(params.max_iter + 1):
-        if corrected:
-            z, shift, decomps = _correct_with_decomps(problem, hat,
-                                                      params.delta)
-        else:
-            z, shift = hat, 0.0
-            decomps = cone_decompositions(problem, z)
+        z, shift, decomps = _correct_with_decomps(problem, hat, delta)
         # an iterate far out of range overflows here and reads diverged
         with np.errstate(over="ignore", invalid="ignore"):
             Fvec = kkt_residual(problem, z, _decomps=decomps)

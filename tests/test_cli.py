@@ -613,9 +613,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 177
+    assert len(tool.COMMANDS) == 181
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 177
+    assert len(names) == 181
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])
@@ -627,7 +627,7 @@ def test_cli_outputs_inputs_load(tmp_path, capsys):
     the second with CN and W-SRCQ failing on dependent rows."""
     tool = cli_outputs_tool()
     tool.write_inputs(tmp_path)
-    qsdp, solution, start, dep_qsdp, dep_point = (
+    qsdp, solution, start, dep_qsdp, dep_point, _ = (
         str(tmp_path / name) for name in tool.INPUTS)
     code, out, _ = run_cli(capsys, "check", "--qsdp", qsdp,
                            "--point", solution)
@@ -639,3 +639,18 @@ def test_cli_outputs_inputs_load(tmp_path, capsys):
     assert code == 0 and "problem: dependent_rows" in out
     assert "w_srcq  fails" in out and "cn      fails" in out
     assert "theorem_consistent: yes" in out
+
+
+def test_cli_outputs_start_reads_the_same_as_gamma_svec(tmp_path):
+    """The harness's start with its multiplier as gamma_svec gives the
+    run of the start with Gamma, byte for byte: UI stops singular."""
+    tool = cli_outputs_tool()
+    tool.write_inputs(tmp_path)
+    outs = []
+    for name in ("ex3.start.json", "ex3.start_svec.json"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--example", "ex3", "--variant", "UI",
+                     "--point", str(tmp_path / name), "--format", "csv",
+                     "--output", str(out)]) == 3
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

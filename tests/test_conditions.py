@@ -613,19 +613,28 @@ def test_check_tol_raises_the_bar(monkeypatch):
 
 
 def test_report_reads_check_tol_for_its_sigma_tests(monkeypatch):
-    """The certificate warning and the Clarke-midpoint probe test the
+    """The certificate warnings and the Clarke-midpoint probe test the
     sigmas against CHECK_TOL as it stands when the report runs: on
-    ex5 6/4 U0 is certified with sigma_min 0.618, which counts as zero
-    once CHECK_TOL is 0.7."""
-    monkeypatch.setattr(conditions_mod, "CHECK_TOL", 0.7)
-    problem, sol = catalog("ex5", l1=6, l2=4)
-    report = regularity_report(problem, sol.z_bar)
-    assert report.w_soc.holds and report.cn.holds
-    assert "U0 certified nonsingular but sigma_min is 6.180e-01" \
-        in report.warnings
-    assert report.clarke_mid_sigma_min is not None
-    assert_allclose(report.clarke_mid_sigma_min, 0.4370160244488208,
-                    rtol=1e-12)
+    ex5 6/4 U0 is certified (w_soc and cn) with sigma_min 0.618, which
+    counts as zero once CHECK_TOL is 0.7; on ex7 UI is certified (s_sosc
+    and w_srcq, margin 1.0) with sigma_min 0.518, zero at 0.6."""
+    for name, params, check_tol, variant, sigma, clarke_mid in (
+            ("ex5", {"l1": 6, "l2": 4}, 0.7, "U0", "6.180e-01",
+             0.4370160244488208),
+            ("ex7", {}, 0.6, "UI", "5.176e-01", 0.33411283519328155)):
+        monkeypatch.setattr(conditions_mod, "CHECK_TOL", check_tol)
+        problem, sol = catalog(name, **params)
+        report = regularity_report(problem, sol.z_bar)
+        if variant == "U0":
+            assert report.w_soc.holds and report.cn.holds
+        else:
+            assert report.s_sosc.margin == report.w_srcq.margin == 1.0
+            assert report.ui_sigma_min == 0.5176380902050416
+        assert (f"{variant} certified nonsingular but sigma_min is {sigma}"
+                in report.warnings)
+        assert report.clarke_mid_sigma_min is not None
+        assert_allclose(report.clarke_mid_sigma_min, clarke_mid,
+                        rtol=1e-12)
 
 
 def test_default_check_tol_value():

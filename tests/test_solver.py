@@ -165,6 +165,67 @@ def test_correct_leaves_no_spectrum_in_band():
         assert np.all((np.abs(lam) <= floor) | (np.abs(lam) > delta))
 
 
+def classes(dec):
+    return [dec.alpha.tolist(), dec.beta.tolist(), dec.gamma.tolist()]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-15])
+def test_correction_below_the_tolerance_keeps_eig_sym_classes(delta):
+    """Eigenvalues of about +-1e-14 lie within eig_sym's tolerance, so
+    they are beta in the KKT map and the report.  A correction radius
+    below them clips nothing there and keeps them in beta; at radius 0
+    the point comes back unchanged, with shift 0.0."""
+    problem = two_block_separable_problem()
+    z = two_block_start(problem, seed=5, spectra=(
+        [1.5, 1e-14, -1e-14, -2.0], [0.9, 0.0, -1.1]))
+    want = cone_decompositions(problem, z)
+    assert [d.beta.tolist() for d in want] == [[1, 2], [1]]
+    out, shift, decomps = solver_mod._correct_with_decomps(problem, z,
+                                                           delta)
+    assert [classes(d) for d in decomps] == [classes(d) for d in want]
+    if delta == 0.0:
+        assert shift == 0.0
+        assert np.array_equal(out.to_vector(), z.to_vector())
+
+
+def test_correction_at_radius_zero_is_eig_sym():
+    """Property: on spectra of exact and signed zeros, +-1e-14 and
+    magnitudes in [1e-6, 1e6], diagonal (so that zeros are exact) or
+    rotated, the correction at radius 0 keeps the point's values,
+    returns shift 0.0 and returns eig_sym's classes and eigenvalues."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    magnitude = st.floats(1e-6, 1e6)
+    eigenvalue = (st.sampled_from([0.0, -0.0, 1e-14, -1e-14])
+                  | magnitude | magnitude.map(lambda t: -t))
+    spectrum = st.integers(1, 6).flatmap(
+        lambda n: st.lists(eigenvalue, min_size=n, max_size=n))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(lam=spectrum, seed=st.integers(0, 2**16),
+               rotate=st.booleans())
+    @hyp.example(lam=[1e-14, 0.0, -0.0, -1e-14], seed=0, rotate=False)
+    def check(lam, seed, rotate):
+        n = len(lam)
+        rng = np.random.default_rng(seed)
+        Q = (np.linalg.qr(rng.standard_normal((n, n)))[0] if rotate
+             else np.eye(n)[rng.permutation(n)])
+        A = (Q * np.asarray(lam)) @ Q.T
+        # the correction reads only g, so g(x) + Gamma = 0 + A
+        problem = types.SimpleNamespace(
+            g=lambda x: BlockSymMatrix([np.zeros((n, n))]))
+        z = KktPoint(np.zeros(0), np.zeros(0), BlockSymMatrix([A]))
+        out, shift, (dec,) = solver_mod._correct_with_decomps(problem, z,
+                                                              0.0)
+        want = eig_sym(A)
+        assert shift == 0.0
+        assert np.array_equal(out.Gamma.blocks[0], A)
+        assert classes(dec) == classes(want)
+        assert np.array_equal(dec.lam, want.lam)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the Newton step (_direction) over a backend
 
@@ -597,9 +658,9 @@ def quadratic_cone_problem(W, G, orders):
 
 
 def unconstrained_qp(W):
-    """min x'Qx/2 + c'x over R^2, Q = diag(1, 2), c = (1, -1): no
-    equality rows and no cone blocks, with the Hessian handed out as W
-    (Q, sparse or dense).  The minimizer is (-1, 0.5)."""
+    """min x'Qx/2 + c'x over R^2, c = (1, -1): no equality rows and no
+    cone blocks, with the Hessian handed out as W (Q, sparse or dense).
+    At Q = diag(1, 2) the minimizer is (-1, 0.5)."""
     Q = to_dense(W)
     c = np.array([1.0, -1.0])
     none = BlockSymMatrix([])
@@ -637,6 +698,22 @@ def test_problem_without_constraints_solves(sparse_hessian):
     report = regularity_report(problem, res.z_final)
     assert report.w_soc.margin == 1.0
     assert report.cn.margin == math.inf
+
+
+@pytest.mark.parametrize("sparse_hessian", [False, True],
+                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("q,status,iterations", [
+    (1e-14, "converged", 1), (5e-15, "singular_system", 0)])
+def test_singular_below_the_threshold_in_either_storage(
+        sparse_hessian, q, status, iterations):
+    """R = K = Q = diag(1, q): the LU condition estimate of the dense R
+    and the pivot ratio of the sparse R are both q, and both read
+    singular exactly below 1e-14, not at it."""
+    Q = np.diag([1.0, q])
+    problem = unconstrained_qp(sp.csr_matrix(Q) if sparse_hessian else Q)
+    z0 = KktPoint(np.array([0.3, 0.7]), np.zeros(0), BlockSymMatrix([]))
+    res = ssn_solve(problem, z0)
+    assert (res.status, res.iterations) == (status, iterations)
 
 
 def fallback_case(name):

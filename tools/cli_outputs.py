@@ -19,9 +19,11 @@ from pathlib import Path
 EXAMPLES = ("ex1", "ex2", "ex3", "ex4_primal", "ex4_dual", "ex5", "ex7")
 
 # ex3 as a QSDP file, its solution, and a start perturbed from it; a QSDP
-# with dependent equality rows and its KKT point
+# with dependent equality rows and its KKT point; the same start with its
+# multiplier as gamma_svec
 INPUTS = ("ex3.qsdp.json", "ex3.solution.json", "ex3.start.json",
-          "dependent.qsdp.json", "dependent.point.json")
+          "dependent.qsdp.json", "dependent.point.json",
+          "ex3.start_svec.json")
 
 
 def dependent_rows():
@@ -49,11 +51,14 @@ def write_inputs(indir):
     from ssnsdp.problem import perturbed_start, save_qsdp
     problem, sol = catalog("ex3")
     save_qsdp(indir / INPUTS[0], problem.qsdp_data)
-    for name, z in ((INPUTS[1], sol.z_bar),
-                    (INPUTS[2], perturbed_start(sol.z_bar, 0.5, seed=3))):
+    start = perturbed_start(sol.z_bar, 0.5, seed=3)
+    for name, z in ((INPUTS[1], sol.z_bar), (INPUTS[2], start)):
         raw = {"x": z.x.tolist(), "xi": z.xi.tolist(),
                "Gamma": [b.tolist() for b in z.Gamma.blocks]}
         (indir / name).write_text(json.dumps(raw) + "\n")
+    raw = {"x": start.x.tolist(), "xi": start.xi.tolist(),
+           "gamma_svec": start.Gamma.svec().tolist()}
+    (indir / INPUTS[5]).write_text(json.dumps(raw) + "\n")
     data, point = dependent_rows()
     save_qsdp(indir / INPUTS[3], data)
     (indir / INPUTS[4]).write_text(json.dumps(point) + "\n")
@@ -101,7 +106,7 @@ def _commands():
                             "--variant", variant, "--no-correction",
                             "--perturb", "1", "--seed", str(seed),
                             "--format", "json"])
-    qsdp, solution, start, dep_qsdp, dep_point = INPUTS
+    qsdp, solution, start, dep_qsdp, dep_point, start_svec = INPUTS
     for fmt in ("json", "csv", "table"):
         out.append(["check", "--qsdp", qsdp, "--point", solution,
                     "--format", fmt])
@@ -127,6 +132,17 @@ def _commands():
                         str(seed), "--format", "csv"])
     out.append(["check", "--example", "ex5", "--l1", "1", "--l2", "4",
                 "--format", "json"])
+    # exit 4: the step cap; a residual norm that overflows at k = 0; and
+    # ex4_dual at eps 0.01 from the ex3 start, where every row clips the
+    # same eigenvalue and the residual stalls
+    out.append(["run", "--example", "ex3", "--perturb", "1", "--seed", "2",
+                "--max-iter", "1", "--format", "csv"])
+    out.append(["run", "--example", "ex3", "--perturb", "1e200", "--format",
+                "csv"])
+    out.append(["run", "--example", "ex4_dual", "--eps", "0.01", "--point",
+                start, "--format", "csv"])
+    out.append(["run", "--example", "ex3", "--variant", "UI", "--point",
+                start_svec, "--format", "csv"])
     return out
 
 
