@@ -185,7 +185,7 @@ def _direction(backend, Fvec):
 
 
 def ssn_solve(problem, z0_hat, params=None, z_bar=None):
-    """Corrected Newton iteration from a (possibly uncorrected) start.
+    """Corrected Newton iteration from any start, corrected or not.
 
     Statuses: "converged" (residual below tol), "singular_system",
     "max_iter", "diverged" (residual blew past 1e6 times its initial
