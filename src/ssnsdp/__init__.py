@@ -23,7 +23,6 @@ from .linalg_sym import (
     svec,
     svec_len,
     svec_rotation,
-    xi_matrix,
 )
 from .problem import (
     BlockSymMatrix,
@@ -74,7 +73,6 @@ __all__ = [
     "svec",
     "svec_len",
     "svec_rotation",
-    "xi_matrix",
     "BlockSymMatrix",
     "KktPoint",
     "KnownSolution",

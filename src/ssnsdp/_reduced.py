@@ -50,9 +50,9 @@ where a block sits from _block_split, the one constructor of a block
 list (see _BlockData's cs and ws).
 
 Every solve and every report runs on ReducedNewtonOperator or
-WoodburyNewtonOperator, at every problem size.  Their solve and solve_t
-take a right-hand side of shape (dim,) or a stack of columns, shape
-(dim, m), on one code path.
+WoodburyNewtonOperator, at every problem size, as _make_backend
+chooses.  Their solve and solve_t take a right-hand side of shape (dim,)
+or a stack of columns, shape (dim, m), on one code path.
 
 The module also holds what the backends share with the assembled
 reference backend in solver.py.  _factor_with_rcond is the one
@@ -266,8 +266,6 @@ class _BlockData:
         P' smat(G dx) P.  Sparse when the block Jacobian is sparse and
         the eigenbasis is a signed permutation, which is searched for only
         then; dense otherwise."""
-        if pairs.size == 0:
-            return sp.csr_matrix((0, G_block.shape[1]))
         perm = sp.issparse(G_block) and _signed_permutation(self.dec.P)
         if perm:
             rows, signs = perm
@@ -298,9 +296,9 @@ def _block_split(decomps, variant):
 def _border(J, blocks, G):
     """[J; Gz], the border of R: the equality Jacobian J, with no rows
     when there are no equality constraints, over Gz, the rotated cone
-    rows of every block's zero-mask pairs.  CSR when every part is sparse
+    rows of the blocks with zero-mask pairs.  CSR when every part is sparse
     (see _BlockData.s_rows for when a block's rows are), else dense."""
-    rows = [J] + [b.s_rows(b.zer, G[b.cs]) for b in blocks]
+    rows = [J] + [b.s_rows(b.zer, G[b.cs]) for b in blocks if b.zer.size]
     if all(sp.issparse(r) for r in rows):
         return sp.vstack(rows, format="csr")
     return np.vstack([to_dense(r) for r in rows])
@@ -587,6 +585,16 @@ def separable_diagonal(problem, z):
     if not np.all((w >= 0.0) & (w <= 1.0)):
         return None
     return w
+
+
+def _make_backend(problem, z, variant, decomps):
+    """The Newton-matrix backend at z, at every problem size: the
+    diagonal-plus-low-rank (Woodbury) form when the problem has one,
+    else block elimination."""
+    w = separable_diagonal(problem, z)
+    if w is not None:
+        return WoodburyNewtonOperator(problem, z, variant, decomps, w)
+    return ReducedNewtonOperator(problem, z, variant, decomps)
 
 
 def _is_identity(G):

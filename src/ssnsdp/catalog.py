@@ -127,6 +127,17 @@ def example2():
     return problem, solution
 
 
+def _trace_cap(Q, c):
+    """ex3's and ex4_dual's QSDP data: the objective 0.5 x'Qx + c'x over
+    X in S^2_+ with the trace cap <ones, X> <= 1."""
+    r2 = np.sqrt(2.0)
+    return {"x_dim": 3, "eq_dim": 0, "cone_blocks": [2, 1], "Q": Q, "c": c,
+            "H": [], "p": [],
+            "G": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [-1.0, -r2, -1.0]],
+            "q": [0.0, 0.0, 0.0, -1.0]}
+
+
 def example3():
     """Convex quadratic over S^2_+ with a trace cap.
 
@@ -135,16 +146,8 @@ def example3():
     the strong second-order condition fails but nondegeneracy holds.
     """
     r2 = np.sqrt(2.0)
-    data = {
-        "x_dim": 3, "eq_dim": 0, "cone_blocks": [2, 1],
-        "Q": [[1.0, 0.0, 0.0], [0.0, 2.0, -r2], [0.0, -r2, 1.0]],
-        "c": [-1.0, 0.0, 0.0],
-        "H": [],
-        "p": [],
-        "G": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-              [-1.0, -r2, -1.0]],
-        "q": [0.0, 0.0, 0.0, -1.0],
-    }
+    data = _trace_cap([[1.0, 0.0, 0.0], [0.0, 2.0, -r2], [0.0, -r2, 1.0]],
+                      [-1.0, 0.0, 0.0])
     problem = qsdp_problem(data, name="ex3")
     solution = KnownSolution(
         z_bar=KktPoint(np.array([1.0, 0.0, 0.0]), np.zeros(0),
@@ -221,19 +224,10 @@ def example4_dual(eps=0.0):
     B12 = _b4_sqrt()
     b = np.linalg.solve(B12, np.array([2.5, -1.0]))
     B12b = B12 @ b
-    r2 = np.sqrt(2.0)
-    data = {
-        "x_dim": 3, "eq_dim": 0, "cone_blocks": [2, 1],
-        "Q": [[_B4[0, 0], 0.0, _B4[0, 1]],
-              [0.0, 0.0, 0.0],
-              [_B4[1, 0], 0.0, _B4[1, 1]]],
-        "c": [-B12b[0] + 1.0 - eps, 0.0, -B12b[1] + 1.0 + eps],
-        "H": [],
-        "p": [],
-        "G": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-              [-1.0, -r2, -1.0]],
-        "q": [0.0, 0.0, 0.0, -1.0],
-    }
+    data = _trace_cap([[_B4[0, 0], 0.0, _B4[0, 1]],
+                       [0.0, 0.0, 0.0],
+                       [_B4[1, 0], 0.0, _B4[1, 1]]],
+                      [-B12b[0] + 1.0 - eps, 0.0, -B12b[1] + 1.0 + eps])
     problem = qsdp_problem(data, name="ex4_dual")
 
     def f_true(x):

@@ -43,12 +43,12 @@ from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
                       jac_h_matrix_of)
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
-from ._reduced import _block_split, _border, _curvature
-from .solver import _make_backend
+from ._reduced import _block_split, _border, _curvature, _make_backend
 
 RESIDUAL_TOL = 1e-10
 
-# the report's one zero test, read when a check runs: a condition margin
+# the report's one zero test, read when a check runs: a condition margin,
+# a singular value of the constraint rows (so a null direction of theirs)
 # or a Newton sigma_min at or below this counts as zero
 CHECK_TOL = 1e-8
 
@@ -113,18 +113,21 @@ def _constraint_rows(problem, z, blocks, G):
 
 
 def _null_basis(C):
-    """Orthonormal null-space basis of the rows C.
+    """Orthonormal basis of the directions on which the rows C have a
+    singular value of at most CHECK_TOL, the zero test of the margins.
 
     Returned as ("coords", indices) when C is sparse and every row
-    touches at most one coordinate (then the basis is a subset of unit
-    vectors), otherwise as ("dense", N).
+    touches at most one coordinate (the columns of 2-norm at most
+    CHECK_TOL), otherwise as ("dense", N).
     """
     if sp.issparse(C):
         if np.all(np.diff(C.indptr) <= 1):
-            hits = np.bincount(C.indices, minlength=C.shape[1])
-            return ("coords", np.flatnonzero(hits == 0))
+            norm2 = np.bincount(C.indices, weights=C.data ** 2,
+                                minlength=C.shape[1])
+            return ("coords", np.flatnonzero(norm2 <= CHECK_TOL ** 2))
         C = C.toarray()
-    return ("dense", scipy.linalg.null_space(C, rcond=1e-10))
+    _, s, vt = scipy.linalg.svd(C)
+    return ("dense", vt[np.count_nonzero(s > CHECK_TOL):].T)
 
 
 def _curvature_matrix(problem, z, blocks, G):

@@ -6,10 +6,11 @@ inner product of svec vectors equals the trace inner product of the
 matrices they encode.
 
 Spectral decompositions carry an eigenvalue classification into positive
-(alpha), near-zero (beta) and negative (gamma) index sets.  The projection
-onto the positive semidefinite cone, its directional derivative, and the
-two generalized-derivative surrogates used by the Newton solver are all
-expressed through that classification.
+(alpha), near-zero (beta) and negative (gamma) index sets, which
+_classified, the one place that orders a spectrum, makes ranges of the
+nonincreasing eigenvalues.  The projection onto the positive semidefinite
+cone, its directional derivative, and the two generalized-derivative
+surrogates used by the Newton solver all read the classes as ranges.
 """
 
 import numpy as np
@@ -111,11 +112,13 @@ def _svec_rotation_rows(P, pairs):
 class SpectralDecomposition:
     """Eigendecomposition A = P diag(lam) P.T with classified spectrum.
 
-    lam is nonincreasing, so alpha / beta / gamma, the indices of
-    eigenvalues above, within, and below eig_sym's tolerance, are the
-    ranges [0, a), [a, k) and [k, n).  solver._correct_with_decomps keeps
-    them, moving what it clips into beta; _reduced._BlockData reads its
-    alpha-gamma pairs, zero-mask pairs and T as ranges of the classes.
+    lam is nonincreasing (_classified orders it), so alpha / beta /
+    gamma, the indices of eigenvalues above, within, and below eig_sym's
+    tolerance, are the ranges [0, a), [a, k) and [k, n), and every reader
+    takes them as ranges: v_mask and dproj_psd by slices;
+    solver._correct_with_decomps keeps them, moving what it clips into
+    beta; _reduced._BlockData reads its alpha-gamma pairs, zero-mask
+    pairs and T from a and k.
     """
 
     P: np.ndarray
@@ -130,16 +133,21 @@ class SpectralDecomposition:
 
 
 def _classified(P, lam, tol):
-    """SpectralDecomposition of P diag(lam) P.T whose alpha / beta / gamma
-    are lam > tol, |lam| <= tol and lam < -tol."""
+    """SpectralDecomposition of P diag(lam) P.T, eigenpairs in any order,
+    sorted stably into nonincreasing order (on eigh's output, its
+    reversal) with P C-contiguous: alpha / beta / gamma, lam > tol,
+    |lam| <= tol and lam < -tol, are the ranges [0, a), [a, k), [k, n)."""
+    order = np.argsort(lam, kind="stable")[::-1]
+    lam = lam[order]
     idx = np.arange(lam.size)
-    return SpectralDecomposition(
-        P=P, lam=lam, alpha=idx[lam > tol], beta=idx[np.abs(lam) <= tol],
-        gamma=idx[lam < -tol])
+    a = np.count_nonzero(lam > tol)
+    k = lam.size - np.count_nonzero(lam < -tol)
+    return SpectralDecomposition(P=P.take(order, axis=1), lam=lam,
+                                 alpha=idx[:a], beta=idx[a:k], gamma=idx[k:])
 
 
 def eig_sym(A):
-    """Spectral decomposition with nonincreasing eigenvalues.
+    """Spectral decomposition with nonincreasing eigenvalues (_classified).
 
     Eigenvalues within 1e-12 * (1 + ||A||_F) of zero are classified beta;
     the solver, the KKT map and the regularity report all read this one
@@ -150,8 +158,7 @@ def eig_sym(A):
     A = np.asarray(A, dtype=float)
     lam, P = np.linalg.eigh(A)
     fro = float(dnrm2(A.ravel())) if A.size else 0.0
-    return _classified(P[:, ::-1].copy(), lam[::-1].copy(),
-                       1e-12 * (1.0 + fro))
+    return _classified(P, lam, 1e-12 * (1.0 + fro))
 
 
 def project_psd(decomp):
@@ -160,59 +167,46 @@ def project_psd(decomp):
     return (decomp.P * pos) @ decomp.P.T
 
 
-def xi_matrix(decomp):
-    """First divided differences of t -> max(t, 0) on the classified spectrum.
-
-    Entries by sector: 1 on alpha x alpha, alpha x beta and beta x beta;
-    lam_i / (lam_i - lam_j) on alpha x gamma (in (0, 1)); 0 on beta x gamma
-    and gamma x gamma.  Symmetric.  It is the UI mask of v_mask.
-    """
-    return v_mask(decomp, "UI")
-
-
 def dproj_psd(decomp, H):
     """Directional derivative of the PSD projection at the decomposed matrix.
 
     In the eigenbasis the derivative scales sectors by the divided
-    differences and projects the beta x beta block onto its own PSD cone;
-    the beta x gamma and gamma x gamma sectors vanish.
+    differences (the UI mask of v_mask) and projects the beta x beta
+    block, the range [a, k), onto its own PSD cone; the beta x gamma and
+    gamma x gamma sectors vanish.
     """
     P = decomp.P
     Ht = P.T @ np.asarray(H, dtype=float) @ P
-    M = xi_matrix(decomp) * Ht
-    b = decomp.beta
-    if len(b):
-        sub = eig_sym(Ht[np.ix_(b, b)])
-        M[np.ix_(b, b)] = project_psd(sub)
+    M = v_mask(decomp, "UI") * Ht
+    b = slice(decomp.alpha.size, decomp.n - decomp.gamma.size)
+    M[b, b] = project_psd(eig_sym(Ht[b, b]))
     return P @ M @ P.T
 
 
 def v_mask(decomp, variant):
     """Sector mask of the Newton surrogate for the projection derivative.
 
-    Variant "U0" takes the zero map on the beta x beta block, "UI" the
-    identity; both agree with the divided differences elsewhere.  The
-    returned symmetric matrix D acts as H -> P (D o (P.T H P)) P.T and in
-    svec coordinates its operator is orthogonally similar to
-    diag(svec-mask), so every operator eigenvalue is an entry of D.
+    "UI" is the matrix of first divided differences of t -> max(t, 0):
+    1 on alpha x alpha, alpha x beta and beta x beta, lam_i / (lam_i -
+    lam_j) in (0, 1) on alpha x gamma, 0 on beta x gamma and gamma x
+    gamma; "U0" is 0 on beta x beta too.  Each sector is a slice of the
+    class ranges.  The returned symmetric matrix D acts as H -> P (D o
+    (P.T H P)) P.T and in svec coordinates its operator is orthogonally
+    similar to diag(svec-mask), so every operator eigenvalue is an entry
+    of D.
     """
     if variant not in ("U0", "UI"):
         raise ValueError(f"unknown variant {variant!r}")
-    # class labels alpha 0, beta 1, gamma 3: a pair's label sum is 0, 1 or
-    # 2 exactly on alpha x alpha, alpha x beta and beta x beta, so the 1s
-    # of D come from the labels in one broadcast, with no index-set scatter
-    lab = np.ones(decomp.n, dtype=np.int8)
-    lab[decomp.alpha] = 0
-    lab[decomp.gamma] = 3
-    D = (lab[:, None] + lab <= (2 if variant == "UI" else 1)).astype(float)
-    if len(decomp.alpha) and len(decomp.gamma):
-        la = decomp.lam[decomp.alpha]
-        frac = la[:, None] / (la[:, None] - decomp.lam[decomp.gamma])
-        # a boolean mask takes its values in row-major order: alpha rows
-        # by gamma columns is frac, and its transpose frac.T
-        ag = (lab == 0)[:, None] & (lab == 3)
-        D[ag] = frac.ravel()
-        D[ag.T] = frac.T.ravel()
+    n, lam = decomp.n, decomp.lam
+    a, k = decomp.alpha.size, n - decomp.gamma.size
+    D = np.zeros((n, n))
+    D[:a, :k] = 1.0
+    D[:k, :a] = 1.0
+    if variant == "UI":
+        D[a:k, a:k] = 1.0
+    la = lam[:a, None]
+    D[:a, k:] = la / (la - lam[k:])
+    D[k:, :a] = D[:a, k:].T
     return D
 
 
@@ -221,4 +215,3 @@ def apply_V(decomp, variant, H):
     P = decomp.P
     Ht = P.T @ np.asarray(H, dtype=float) @ P
     return P @ (v_mask(decomp, variant) * Ht) @ P.T
-

@@ -26,10 +26,8 @@ from typing import Optional
 from .linalg_sym import SpectralDecomposition, eig_sym
 from .problem import BlockSymMatrix, KktPoint, _validate_point
 from .kkt import assemble_U, kkt_residual, min_singular_value
-from ._reduced import (ReducedNewtonOperator, SingularSystemError,
-                       WoodburyNewtonOperator, _factor_solve,
-                       _factor_with_rcond, reuse_compatible,
-                       separable_diagonal)
+from ._reduced import (SingularSystemError, _factor_solve,
+                       _factor_with_rcond, _make_backend, reuse_compatible)
 
 logger = logging.getLogger("ssnsdp")
 
@@ -166,16 +164,6 @@ class _DenseBackend:
 
     def sigma_min(self):
         return 0.0 if self.singular else min_singular_value(self.matrix)
-
-
-def _make_backend(problem, z, variant, decomps):
-    """The Newton-matrix backend at z, at every problem size: the
-    diagonal-plus-low-rank (Woodbury) form when the problem has one,
-    else block elimination."""
-    w = separable_diagonal(problem, z)
-    if w is not None:
-        return WoodburyNewtonOperator(problem, z, variant, decomps, w)
-    return ReducedNewtonOperator(problem, z, variant, decomps)
 
 
 def _direction(backend, Fvec):

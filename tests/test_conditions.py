@@ -25,6 +25,7 @@ from ssnsdp.conditions import (
     _curvature_matrix,
     _independence_margin,
     _null_basis,
+    _second_order_margin,
     check_cn,
     check_s_sosc,
     check_w_soc,
@@ -545,6 +546,29 @@ def test_independence_margin_of_dependent_dense_rows():
     for _ in range(200):
         C = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 12))
         assert _independence_margin(C) < 1e-12 * np.linalg.norm(C, 2)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_rows_read_null_exactly_at_check_tol(sparse, monkeypatch):
+    """A direction is null for the second-order margin exactly when the
+    rows' singular value on it is at most CHECK_TOL, as read at call
+    time, the zero test of the independence margin: rows with a singular
+    value of 1e-9 read dependent and leave Q's -1 direction to the
+    curvature form; at 1e-7, or at CHECK_TOL 1e-10, they read
+    independent and the null space is zero."""
+    def rows(t):
+        C = np.array([[t, 0.0], [0.0, 1.0]] if sparse
+                     else [[1.0, 0.0], [1.0, t]])
+        return sp.csr_matrix(C) if sparse else C
+
+    Q = np.diag([-1.0, 1.0] if sparse else [1.0, -1.0])
+    assert _null_basis(rows(1e-9))[0] == ("coords" if sparse else "dense")
+    assert _independence_margin(rows(1e-9)) <= CHECK_TOL
+    assert _second_order_margin(rows(1e-9), Q) == -1.0
+    assert _independence_margin(rows(1e-7)) > CHECK_TOL
+    assert _second_order_margin(rows(1e-7), Q) == np.inf
+    monkeypatch.setattr(conditions_mod, "CHECK_TOL", 1e-10)
+    assert _second_order_margin(rows(1e-9), Q) == np.inf
 
 
 def dependent_rows_point(s):

@@ -16,7 +16,6 @@ from ssnsdp.linalg_sym import (
     svec_len,
     svec_rotation,
     v_mask,
-    xi_matrix,
 )
 
 RT2 = np.sqrt(2.0)
@@ -167,6 +166,58 @@ def test_classified_counts_signed_zeros_as_beta():
     assert list(dec.gamma) == [3]
 
 
+def test_classified_orders_any_spectrum_into_ranges():
+    """Property: _classified takes eigenpairs in any order and returns
+    them nonincreasing, with alpha, beta and gamma the ranges [0, a),
+    [a, k) and [k, n), a C-contiguous P, and the same matrix."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    magnitude = st.floats(1e-6, 1e6)
+    eigenvalue = (st.sampled_from([0.0, -0.0, 1e-14, -1e-14]) | magnitude
+                  | magnitude.map(lambda t: -t))
+    tol = 1e-12
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(lam=st.lists(eigenvalue, max_size=9),
+               seed=st.integers(0, 2**16))
+    def check(lam, seed):
+        lam = np.array(lam, dtype=float)
+        n = lam.size
+        rng = np.random.default_rng(seed)
+        P = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        dec = _classified(P, lam, tol)
+        assert np.all(np.diff(dec.lam) <= 0.0)
+        a, k = dec.alpha.size, n - dec.gamma.size
+        assert list(dec.alpha) == list(range(a))
+        assert list(dec.beta) == list(range(a, k))
+        assert list(dec.gamma) == list(range(k, n))
+        assert np.all(dec.lam[:a] > tol)
+        assert np.all(np.abs(dec.lam[a:k]) <= tol)
+        assert np.all(dec.lam[k:] < -tol)
+        assert dec.P.flags.c_contiguous
+        scale = 1.0 + np.abs(lam).max(initial=0.0)
+        assert_allclose((dec.P * dec.lam) @ dec.P.T, (P * lam) @ P.T,
+                        rtol=0, atol=1e-13 * scale)
+
+    check()
+
+
+def test_eig_sym_is_eigh_reversed_bitwise():
+    """eig_sym's P and lam are eigh's output reversed, bit for bit, ties
+    included, with P C-contiguous."""
+    rng = np.random.default_rng(12)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    mats = [rand_sym(rng, n, scale=3.0) for n in (1, 2, 5, 9)]
+    mats.append(np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+    mats.append((Q * np.array([2.0, -1.0, 2.0, 2.0])) @ Q.T)
+    for A in mats:
+        lam, P = np.linalg.eigh(A)
+        dec = eig_sym(A)
+        assert dec.lam.tobytes() == lam[::-1].tobytes()
+        assert dec.P.tobytes() == P[:, ::-1].tobytes()
+        assert dec.P.flags.c_contiguous
+
+
 def test_eig_sym_hand_2x2():
     dec = eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert_allclose(dec.lam, [1.0, -1.0])
@@ -223,7 +274,7 @@ def test_moreau_decomposition():
 
 def test_xi_matrix_hand_values():
     dec = eig_sym(np.diag([2.0, 0.0, -3.0]))
-    Xi = xi_matrix(dec)
+    Xi = v_mask(dec, "UI")
     assert_allclose(Xi[0, 2], 0.4)  # 2 / (2 - (-3))
     assert_allclose(Xi[2, 0], 0.4)
     assert Xi[0, 0] == 1.0 and Xi[0, 1] == 1.0 and Xi[1, 1] == 1.0
@@ -233,7 +284,7 @@ def test_xi_matrix_hand_values():
 def test_xi_matrix_alpha_gamma_entries_in_unit_interval():
     rng = np.random.default_rng(6)
     dec = eig_sym(rand_sym(rng, 7, scale=4.0))
-    Xi = xi_matrix(dec)
+    Xi = v_mask(dec, "UI")
     sub = Xi[np.ix_(dec.alpha, dec.gamma)]
     assert np.all(sub > 0.0) and np.all(sub < 1.0)
 
@@ -313,8 +364,8 @@ def sector_by_sector(dec, beta_beta):
 
 def test_masks_match_the_sector_by_sector_reference_bitwise():
     """Property: over spectra in any order, with alpha, beta or gamma
-    empty, xi_matrix and both variants' v_mask equal the sector-by-sector
-    construction bit for bit."""
+    empty, both variants' v_mask equal the sector-by-sector construction
+    bit for bit."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     magnitude = st.floats(1e-6, 1e6)
@@ -330,8 +381,7 @@ def test_masks_match_the_sector_by_sector_reference_bitwise():
     def check(lam):
         dec = _classified(np.eye(len(lam)), np.array(lam, dtype=float),
                           1e-12)
-        for got, beta_beta in ((xi_matrix(dec), 1.0),
-                               (v_mask(dec, "UI"), 1.0),
+        for got, beta_beta in ((v_mask(dec, "UI"), 1.0),
                                (v_mask(dec, "U0"), 0.0)):
             want = sector_by_sector(dec, beta_beta)
             assert got.shape == want.shape

@@ -1338,6 +1338,35 @@ def test_block_split_lays_out_coordinates_and_multipliers():
     check()
 
 
+@pytest.mark.parametrize("name,variant,with_rows", [
+    ("ex7", "UI", [False, False, False]),
+    ("ex3", "U0", [True, True]),
+])
+def test_border_reads_rows_only_of_blocks_with_zero_mask_pairs(
+        name, variant, with_rows, monkeypatch):
+    """_border asks _BlockData.s_rows only for the blocks with zero-mask
+    pairs, and its border equals the stack of every block's rows."""
+    problem, sol = catalog(name)
+    z = sol.z_bar
+    blocks = _block_split(cone_decompositions(problem, z), variant)
+    assert [b.zer.size > 0 for b in blocks] == with_rows
+    J, G = jac_h_matrix_of(problem, z.x), jac_g_matrix_of(problem, z.x)
+    every = [J] + [b.s_rows(b.zer, G[b.cs]) for b in blocks]
+    calls = []
+    s_rows = _BlockData.s_rows
+
+    def spy(self, pairs, G_block):
+        calls.append(self)
+        return s_rows(self, pairs, G_block)
+
+    monkeypatch.setattr(_BlockData, "s_rows", spy)
+    B = _border(J, blocks, G)
+    assert calls == [b for b, rows in zip(blocks, with_rows) if rows]
+    assert sp.issparse(B) == all(sp.issparse(r) for r in every)
+    assert np.array_equal(to_dense(B),
+                          np.vstack([to_dense(r) for r in every]))
+
+
 def pairs_in_any_order(dec, variant):
     """(ag, zer, T, z_at, ag_at, z_scale) of one block built pair by pair
     from the class index sets, with no assumption on their order: the
