@@ -57,11 +57,16 @@ or a stack of columns, shape (dim, m), on one code path.
 The module also holds what the backends share with the assembled
 reference backend in solver.py.  _factor_with_rcond is the one
 singularity verdict of every dense factorization: Cholesky with dpocon
-for the Woodbury cores, all positive semidefinite, and LU with dgecon
-for dense R and the assembled Newton matrix.  _factor_solve is the
-solve over its factors, and SingularSystemError what a solve raises on
-a matrix flagged singular.  A Woodbury block where V = I has a diagonal
-core, judged by the same 1-norm rcond rule exactly.  R is factored
+for the dense Woodbury cores, all positive semidefinite, and LU with
+dgecon for dense R and the assembled Newton matrix.  _factor_solve is
+the solve over its factors, and SingularSystemError what a solve raises
+on a matrix flagged singular.  Two kinds of Woodbury core are never
+factored, since their eigenvalues are known in closed form: a block
+where V = I has a diagonal core, and a block with no alpha-gamma pair
+whose support is every pair of one index set, with one c on it, has a
+symmetric Kronecker core (_kronecker_core).  Both are judged by the same
+rule, reciprocal condition below _SINGULAR_RCOND against the scale of
+the terms, applied exactly (see WoodburyNewtonOperator).  R is factored
 sparse exactly when K and the border are, through splu, whose pivot
 ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
 estimator).  splu relaxes supernodes to at most one column and works
@@ -115,9 +120,10 @@ def _factor_with_rcond(M, anorm=None, overwrite=False, definite=False):
     """Factors of M, or None when M is numerically singular: the
     factorization breaks down, or the LAPACK estimate of
     1 / (anorm ||M^{-1}||_1) falls below _SINGULAR_RCOND.  anorm is
-    ||M||_1 by default; a matrix whose terms cancel passes their scale,
-    so that the rounding noise left by the cancellation reads singular.
-    overwrite lets LAPACK factor a Fortran-order M in place.
+    ||M||_1 by default, from LAPACK dlange with no copy of M; a matrix
+    whose terms cancel passes their scale, so that the rounding noise
+    left by the cancellation reads singular.  overwrite lets LAPACK
+    factor a Fortran-order M in place.
 
     A general M gets LU, dgetrf and dgecon, with factors (lu, piv); an
     exact zero pivot reads singular.  A definite M, symmetric positive
@@ -126,7 +132,10 @@ def _factor_with_rcond(M, anorm=None, overwrite=False, definite=False):
     (L, None); a breakdown, a pivot that is not positive, reads singular.
     """
     if anorm is None:
-        anorm = float(np.abs(M).sum(axis=0).max())
+        # LAPACK reads an F-order M in place, and a C-order M as its
+        # F-order transpose, whose infinity norm is ||M||_1: no copy of M
+        anorm = float(lapack.dlange("1", M) if M.flags.f_contiguous
+                      else lapack.dlange("I", M.T))
     if definite:
         L, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
         if info < 0:
@@ -611,14 +620,38 @@ def _is_identity(G):
                 and np.count_nonzero(G.data) == N)
 
 
+def _support_layout(b, loc):
+    """(order, maps): the order that sorts one block's support pairs loc
+    by (second index, first index), and the _SupportMaps of the sorted
+    pairs.  Every core kind of WoodburyNewtonOperator takes its support in
+    this layout."""
+    ka, la = b.iu[loc], b.ju[loc]
+    order = np.lexsort((ka, la))
+    ka, la = ka[order], la[order]
+    idx = np.unique(np.concatenate([ka, la]))
+    return order, _SupportMaps(b.dec.P[idx], b.T, np.searchsorted(idx, ka),
+                               np.searchsorted(idx, la), b.scale[loc[order]])
+
+
+def _full_pattern(b, loc):
+    """True when the support pairs loc of a block are every pair (i, j),
+    i <= j, of the indices they touch."""
+    touched = np.zeros(b.n, dtype=bool)
+    touched[b.iu[loc]] = touched[b.ju[loc]] = True
+    k = np.count_nonzero(touched)
+    return 2 * loc.size == k * (k + 1)
+
+
 def _woodbury_core(b, D, loc, c):
     """Lower triangle of the core M = diag(1/c) - V[S, S] of one cone
-    block, S the support pairs loc taken in the order `order`, the 1-norm
-    ||V[S, S]||_1 for _factor_with_rcond's scale (see
-    WoodburyNewtonOperator), and the solve's _SupportMaps.  Returns (M,
-    vnorm, order, maps); M is Fortran order, ready to be factored in
-    place, and its upper triangle outside the diagonal blocks is never
-    written.
+    block, S the support pairs loc taken in the order `order` of
+    _support_layout, the 1-norm ||V[S, S]||_1 for _factor_with_rcond's
+    scale (see WoodburyNewtonOperator), and the solve's _SupportMaps.
+    Returns (M, vnorm, order, maps); M is Fortran order, ready to be
+    factored in place, and its upper triangle outside the diagonal
+    blocks is never written.  This is the dense core, which every block
+    with a core and an alpha-gamma pair takes; _kronecker_core is the
+    closed form of the blocks without one.
 
     With q_i = P[i, :] the rows of the eigenbasis, D the v_mask matrix
     and w the svec scale b.scale, 1 on diagonal pairs and sqrt(2) off
@@ -639,14 +672,9 @@ def _woodbury_core(b, D, loc, c):
     symmetry, the row sums of their part left of the diagonal block into
     the columns [lo, hi).
     """
-    ka, la = b.iu[loc], b.ju[loc]
-    order = np.lexsort((ka, la))
-    ka, la, c = ka[order], la[order], c[order]
-    idx = np.unique(np.concatenate([ka, la]))
-    kl = np.searchsorted(idx, ka)
-    ll = np.searchsorted(idx, la)
-    Q = b.dec.P[idx]
-    w = b.scale[loc[order]]
+    order, maps = _support_layout(b, loc)
+    Q, kl, ll, w = maps.Q, maps.kl, maps.ll, maps.w
+    c = c[order]
     # the column scale -w_b rides on the factors of B
     Qk = Q[kl] * -w[:, None]
     Ql = Q[ll] * -w[:, None]
@@ -664,28 +692,83 @@ def _woodbury_core(b, D, loc, c):
         M[lo:hi, :hi] = block
     d = np.arange(k)
     M[d, d] += 1.0 / c
-    return M, float(colsum.max()), order, _SupportMaps(Q, b.T, kl, ll, w)
+    return M, float(colsum.max()), order, maps
+
+
+def _kronecker_core(b, maps, c0, variant):
+    """The closed-form core of a block with T nonempty, no alpha-gamma
+    pair, and a support of every pair of one index set idx, with one c0
+    on it, or None when it reads singular (see WoodburyNewtonOperator).
+    There V(H) = a H + s Pi H Pi, Pi = P_beta P_beta', and the rows Q =
+    P[idx] of maps are orthonormal, so V[S, S](X) = a X + s B X B, B =
+    Q_beta Q_beta', and the core is M = (1/c0 - a) I - s (B (x)_s B).
+    With B = U diag(b) U', M has the eigenvalues (1/c0 - a) - s b_i b_j
+    and the eigenvectors sym(u_i u_j') (Todd, Toh and Tutuncu, SIAM J.
+    Optim. 8 (1998), appendix)."""
+    # under UI, T (gamma) is nonempty, so alpha is empty and a = 0
+    a = float(b.dec.alpha.size > 0)
+    s = 1.0 if variant == "UI" else -a
+    Qb = maps.Q[:, b.dec.alpha.size:b.n - b.dec.gamma.size]
+    bv, U = np.linalg.eigh(Qb @ Qb.T)
+    # eigenvalues of V[S, S], and of the scaled core c0 M = I - c0 V[S, S]
+    v = a + s * np.multiply.outer(bv, bv)
+    e = 1.0 - c0 * v
+    if e.min() < _SINGULAR_RCOND * (1.0 + np.abs(v).max()):
+        return None
+    return _KroneckerCore(U, c0 / e, maps)
+
+
+class _KroneckerCore:
+    """A core in closed form (_kronecker_core): M^{-1} maps the idx x idx
+    matrix X of each support column to U ((U' X U) o inv) U', inv the
+    reciprocal eigenvalues of M as a k x k matrix.  Two small GEMM pairs
+    per column stack, O(|idx|^3), in place of a factor of order
+    |idx| (|idx| + 1) / 2."""
+
+    def __init__(self, U, inv, maps):
+        self.U, self.inv, self.maps = U, inv, maps
+
+    def solve(self, rhs):
+        """M^{-1} rhs for support columns rhs, shape (k, m)."""
+        U = self.U
+        Z = (U.T @ self.maps.smat(rhs) @ U) * self.inv
+        return self.maps.svec(U @ Z @ U.T)
 
 
 class _SupportMaps:
     """What a Woodbury solve reads and writes of one block on its support
-    pairs, in core order (see _woodbury_core): pair a = (i, j) sits at
+    pairs, in core order (see _support_layout): pair a = (i, j) sits at
     (kl[a], ll[a]) of the idx x idx submatrix, idx the eigenbasis rows Q =
-    P[idx] that the support touches.  Everything is O(|idx| n |T|) per
-    column, not the O(n^2 |T|) of _BlockData's cols and back.
+    P[idx] that the support touches, and w holds the pairs' svec scales.
+    Everything is O(|idx| n |T|) per column, not the O(n^2 |T|) of
+    _BlockData's cols and back.
     """
 
     def __init__(self, Q, T, kl, ll, w):
         ni, k = Q.shape[0], kl.size
         self.Q = Q
         self.QT = Q[:, T]
-        self.w = w
+        self.kl, self.ll, self.w = kl, ll, w
         self.at = kl * ni + ll
         self.at_t = ll * ni + kl
         # every position of the idx x idx submatrix to its support pair,
         # or to the zero past the last one
         self.put = np.full(ni * ni, k)
         self.put[self.at] = self.put[self.at_t] = np.arange(k)
+
+    def smat(self, t):
+        """The symmetric idx x idx matrices of support columns t, shape
+        (k, m), as an (m, |idx|, |idx|) stack; zero off the support."""
+        k, m = t.shape
+        ni = self.Q.shape[0]
+        v = np.zeros((m, k + 1))
+        v[:, :k] = t.T / self.w
+        return v.take(self.put, axis=1).reshape(m, ni, ni)
+
+    def svec(self, X):
+        """The support columns, shape (k, m), of a stack of symmetric idx x
+        idx matrices: smat's inverse."""
+        return (X.reshape(X.shape[0], -1).take(self.at, axis=1) * self.w).T
 
     def read(self, Y):
         """The support entries of _BlockData.back(Y), as (k, m) columns:
@@ -699,12 +782,7 @@ class _SupportMaps:
         """_BlockData.cols of the block's svec columns that are t on the
         support and zero elsewhere: smat of them lives on idx x idx, so
         Hh[:, T] = Q' smat(t) Q_T."""
-        k, m = t.shape
-        ni = self.Q.shape[0]
-        v = np.zeros((m, k + 1))
-        v[:, :k] = t.T / self.w
-        X = v.take(self.put, axis=1).reshape(m, ni, ni)
-        return self.Q.T @ (X @ self.QT)
+        return self.Q.T @ (self.smat(t) @ self.QT)
 
 
 class WoodburyNewtonOperator:
@@ -734,10 +812,28 @@ class WoodburyNewtonOperator:
     _factor_with_rcond, against 1 + ||V[S, S]||_1, which bounds the
     scale of its terms before they cancel: a breakdown, or a core that
     cancels to rounding noise, reads singular, as the assembled matrix
-    does; a tiny c, whose 1/c would swamp an unscaled core, does not.  A
-    block with T empty has V = I there, so its core is the diagonal
-    diag(1/c - 1), stored inverted and judged by the same rule, with no
-    build and no factorization.
+    does; a tiny c, whose 1/c would swamp an unscaled core, does not.
+    That is the dense core (_woodbury_core), which every block with an
+    alpha-gamma pair takes.  Two kinds of block have a core in closed
+    form, with no build and no factorization, judged by the same rule
+    applied exactly to the known eigenvalues:
+    - A block with T empty has V = I there, so its core is the diagonal
+      diag(1/c - 1), stored inverted.  Its scaled core diag(1 - c) reads
+      singular when min(1 - c) < _SINGULAR_RCOND (1 + max c).
+    - A block with no alpha-gamma pair, a support S of every pair (i, j)
+      of one index set idx, and one c0 on S (on ex5 near its solution:
+      the last row of every solve and the report's U0 backend).  There D
+      is 0/1 and V(H) = a H + s Pi H Pi, Pi = P_beta P_beta': (a, s) is
+      (1, -1) under U0 with alpha nonempty, (0, 0) under U0 with alpha
+      empty, and (0, 1) under UI, where T nonempty forces alpha empty.
+      With B = Q_beta Q_beta' = U diag(b) U', Q = P[idx], the core is
+      (1/c0 - a) I - s (B (x)_s B) (_kronecker_core), and its scaled
+      core c0 M has the eigenvalues e_ij = 1 - c0 a - c0 s b_i b_j.  It
+      reads singular when min e < _SINGULAR_RCOND (1 + max |a + s b_i
+      b_j|), the 2-norm form of the dense rule, which measures against 1
+      + ||V[S, S]||_1.  A solve costs two small GEMM pairs of order
+      |idx| per column stack, not two passes over a triangular factor of
+      order |S|: at 60/40, |idx| = 40 and |S| = 820.
 
     A solve is dx = -(b + V t), with b = r3 - V r1 and t = M^{-1} b on
     the support.  V(H) = H - back((1 - D) o cols(H)) (see _BlockData),
@@ -766,7 +862,8 @@ class WoodburyNewtonOperator:
     def _build(self):
         self.singular = False
         # (core, (support, block, _SupportMaps or None)) per block with a
-        # core; the blocks with T nonempty but no core
+        # core, the core a diagonal stored inverted, Cholesky factors or a
+        # _KroneckerCore; the blocks with T nonempty but no core
         self._cores = []
         self._bare = []
         for b in self.blocks:
@@ -784,6 +881,14 @@ class WoodburyNewtonOperator:
                     self.singular = True
                     return
                 self._cores.append((1.0 / (1.0 / c - 1.0), (at, b, None)))
+                continue
+            if b.ag.size == 0 and np.all(c == c[0]) and _full_pattern(b, loc):
+                order, maps = _support_layout(b, loc)
+                core = _kronecker_core(b, maps, c[0], self.variant)
+                if core is None:
+                    self.singular = True
+                    return
+                self._cores.append((core, (at[order], b, maps)))
                 continue
             M, vnorm, order, maps = _woodbury_core(b, b.D, loc, c)
             # factor C^{1/2} M C^{1/2} against its scale 1 + ||V[S, S]||_1
@@ -830,7 +935,8 @@ class WoodburyNewtonOperator:
                 continue
             Y = b.one_minus_d * b.cols(r1[b.cs])
             rhs += maps.read(Y)
-            t = _factor_solve(core, rhs)
+            t = (core.solve(rhs) if isinstance(core, _KroneckerCore)
+                 else _factor_solve(core, rhs))
             dx[at] -= t
             dx[b.cs] -= b.back(Y - b.one_minus_d * maps.cols(t))
         for b in self._bare:

@@ -19,13 +19,13 @@ def bench_pairs():
 
 
 def write_run(root, workload, seed, solve_s, rss_mb, correct=True, failed=0,
-              run_s=25.0):
+              run_s=25.0, machine=MACHINE):
     results = root / "perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     run = {"correct": correct, "attempted": 10, "failed": failed,
            "metrics": {"solve_s_p50": {"value": solve_s, "unit": "s"},
                        "peak_rss_mb": {"value": rss_mb, "unit": "MB"}},
-           "worker": {"machine": MACHINE, "rounds": 4,
+           "worker": {"machine": machine, "rounds": 4,
                       "wall_s": run_s / 4}}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(
         json.dumps(run))
@@ -182,3 +182,36 @@ def test_bytecode_is_recorded_and_a_difference_warned(bench_pairs, tmp_path,
         assert f"only the {cached[0]} checkout" in err
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("moved", [None, "parent", "change", "side"])
+def test_a_machine_difference_is_warned(bench_pairs, tmp_path, capsys,
+                                        moved):
+    """One run of a side on another machine: one warning line names the
+    workload, and the file records both machines and is otherwise the
+    same.  Every run of one side on another machine warns the same."""
+    parent, change = checkouts(tmp_path)
+    other = dict(MACHINE, nproc=4)
+    if moved in ("parent", "change"):
+        c = {"parent": 2.2, "change": 1.1}[moved]
+        write_run(tmp_path / moved, "w", 6, c, 100.0, machine=other)
+    elif moved == "side":
+        # the whole change side ran on the other machine
+        for seed, c in enumerate([1.0, 1.1, 0.9, 2.5], start=5):
+            write_run(change, "w", seed, c, 100.0 + seed - 6, machine=other)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main([str(parent), str(change), "t",
+                             "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    w = json.loads(out.read_text())["workloads"]["w"]
+    assert w["metrics"]["solve_s_p50"]["wins"] == 3
+    if moved is None:
+        assert err == ""
+        return
+    assert err.count("\n") == 1 and err.startswith("warning:")
+    assert "runs of w record 2 different machines" in err
+    if moved == "side":
+        assert w["parent"]["machine"] == [MACHINE]
+        assert w["change"]["machine"] == [other]
+    else:
+        assert len(w[moved]["machine"]) == 2 and other in w[moved]["machine"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 import weakref
 
@@ -40,6 +41,7 @@ from ssnsdp.kkt import (
 )
 from ssnsdp.linalg_sym import (
     SpectralDecomposition,
+    _triu,
     apply_V,
     eig_sym,
     svec,
@@ -373,6 +375,52 @@ def test_cholesky_with_rcond_measures_against_the_scale_given():
     assert _factor_with_rcond(F.copy(), anorm=scale, definite=True) is None
 
 
+@pytest.mark.parametrize("definite", [False, True])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_factor_measures_against_the_column_sums(monkeypatch, order,
+                                                 definite):
+    """The default scale is ||M||_1, the largest column sum of |M|, in
+    either memory order, to rounding."""
+    name = "dpocon" if definite else "dgecon"
+    real = getattr(reduced_mod.lapack, name)
+    seen = []
+
+    def spy(factor, anorm, **kwargs):
+        seen.append(anorm)
+        return real(factor, anorm, **kwargs)
+
+    monkeypatch.setattr(reduced_mod.lapack, name, spy)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 60):
+        A = rng.standard_normal((n, n)) * rng.lognormal(0.0, 3.0, n)
+        M = np.asarray(A @ A.T + np.eye(n) if definite else A, order=order)
+        kept = M.copy()
+        assert _factor_with_rcond(M, definite=definite) is not None
+        assert np.array_equal(M, kept)
+        assert_allclose(seen[-1], np.abs(kept).sum(axis=0).max(),
+                        rtol=1e-14)
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("definite", [False, True])
+def test_factor_in_place_allocates_no_matrix(definite):
+    """Factoring a Fortran-order matrix in place takes its 1-norm with no
+    copy: far less than the matrix's own bytes are allocated."""
+    n = 2000
+    M = np.asfortranarray(np.random.default_rng(32).standard_normal((n, n)))
+    M += M.T
+    M[np.diag_indices(n)] += 4.0 * n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        factors = _factor_with_rcond(M, overwrite=True, definite=definite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors is not None and factors[0] is M
+    assert peak < M.nbytes / 50
+
+
 # ---------------------------------------------------------------------------
 # solve loop statuses
 
@@ -606,14 +654,19 @@ def two_block_separable_problem(support=([0, 7, 13], [0.0, 0.3, 0.5])):
     """Separable problem on S^4 x S^3 whose Hessian differs from the
     identity on the support coordinates only, by default three, so the
     Woodbury support covers no whole index block."""
-    orders = [4, 3]
-    N = svec_len(4) + svec_len(3)
-    w = np.ones(N)
     # by default svec positions of (0,0) and (2,2) in block one, (1,1) in
     # block two
+    return separable_problem([4, 3], support)
+
+
+def separable_problem(orders, support):
+    """Separable problem on the cone blocks of the given orders, with
+    Hessian diagonal w = 1 except w[support[0]] = support[1]."""
+    N = sum(svec_len(n) for n in orders)
+    w = np.ones(N)
     w[support[0]] = support[1]
     return NlsdpProblem(
-        name="two_block_separable",
+        name="separable",
         x_dim=N,
         eq_dim=0,
         cone_blocks=orders,
@@ -806,6 +859,8 @@ def core_kind(core):
     """How WoodburyNewtonOperator holds one block's core."""
     if isinstance(core, np.ndarray):
         return "diagonal"
+    if isinstance(core, reduced_mod._KroneckerCore):
+        return "kronecker"
     return "cholesky" if core[1] is None else "lu"
 
 
@@ -884,9 +939,9 @@ def test_woodbury_tiny_c_reads_nonsingular(variant, t_empty):
 
 def test_woodbury_cores_are_definite_and_match_dense():
     """Property: for any Hessian diagonal in [0, 1] (exact 0s and 1s
-    included) at any corrected iterate, every core is Cholesky or
-    diagonal, and the operator gives the assembled one's verdict, solves
-    and sigma_min."""
+    included) at any corrected iterate, every core is Cholesky,
+    diagonal or closed form, and the operator gives the assembled one's
+    verdict, solves and sigma_min."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     N = svec_len(4) + svec_len(3)
@@ -912,7 +967,7 @@ def test_woodbury_cores_are_definite_and_match_dense():
         op = WoodburyNewtonOperator(problem, z, variant, decomps, w)
         dense = _DenseBackend(problem, z, variant, decomps)
         assert {core_kind(core) for core, _ in op._cores} <= {
-            "cholesky", "diagonal"}
+            "cholesky", "diagonal", "kronecker"}
         assert op.singular == dense.singular
         if op.singular:
             return
@@ -1069,6 +1124,141 @@ def test_woodbury_t_empty_core_reads_singular(variant):
                                 separable_diagonal(problem, z))
     assert op.singular and op.sigma_min() == 0.0
     assert _DenseBackend(problem, z, variant, decomps).singular
+
+
+def kronecker_matrix(core):
+    """The dense core that a _KroneckerCore inverts, in its support order:
+    column a is U ((U' X U) / inv) U' for X the matrix of unit column a."""
+    U, maps = core.U, core.maps
+    X = maps.smat(np.eye(maps.w.size))
+    return maps.svec(U @ ((U.T @ X @ U) / core.inv) @ U.T)
+
+
+def full_pattern_support(n, idx):
+    """svec positions of every pair (i, j), i <= j, of idx in S^n."""
+    at = _triu(n)[4]
+    return sorted({int(at[i * n + j]) for i in idx for j in idx})
+
+
+def test_kronecker_cores_match_the_dense_core_and_backend():
+    """Property: on a block with alpha or gamma empty (so no alpha-gamma
+    pair), a support of every pair of a random index set and one c0 in
+    (0, 1], the core is closed form under both variants.  It equals
+    _woodbury_core's dense core, gives the assembled operator's verdict,
+    and its solves and sigma_min match the assembled operator's."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    n = 5
+    # clear of the correction band delta = 0.5 or inside it (clipped to 0)
+    eigenvalue = st.sampled_from([0.0]) | st.floats(-0.4, 0.4) | st.floats(
+        0.6, 2.0)
+    cases = set()
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(
+        idx=st.sets(st.integers(0, n - 1), min_size=1),
+        c0=st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1.0),
+        lam=st.lists(eigenvalue, min_size=n, max_size=n),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(0, 2**16),
+        variant=st.sampled_from(["U0", "UI"]))
+    def check(idx, c0, lam, sign, seed, variant):
+        support = full_pattern_support(n, idx)
+        problem = separable_problem([n], (support, 1.0 - c0))
+        # sign 1: gamma empty; sign -1: alpha empty
+        spectra = (sign * np.asarray(lam),)
+        z = correct(two_block_start(problem, seed, spectra), problem, 0.5)
+        decomps = cone_decompositions(problem, z)
+        (dec,) = decomps
+        assert dec.alpha.size == 0 or dec.gamma.size == 0
+        op = WoodburyNewtonOperator(problem, z, variant, decomps,
+                                    separable_diagonal(problem, z))
+        dense = _DenseBackend(problem, z, variant, decomps)
+        assert op.singular == dense.singular
+        if op.singular:
+            return
+        (b,) = op.blocks
+        (core, (at, _, _)), = op._cores
+        assert core_kind(core) == ("kronecker" if b.T.size else "diagonal")
+        if b.T.size:
+            cases.add((variant, dec.alpha.size > 0))
+            loc = np.sort(at)
+            M, _, order, _ = _woodbury_core(b, b.D, loc, op.c[loc])
+            assert np.array_equal(loc[order], at)
+            got = kronecker_matrix(core)
+            assert np.max(np.abs(np.tril(got - M))) <= 1e-13 * np.max(
+                np.abs(np.tril(M)))
+        slack = max(1.0, 1e-3 * np.linalg.cond(dense.matrix))
+        for r in np.random.default_rng(seed).standard_normal((3, op.dim)):
+            for f, g in ((op.solve, dense.solve),
+                         (op.solve_t, lambda v: np.linalg.solve(
+                             dense.matrix.T, v))):
+                x = g(r)
+                assert np.linalg.norm(f(r) - x) <= 1e-10 * slack * max(
+                    1.0, np.linalg.norm(x))
+        assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-6 * slack)
+
+    check()
+    # (1, -1) under U0 with alpha nonempty, (0, 0) under U0 with alpha
+    # empty, (0, 1) under UI
+    assert cases == {("U0", True), ("U0", False), ("UI", False)}
+
+
+@pytest.mark.parametrize("c0", [1.0, 0.5])
+def test_kronecker_core_reads_a_rank_deficient_projection_singular(c0):
+    """U0 with gamma empty and c = 1 on every pair of idx = {0, 1, 2}: the
+    core is B (x)_s B, B = Q_beta Q_beta' of rank |beta| = 2 < |idx|, so
+    it is singular, and so is the assembled operator.  With c = 1/2 the
+    core is I + B (x)_s B / 2, well conditioned."""
+    problem = separable_problem([4, 3], (full_pattern_support(4, [0, 1, 2]),
+                                         1.0 - c0))
+    z = correct(two_block_start(problem, seed=5,
+                                spectra=([1.5, 1.2, 0.1, -0.2],
+                                         [0.9, 0.3, -1.1])), problem, 0.5)
+    decomps = cone_decompositions(problem, z)
+    assert [(d.alpha.size, d.beta.size, d.gamma.size)
+            for d in decomps] == [(2, 2, 0), (1, 1, 1)]
+    op = WoodburyNewtonOperator(problem, z, "U0", decomps,
+                                separable_diagonal(problem, z))
+    dense = _DenseBackend(problem, z, "U0", decomps)
+    if c0 == 1.0:
+        assert op.singular and dense.singular and op.sigma_min() == 0.0
+        return
+    assert not op.singular and not dense.singular
+    assert [core_kind(core) for core, _ in op._cores] == ["kronecker"]
+    assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-10)
+
+
+def test_woodbury_core_runs_only_with_an_alpha_gamma_pair(monkeypatch):
+    """At ex5 6/4's reference point (classes (6, 4, 0)) the U0 core is
+    closed form and _woodbury_core never runs; at an iterate with
+    alpha-gamma pairs it runs once per block with a core."""
+    calls = []
+    real = reduced_mod._woodbury_core
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(reduced_mod, "_woodbury_core", spy)
+    problem, sol = catalog("ex5", l1=6, l2=4)
+    decomps = cone_decompositions(problem, sol.z_bar)
+    assert [(d.alpha.size, d.beta.size, d.gamma.size)
+            for d in decomps] == [(6, 4, 0)]
+    op = _make_backend(problem, sol.z_bar, "U0", decomps)
+    dense = _DenseBackend(problem, sol.z_bar, "U0", decomps)
+    assert calls == [] and not op.singular
+    assert [core_kind(core) for core, _ in op._cores] == ["kronecker"]
+    for r in np.random.default_rng(9).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), atol=1e-12)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-10)
+
+    problem, z, variant = woodbury_case("ex5-U0")
+    op = WoodburyNewtonOperator(problem, z, variant,
+                                cone_decompositions(problem, z),
+                                separable_diagonal(problem, z))
+    assert len(op.blocks[0].ag) and calls == [op.blocks[0]]
+    assert [core_kind(core) for core, _ in op._cores] == ["cholesky"]
 
 
 def test_ex5_ui_report_reads_the_diagonal_core_singular():

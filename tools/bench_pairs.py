@@ -26,7 +26,9 @@ runs of different lengths are not a pair.  The top-level "bytecode"
 records, per side, whether src/ssnsdp/__pycache__ holds bytecode when the
 tool runs, and one warning line goes to stderr when the sides differ: a
 worker that finds the bytecode skips compiling the package, which lowers
-setup_s and peak_rss_mb.
+setup_s and peak_rss_mb.  One warning line also goes to stderr for each
+workload whose runs, of either side, record more than one set of
+machine facts: times taken on two machines are no pair.
 """
 
 import argparse
@@ -131,6 +133,14 @@ def main(argv=None):
     if not workloads:
         print("error: no workload has runs on both sides", file=sys.stderr)
         return 1
+    for w, entry in workloads.items():
+        machines = {json.dumps(m, sort_keys=True)
+                    for label in ("parent", "change")
+                    for m in entry[label]["machine"]}
+        if len(machines) > 1:
+            print(f"warning: the runs of {w} record {len(machines)} "
+                  f"different machines; times from two machines are no "
+                  f"pair", file=sys.stderr)
     mixed = [w for w, entry in workloads.items()
              if any(max(a, b) > RUN_LENGTH_RATIO * min(a, b)
                     for a, b in zip(entry["parent"]["run_s"],
