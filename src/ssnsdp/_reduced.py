@@ -580,20 +580,14 @@ def separable_diagonal(problem, z):
             or problem.hess_matrix_fn is None:
         return None
     G = problem.jac_g_matrix
-    if not sp.issparse(G) or G.shape != (problem.x_dim,) * 2:
-        return None
-    if not _is_identity(G):
+    if not sp.issparse(G) or G.shape != (problem.x_dim,) * 2 \
+            or not _is_identity(G):
         return None
     W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
-    if not sp.issparse(W):
+    w = _sparse_diagonal(W) if sp.issparse(W) else None
+    if w is None or not np.all((w >= 0.0) & (w <= 1.0)):
         return None
-    Wc = W.tocoo()
-    if np.any(Wc.row != Wc.col):
-        return None
-    w = np.asarray(W.diagonal(), dtype=float)
-    if not np.all((w >= 0.0) & (w <= 1.0)):
-        return None
-    return w
+    return np.asarray(w, dtype=float)
 
 
 def _make_backend(problem, z, variant, decomps):
@@ -606,18 +600,24 @@ def _make_backend(problem, z, variant, decomps):
     return ReducedNewtonOperator(problem, z, variant, decomps)
 
 
+def _sparse_diagonal(M):
+    """The diagonal of a square sparse M with no nonzero entry off it, else
+    None.  Duplicates are summed first (on a copy), and explicit zeros are
+    no entries: then M is diagonal when d holds all its nonzero entries."""
+    if M.shape[0] != M.shape[1]:
+        return None
+    M = M.tocsr()
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    d = M.diagonal()
+    return d if np.count_nonzero(M.data) == np.count_nonzero(d) else None
+
+
 def _is_identity(G):
-    """(G.tocsr() - I).count_nonzero() == 0 for a square sparse G, without
-    building I or the difference.  In canonical CSR form (sorted, no
-    duplicates) that is a diagonal of exact 1s and no other nonzero
-    entry; otherwise the difference sums the duplicates, in its own
-    order, so it is kept."""
-    G = G.tocsr()
-    N = G.shape[0]
-    if not G.has_canonical_format:
-        return not (G - sp.identity(N, format="csr")).count_nonzero()
-    return bool(np.all(G.diagonal() == 1.0)
-                and np.count_nonzero(G.data) == N)
+    """(G.tocsr() - I).count_nonzero() == 0 for a square sparse G."""
+    d = _sparse_diagonal(G)
+    return d is not None and bool(np.all(d == 1.0))
 
 
 def _support_layout(b, loc):

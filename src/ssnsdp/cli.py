@@ -337,6 +337,9 @@ def main(argv=None):
     except _ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,10 +21,12 @@ rows; the margin is its smallest eigenvalue there.  The qualification
 conditions (check_cn on U0, check_w_srcq on UI) ask the rows to be
 linearly independent; the margin is their smallest singular value.  A
 condition over a zero subspace or over no rows holds vacuously with
-margin +inf.  regularity_report builds each variant's backend once, for
-its sigma_min, and reads the variant's rows from that backend's block
-data, and the curvature from UI's, so R and the conditions read one
-derivation; the four checks get them ready made.
+margin +inf.  One analysis of a variant's rows (_row_split) answers
+both questions, under the one zero test CHECK_TOL.  regularity_report
+builds each variant's backend once, for its sigma_min, and reads the
+variant's rows from that backend's block data, and the curvature from
+UI's, so R and the conditions read one derivation; it splits each
+variant's rows once, and the four checks get the splits ready made.
 
 Every entry point validates the point (problem._validate_point) and
 that it actually satisfies the KKT system (residual norm at most 1e-10),
@@ -43,7 +45,8 @@ from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
                       jac_h_matrix_of)
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
-from ._reduced import _block_split, _border, _curvature, _make_backend
+from ._reduced import (_block_split, _border, _curvature, _make_backend,
+                       _sparse_diagonal)
 
 RESIDUAL_TOL = 1e-10
 
@@ -112,22 +115,29 @@ def _constraint_rows(problem, z, blocks, G):
     return C
 
 
-def _null_basis(C):
-    """Orthonormal basis of the directions on which the rows C have a
-    singular value of at most CHECK_TOL, the zero test of the margins.
-
-    Returned as ("coords", indices) when C is sparse and every row
-    touches at most one coordinate (the columns of 2-norm at most
-    CHECK_TOL), otherwise as ("dense", N).
-    """
-    if sp.issparse(C):
-        if np.all(np.diff(C.indptr) <= 1):
-            norm2 = np.bincount(C.indices, weights=C.data ** 2,
-                                minlength=C.shape[1])
-            return ("coords", np.flatnonzero(norm2 <= CHECK_TOL ** 2))
-        C = C.toarray()
-    _, s, vt = scipy.linalg.svd(C)
-    return ("dense", vt[np.count_nonzero(s > CHECK_TOL):].T)
+def _row_split(C):
+    """(null, sigma): the directions on which the rows C have a singular
+    value of at most CHECK_TOL, and C's smallest singular value (+inf with
+    no rows, 0.0 with more rows than columns or an empty sparse row).
+    Sparse rows of one entry at most read both off their columns, null as
+    the column indices of 2-norm at most CHECK_TOL; other rows take one
+    SVD of C, not of C C', which would square their conditioning."""
+    m, n = C.shape
+    sparse = sp.issparse(C)
+    per_row = np.diff(C.indptr) if sparse else ()
+    dependent = m > n or 0 in per_row
+    if sparse and np.all(per_row <= 1):
+        norm2 = np.bincount(C.indices, weights=C.data ** 2, minlength=n)
+        null = np.flatnonzero(norm2 <= CHECK_TOL ** 2)
+        # orthogonal rows, dependent when two share a coordinate
+        dependent = dependent or (m > 0 and np.bincount(C.indices).max() > 1)
+        smallest = np.min(np.abs(C.data), initial=np.inf)
+    else:
+        _, s, vt = scipy.linalg.svd(C.toarray() if sparse else C)
+        null = vt[np.count_nonzero(s > CHECK_TOL):].T
+        smallest = np.min(s, initial=np.inf)
+    return null, (float("inf") if m == 0 else 0.0 if dependent
+                  else float(smallest))
 
 
 def _curvature_matrix(problem, z, blocks, G):
@@ -138,91 +148,51 @@ def _curvature_matrix(problem, z, blocks, G):
     return _curvature(hess_matrix_of(problem, z.x, z.xi, z.Gamma), blocks, G)
 
 
-def _second_order_margin(C, Q):
-    """Smallest eigenvalue of the curvature form Q on the null space of
-    the rows C (+inf when that space is zero)."""
-    kind, data = _null_basis(C)
-    if kind == "coords":
-        idx = np.asarray(data)
-        if idx.size == 0:
-            return float("inf")
-        if sp.issparse(Q):
-            diag = Q.diagonal()
-            off = Q - sp.diags(diag)
-            off.eliminate_zeros()
-            if off.nnz == 0:
-                return float(np.min(diag[idx]))
-            M = Q.tocsr()[idx][:, idx].toarray()
-        else:
-            M = np.asarray(Q)[np.ix_(idx, idx)]
+def _second_order_margin(null, K):
+    """Smallest eigenvalue of the curvature form K on the null space of
+    _row_split, given as column indices or as a basis (+inf when that
+    space is zero)."""
+    if null.size == 0:
+        return float("inf")
+    if null.ndim == 2:
+        M = np.asarray(null.T @ (K @ null))
+    elif not sp.issparse(K):
+        M = np.asarray(K)[np.ix_(null, null)]
+    elif (d := _sparse_diagonal(K)) is not None:
+        return float(np.min(d[null]))
     else:
-        N = data
-        if N.shape[1] == 0:
-            return float("inf")
-        M = np.asarray(N.T @ (Q @ N))
+        M = K.tocsr()[null][:, null].toarray()
     M = 0.5 * (M + M.T)
     return float(scipy.linalg.eigvalsh(M)[0])
 
 
-def _independence_margin(C):
-    """Smallest singular value of the rows C (+inf when there are none,
-    0.0 when there are more rows than columns), by an SVD of C itself:
-    the eigenvalues of C C' would square the rows' conditioning, and
-    dependent rows would read a margin of about sqrt(eps) ||C||."""
-    if C.shape[0] == 0:
-        return float("inf")
-    if C.shape[0] > C.shape[1]:
-        return 0.0
-    if sp.issparse(C):
-        per_row = np.diff(C.indptr)
-        if np.any(per_row == 0):
-            return 0.0
-        if np.all(per_row == 1):
-            # mutually orthogonal unless two rows share a coordinate
-            if np.bincount(C.indices).max() > 1:
-                return 0.0
-            return float(np.min(np.abs(C.data)))
-        C = C.toarray()
-    return float(scipy.linalg.svdvals(C)[-1])
-
-
-def _lone_blocks(problem, z, variant):
-    """What a check called on its own derives for itself: the variant's
-    block data at the validated point, and the cone Jacobian."""
-    decomps = _checked_decomps(problem, z)
-    return _block_split(decomps, variant), jac_g_matrix_of(problem, z.x)
-
-
-def _second_order(variant, problem, z, C, K):
-    if C is None or K is None:
-        blocks, G = _lone_blocks(problem, z, variant)
-        C = _constraint_rows(problem, z, blocks, G)
-        K = _curvature_matrix(problem, z, blocks, G)
-    margin = _second_order_margin(C, K)
+def _check(variant, problem, z, split, K, second_order):
+    """The second order or the independence condition of the variant's
+    rows, from their split and K, derived here when not given."""
+    if split is None or (second_order and K is None):
+        blocks = _block_split(_checked_decomps(problem, z), variant)
+        G = jac_g_matrix_of(problem, z.x)
+        split = _row_split(_constraint_rows(problem, z, blocks, G))
+        if second_order:
+            K = _curvature_matrix(problem, z, blocks, G)
+    margin = _second_order_margin(split[0], K) if second_order else split[1]
     return ConditionResult(margin > CHECK_TOL, margin)
 
 
-def _independence(variant, problem, z, C):
-    if C is None:
-        C = _constraint_rows(problem, z, *_lone_blocks(problem, z, variant))
-    margin = _independence_margin(C)
-    return ConditionResult(margin > CHECK_TOL, margin)
+def check_w_soc(problem, z, _split=None, _K=None):
+    return _check("U0", problem, z, _split, _K, True)
 
 
-def check_w_soc(problem, z, _rows=None, _K=None):
-    return _second_order("U0", problem, z, _rows, _K)
+def check_s_sosc(problem, z, _split=None, _K=None):
+    return _check("UI", problem, z, _split, _K, True)
 
 
-def check_s_sosc(problem, z, _rows=None, _K=None):
-    return _second_order("UI", problem, z, _rows, _K)
+def check_w_srcq(problem, z, _split=None):
+    return _check("UI", problem, z, _split, None, False)
 
 
-def check_w_srcq(problem, z, _rows=None):
-    return _independence("UI", problem, z, _rows)
-
-
-def check_cn(problem, z, _rows=None):
-    return _independence("U0", problem, z, _rows)
+def check_cn(problem, z, _split=None):
+    return _check("U0", problem, z, _split, None, False)
 
 
 def _newton_sigma(problem, z, variant, decomps):
@@ -250,20 +220,17 @@ def regularity_report(problem, z):
     u0_sigma, u0 = _newton_sigma(problem, z, "U0", decomps)
     ui_sigma, ui = _newton_sigma(problem, z, "UI", decomps)
     G = jac_g_matrix_of(problem, z.x)
-    C0 = _constraint_rows(problem, z, u0, G)
-    CI = _constraint_rows(problem, z, ui, G)
+    split0 = _row_split(_constraint_rows(problem, z, u0, G))
+    split_i = _row_split(_constraint_rows(problem, z, ui, G))
     K = _curvature_matrix(problem, z, ui, G)
-    w_soc = check_w_soc(problem, z, _rows=C0, _K=K)
-    s_sosc = check_s_sosc(problem, z, _rows=CI, _K=K)
-    w_srcq = check_w_srcq(problem, z, _rows=CI)
-    cn = check_cn(problem, z, _rows=C0)
-    warnings = []
-    if w_soc.holds and cn.holds and u0_sigma <= CHECK_TOL:
-        warnings.append(
-            f"U0 certified nonsingular but sigma_min is {u0_sigma:.3e}")
-    if s_sosc.holds and w_srcq.holds and ui_sigma <= CHECK_TOL:
-        warnings.append(
-            f"UI certified nonsingular but sigma_min is {ui_sigma:.3e}")
+    w_soc = check_w_soc(problem, z, _split=split0, _K=K)
+    s_sosc = check_s_sosc(problem, z, _split=split_i, _K=K)
+    w_srcq = check_w_srcq(problem, z, _split=split_i)
+    cn = check_cn(problem, z, _split=split0)
+    warnings = [f"{v} certified nonsingular but sigma_min is {sigma:.3e}"
+                for v, sigma, a, b in (("U0", u0_sigma, w_soc, cn),
+                                       ("UI", ui_sigma, s_sosc, w_srcq))
+                if a.holds and b.holds and sigma <= CHECK_TOL]
     clarke_mid = None
     if (u0_sigma <= CHECK_TOL and ui_sigma <= CHECK_TOL
             and problem.total_dim <= CLARKE_PROBE_LIMIT):

@@ -565,6 +565,23 @@ def test_check_huge_finite_residual_is_quiet(tmp_path, capsys):
                    "solution\n")
 
 
+@pytest.mark.parametrize("command,target", [("run", "catalog"),
+                                            ("check", "regularity_report")])
+def test_out_of_memory_is_one_line(command, target, monkeypatch, capsys):
+    """An allocation that fails, in building a problem or in its report,
+    exits 2 with one line on stderr and no traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, target, exhausted)
+    code, out, err = run_cli(capsys, command, "--example", "ex3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: out of memory: Unable to allocate 1.49 GiB for "
+                   "an array\n")
+    assert "Traceback" not in err
+
+
 def test_check_is_reproducible(tmp_path, capsys):
     outs = []
     for i in range(2):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from ssnsdp.conditions import (
     CHECK_TOL,
     _constraint_rows,
     _curvature_matrix,
-    _independence_margin,
-    _null_basis,
+    _row_split,
     _second_order_margin,
     check_cn,
     check_s_sosc,
@@ -346,7 +346,7 @@ def test_report_invariant_under_sparse_storage(name, reports):
     """The catalog QSDPs with CSR Jacobians and Hessian give the same
     report, to rounding.  Their sparse rows touch several coordinates and their
     sparse curvature has off-diagonal entries, so the checks take the
-    densifying branches of _null_basis and _second_order_margin."""
+    densifying branches of _row_split and _second_order_margin."""
     base, sol = reports[name]
     problem, _ = build(name)
     clone = regularity_report(sparse_clone(problem), sol.z_bar)
@@ -394,6 +394,44 @@ def test_report_derives_rows_and_curvature_once(monkeypatch):
     blocks = len(problem.cone_blocks)
     assert variants == ["U0"] * blocks + ["UI"] * blocks
     assert alive == [[], [False]]
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex4_dual", "ex4_primal", "ex7"])
+def test_report_decomposes_each_row_set_once(name, monkeypatch):
+    """The report takes at most one SVD per variant's rows: their null
+    space and their smallest singular value come from the same one, and
+    rows that touch one coordinate each take none."""
+    calls = []
+
+    class SpyLinalg:
+        def __getattr__(self, attr):
+            return getattr(scipy.linalg, attr)
+
+        def svd(self, C, *args, **kwargs):
+            calls.append(np.array(C))
+            return scipy.linalg.svd(C, *args, **kwargs)
+
+        def svdvals(self, C, *args, **kwargs):
+            calls.append(np.array(C))
+            return scipy.linalg.svdvals(C, *args, **kwargs)
+
+    problem, sol = build(name)
+    z = sol.z_bar
+    decomps = cone_decompositions(problem, z)
+    decomposed = []
+    for variant in ("U0", "UI"):
+        C = _constraint_rows(problem, z, _block_split(decomps, variant),
+                             jac_g_matrix_of(problem, z.x))
+        if not (sp.issparse(C) and np.all(np.diff(C.indptr) <= 1)):
+            decomposed.append(to_dense(C))
+    monkeypatch.setattr(conditions_mod, "scipy",
+                        SimpleNamespace(linalg=SpyLinalg()))
+    regularity_report(problem, z)
+    assert decomposed
+    assert len(calls) <= len(decomposed)
+    for C in calls:
+        assert any(C.shape == R.shape and np.array_equal(C, R)
+                   for R in decomposed)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +529,8 @@ def null_basis(problem, z, variant):
     for UI."""
     blocks = _block_split(cone_decompositions(problem, z), variant)
     C = _constraint_rows(problem, z, blocks, jac_g_matrix_of(problem, z.x))
-    kind, data = _null_basis(C)
-    return data if kind == "dense" else np.eye(problem.x_dim)[:, data]
+    null, _ = _row_split(C)
+    return null if null.ndim == 2 else np.eye(problem.x_dim)[:, null]
 
 
 def test_basis_dimensions_ex5():
@@ -518,8 +556,8 @@ def test_null_basis_of_dense_rows():
     """450 unknowns, 40 dense rows of rank 25."""
     rng = np.random.default_rng(5)
     C = rng.standard_normal((40, 25)) @ rng.standard_normal((25, 450))
-    kind, N = _null_basis(C)
-    assert kind == "dense"
+    N, _ = _row_split(C)
+    assert N.ndim == 2
     assert N.shape == (450, 450 - 25)
     assert_allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
     assert np.abs(C @ N).max() <= 1e-10 * np.abs(C).max()
@@ -536,7 +574,7 @@ def test_null_basis_of_dense_rows():
 def test_independence_margin_of_sparse_rows(rows):
     C = sp.csr_matrix(np.array(rows))
     want = scipy.linalg.svdvals(np.array(rows))[-1]
-    assert_allclose(_independence_margin(C), want, rtol=1e-12, atol=1e-15)
+    assert_allclose(_row_split(C)[1], want, rtol=1e-12, atol=1e-15)
 
 
 def test_independence_margin_of_dependent_dense_rows():
@@ -545,7 +583,7 @@ def test_independence_margin_of_dependent_dense_rows():
     rng = np.random.default_rng(6)
     for _ in range(200):
         C = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 12))
-        assert _independence_margin(C) < 1e-12 * np.linalg.norm(C, 2)
+        assert _row_split(C)[1] < 1e-12 * np.linalg.norm(C, 2)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -562,13 +600,13 @@ def test_rows_read_null_exactly_at_check_tol(sparse, monkeypatch):
         return sp.csr_matrix(C) if sparse else C
 
     Q = np.diag([-1.0, 1.0] if sparse else [1.0, -1.0])
-    assert _null_basis(rows(1e-9))[0] == ("coords" if sparse else "dense")
-    assert _independence_margin(rows(1e-9)) <= CHECK_TOL
-    assert _second_order_margin(rows(1e-9), Q) == -1.0
-    assert _independence_margin(rows(1e-7)) > CHECK_TOL
-    assert _second_order_margin(rows(1e-7), Q) == np.inf
+    assert _row_split(rows(1e-9))[0].ndim == (1 if sparse else 2)
+    assert _row_split(rows(1e-9))[1] <= CHECK_TOL
+    assert _second_order_margin(_row_split(rows(1e-9))[0], Q) == -1.0
+    assert _row_split(rows(1e-7))[1] > CHECK_TOL
+    assert _second_order_margin(_row_split(rows(1e-7))[0], Q) == np.inf
     monkeypatch.setattr(conditions_mod, "CHECK_TOL", 1e-10)
-    assert _second_order_margin(rows(1e-9), Q) == np.inf
+    assert _second_order_margin(_row_split(rows(1e-9))[0], Q) == np.inf
 
 
 def dependent_rows_point(s):

@@ -27,6 +27,7 @@ from ssnsdp._reduced import (
     _factor_with_rcond,
     _is_identity,
     _lanczos_sigma_min,
+    _sparse_diagonal,
     _woodbury_core,
     reuse_compatible,
     separable_diagonal,
@@ -823,6 +824,40 @@ def test_backend_choice_takes_woodbury_at_any_support_size(variant):
     for r in np.random.default_rng(3).standard_normal((3, op.dim)):
         assert_allclose(op.solve(r), dense.solve(r), atol=1e-10)
     assert_allclose(op.sigma_min(), dense.sigma_min(), atol=1e-10)
+
+
+def test_a_diagonal_with_stored_zeros_takes_woodbury():
+    """A Hessian whose only off-diagonal entries are an explicit zero and
+    a duplicate pair that cancels, stored as raw CSR (unsorted, with the
+    duplicates), is diagonal: the Woodbury backend takes it and answers
+    as the assembled operator."""
+    N = svec_len(4) + svec_len(3)
+    w = np.ones(N)
+    w[[0, 7, 13]] = [0.0, 0.3, 0.5]
+    rows = np.concatenate([np.arange(N), [0, 1, 1]])
+    cols = np.concatenate([np.arange(N), [1, 2, 2]])
+    vals = np.concatenate([w, [0.0, 1.5, -1.5]])
+    order = np.argsort(rows, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
+    W = sp.csr_matrix((vals[order], cols[order], ptr), shape=(N, N))
+    assert not W.has_canonical_format
+    before = stored(W)
+    assert np.array_equal(_sparse_diagonal(W), w)
+    assert stored(W) == before
+    problem = quadratic_cone_problem(W, sp.identity(N, format="csr"),
+                                     [4, 3])
+    z = correct(two_block_start(problem, seed=5), problem, 0.5)
+    decomps = cone_decompositions(problem, z)
+    op = _make_backend(problem, z, "UI", decomps)
+    dense = _DenseBackend(problem, z, "UI", decomps)
+    assert isinstance(op, WoodburyNewtonOperator)
+    assert not op.singular and not dense.singular
+    for r in np.random.default_rng(3).standard_normal((3, op.dim)):
+        assert_allclose(op.solve(r), dense.solve(r), rtol=1e-12,
+                        atol=1e-12)
+        assert_allclose(op.solve_t(r), np.linalg.solve(dense.matrix.T, r),
+                        rtol=1e-12, atol=1e-12)
+    assert_allclose(op.sigma_min(), dense.sigma_min(), rtol=1e-12)
 
 
 def two_block_start(problem, seed,
