@@ -17,8 +17,9 @@ survive as constraints.  What remains is one symmetric system
 
 where C = (1 - d)/d is nonzero exactly on the positive/negative eigenvalue
 pairs, with value -lam_j / lam_i there.  One factorization of R per
-iterate serves the Newton steps and, by Lanczos iteration on (U' U)^{-1},
-the smallest singular value.
+iterate, or its inverse where that has a closed form (see below), serves
+the Newton steps and, by Lanczos iteration on (U' U)^{-1}, the smallest
+singular value.
 
 The transpose solve is the forward solve.  In the original coordinates
 U = S Y Q with S = diag(I, I, -I), Q = [[I, 0, 0], [0, I, 0], [G, 0, I]]
@@ -66,16 +67,25 @@ where V = I has a diagonal core, and a block with no alpha-gamma pair
 whose support is every pair of one index set, with one c on it, has a
 symmetric Kronecker core (_kronecker_core).  Both are judged by the same
 rule, reciprocal condition below _SINGULAR_RCOND against the scale of
-the terms, applied exactly (see WoodburyNewtonOperator).  R is factored
-sparse exactly when K and the border are, through splu, whose pivot
-ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
-estimator).  splu relaxes supernodes to at most one column and works
-in one-column panels (relax=1, panel_size=1), since the sparse R of
-the catalog is a permuted stack of 1x1 and 2x2 blocks; neither setting
-changes the column order or the pivoting, so the fill and the verdict
-are those of the defaults.  Before either, R with more border rows
-[J; Gz] than x_dim reads singular by the count, with no factorization:
-its last columns, [B'; 0], have rank at most x_dim.
+the terms, applied exactly (see WoodburyNewtonOperator).  R is solved
+sparse exactly when K and the border are.  When K is diagonal and every
+border row of [J; Gz] holds one entry, no two rows on one column
+(_coordinate_rows), R is a permuted stack of 1x1 and 2x2 blocks and is
+never factored: _block_inverse writes R^{-1}, as sparse as R, into one
+CSR matrix, and a solve is one product with it.  Its verdict is splu's
+pivot-ratio rule applied exactly to the blocks' eigenvalue magnitudes,
+independent of any column order.  This is ex1 under UI wherever V = I
+(every row of the ex1-reduced benchmark), and the nearest-correlation
+setting of Qi and Sun (SIAM J. Matrix Anal. Appl. 28 (2006) 360-385): a
+diagonal Hessian and constraints that each pin one matrix entry.  Any other
+sparse R is factored through splu, whose pivot ratio reads the same
+_SINGULAR_RCOND (SuperLU has no condition estimator).  splu relaxes
+supernodes to at most one column and works in one-column panels
+(relax=1, panel_size=1); neither setting changes the column order or
+the pivoting, so the fill and the verdict are those of the defaults.
+Before any of these, R with more border rows [J; Gz] than x_dim reads
+singular by the count, with no factorization: its last columns,
+[B'; 0], have rank at most x_dim.
 _lanczos_sigma_min is the one sigma_min routine: exact up to
 _LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
@@ -384,13 +394,24 @@ class ReducedNewtonOperator:
         K = _curvature(self.W, self.blocks, self.G)
         B = _border(self.J, self.blocks, self.G)
         if sp.issparse(K) and sp.issparse(B):
+            k = _sparse_diagonal(K)
+            rows = None if k is None else _coordinate_rows(B)
+            if rows is not None and rows[2]:
+                self._r_inv = _block_inverse(k, rows[0], rows[1])
+                if self._r_inv is None:
+                    self.singular = True
+                    return
+                self._solve_R = self._r_inv.dot
+                return
             R = sp.bmat([[K, B.T], [B, None]], format="csc")
-            # R is a permuted stack of 1x1 and 2x2 blocks: no relaxed
-            # supernodes, one-column panels.  The default COLAMD order and
-            # pivoting stay, so the fill and the verdict do.  On ex1 at
-            # 90/60 (order 18 555, one BLAS thread, Xeon) a factorization
-            # took 1.7 ms against 2.7 ms with the defaults, a solve 0.20
-            # ms against 0.42 ms
+            # splu gets the sparse R with a K that is not diagonal (alpha-
+            # gamma rows, or an off-diagonal Hessian) or border rows that
+            # are not coordinate rows on columns of their own.  No relaxed
+            # supernodes, one-column panels: chosen on ex1 at 90/60 (order
+            # 18 555, one BLAS thread, Xeon), before that R took the closed
+            # form, where a factorization took 1.7 ms against 2.7 ms with
+            # the defaults and a solve 0.20 ms against 0.42 ms.  The default
+            # COLAMD order and pivoting stay, so the fill and the verdict do
             try:
                 self._lu = spla.splu(R, relax=1, panel_size=1)
             except RuntimeError:
@@ -612,6 +633,71 @@ def _sparse_diagonal(M):
         M.sum_duplicates()
     d = M.diagonal()
     return d if np.count_nonzero(M.data) == np.count_nonzero(d) else None
+
+
+def _coordinate_rows(C):
+    """(cols, vals, independent) for a sparse C whose rows hold one stored
+    entry at most, read in canonical form (duplicates summed first, on a
+    copy): the column and the value of each stored entry, in row order,
+    and whether every row holds one entry on a column that no other row
+    reads, which makes the rows orthogonal and independent.  A stored
+    zero counts as an entry.  None for a dense C or a row with two
+    entries."""
+    if not sp.issparse(C):
+        return None
+    C = C.tocsr()
+    if not C.has_canonical_format:
+        C = C.copy()
+        C.sum_duplicates()
+    m = C.shape[0]
+    per_row = np.diff(C.indptr)
+    if np.any(per_row > 1):
+        return None
+    independent = C.nnz == m and (
+        m == 0 or np.bincount(C.indices).max() == 1)
+    return C.indices, C.data, bool(independent)
+
+
+def _block_inverse(k, cols, a):
+    """R^{-1} as one CSR matrix, for R = [[diag(k), B'], [B, 0]] whose
+    border row r reads a[r] at column cols[r], no two rows on one column
+    (_coordinate_rows), or None when R reads singular.  R is then a
+    permuted stack of 1x1 and 2x2 blocks: a free column j is the block
+    k_j, with inverse 1/k_j, and the column cols[r] pinned by row r is the
+    block [[k_j, a], [a, 0]], with inverse [[0, 1/a], [1/a, -k_j/a^2]].
+    Its eigenvalues have the magnitudes (s + |k_j|)/2 and 2a^2/(s + |k_j|),
+    s = sqrt(k_j^2 + 4a^2).  R reads singular when the smallest of all
+    these magnitudes is below _SINGULAR_RCOND max(1, largest): splu's
+    pivot-ratio rule, applied exactly, as _kronecker_core applies the
+    dense one, and independent of any column order.  With no border rows
+    R = diag(k), whose pivots are these magnitudes, so the verdict is
+    splu's to the bit."""
+    x, m = k.size, cols.size
+    kp = k[cols]
+    t = np.sqrt(kp * kp + 4.0 * a * a) + np.abs(kp)
+    free = np.ones(x, dtype=bool)
+    free[cols] = False
+    # t = 0 only on the zero block, k_j = a = 0
+    e = np.concatenate([np.abs(k[free]), 0.5 * t, np.divide(
+        2.0 * a * a, t, out=np.zeros_like(t), where=t > 0.0)])
+    if e.size and e.min() < _SINGULAR_RCOND * max(e.max(), 1.0):
+        return None
+    # row j < x holds 1/k_j at j, or 1/a at x + r when row r pins j; row
+    # x + r holds 1/a at cols[r] and -k_j/a^2 at x + r
+    inv_a = 1.0 / a
+    border = np.arange(x, x + m)
+    indices = np.empty(x + 2 * m, dtype=np.int64)
+    data = np.empty(x + 2 * m)
+    indices[:x] = np.arange(x)
+    data[:x][free] = 1.0 / k[free]
+    indices[cols] = border
+    data[cols] = inv_a
+    indices[x::2] = cols
+    data[x::2] = inv_a
+    indices[x + 1::2] = border
+    data[x + 1::2] = -kp * inv_a * inv_a
+    indptr = np.concatenate([np.arange(x + 1), x + 2 * np.arange(1, m + 1)])
+    return sp.csr_matrix((data, indices, indptr), shape=(x + m, x + m))
 
 
 def _is_identity(G):

@@ -45,8 +45,8 @@ from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
                       jac_h_matrix_of)
 from .kkt import (assemble_U, clarke_combination, cone_decompositions,
                   kkt_residual, min_singular_value)
-from ._reduced import (_block_split, _border, _curvature, _make_backend,
-                       _sparse_diagonal)
+from ._reduced import (_block_split, _border, _coordinate_rows, _curvature,
+                       _make_backend, _sparse_diagonal)
 
 RESIDUAL_TOL = 1e-10
 
@@ -119,20 +119,21 @@ def _row_split(C):
     """(null, sigma): the directions on which the rows C have a singular
     value of at most CHECK_TOL, and C's smallest singular value (+inf with
     no rows, 0.0 with more rows than columns or an empty sparse row).
-    Sparse rows of one entry at most read both off their columns, null as
-    the column indices of 2-norm at most CHECK_TOL; other rows take one
-    SVD of C, not of C C', which would square their conditioning."""
+    Sparse rows of one entry at most (_coordinate_rows) read both off
+    their columns, null as the column indices of 2-norm at most
+    CHECK_TOL; other rows take one SVD of C, not of C C', which would
+    square their conditioning."""
     m, n = C.shape
-    sparse = sp.issparse(C)
-    per_row = np.diff(C.indptr) if sparse else ()
-    dependent = m > n or 0 in per_row
-    if sparse and np.all(per_row <= 1):
-        norm2 = np.bincount(C.indices, weights=C.data ** 2, minlength=n)
+    rows = _coordinate_rows(C)
+    if rows is not None:
+        cols, vals, independent = rows
+        norm2 = np.bincount(cols, weights=vals ** 2, minlength=n)
         null = np.flatnonzero(norm2 <= CHECK_TOL ** 2)
-        # orthogonal rows, dependent when two share a coordinate
-        dependent = dependent or (m > 0 and np.bincount(C.indices).max() > 1)
-        smallest = np.min(np.abs(C.data), initial=np.inf)
+        dependent = not independent
+        smallest = np.min(np.abs(vals), initial=np.inf)
     else:
+        sparse = sp.issparse(C)
+        dependent = m > n or (sparse and 0 in np.diff(C.indptr))
         _, s, vt = scipy.linalg.svd(C.toarray() if sparse else C)
         null = vt[np.count_nonzero(s > CHECK_TOL):].T
         smallest = np.min(s, initial=np.inf)

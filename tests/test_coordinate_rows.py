@@ -1,6 +1,7 @@
-"""Property tests of the report's coordinate-row helpers: rows with at
-most one entry each, whose null space and independence read off the
-columns they touch, as an SVD of the same rows reads them."""
+"""Property tests of the coordinate-row helpers: rows with at most one
+entry each, whose null space and independence read off the columns they
+touch, as an SVD of the same rows reads them, and the closed-form
+inverse of a reduced system with a diagonal K under such rows."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from ssnsdp._reduced import (  # noqa: E402
+    _SINGULAR_RCOND,
+    _block_inverse,
+    _coordinate_rows,
+    _sparse_diagonal,
+)
 from ssnsdp.conditions import (  # noqa: E402
     CHECK_TOL,
     _row_split,
@@ -84,3 +91,89 @@ def test_coordinate_and_svd_paths_agree(C, seed, diagonal):
         assert_allclose(_second_order_margin(null, form),
                         _second_order_margin(basis, form),
                         rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def coordinate_systems(draw):
+    """(K, B): a diagonal CSR K with signed, zero and tiny entries, and
+    CSR rows B of one entry each, on distinct random columns, with
+    magnitudes in [1e-9, 1e3]."""
+    x = draw(st.integers(1, 12))
+    entry = st.sampled_from([0.0, 1e-20, -1e-20, 1e-12, -3e-15, 1.0, -1.0]) \
+        | st.floats(-1e3, 1e3)
+    k = draw(st.lists(entry, min_size=x, max_size=x))
+    cols = draw(st.permutations(range(x)))[:draw(st.integers(0, x))]
+    vals = draw(st.lists(st.floats(1e-9, 1e3) | st.floats(-1e3, -1e-9),
+                         min_size=len(cols), max_size=len(cols)))
+    m = len(cols)
+    return (sp.diags(k).tocsr(),
+            sp.csr_matrix((vals, cols, np.arange(m + 1)), shape=(m, x)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(coordinate_systems(), st.integers(0, 2 ** 32 - 1))
+def test_block_inverse_is_the_exact_rule_and_the_inverse(system, seed):
+    """R = [[K, B'], [B, 0]] reads singular exactly when the eigenvalue
+    magnitudes of the assembled R, from eigvalsh, have min below
+    _SINGULAR_RCOND max(1, max); otherwise 1-D and (dim, m) products
+    with the closed-form inverse match np.linalg.solve, and a batch
+    equals its columns."""
+    K, B = system
+    k = _sparse_diagonal(K)
+    cols, vals, independent = _coordinate_rows(B)
+    assert independent
+    inv = _block_inverse(k, cols, vals)
+    R = sp.bmat([[K, B.T], [B, None]]).toarray()
+    e = np.abs(np.linalg.eigvalsh(R))
+    ratio = e.min() / (_SINGULAR_RCOND * max(e.max(), 1.0))
+    # eigvalsh is off by a few ulps of max |e|, a few percent of the
+    # threshold: a verdict within a factor 2 of it is left open
+    assume(not 0.5 < ratio < 2.0)
+    assert (inv is None) == (ratio < 1.0)
+    if inv is None:
+        return
+    # as sparse as R with a nonzero diagonal
+    assert inv.nnz == R.shape[0] + B.nnz
+    rng = np.random.default_rng(seed)
+    for rhs in (rng.standard_normal(R.shape[0]),
+                rng.standard_normal((R.shape[0], 4))):
+        got = inv.dot(rhs)
+        want = np.linalg.solve(R, rhs)
+        assert got.shape == rhs.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(got, np.column_stack(
+        [inv.dot(rhs[:, c]) for c in range(rhs.shape[1])]))
+
+
+@pytest.mark.parametrize("rows", [
+    # two rows on column 1: dependent
+    ([1.0, 2.0], [1, 1], [0, 1, 2]),
+    # a row with two entries
+    ([1.0, 0.5, 2.0], [0, 2, 1], [0, 2, 3]),
+    # an empty row
+    ([1.0], [0], [0, 1, 1]),
+])
+def test_coordinate_rows_that_are_not_independent(rows):
+    """Rows with a shared column or an empty row read as dependent
+    coordinate rows; a row with two entries is no coordinate row."""
+    B = sp.csr_matrix(rows, shape=(len(rows[2]) - 1, 3))
+    got = _coordinate_rows(B)
+    if np.diff(B.indptr).max() > 1:
+        assert got is None
+    else:
+        assert not got[2]
+        assert np.array_equal(got[0], B.indices)
+    assert _coordinate_rows(B.toarray()) is None
+
+
+def test_coordinate_rows_read_canonical_form():
+    """Duplicates in one row sum to one entry; a stored zero is an entry,
+    so a row holding only one reads independent with value 0."""
+    B = sp.csr_matrix(([1.0, 2.0, 0.0], [1, 1, 0], [0, 2, 3]), shape=(2, 3))
+    assert not B.has_canonical_format
+    cols, vals, independent = _coordinate_rows(B)
+    assert cols.tolist() == [1, 0] and vals.tolist() == [3.0, 0.0]
+    assert independent
+    # the caller's matrix is read, not summed in place
+    assert B.nnz == 3
+    assert _block_inverse(np.ones(3), cols, vals) is None

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import ssnsdp
 import ssnsdp._reduced as reduced_mod
+import ssnsdp.catalog as catalog_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import (
     _LANCZOS_BASIS,
@@ -1312,7 +1313,8 @@ def reduced_cases():
     catalog problems, blocks of order >= 4 with alpha, beta and gamma all
     nonempty (so UI has beta x gamma zero-mask pairs), and a block whose
     UI mask is all ones (T empty) beside one with T = gamma.  ex1 under
-    UI factors its reduced system sparse."""
+    UI inverts its reduced system in closed form, and the last case, with
+    an off-diagonal sparse Hessian, factors it with splu."""
     for name, params, variant in (("ex3", {}, "U0"), ("ex4_dual", {}, "U0"),
                                   ("ex7", {}, "UI"),
                                   ("ex1", {"l1": 4, "l2": 3}, "UI")):
@@ -1325,6 +1327,8 @@ def reduced_cases():
     z0 = two_block_start(problem, seed=5, spectra=([1.5, 0.2, -0.1, -2.0],
                                                    [0.9, 0.3, 1.1]))
     yield problem, correct(z0, problem, 0.5), "UI"
+    # a sparse K off the diagonal: R goes to splu
+    yield (*tiny_pivot_case(off_diagonal=True, pivot=0.5), "UI")
 
 
 def test_reduced_operator_matches_dense():
@@ -1379,6 +1383,14 @@ def assert_batch_is_columns(op, m=5):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def r_kind(op):
+    """How a ReducedNewtonOperator solves with R."""
+    if isinstance(getattr(op, "_r_inv", None), sp.csr_matrix):
+        return "closed form"
+    return ("sparse R" if isinstance(getattr(op, "_lu", None), spla.SuperLU)
+            else "dense R")
+
+
 def test_batched_solves_match_column_solves():
     kinds = set()
     for problem, z, variant in reduced_cases():
@@ -1387,14 +1399,13 @@ def test_batched_solves_match_column_solves():
         if op.singular:
             continue
         assert_batch_is_columns(op)
-        kinds.add("sparse R" if isinstance(getattr(op, "_lu", None),
-                                           spla.SuperLU) else "dense R")
+        kinds.add(r_kind(op))
         kinds.update("ag" for b in op.blocks if len(b.ag))
         kinds.update("T empty" if b.T.size == 0 else
                      "T whole" if b.T.size == b.n else "T partial"
                      for b in op.blocks)
-    assert kinds == {"sparse R", "dense R", "ag", "T empty", "T partial",
-                     "T whole"}
+    assert kinds == {"closed form", "sparse R", "dense R", "ag", "T empty",
+                     "T partial", "T whole"}
     for case in ("ex5-U0", "ex5-UI"):
         problem, z, variant = woodbury_case(case)
         op = WoodburyNewtonOperator(problem, z, variant,
@@ -1471,15 +1482,29 @@ def test_dense_backend_sigma_matches_full_svd(case):
     assert backend_at(*case)[0].sigma_min() == sigma
 
 
-def tiny_pivot_case():
+def splu_calls(build):
+    """(build(), the number of splu calls it made)."""
+    calls, splu = [], spla.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced_mod.spla, "splu",
+                   lambda *a, **k: calls.append(1) or splu(*a, **k))
+        return build(), len(calls)
+
+
+def tiny_pivot_case(off_diagonal=False, pivot=1e-20):
     """(problem, corrected point): W = diag(w) in CSR with one entry
-    1e-20 and G = 2 I in CSR, so the Woodbury gate refuses; every cone
-    eigenvalue is positive, so under UI R = W is factored by splu."""
+    pivot and G = 2 I in CSR, so the Woodbury gate refuses; every cone
+    eigenvalue is positive, so under UI R = W, inverted in closed form.
+    With off_diagonal, W also couples coordinates 0 and 1 by 0.2, so R
+    is factored by splu, whose pivot on coordinate 4 is still pivot."""
     N = svec_len(4) + svec_len(3)
     w = np.ones(N)
-    w[4] = 1e-20
-    problem = quadratic_cone_problem(sp.diags(w).tocsr(),
-                                     2.0 * sp.identity(N, format="csr"),
+    w[4] = pivot
+    W = sp.diags(w).tocsr()
+    if off_diagonal:
+        W = (W + sp.csr_matrix(([0.2, 0.2], ([0, 1], [1, 0])),
+                               shape=(N, N))).tocsr()
+    problem = quadratic_cone_problem(W, 2.0 * sp.identity(N, format="csr"),
                                      [4, 3])
     z0 = two_block_start(problem, seed=5, spectra=([1.5, 0.9, 2.0, 0.7],
                                                    [0.9, 0.6, 1.1]))
@@ -1492,37 +1517,76 @@ def test_dense_backend_flagged_singular_reads_zero():
         assert op.singular
         assert min_singular_value(U) < 1e-15
         assert op.sigma_min() == 0.0
-    # splu's pivot ratio gives the verdict on a sparse R
-    problem, z = tiny_pivot_case()
-    decomps = cone_decompositions(problem, z)
-    op = _make_backend(problem, z, "UI", decomps)
-    assert isinstance(op, ReducedNewtonOperator)
-    assert isinstance(op._lu, spla.SuperLU)
-    for backend in (op, _DenseBackend(problem, z, "UI", decomps)):
-        assert backend.singular
-        assert backend.sigma_min() == 0.0
+    # the closed form's exact rule on a diagonal R, and splu's pivot
+    # ratio on a sparse R that is not, give the verdict
+    for off_diagonal, kind in ((False, "closed form"), (True, "sparse R")):
+        problem, z = tiny_pivot_case(off_diagonal)
+        decomps = cone_decompositions(problem, z)
+        op, calls = splu_calls(
+            lambda: _make_backend(problem, z, "UI", decomps))
+        assert isinstance(op, ReducedNewtonOperator)
+        assert calls == (kind == "sparse R")
+        if kind == "sparse R":
+            assert isinstance(op._lu, spla.SuperLU)
+        for backend in (op, _DenseBackend(problem, z, "UI", decomps)):
+            assert backend.singular
+            assert backend.sigma_min() == 0.0
 
 
 def test_sparse_r_matches_the_assembled_operator():
     """ex1 at 12/8 under UI, from a start at which the correction clips
     every eigenvalue (all beta, so V = I): R = [[W, J'], [J, 0]] of order
-    342 is factored by SuperLU, and the solves and sigma_min match dense
-    solves and the full SVD of the assembled U."""
+    342, W diagonal and each row of J one coordinate, is inverted in
+    closed form, and the solves and sigma_min match dense solves and the
+    full SVD of the assembled U."""
     problem, sol = catalog("ex1", l1=12, l2=8)
     z = correct(perturbed_start(sol.z_bar, 0.1, seed=1), problem, 0.5)
     decomps = cone_decompositions(problem, z)
     assert all(dec.beta.size == dec.n for dec in decomps)
     op = _make_backend(problem, z, "UI", decomps)
     assert isinstance(op, ReducedNewtonOperator) and not op.singular
-    assert isinstance(op._lu, spla.SuperLU)
+    assert r_kind(op) == "closed form"
     # x_dim 210 plus eq_dim 132
-    assert op._lu.shape == (342, 342)
+    assert op._r_inv.shape == (342, 342)
     U = assemble_U(problem, z, "UI", _decomps=decomps)
     R = np.random.default_rng(24).standard_normal((op.dim, 3))
     assert_allclose(op.solve(R), np.linalg.solve(U, R), rtol=0, atol=1e-9)
     assert_allclose(op.solve_t(R), np.linalg.solve(U.T, R), rtol=0,
                     atol=1e-9)
     assert_allclose(op.sigma_min(), min_singular_value(U), rtol=1e-8)
+
+
+@pytest.mark.parametrize("rows,kind,singular", [
+    # one coordinate each, on columns of their own: closed form
+    (([1.0, 2.0], [0, 2], [0, 1, 2]), "closed form", False),
+    # two rows on column 1: dependent, splu reads it singular
+    (([1.0, 2.0], [1, 1], [0, 1, 2]), "sparse R", True),
+    # a row with two entries
+    (([1.0, 0.5, 2.0], [0, 2, 1], [0, 2, 3]), "sparse R", False),
+], ids=["coordinates", "shared-column", "two-entry-row"])
+def test_border_rows_choose_closed_form_or_splu(rows, kind, singular):
+    """min (x - t)' diag(d) (x - t) / 2 over S^2_+ with two equality rows
+    J, at a point with a positive spectrum, so V = I and R = [[diag(d),
+    J'], [J, 0]]: only coordinate rows on columns of their own take the
+    closed form; the others reach splu, and its verdict and solves are
+    those of the assembled U."""
+    J = sp.csr_matrix(rows, shape=(2, 3))
+    problem = catalog_mod._diagonal_quadratic(
+        "rows", 2, np.array([1.0, -1.0, 2.0]), np.zeros(3), J)
+    z = spectrum_point(problem, [2.0, 1.0])
+    op, calls = splu_calls(lambda: _make_backend(
+        problem, z, "UI", cone_decompositions(problem, z)))
+    assert isinstance(op, ReducedNewtonOperator)
+    assert calls == (kind == "sparse R")
+    assert op.singular == singular
+    U = assemble_U(problem, z, "UI")
+    if singular:
+        assert min_singular_value(U) < 1e-15
+        return
+    assert r_kind(op) == kind
+    R = np.random.default_rng(25).standard_normal((op.dim, 3))
+    assert_allclose(op.solve(R), np.linalg.solve(U, R), rtol=0, atol=1e-12)
+    assert_allclose(op.sigma_min(), min_singular_value(U), rtol=1e-10)
 
 
 def test_block_split_lays_out_coordinates_and_multipliers():
