@@ -8,18 +8,23 @@ Newton operator into
          [(D-I)Gt  0  D  ]
 
 with D the diagonal surrogate mask over eigenvalue pairs and Gt the rotated
-cone Jacobian.  Pairs with d > 0 eliminate in closed form; pairs with d = 0
-survive as constraints.  What remains is one symmetric system
+cone Jacobian.  The variant is the Newton element t UI + (1 - t) U0 of the
+segment between the two named ones, t the beta x beta entry of the mask
+(linalg_sym.variant_t: "U0" is t = 0, "UI" t = 1, and the regularity
+report's Clarke midpoint t = 1/2).  Pairs with d > 0 eliminate in closed
+form; pairs with d = 0 survive as constraints.  What remains is one
+symmetric system
 
     R = [ K    J'   Gz' ]      K = W + Gp' C Gp
         [ J    0    0   ]
         [ Gz   0    0   ]
 
-where C = (1 - d)/d is nonzero exactly on the positive/negative eigenvalue
-pairs, with value -lam_j / lam_i there.  One factorization of R per
-iterate, or its inverse where that has a closed form (see below), serves
-the Newton steps and, by Lanczos iteration on (U' U)^{-1}, the smallest
-singular value.
+where C = (1 - d)/d is nonzero exactly on the curvature pairs: the
+positive/negative eigenvalue pairs, with value -lam_j / lam_i there, and
+at 0 < t < 1 the beta x beta pairs, with value (1 - t)/t.  One
+factorization of R per iterate, or its inverse where that has a closed
+form (see below), serves the Newton steps and, by Lanczos iteration on
+(U' U)^{-1}, the smallest singular value.
 
 The transpose solve is the forward solve.  In the original coordinates
 U = S Y Q with S = diag(I, I, -I), Q = [[I, 0, 0], [0, I, 0], [G, 0, I]]
@@ -29,11 +34,11 @@ S Q U^{-1} S Q^{-T}: solve_t solves forward against (r1 - G' r3, r2, -r3)
 and returns (d1, d2, -(d3 + G d1)).  The Woodbury backend is the case
 G = I with no equality rows.
 
-The rotation is never applied whole.  With T = {t : D[t, t] != 1} the
-non-unit eigenvalue indices of a block (beta and gamma under U0, gamma
+The rotation is never applied whole.  With T = {i : D[i, i] != 1} the
+non-unit eigenvalue indices of a block (beta and gamma at t < 1, gamma
 under UI), a suffix [t0, n) since the spectrum is nonincreasing, every
 pair whose mask differs from 1, every zero-mask pair and every
-alpha-gamma pair touches T, so the solves and the operator's
+curvature pair touches T, so the solves and the operator's
 application work in matrix form on Hh[:, T] = P' (H P_T) and write back
 through one rank-2|T| update of P_T (see _BlockData): O(n^2 |T|) flops
 per block instead of the O(n^3) of a full rotation, the mask split of
@@ -44,7 +49,7 @@ per block and solve, and its reads and writes on the core's support
 pairs touch only the support's rows of P (_SupportMaps).  Of the solve
 path, only the build reads rotated rows of G (_BlockData.s_rows):
 _border stacks the zero-mask rows into Gz under J, and _curvature forms
-K from the alpha-gamma rows.  The regularity report in conditions.py
+K from the curvature rows.  The regularity report in conditions.py
 derives its constraint rows and curvature through the same two helpers,
 so R and the paper's conditions read one derivation.  All of them read
 where a block sits from _block_split, the one constructor of a block
@@ -63,7 +68,7 @@ dgecon for dense R and the assembled Newton matrix.  _factor_solve is
 the solve over its factors, and SingularSystemError what a solve raises
 on a matrix flagged singular.  Two kinds of Woodbury core are never
 factored, since their eigenvalues are known in closed form: a block
-where V = I has a diagonal core, and a block with no alpha-gamma pair
+where V = I has a diagonal core, and a block with no curvature pair
 whose support is every pair of one index set, with one c on it, has a
 symmetric Kronecker core (_kronecker_core).  Both are judged by the same
 rule, reciprocal condition below _SINGULAR_RCOND against the scale of
@@ -105,8 +110,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .linalg_sym import (smat, svec, svec_len, v_mask, _svec_rotation_rows,
-                         _triu)
+from .linalg_sym import (smat, svec, svec_len, v_mask, variant_t,
+                         _svec_rotation_rows, _triu)
 from .problem import (hess_matrix_of, jac_g_matrix_of, jac_h_matrix_of,
                       to_dense)
 
@@ -205,23 +210,28 @@ def _signed_permutation(P):
 class _BlockData:
     """Pair bookkeeping for one cone block at one iterate.
 
-    T = {t : D[t, t] != 1} is the block's non-unit index set: beta and
-    gamma under U0, gamma under UI.  The classes are ranges of the
-    nonincreasing spectrum, alpha [0, a), beta [a, k) and gamma [k, n),
-    so T is the suffix [t0, n), t0 = _unit_count(dec, variant), the ag
-    pairs are those with i < a and j >= k, and the zer pairs, where D is
-    0 (beta x gamma, gamma x gamma, and beta x beta under U0), are those
-    with i >= a and j >= t0.  Every pair whose mask differs from 1
-    touches T, the zer and ag pairs included, so every cone map of the
-    Newton operator reads Hh = P' H P only through its T columns
-    Hh[:, T] = P' (H P_T) (cols) and writes back a symmetric matrix X
-    supported on the rows and columns T through P X P' = Z P_T' + P_T Z',
-    Z = P Y, where Y is X[:, T] with its T rows halved (back).  Each
-    costs O(n^2 |T|); a block with T empty costs nothing.  Both work on
-    stacks: cols maps svec columns, shape (len, m), to an (m, n, |T|)
-    stack, back the reverse; z_at and ag_at index a stack, a pair (i, j)
-    at (i, j - t0), since j is in T.  iu, ju and scale (svec's 1 or
-    sqrt(2) per pair) are linalg_sym._triu's cached arrays, never
+    The variant is a point t UI + (1 - t) U0 of the segment between the
+    two elements, t = variant_t(variant) on beta x beta of the mask D.
+    T = {i : D[i, i] != 1} is the block's non-unit index set: gamma under
+    UI (t = 1), beta and gamma at every t < 1.  The classes are ranges of
+    the nonincreasing spectrum, alpha [0, a), beta [a, k) and gamma [k,
+    n), so T is the suffix [t0, n), t0 = _unit_count(dec, variant).  The
+    ag pairs, where 0 < D < 1, are the curvature pairs: alpha x gamma,
+    those with i < a and j >= k, with c_ag = -lam_j / lam_i, and at 0 < t
+    < 1 beta x beta too, with c_ag = (1 - t) / t.  The zer pairs, where D
+    is 0 (beta x gamma, gamma x gamma, and beta x beta at t = 0), are
+    those with i >= a and j >= k, or j >= a at t = 0.  Every pair whose
+    mask differs from 1 touches T, the zer and ag pairs included, so
+    every cone map of the Newton operator reads Hh = P' H P only through
+    its T columns Hh[:, T] = P' (H P_T) (cols) and writes back a
+    symmetric matrix X supported on the rows and columns T through P X
+    P' = Z P_T' + P_T Z', Z = P Y, where Y is X[:, T] with its T rows
+    halved (back).  Each costs O(n^2 |T|); a block with T empty costs
+    nothing.  Both work on stacks: cols maps svec columns, shape (len,
+    m), to an (m, n, |T|) stack, back the reverse; z_at and ag_at index
+    a stack, a pair (i, j) at (i, j - t0), since j is in T, and y_ag is
+    c_ag with the diagonal pairs halved for Y.  iu, ju and scale (svec's
+    1 or sqrt(2) per pair) are linalg_sym._triu's cached arrays, never
     written.  The regularity report reads its pair split from here too:
     a variant's zer pairs are the constraint rows of its conditions, and
     the ag pairs, weighted by c_ag, their curvature.  cs and ws, set by
@@ -232,19 +242,24 @@ class _BlockData:
 
     def __init__(self, dec, variant):
         n = dec.n
+        t = variant_t(variant)
         self.dec = dec
         self.n = n
         self.len = svec_len(n)
         iu, ju, scale = _triu(n)[:3]
         self.iu, self.ju, self.scale = iu, ju, scale
-        self.D = D = v_mask(dec, variant)
+        self.D = D = v_mask(dec, t)
         # lam is nonincreasing, so alpha is [0, a) and gamma is [k, n)
         a, k = dec.alpha.size, n - dec.gamma.size
-        self.ag = np.where((iu < a) & (ju >= k))[0]
-        t0 = _unit_count(dec, variant)
-        self.zer = np.where((iu >= a) & (ju >= t0))[0]
+        # beta x beta pairs, mask t, are curvature for 0 < t < 1
+        bb = (iu >= a) & (ju < k) if 0.0 < t < 1.0 else False
+        self.ag = np.where((iu < a) & (ju >= k) | bb)[0]
+        t0 = _unit_count(dec, t)
+        self.zer = np.where((iu >= a) & (ju >= (k if t else a)))[0]
         lam = dec.lam
-        self.c_ag = -lam[ju[self.ag]] / lam[iu[self.ag]]
+        i, j = iu[self.ag], ju[self.ag]
+        g = j >= k
+        self.c_ag = np.where(g, -lam[j], 1.0 - t) / np.where(g, lam[i], t)
         self.T = np.arange(t0, n)
         if t0 == n:
             return
@@ -257,12 +272,15 @@ class _BlockData:
         inv = np.divide(1.0, DT, out=np.zeros_like(DT), where=DT > 0.0)
         self.one_minus_e = np.where(DT > 0.0, 1.0 - inv, 1.0) * half
         # each zer or ag pair (i, j), i <= j, has j in T (beta or gamma
-        # under U0, gamma under UI), so it sits at (i, j - t0) of Hh[:, T]
+        # at t < 1, gamma under UI), so it sits at (i, j - t0) of Hh[:, T]
         self.z_at = (slice(None), iu[self.zer], ju[self.zer] - t0)
         # svec scale of each zer pair; half of it puts a pair's svec value
         # into Y (the mirror position stays zero)
         self.z_scale = scale[self.zer]
-        self.ag_at = (slice(None), iu[self.ag], ju[self.ag] - t0)
+        self.ag_at = (slice(None), i, j - t0)
+        # back doubles a diagonal entry, so a diagonal (beta x beta) pair
+        # enters Y at half its weight, as z_scale halves the zer pairs
+        self.y_ag = np.where(i == j, 0.5, 1.0) * self.c_ag
 
     def cols(self, h):
         """Hh[:, T] = P' (smat(h) P_T) per column h of the block's svec
@@ -324,7 +342,7 @@ def _border(J, blocks, G):
 
 
 def _curvature(W, blocks, G):
-    """K = W + Gp' C Gp of R: W plus, per block with alpha-gamma pairs,
+    """K = W + Gp' C Gp of R: W plus, per block with curvature pairs,
     S' S for its ag rows S scaled by sqrt(c_ag).  K stays sparse while W
     and the rows are; otherwise both go dense first."""
     K = W
@@ -343,8 +361,8 @@ def _curvature(W, blocks, G):
 
 def _unit_count(dec, variant):
     """t0, the count of unit diagonal entries of the variant's mask, which
-    come first: |alpha| under U0, |alpha| + |beta| under UI."""
-    return dec.alpha.size + (dec.beta.size if variant == "UI" else 0)
+    come first: |alpha| + |beta| under UI (t = 1), |alpha| otherwise."""
+    return dec.alpha.size + dec.beta.size * (variant_t(variant) == 1.0)
 
 
 def _sigma_min(op):
@@ -473,7 +491,7 @@ class ReducedNewtonOperator:
         for b in self._t_blocks:
             Y = np.zeros((r3.shape[1], b.n, b.T.size))
             if len(b.ag):
-                Y[b.ag_at] = b.c_ag * b.cols(gdx[b.cs])[b.ag_at]
+                Y[b.ag_at] = b.y_ag * b.cols(gdx[b.cs])[b.ag_at]
             Y[b.z_at] = 0.5 * b.z_scale * w[b.ws].T
             u[b.cs] += b.back(Y)
         return np.concatenate([dx, dxi, u]).reshape(np.shape(r))
@@ -736,7 +754,7 @@ def _woodbury_core(b, D, loc, c):
     Returns (M, vnorm, order, maps); M is Fortran order, ready to be
     factored in place, and its upper triangle outside the diagonal
     blocks is never written.  This is the dense core, which every block
-    with a core and an alpha-gamma pair takes; _kronecker_core is the
+    with a core and a curvature (ag) pair takes; _kronecker_core is the
     closed form of the blocks without one.
 
     With q_i = P[i, :] the rows of the eigenbasis, D the v_mask matrix
@@ -782,7 +800,7 @@ def _woodbury_core(b, D, loc, c):
 
 
 def _kronecker_core(b, maps, c0, variant):
-    """The closed-form core of a block with T nonempty, no alpha-gamma
+    """The closed-form core of a block with T nonempty, no curvature (ag)
     pair, and a support of every pair of one index set idx, with one c0
     on it, or None when it reads singular (see WoodburyNewtonOperator).
     There V(H) = a H + s Pi H Pi, Pi = P_beta P_beta', and the rows Q =
@@ -791,9 +809,11 @@ def _kronecker_core(b, maps, c0, variant):
     With B = U diag(b) U', M has the eigenvalues (1/c0 - a) - s b_i b_j
     and the eigenvectors sym(u_i u_j') (Todd, Toh and Tutuncu, SIAM J.
     Optim. 8 (1998), appendix)."""
-    # under UI, T (gamma) is nonempty, so alpha is empty and a = 0
+    # with no alpha-gamma pair, alpha or gamma is empty: D is t on beta x
+    # beta and 1 elsewhere when alpha is not (a = 1), t on beta x beta and
+    # 0 elsewhere when it is (a = 0), so s = t - a
     a = float(b.dec.alpha.size > 0)
-    s = 1.0 if variant == "UI" else -a
+    s = variant_t(variant) - a
     Qb = maps.Q[:, b.dec.alpha.size:b.n - b.dec.gamma.size]
     bv, U = np.linalg.eigh(Qb @ Qb.T)
     # eigenvalues of V[S, S], and of the scaled core c0 M = I - c0 V[S, S]
@@ -899,19 +919,20 @@ class WoodburyNewtonOperator:
     scale of its terms before they cancel: a breakdown, or a core that
     cancels to rounding noise, reads singular, as the assembled matrix
     does; a tiny c, whose 1/c would swamp an unscaled core, does not.
-    That is the dense core (_woodbury_core), which every block with an
-    alpha-gamma pair takes.  Two kinds of block have a core in closed
+    That is the dense core (_woodbury_core), which every block with a
+    curvature pair takes (at 0 < t < 1, every block with beta nonempty).  Two kinds of block have a core in closed
     form, with no build and no factorization, judged by the same rule
     applied exactly to the known eigenvalues:
     - A block with T empty has V = I there, so its core is the diagonal
       diag(1/c - 1), stored inverted.  Its scaled core diag(1 - c) reads
       singular when min(1 - c) < _SINGULAR_RCOND (1 + max c).
-    - A block with no alpha-gamma pair, a support S of every pair (i, j)
+    - A block with no curvature pair, a support S of every pair (i, j)
       of one index set idx, and one c0 on S (on ex5 near its solution:
-      the last row of every solve and the report's U0 backend).  There D
-      is 0/1 and V(H) = a H + s Pi H Pi, Pi = P_beta P_beta': (a, s) is
-      (1, -1) under U0 with alpha nonempty, (0, 0) under U0 with alpha
-      empty, and (0, 1) under UI, where T nonempty forces alpha empty.
+      the last row of every solve and the report's U0 backend).  There
+      alpha or gamma is empty and V(H) = a H + s Pi H Pi, Pi = P_beta
+      P_beta', with a = 1 when alpha is nonempty, else 0, and s = t - a:
+      (a, s) is (1, -1) or (0, 0) under U0, and (0, 1) under UI, where T
+      nonempty forces alpha empty.
       With B = Q_beta Q_beta' = U diag(b) U', Q = P[idx], the core is
       (1/c0 - a) I - s (B (x)_s B) (_kronecker_core), and its scaled
       core c0 M has the eigenvalues e_ij = 1 - c0 a - c0 s b_i b_j.  It

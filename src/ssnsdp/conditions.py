@@ -25,7 +25,8 @@ margin +inf.  One analysis of a variant's rows (_row_split) answers
 both questions, under the one zero test CHECK_TOL.  regularity_report
 builds each variant's backend once, for its sigma_min, and reads the
 variant's rows from that backend's block data, and the curvature from
-UI's, so R and the conditions read one derivation; it splits each
+UI's, so R and the conditions read one derivation (a third backend, at
+the Clarke midpoint, gives the midpoint's sigma_min); it splits each
 variant's rows once, and the four checks get the splits ready made.
 
 Every entry point validates the point (problem._validate_point) and
@@ -43,8 +44,9 @@ from typing import Optional
 
 from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
                       jac_h_matrix_of)
-from .kkt import (assemble_U, clarke_combination, cone_decompositions,
-                  kkt_residual, min_singular_value)
+# assemble_U and min_singular_value: unused here, kept for perfbench's spans
+from .kkt import (assemble_U, cone_decompositions, kkt_residual,
+                  min_singular_value)
 from ._reduced import (_block_split, _border, _coordinate_rows, _curvature,
                        _make_backend, _sparse_diagonal)
 
@@ -54,10 +56,6 @@ RESIDUAL_TOL = 1e-10
 # a singular value of the constraint rows (so a null direction of theirs)
 # or a Newton sigma_min at or below this counts as zero
 CHECK_TOL = 1e-8
-
-# the Clarke-midpoint probe assembles both Newton matrices and takes a full
-# SVD of their midpoint, so it runs only up to this many unknowns
-CLARKE_PROBE_LIMIT = 1200
 
 
 @dataclass
@@ -78,10 +76,10 @@ class ConditionReport:
     warning).
 
     clarke_mid_sigma_min probes the Clarke midpoint 0.5 (U0 + UI), which
-    can be nonsingular although both endpoints are not: the full-SVD
-    smallest singular value of the assembled midpoint when both sigmas
-    are at most CHECK_TOL and the problem has at most CLARKE_PROBE_LIMIT
-    unknowns, None otherwise."""
+    can be nonsingular although both endpoints are not: the sigma_min of
+    the solver's backend at t = 0.5 (_reduced's segment t UI + (1 - t)
+    U0), read as the two above, when both sigmas are at most CHECK_TOL,
+    at any problem size; None otherwise."""
 
     problem_name: str
     w_soc: ConditionResult
@@ -213,9 +211,9 @@ def regularity_report(problem, z):
     certifies the zero-sided Newton matrix, s_sosc together with w_srcq
     the identity-sided one.  A warning is recorded whenever a certificate
     holds but the computed smallest singular value is still at most
-    CHECK_TOL.  When both are that small on a problem of at most
-    CLARKE_PROBE_LIMIT unknowns, the report also probes the Clarke
-    midpoint of the two assembled matrices.
+    CHECK_TOL.  When both are that small, the report also probes the
+    Clarke midpoint 0.5 (U0 + UI), on a third backend, built at t = 0.5
+    after the other two are freed.
     """
     decomps = _checked_decomps(problem, z)
     u0_sigma, u0 = _newton_sigma(problem, z, "U0", decomps)
@@ -233,12 +231,8 @@ def regularity_report(problem, z):
                                        ("UI", ui_sigma, s_sosc, w_srcq))
                 if a.holds and b.holds and sigma <= CHECK_TOL]
     clarke_mid = None
-    if (u0_sigma <= CHECK_TOL and ui_sigma <= CHECK_TOL
-            and problem.total_dim <= CLARKE_PROBE_LIMIT):
-        mid = clarke_combination(
-            assemble_U(problem, z, "U0", _decomps=decomps),
-            assemble_U(problem, z, "UI", _decomps=decomps), 0.5)
-        clarke_mid = min_singular_value(mid)
+    if u0_sigma <= CHECK_TOL and ui_sigma <= CHECK_TOL:
+        clarke_mid = _newton_sigma(problem, z, 0.5, decomps)[0]
     return ConditionReport(
         problem_name=problem.name, w_soc=w_soc, s_sosc=s_sosc,
         w_srcq=w_srcq, cn=cn, u0_sigma_min=u0_sigma, ui_sigma_min=ui_sigma,

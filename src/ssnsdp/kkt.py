@@ -72,7 +72,8 @@ def assemble_U(problem, z, variant, _decomps=None):
     Memory is quadratic in x_dim + eq_dim + cone svec length.  The solver
     never assembles U: its backends work on the structured form at every
     size.  The assembled matrix is the oracle the tests compare them
-    against, and the Clarke-midpoint probe of the regularity report.
+    against.  variant is "U0", "UI" or a number t in [0, 1], the element
+    t UI + (1 - t) U0 (linalg_sym.variant_t).
     """
     decomps = (_decomps if _decomps is not None
                else cone_decompositions(problem, z))

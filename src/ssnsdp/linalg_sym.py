@@ -10,8 +10,11 @@ Spectral decompositions carry an eigenvalue classification into positive
 _classified, the one place that orders a spectrum, makes ranges of the
 nonincreasing eigenvalues.  The projection onto the positive semidefinite
 cone, its directional derivative, and the two generalized-derivative
-surrogates used by the Newton solver all read the classes as ranges.
+surrogates used by the Newton solver, with the segment between them
+(variant_t), all read the classes as ranges.
 """
+
+import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -183,27 +186,40 @@ def dproj_psd(decomp, H):
     return P @ M @ P.T
 
 
+def variant_t(variant):
+    """t of the Newton element t UI + (1 - t) U0 that variant names, the
+    beta x beta entry of its mask (v_mask): 0.0 for "U0", 1.0 for "UI",
+    and a real number in [0, 1] as itself.  Anything else, a bool or nan
+    included, raises ValueError."""
+    t = ({"U0": 0.0, "UI": 1.0}.get(variant) if isinstance(variant, str)
+         else variant)
+    # a bool is an int, and nan fails the range test
+    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+            or not 0.0 <= t <= 1.0):
+        raise ValueError(f"unknown variant {variant!r}")
+    return float(t)
+
+
 def v_mask(decomp, variant):
     """Sector mask of the Newton surrogate for the projection derivative.
 
     "UI" is the matrix of first divided differences of t -> max(t, 0):
     1 on alpha x alpha, alpha x beta and beta x beta, lam_i / (lam_i -
     lam_j) in (0, 1) on alpha x gamma, 0 on beta x gamma and gamma x
-    gamma; "U0" is 0 on beta x beta too.  Each sector is a slice of the
-    class ranges.  The returned symmetric matrix D acts as H -> P (D o
-    (P.T H P)) P.T and in svec coordinates its operator is orthogonally
-    similar to diag(svec-mask), so every operator eigenvalue is an entry
-    of D.
+    gamma; "U0" is 0 on beta x beta too.  A number t in [0, 1]
+    (variant_t) puts t on beta x beta, the mask of t UI + (1 - t) U0,
+    since U is affine in the mask.  Each sector is a slice of the class
+    ranges.  The returned symmetric matrix D acts as H -> P (D o (P.T H
+    P)) P.T and in svec coordinates its operator is orthogonally similar
+    to diag(svec-mask), so every operator eigenvalue is an entry of D.
     """
-    if variant not in ("U0", "UI"):
-        raise ValueError(f"unknown variant {variant!r}")
+    t = variant_t(variant)
     n, lam = decomp.n, decomp.lam
     a, k = decomp.alpha.size, n - decomp.gamma.size
     D = np.zeros((n, n))
     D[:a, :k] = 1.0
     D[:k, :a] = 1.0
-    if variant == "UI":
-        D[a:k, a:k] = 1.0
+    D[a:k, a:k] = t
     la = lam[:a, None]
     D[:a, k:] = la / (la - lam[k:])
     D[k:, :a] = D[:a, k:].T

@@ -34,7 +34,6 @@ from ssnsdp.conditions import (
 )
 from ssnsdp.kkt import (
     assemble_U,
-    clarke_combination,
     cone_decompositions,
     min_singular_value,
 )
@@ -235,16 +234,21 @@ def test_report_sigma_at_the_dense_cutoff():
     assert report.ui_sigma_min == 0.0
 
 
-@pytest.mark.parametrize("name", ["ex5", "ex1"])
+@pytest.mark.parametrize("name", [name for name, _ in SMALL])
 def test_dense_report_takes_no_full_svd(name, monkeypatch):
-    def no_svd(op):
-        raise AssertionError("full SVD in a report below the dense cutoff")
+    """No report assembles a Newton matrix or takes a full SVD, the
+    Clarke-midpoint probe (ex2) included."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense oracle called in a report")
 
-    monkeypatch.setattr(solver_mod, "min_singular_value", no_svd)
-    monkeypatch.setattr(conditions_mod, "min_singular_value", no_svd)
+    for mod in (solver_mod, conditions_mod):
+        monkeypatch.setattr(mod, "min_singular_value", dense)
+        monkeypatch.setattr(mod, "assemble_U", dense)
     problem, sol = build(name)
     report = regularity_report(problem, sol.z_bar)
     assert np.isfinite([report.u0_sigma_min, report.ui_sigma_min]).all()
+    mid = report.clarke_mid_sigma_min
+    assert (mid is None) == (name != "ex2") and (mid is None or mid > 0.2)
 
 
 def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
@@ -271,13 +275,15 @@ def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
 
 
 def test_report_probes_the_clarke_midpoint():
-    # ex2: both variants singular, the midpoint is not
+    # ex2: both variants singular, the midpoint is not; the report reads
+    # the backend at t = 0.5, and the full SVD of the assembled midpoint,
+    # 0.2233599113391941, bounds it
     problem, sol = catalog("ex2")
     report = regularity_report(problem, sol.z_bar)
     assert report.u0_sigma_min <= 1e-8 and report.ui_sigma_min <= 1e-8
-    mid = clarke_combination(assemble_U(problem, sol.z_bar, "U0"),
-                             assemble_U(problem, sol.z_bar, "UI"), 0.5)
-    assert report.clarke_mid_sigma_min == min_singular_value(mid)
+    decomps = cone_decompositions(problem, sol.z_bar)
+    want = _make_backend(problem, sol.z_bar, 0.5, decomps).sigma_min()
+    assert report.clarke_mid_sigma_min == want
     assert_allclose(report.clarke_mid_sigma_min, 0.2233599113391941,
                     rtol=1e-12)
     # ex5: U0 is nonsingular, so no probe
@@ -635,6 +641,8 @@ def test_dependent_rows_fail_cn_and_w_srcq(s):
         assert r.margin < 1e-12 * np.linalg.norm(H, 2)
     assert report.u0_sigma_min <= CHECK_TOL
     assert report.ui_sigma_min <= CHECK_TOL
+    # the midpoint is singular too, and its backend says so exactly
+    assert report.clarke_mid_sigma_min == 0.0
     assert report.warnings == []
 
 
@@ -679,10 +687,14 @@ def test_report_reads_check_tol_for_its_sigma_tests(monkeypatch):
     sigmas against CHECK_TOL as it stands when the report runs: on
     ex5 6/4 U0 is certified (w_soc and cn) with sigma_min 0.618, which
     counts as zero once CHECK_TOL is 0.7; on ex7 UI is certified (s_sosc
-    and w_srcq, margin 1.0) with sigma_min 0.518, zero at 0.6."""
+    and w_srcq, margin 1.0) with sigma_min 0.518, zero at 0.6.  The probe
+    runs at any size: ex5 25/10 has 1 260 unknowns, and its midpoint, as
+    at 6/4, has sigma_min (sqrt(5) - 1) / (2 sqrt(2))."""
+    ex5_mid = (np.sqrt(5.0) - 1.0) / (2.0 * np.sqrt(2.0))
     for name, params, check_tol, variant, sigma, clarke_mid in (
             ("ex5", {"l1": 6, "l2": 4}, 0.7, "U0", "6.180e-01",
              0.4370160244488208),
+            ("ex5", {"l1": 25, "l2": 10}, 0.7, "U0", "6.180e-01", ex5_mid),
             ("ex7", {}, 0.6, "UI", "5.176e-01", 0.33411283519328155)):
         monkeypatch.setattr(conditions_mod, "CHECK_TOL", check_tol)
         problem, sol = catalog(name, **params)

@@ -1,5 +1,7 @@
 """Unit tests for symmetric vectorization and the spectral operators."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from ssnsdp.linalg_sym import (
     svec_len,
     svec_rotation,
     v_mask,
+    variant_t,
 )
 
 RT2 = np.sqrt(2.0)
@@ -348,6 +351,23 @@ def test_v_mask_aliases_agree():
             apply_V(dec, alias, np.eye(5))
 
 
+def test_variant_t_names_the_segment_and_rejects_the_rest():
+    """"U0" and "UI" are the ends t = 0 and t = 1 of the segment t UI +
+    (1 - t) U0, and a real number in [0, 1] is its own t.  A bool, nan,
+    a number outside [0, 1] and any other string raise ValueError naming
+    the value, in v_mask too."""
+    assert variant_t("U0") == 0.0 and variant_t("UI") == 1.0
+    for t in (0, 1, 0.5, np.float64(0.25), np.int64(1)):
+        assert variant_t(t) == t and type(variant_t(t)) is float
+    dec = eig_sym(np.diag([1.0, 0.0, -1.0]))
+    for bad in (True, False, np.True_, float("nan"), -0.1, 1.5, "U2", "0.5",
+                None, [0.5]):
+        with pytest.raises(ValueError, match="unknown variant"):
+            variant_t(bad)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            v_mask(dec, bad)
+
+
 def sector_by_sector(dec, beta_beta):
     """The mask written one index-set sector at a time."""
     a, b, g = dec.alpha, dec.beta, dec.gamma
@@ -364,8 +384,8 @@ def sector_by_sector(dec, beta_beta):
 
 def test_masks_match_the_sector_by_sector_reference_bitwise():
     """Property: over spectra in any order, with alpha, beta or gamma
-    empty, both variants' v_mask equal the sector-by-sector construction
-    bit for bit."""
+    empty, both variants' v_mask, and the mask at t = 0.25 between them,
+    equal the sector-by-sector construction bit for bit."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     magnitude = st.floats(1e-6, 1e6)
@@ -382,7 +402,8 @@ def test_masks_match_the_sector_by_sector_reference_bitwise():
         dec = _classified(np.eye(len(lam)), np.array(lam, dtype=float),
                           1e-12)
         for got, beta_beta in ((v_mask(dec, "UI"), 1.0),
-                               (v_mask(dec, "U0"), 0.0)):
+                               (v_mask(dec, "U0"), 0.0),
+                               (v_mask(dec, 0.25), 0.25)):
             want = sector_by_sector(dec, beta_beta)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

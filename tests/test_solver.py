@@ -37,6 +37,7 @@ from ssnsdp.catalog import catalog, example7_start
 from ssnsdp.conditions import regularity_report
 from ssnsdp.kkt import (
     assemble_U,
+    clarke_combination,
     cone_decompositions,
     kkt_residual,
     min_singular_value,
@@ -928,6 +929,115 @@ def test_woodbury_operator_matches_dense(case):
         assert_allclose(op.solve_t(r), lu.T @ r, atol=1e-10)
     sigma_dense = float(np.linalg.svd(U, compute_uv=False)[-1])
     assert_allclose(op.sigma_min(), sigma_dense, rtol=1e-6)
+
+
+SEGMENT = [("ex2", {}), ("ex1", {"l1": 6, "l2": 4}), ("ex3", {}), ("ex7", {}),
+           ("ex5", {"l1": 6, "l2": 4}), ("two-block", None)]
+
+
+def segment_points(name, params):
+    """(problem, points): a catalog problem at its solution and at starts
+    of magnitude 0.3 and 1 corrected at radius 0.5, or
+    two_block_separable_problem at two corrected random points; the
+    corrected points have beta nonempty."""
+    if params is None:
+        problem = two_block_separable_problem()
+        return problem, [correct(two_block_start(problem, seed), problem, 0.5)
+                         for seed in (5, 6)]
+    problem, sol = catalog(name, **params)
+    return problem, [sol.z_bar] + [
+        correct(perturbed_start(sol.z_bar, m, seed=3), problem, 0.5)
+        for m in (0.3, 1.0)]
+
+
+def segment_backends(problem, z, variant, decomps):
+    """Block elimination, and the Woodbury backend where it applies."""
+    ops = [ReducedNewtonOperator(problem, z, variant, decomps)]
+    w = separable_diagonal(problem, z)
+    if w is not None:
+        ops.append(WoodburyNewtonOperator(problem, z, variant, decomps, w))
+    return ops
+
+
+@pytest.mark.parametrize("name, params", SEGMENT, ids=[n for n, _ in SEGMENT])
+def test_segment_backends_match_the_assembled_combination(name, params):
+    """At t in {0.25, 0.5, 0.75} both structured backends built at variant
+    t are clarke_combination(UI, U0, t) of the assembled matrices: the
+    same matvec, solve and solve_t on vectors and on stacks (judged by
+    backward error, since some points are ill conditioned), the same
+    singular verdict as the dense LU, and the same sigma_min.  ex2's
+    solution has diagonal beta x beta pairs, which a solve weights by
+    half; ex5 and the two-block problem run both backends."""
+    problem, points = segment_points(name, params)
+    rng = np.random.default_rng(34)
+    for z in points:
+        decomps = cone_decompositions(problem, z)
+        UI, U0 = (assemble_U(problem, z, v, _decomps=decomps)
+                  for v in ("UI", "U0"))
+        for t in (0.25, 0.5, 0.75):
+            M = clarke_combination(UI, U0, t)
+            norm = np.abs(M).sum(axis=1).max()
+            singular = _factor_with_rcond(M) is None
+            sigma = min_singular_value(M)
+            for op in segment_backends(problem, z, t, decomps):
+                assert op.singular == singular
+                for r in (rng.standard_normal(op.dim),
+                          rng.standard_normal((op.dim, 3))):
+                    err = np.abs(op.matvec(r) - M @ r).max()
+                    assert err <= 1e-13 * norm * np.abs(r).max()
+                    if singular:
+                        continue
+                    for A, solve in ((M, op.solve), (M.T, op.solve_t)):
+                        d = solve(r)
+                        assert d.shape == r.shape
+                        err = np.abs(A @ d - r).max()
+                        assert err <= 1e-12 * (norm * np.abs(d).max()
+                                               + np.abs(r).max())
+                if singular:
+                    assert op.sigma_min() == 0.0 and sigma <= 1e-12 * norm
+                else:
+                    assert_allclose(op.sigma_min(), sigma, rtol=1e-9)
+
+
+def same_bits(a, b):
+    """a and b hold the same bits: arrays of one dtype and shape, tuples
+    item by item, anything else by identity or equality."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("name, params", SEGMENT, ids=[n for n, _ in SEGMENT])
+def test_segment_ends_are_the_named_variants(name, params):
+    """t = 0 and t = 1, as floats or ints, build "U0" and "UI" bit for bit:
+    every _BlockData field, and every backend's verdict, solve, solve_t
+    on vectors and stacks, and sigma_min."""
+    problem, points = segment_points(name, params)
+    rng = np.random.default_rng(35)
+    for z in points:
+        decomps = cone_decompositions(problem, z)
+        for t, variant in ((0.0, "U0"), (1.0, "UI"), (0, "U0"), (1, "UI")):
+            for dec in decomps:
+                got, want = vars(_BlockData(dec, t)), vars(_BlockData(
+                    dec, variant))
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert same_bits(got[key], want[key]), key
+            for got, want in zip(segment_backends(problem, z, t, decomps),
+                                 segment_backends(problem, z, variant,
+                                                  decomps)):
+                assert got.singular == want.singular
+                assert same_bits(np.float64(got.sigma_min()),
+                                 np.float64(want.sigma_min()))
+                if want.singular:
+                    continue
+                for r in (rng.standard_normal(want.dim),
+                          rng.standard_normal((want.dim, 2))):
+                    assert same_bits(got.solve(r), want.solve(r))
+                    assert same_bits(got.solve_t(r), want.solve_t(r))
 
 
 @pytest.mark.parametrize("w", [1.5, -0.5])
