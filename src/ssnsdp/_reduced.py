@@ -91,8 +91,16 @@ the pivoting, so the fill and the verdict are those of the defaults.
 Before any of these, R with more border rows [J; Gz] than x_dim reads
 singular by the count, with no factorization: its last columns,
 [B'; 0], have rank at most x_dim.
-_lanczos_sigma_min is the one sigma_min routine: exact up to
-_LANCZOS_BASIS unknowns, above that a deterministic Lanczos iteration.
+
+sigma_min (_sigma_min) reads 0.0 when the build reads singular.  Where U
+is a permuted direct sum of one 2x2 or 3x3 block per x coordinate (W
+diagonal, J coordinate rows on columns of their own, G a square scaled
+permutation, V diagonal in svec coordinates), _split_sigma_min gives it
+exactly, in closed form, with no solve: ex1 under UI wherever V = I
+(every row of the ex1-reduced benchmark), and the ex1 and ex5 regularity
+reports at their KKT points.  Everywhere else _lanczos_sigma_min gives
+it, from the factorized solves: exact up to _LANCZOS_BASIS unknowns,
+above that a deterministic Lanczos iteration.
 It starts from the same fixed Gaussian vector on every call, with no
 warm start from an earlier iterate, so a value and its cost repeat
 bitwise.  It stops as soon as the top Ritz value has converged, judged
@@ -103,6 +111,7 @@ It returns nan, not 0.0, when it does not converge within its cap.
 Everything here is internal; the public dense contract lives in kkt.py.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -297,13 +306,18 @@ class _BlockData:
         """svec(H - V(H)) = svec(P ((1 - D) o Hh) P') per column h."""
         return self.back(self.one_minus_d * self.cols(h))
 
+    @functools.cached_property
+    def perm(self):
+        """_signed_permutation of the eigenbasis, searched for once."""
+        return _signed_permutation(self.dec.P)
+
     def s_rows(self, pairs, G_block):
         """Rows of the eigenbasis-rotated cone Jacobian for the given svec
         pairs: row (i, j) maps dx to the svec entry (i, j) of
         P' smat(G dx) P.  Sparse when the block Jacobian is sparse and
         the eigenbasis is a signed permutation, which is searched for only
         then; dense otherwise."""
-        perm = sp.issparse(G_block) and _signed_permutation(self.dec.P)
+        perm = sp.issparse(G_block) and self.perm
         if perm:
             rows, signs = perm
             ri, rj = self.iu[pairs], self.ju[pairs]
@@ -367,12 +381,15 @@ def _unit_count(dec, variant):
 
 def _sigma_min(op):
     """Smallest singular value of the Newton operator at op's iterate,
-    from its factorized solves (see _lanczos_sigma_min), cached.  Returns
-    0.0 when the build flagged singularity, and nan when the Lanczos
-    iteration did not converge.  Each backend binds it as its sigma_min.
+    cached: 0.0 when the build flagged singularity, else the closed form
+    of _split_sigma_min where the operator splits into small blocks, else
+    _lanczos_sigma_min on its factorized solves, which reads nan when the
+    iteration did not converge.  Each backend binds it as its sigma_min
+    and supplies the closed form's inputs through _split_sigma.
     """
     if op._sigma is None:
-        op._sigma = 0.0 if op.singular else _lanczos_sigma_min(
+        sigma = 0.0 if op.singular else op._split_sigma()
+        op._sigma = sigma if sigma is not None else _lanczos_sigma_min(
             op.dim, op.solve, op.solve_t)
     return op._sigma
 
@@ -519,6 +536,10 @@ class ReducedNewtonOperator:
                 out3[b.cs] -= b.v_defect(h[b.cs])
         return np.concatenate([np.asarray(r1), np.asarray(r2),
                                out3]).reshape(np.shape(d))
+
+    def _split_sigma(self):
+        w = _sparse_diagonal(self.W) if sp.issparse(self.W) else None
+        return _split_sigma_min(self.blocks, w, self.J, self.G)
 
     sigma_min = _sigma_min
 
@@ -716,6 +737,114 @@ def _block_inverse(k, cols, a):
     data[x + 1::2] = -kp * inv_a * inv_a
     indptr = np.concatenate([np.arange(x + 1), x + 2 * np.arange(1, m + 1)])
     return sp.csr_matrix((data, indices, indptr), shape=(x + m, x + m))
+
+
+def _split_sigma_min(blocks, w, J=None, G=None):
+    """sigma_min of U in closed form when U is a permuted direct sum of one
+    small block per x coordinate, else None.  w is the diagonal of W (None
+    when W is not diagonal), J the equality Jacobian (None for no rows) and
+    G the cone Jacobian (None for the identity).
+
+    U splits so when J has coordinate rows on columns of their own
+    (_coordinate_rows), G is a square scaled permutation, cone coordinate
+    i reading x coordinate gcol[i] with weight g, and V is diagonal in
+    svec coordinates, with diagonal v.  That holds in every block with T
+    empty, where V = I, and in every block whose eigenbasis is a signed
+    permutation (_BlockData.perm): P[:, i] = s_i e_rows[i] takes the svec
+    pair (a, b) to the eigenvalue pair (inv[a], inv[b]), inv = argsort(
+    rows), up to a sign that V's two rotations cancel, so V's diagonal
+    there is D[inv[a], inv[b]].  Then x coordinate j, with its cone
+    coordinate, is the block [[w, g], [(v - 1) g, v]] when j is free and
+    [[w, a, g], [a, 0, 0], [(v - 1) g, 0, v]] when row r of J, reading a,
+    pins it, and sigma_min is the smallest block value
+    (_sigma_2x2, _sigma_3x3).  This is the nearest-correlation setting of
+    _block_inverse wherever V is diagonal: ex1 under UI wherever V = I,
+    and the ex1 and ex5 regularity reports at their KKT points, whose
+    cone arguments are diagonal.  Nothing here factors or solves."""
+    if w is None:
+        return None
+    x = w.size
+    if G is None:
+        gcol, g = np.arange(x), np.ones(x)
+    else:
+        rows = _coordinate_rows(G) if G.shape == (x, x) else None
+        if rows is None or not rows[2]:
+            return None
+        gcol, g = rows[:2]
+    if J is None or J.shape[0] == 0:
+        pin, a = np.zeros(0, dtype=np.intp), np.zeros(0)
+    else:
+        rows = _coordinate_rows(J)
+        if rows is None or not rows[2]:
+            return None
+        pin, a = rows[:2]
+    v = np.ones(x)
+    for b in blocks:
+        if b.T.size == 0:
+            continue
+        if not b.perm:
+            return None
+        inv = np.argsort(b.perm[0])
+        v[b.cs] = b.D[inv[b.iu], inv[b.ju]]
+    # g and v from cone order to x order
+    gx, vx = np.empty(x), np.empty(x)
+    gx[gcol], vx[gcol] = g, v
+    free = np.ones(x, dtype=bool)
+    free[pin] = False
+    wf, gf, vf = w[free], gx[free], vx[free]
+    sigma = min(_sigma_2x2(wf, gf, (vf - 1.0) * gf, vf).min(initial=np.inf),
+                _sigma_3x3(w[pin], a, gx[pin], vx[pin]).min(initial=np.inf))
+    return float(sigma) if math.isfinite(sigma) else None
+
+
+def _sigma_2x2(p, q, r, s):
+    """Smallest singular values of the blocks [[p, q], [r, s]]: |det| over
+    the largest, (hypot(p + s, q - r) + hypot(p - s, q + r)) / 2."""
+    smax = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+    return np.divide(np.abs(p * s - q * r), smax,
+                     out=np.zeros_like(smax), where=smax > 0.0)
+
+
+def _sigma_3x3(w, a, g, v):
+    """Smallest singular values of the blocks M = [[w, a, g], [a, 0, 0],
+    [(v - 1) g, 0, v]], 1 / sqrt(lambda_max(N N')) for the explicit
+    inverse
+
+        N = [[0, 1/a, 0], [1/a, beta, -c], [0, -(v - 1) c, 1/v]],
+
+    c = g / (a v), beta = ((v - 1) g c - w / a) / a; det M = -a^2 v, so a
+    block with a = 0 or v = 0 is singular and reads 0.  lambda_max comes
+    from the trigonometric formula for the eigenvalues of a symmetric 3x3
+    matrix (Smith, Comm. ACM 4 (1961) 168), whose cosine argument r gives
+    the top eigenvalue to about eps / sqrt(1 + r) relative: the few blocks
+    with 1 + r below 1e-4, a nearly double top eigenvalue, take eigvalsh
+    instead."""
+    ok = (a != 0.0) & (v != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ia, iv = 1.0 / a, 1.0 / v
+        c = g * ia * iv
+        beta = ((v - 1.0) * g * c - w * ia) * ia
+        e = -(v - 1.0) * c
+        # N N', upper triangle
+        h00, h01, h02 = ia * ia, ia * beta, ia * e
+        h11 = ia * ia + beta * beta + c * c
+        h12 = beta * e - c * iv
+        h22 = e * e + iv * iv
+        q = (h00 + h11 + h22) / 3.0
+        d0, d1, d2 = h00 - q, h11 - q, h22 - q
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                     + 2.0 * (h01 * h01 + h02 * h02 + h12 * h12)) / 6.0)
+        det = (d0 * (d1 * d2 - h12 * h12) - h01 * (h01 * d2 - h12 * h02)
+               + h02 * (h01 * h12 - d1 * h02))
+        r = np.clip(np.divide(det, 2.0 * p * p * p, out=np.ones_like(det),
+                              where=p > 0.0), -1.0, 1.0)
+        lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+        near = np.flatnonzero(ok & (r < 1e-4 - 1.0))
+        if near.size:
+            H = np.stack([h00, h01, h02, h01, h11, h12, h02, h12, h22],
+                         axis=-1)[near].reshape(-1, 3, 3)
+            lam[near] = np.linalg.eigvalsh(H)[:, -1]
+        return np.where(ok, 1.0 / np.sqrt(lam), 0.0)
 
 
 def _is_identity(G):
@@ -1062,6 +1191,9 @@ class WoodburyNewtonOperator:
         return np.concatenate([self.w[:, None] * dx + dG,
                                self._v_apply(dx + dG) - dx]
                               ).reshape(np.shape(d))
+
+    def _split_sigma(self):
+        return _split_sigma_min(self.blocks, self.w)
 
     sigma_min = _sigma_min
 

@@ -134,15 +134,17 @@ def min_singular_value(M):
 
 
 def clarke_combination(U0, UI, t):
-    """Convex combination t * U0 + (1 - t) * UI of two assembled matrices.
+    """Convex combination t * UI + (1 - t) * U0 of two assembled matrices,
+    the element of the segment at t that the backends build
+    (linalg_sym.variant_t).
 
-    t = 1 returns the first operand, t = 0 the second; t in [0, 1].
+    t = 0 returns the first operand, t = 1 the second; t in [0, 1].
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if U0.shape != UI.shape:
         raise ValueError("operands have different shapes")
-    return t * U0 + (1.0 - t) * UI
+    return t * UI + (1.0 - t) * U0
 
 
 def example2_family(omega):

@@ -73,8 +73,11 @@ class IterationTrace:
     matrix: 0.0 when the matrix is flagged singular; nan when it is
     unknown rather than small, because the row is a diverged iterate,
     for which no matrix is built, or because the problem has more than
-    _LANCZOS_BASIS (30) unknowns and the backend's Lanczos iteration did
-    not converge.  Up to 30 unknowns the value is exact."""
+    _LANCZOS_BASIS (30) unknowns, the matrix does not split into small
+    blocks, and the backend's Lanczos iteration did not converge.  The
+    value is exact up to 30 unknowns, and at any size where the matrix
+    splits into one 2x2 or 3x3 block per x coordinate
+    (_reduced._split_sigma_min), as under UI on ex1 wherever V = I."""
 
     k: int
     f_norm: float

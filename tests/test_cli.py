@@ -522,18 +522,35 @@ def test_check_table_and_csv(capsys):
     assert out.startswith("item,holds,value\n")
 
 
-def test_unconverged_sigma_prints_nan(monkeypatch, capsys):
-    # ex5 30/20 has 2 550 unknowns, so sigma_min comes from Lanczos; one
-    # apply cannot converge it
+def test_unconverged_sigma_prints_nan(monkeypatch, capsys, tmp_path):
+    # above 30 unknowns, sigma_min comes from Lanczos wherever the Newton
+    # matrix does not split into closed-form blocks, and one apply cannot
+    # converge it: ex5 6/4 (110 unknowns) given as a QSDP file, whose dense
+    # matrices never split, and the first row of an ex5 30/20 run from a
+    # start far from the solution
     monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
-    sizes = ("--example", "ex5", "--l1", "30", "--l2", "20")
-    code, out, _ = run_cli(capsys, "check", *sizes, "--format", "csv")
+    problem, sol = catalog("ex5", l1=6, l2=4)
+    N = problem.x_dim
+    c = problem.grad_f(np.zeros(N))
+    path = tmp_path / "ex5.json"
+    save_qsdp(path, {
+        "x_dim": N, "eq_dim": 0, "cone_blocks": [10],
+        "Q": np.diag(problem.grad_f(np.ones(N)) - c).tolist(),
+        "c": c.tolist(), "H": [], "p": [], "G": np.eye(N).tolist(),
+        "q": [0.0] * N})
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"x": sol.z_bar.x.tolist(), "xi": [],
+                                 "gamma_svec": [0.0] * N}))
+    qsdp = ("--qsdp", str(path), "--point", str(point))
+    code, out, _ = run_cli(capsys, "check", *qsdp, "--format", "csv")
     assert code == 0
     assert "u0_sigma_min,,nan\n" in out
-    code, out, _ = run_cli(capsys, "check", *sizes, "--format", "json")
+    code, out, _ = run_cli(capsys, "check", *qsdp, "--format", "json")
     assert code == 0
     assert '"u0_sigma_min": NaN' in out
-    code, out, _ = run_cli(capsys, "run", *sizes, "--format", "csv")
+    sizes = ("--example", "ex5", "--l1", "30", "--l2", "20")
+    code, out, _ = run_cli(capsys, "run", *sizes, "--perturb", "10",
+                           "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].split(",")[3] == "nan"
 

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import ssnsdp._reduced as reduced_mod
+import ssnsdp.catalog as catalog_mod
 import ssnsdp.conditions as conditions_mod
 import ssnsdp.solver as solver_mod
 from ssnsdp._reduced import (
@@ -189,9 +190,28 @@ def test_sigma_values(reports):
                     rtol=1e-8)
 
 
+def projection_point(n, seed):
+    """The projection of a random symmetric C onto S^n_+, min 0.5 ||X -
+    C||^2 over X PSD, as a separable problem (the Woodbury backend), and
+    its KKT point X = proj(C), Gamma = C - X.  C has a zero eigenvalue and
+    an eigenbasis that is no signed permutation, so neither Newton element
+    splits into closed-form blocks and sigma_min takes Lanczos."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+    lam[0] = 0.0
+    N = svec_len(n)
+    problem = catalog_mod._diagonal_quadratic(
+        "projection", n, np.ones(N), svec((Q * lam) @ Q.T),
+        sp.csr_matrix((0, N)))
+    X, Gamma = ((Q * f(lam, 0.0)) @ Q.T for f in (np.maximum, np.minimum))
+    return problem, KktPoint(svec(X), np.zeros(0), BlockSymMatrix([Gamma]))
+
+
 def test_structured_report_repeats_exactly(monkeypatch):
-    # 2 550 unknowns: above the dense cutoff, so the Woodbury path runs
-    problem, sol = catalog("ex5", l1=30, l2=20)
+    # 2 550 unknowns: above the dense cutoff, so the Woodbury path runs,
+    # and Lanczos with it
+    problem, z = projection_point(50, seed=4)
     applies = []
     solve_t = WoodburyNewtonOperator.solve_t
 
@@ -203,7 +223,7 @@ def test_structured_report_repeats_exactly(monkeypatch):
     runs = []
     for _ in range(3):
         before = len(applies)
-        report = regularity_report(problem, sol.z_bar)
+        report = regularity_report(problem, z)
         runs.append((report.u0_sigma_min, len(applies) - before))
     assert runs[0][1] > 0
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -252,9 +272,10 @@ def test_dense_report_takes_no_full_svd(name, monkeypatch):
 
 
 def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
-    """With Lanczos capped at one apply, a report on ex5 at the
-    _LANCZOS_BASIS cutoff (30 unknowns) reads the SVD value from the
-    exact small-operator path, not nan."""
+    """With Lanczos capped at one apply, a report at the _LANCZOS_BASIS
+    cutoff (30 unknowns), on a problem whose Newton elements do not split
+    into closed-form blocks, reads the SVD values from the exact
+    small-operator path, not nan."""
     lanczos = reduced_mod._lanczos_sigma_min
     runs = []
 
@@ -264,14 +285,15 @@ def test_dense_report_falls_back_to_svd_when_lanczos_stops(monkeypatch):
 
     monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
     monkeypatch.setattr(reduced_mod, "_lanczos_sigma_min", counted)
-    problem, sol = catalog("ex5", l1=3, l2=2)
+    problem, z = projection_point(5, seed=1)
     assert problem.total_dim == reduced_mod._LANCZOS_BASIS
-    report = regularity_report(problem, sol.z_bar)
-    # UI is flagged singular and runs no Lanczos; U0 takes the exact path
-    assert len(runs) == 1 and np.isfinite(runs[0])
-    assert_allclose(report.u0_sigma_min, min_singular_value(
-        assemble_U(problem, sol.z_bar, "U0")), rtol=1e-12)
-    assert report.ui_sigma_min == 0.0
+    report = regularity_report(problem, z)
+    # both variants take the exact path
+    assert len(runs) == 2 and np.isfinite(runs).all()
+    for variant, got in (("U0", report.u0_sigma_min),
+                         ("UI", report.ui_sigma_min)):
+        assert_allclose(got, min_singular_value(
+            assemble_U(problem, z, variant)), rtol=1e-12)
 
 
 def test_report_probes_the_clarke_midpoint():

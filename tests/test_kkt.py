@@ -296,9 +296,9 @@ def test_min_singular_value_golden_ratio():
 def test_clarke_combination_endpoints_and_interior():
     A = np.eye(3)
     B = 3.0 * np.eye(3)
-    assert_allclose(clarke_combination(A, B, 1.0), A)
-    assert_allclose(clarke_combination(A, B, 0.0), B)
-    assert_allclose(clarke_combination(A, B, 0.25), 2.5 * np.eye(3))
+    assert_allclose(clarke_combination(A, B, 0.0), A)
+    assert_allclose(clarke_combination(A, B, 1.0), B)
+    assert_allclose(clarke_combination(A, B, 0.25), 1.5 * np.eye(3))
 
 
 def test_clarke_combination_validation():

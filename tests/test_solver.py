@@ -962,7 +962,7 @@ def segment_backends(problem, z, variant, decomps):
 @pytest.mark.parametrize("name, params", SEGMENT, ids=[n for n, _ in SEGMENT])
 def test_segment_backends_match_the_assembled_combination(name, params):
     """At t in {0.25, 0.5, 0.75} both structured backends built at variant
-    t are clarke_combination(UI, U0, t) of the assembled matrices: the
+    t are clarke_combination(U0, UI, t) of the assembled matrices: the
     same matvec, solve and solve_t on vectors and on stacks (judged by
     backward error, since some points are ill conditioned), the same
     singular verdict as the dense LU, and the same sigma_min.  ex2's
@@ -975,7 +975,7 @@ def test_segment_backends_match_the_assembled_combination(name, params):
         UI, U0 = (assemble_U(problem, z, v, _decomps=decomps)
                   for v in ("UI", "U0"))
         for t in (0.25, 0.5, 0.75):
-            M = clarke_combination(UI, U0, t)
+            M = clarke_combination(U0, UI, t)
             norm = np.abs(M).sum(axis=1).max()
             singular = _factor_with_rcond(M) is None
             sigma = min_singular_value(M)
