@@ -204,11 +204,12 @@ def _signed_permutation(P):
     n = P.shape[0]
     tol = 1e-13
     A = np.abs(P)
+    # the cheapest test first: a dense P fails it
+    if np.count_nonzero(A > tol) != n:
+        return None
     rows = np.argmax(A, axis=0)
     vals = A[rows, np.arange(n)]
     if np.any(np.abs(vals - 1.0) > tol):
-        return None
-    if np.count_nonzero(A > tol) != n:
         return None
     if np.sort(rows).tolist() != list(range(n)):
         return None
@@ -761,7 +762,7 @@ def _split_sigma_min(blocks, w, J=None, G=None):
     _block_inverse wherever V is diagonal: ex1 under UI wherever V = I,
     and the ex1 and ex5 regularity reports at their KKT points, whose
     cone arguments are diagonal.  Nothing here factors or solves."""
-    if w is None:
+    if w is None or any(b.T.size and not b.perm for b in blocks):
         return None
     x = w.size
     if G is None:
@@ -780,12 +781,9 @@ def _split_sigma_min(blocks, w, J=None, G=None):
         pin, a = rows[:2]
     v = np.ones(x)
     for b in blocks:
-        if b.T.size == 0:
-            continue
-        if not b.perm:
-            return None
-        inv = np.argsort(b.perm[0])
-        v[b.cs] = b.D[inv[b.iu], inv[b.ju]]
+        if b.T.size:
+            inv = np.argsort(b.perm[0])
+            v[b.cs] = b.D[inv[b.iu], inv[b.ju]]
     # g and v from cone order to x order
     gx, vx = np.empty(x), np.empty(x)
     gx[gcol], vx[gcol] = g, v

@@ -28,9 +28,7 @@ from ssnsdp.conditions import regularity_report  # noqa: E402
 from ssnsdp.kkt import assemble_U, cone_decompositions  # noqa: E402
 from ssnsdp.linalg_sym import (  # noqa: E402
     _classified,
-    apply_V,
     smat,
-    svec,
     svec_len,
 )
 from ssnsdp.problem import (  # noqa: E402
@@ -310,22 +308,6 @@ def test_hand_values_agree_with_the_svd():
                         scipy.linalg.svdvals(block)[-1], rel_tol=1e-14)
     assert math.isclose(float(hand_ex5_u0()), scipy.linalg.svdvals(
         np.array([[1.0, 1.0], [0.0, 1.0]]))[-1], rel_tol=1e-14)
-
-
-def test_svec_pair_of_a_signed_permutation_basis():
-    """V's diagonal at the svec pair (a, b) is D[inv[a], inv[b]], inv the
-    inverse of the basis permutation: checked against apply_V on one
-    coordinate matrix per pair."""
-    rng = np.random.default_rng(3)
-    dec = signed_permutation_decomp(rng, random_spectrum(rng, 5))
-    block = reduced_mod._block_split([dec], 0.5)[0]
-    inv = np.argsort(block.perm[0])
-    for k in range(svec_len(5)):
-        e = np.zeros(svec_len(5))
-        e[k] = 1.0
-        got = svec(apply_V(dec, 0.5, smat(e)))
-        assert np.allclose(got, block.D[inv[block.iu[k]],
-                                        inv[block.ju[k]]] * e, atol=1e-15)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6])
