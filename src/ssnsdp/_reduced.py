@@ -790,9 +790,12 @@ def _split_sigma_min(blocks, w, J=None, G=None):
     free = np.ones(x, dtype=bool)
     free[pin] = False
     wf, gf, vf = w[free], gx[free], vx[free]
-    sigma = min(_sigma_2x2(wf, gf, (vf - 1.0) * gf, vf).min(initial=np.inf),
-                _sigma_3x3(w[pin], a, gx[pin], vx[pin]).min(initial=np.inf))
-    return float(sigma) if math.isfinite(sigma) else None
+    # np.min, not min(): a nan block value (an overflow) must reach the
+    # finiteness test
+    sigma = float(np.concatenate([
+        _sigma_2x2(wf, gf, (vf - 1.0) * gf, vf),
+        _sigma_3x3(w[pin], a, gx[pin], vx[pin])]).min(initial=np.inf))
+    return sigma if math.isfinite(sigma) else None
 
 
 def _sigma_2x2(p, q, r, s):

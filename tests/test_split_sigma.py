@@ -5,7 +5,7 @@ on ex1 under UI and on the ex1 and ex5 reports at their KKT points, and
 it leaves the rows that do not split to Lanczos, bit for bit."""
 
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -226,21 +226,23 @@ def test_rows_that_do_not_split_keep_lanczos(lanczos_calls):
 
 # -- the values at the solutions, derived by hand ---------------------------
 
-def smallest_root(c2, c1, c0):
-    """Smallest root, to 50 digits, of p(l) = l^3 - c2 l^2 + c1 l - c0,
-    rational coefficients, with three positive roots (the characteristic
-    polynomial of a nonsingular Gram matrix): Newton from l = 0.  Below
-    that root p is negative, increasing and concave, so the iterates rise
-    to it monotonically."""
-    getcontext().prec = 60
-    c2, c1, c0 = (Decimal(c.numerator) / Decimal(c.denominator)
-                  for c in (c2, c1, c0))
-    t = Decimal(0)
-    for _ in range(200):
-        step = (((t - c2) * t + c1) * t - c0) / ((3 * t - 2 * c2) * t + c1)
-        t -= step
-        if -step < Decimal(10) ** -55:
-            return t
+def sqrt_smallest_root(c2, c1, c0):
+    """Square root of the smallest root, to 50 digits, of p(l) = l^3 -
+    c2 l^2 + c1 l - c0 with rational coefficients and three positive
+    roots (the characteristic polynomial of a nonsingular Gram matrix):
+    Newton from l = 0.  Below that root p is negative, increasing and
+    concave, so the iterates rise to it monotonically."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c2, c1, c0 = (Decimal(c.numerator) / Decimal(c.denominator)
+                      for c in (c2, c1, c0))
+        t = Decimal(0)
+        for _ in range(200):
+            step = (((t - c2) * t + c1) * t - c0) / (
+                (3 * t - 2 * c2) * t + c1)
+            t -= step
+            if -step < Decimal(10) ** -55:
+                return t.sqrt()
     raise AssertionError("Newton did not converge")
 
 
@@ -254,14 +256,15 @@ def pinned_block_sigma(w, A, g):
     c1 = ((w * w + A) * A - w * w * A
           + (w * w + A) * (g * g + 1) - w * w * g * g
           + A * (g * g + 1) - A * g * g)
-    return smallest_root(c2, c1, A * A).sqrt()
+    return sqrt_smallest_root(c2, c1, A * A)
 
 
 def golden():
     """sigma_min of [[1, 1], [0, 1]], and of [[1, 1], [-1, 0]]: (sqrt(5)
     - 1) / 2."""
-    getcontext().prec = 60
-    return (Decimal(5).sqrt() - 1) / 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(5).sqrt() - 1) / 2
 
 
 def hand_ex1_ui():
@@ -328,3 +331,15 @@ def test_pinned_blocks_with_a_nearly_double_smallest_value(eps):
                       [(v[k] - 1.0) * g[k], 0.0, v[k]]])
         want = scipy.linalg.svdvals(M)[-1]
         assert abs(got[k] - want) <= 1e-13 * want
+
+
+def test_an_overflowing_block_leaves_sigma_min_to_lanczos():
+    """A pin of 1e-300 overflows the explicit inverse (1 / a^2 = inf), so
+    its block reads nan; the closed form then returns None, not the
+    smallest value of the other blocks."""
+    problem = coordinate_problem(2, np.ones(3), [0], [1e-300], np.arange(3),
+                                 np.ones(3))
+    z = KktPoint(np.zeros(3), np.zeros(1), BlockSymMatrix.zeros([2]))
+    op = ReducedNewtonOperator(problem, z, "UI",
+                               cone_decompositions(problem, z))
+    assert op._split_sigma() is None
