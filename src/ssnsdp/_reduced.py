@@ -22,9 +22,9 @@ symmetric system
 where C = (1 - d)/d is nonzero exactly on the curvature pairs: the
 positive/negative eigenvalue pairs, with value -lam_j / lam_i there, and
 at 0 < t < 1 the beta x beta pairs, with value (1 - t)/t.  One
-factorization of R per iterate, or its inverse where that has a closed
-form (see below), serves the Newton steps and, by Lanczos iteration on
-(U' U)^{-1}, the smallest singular value.
+factorization of R per iterate serves the Newton steps and, by Lanczos
+iteration on (U' U)^{-1}, the smallest singular value, unless U itself
+splits into small blocks (see below).
 
 The transpose solve is the forward solve.  In the original coordinates
 U = S Y Q with S = diag(I, I, -I), Q = [[I, 0, 0], [0, I, 0], [G, 0, I]]
@@ -60,6 +60,14 @@ WoodburyNewtonOperator, at every problem size, as _make_backend
 chooses.  Their solve and solve_t take a right-hand side of shape (dim,)
 or a stack of columns, shape (dim, m), on one code path.
 
+One analysis per build, _split_blocks, finds where U is a permuted
+direct sum of one 2x2 or 3x3 block per x coordinate (_SplitU), as in the
+nearest-correlation setting of Qi and Sun (SIAM J. Matrix Anal. Appl.
+28 (2006) 360-385): every row of the ex1-reduced benchmark, and the ex1
+and ex5 reports at their KKT points.  Its blocks give the verdict,
+sigma_min and U^{-1}, one CSR matrix, so a solve is one product, with no
+K, border, R, Woodbury core or Lanczos run.
+
 The module also holds what the backends share with the assembled
 reference backend in solver.py.  _factor_with_rcond is the one
 singularity verdict of every dense factorization: Cholesky with dpocon
@@ -73,37 +81,21 @@ whose support is every pair of one index set, with one c on it, has a
 symmetric Kronecker core (_kronecker_core).  Both are judged by the same
 rule, reciprocal condition below _SINGULAR_RCOND against the scale of
 the terms, applied exactly (see WoodburyNewtonOperator).  R is solved
-sparse exactly when K and the border are.  When K is diagonal and every
-border row of [J; Gz] holds one entry, no two rows on one column
-(_coordinate_rows), R is a permuted stack of 1x1 and 2x2 blocks and is
-never factored: _block_inverse writes R^{-1}, as sparse as R, into one
-CSR matrix, and a solve is one product with it.  Its verdict is splu's
-pivot-ratio rule applied exactly to the blocks' eigenvalue magnitudes,
-independent of any column order.  This is ex1 under UI wherever V = I
-(every row of the ex1-reduced benchmark), and the nearest-correlation
-setting of Qi and Sun (SIAM J. Matrix Anal. Appl. 28 (2006) 360-385): a
-diagonal Hessian and constraints that each pin one matrix entry.  Any other
-sparse R is factored through splu, whose pivot ratio reads the same
-_SINGULAR_RCOND (SuperLU has no condition estimator).  splu relaxes
-supernodes to at most one column and works in one-column panels
-(relax=1, panel_size=1); neither setting changes the column order or
-the pivoting, so the fill and the verdict are those of the defaults.
-Before any of these, R with more border rows [J; Gz] than x_dim reads
-singular by the count, with no factorization: its last columns,
-[B'; 0], have rank at most x_dim.
+sparse exactly when K and the border are, factored through splu, whose
+pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
+estimator).  splu relaxes supernodes to at most one column and works in
+one-column panels (relax=1, panel_size=1); neither setting changes the
+column order or the pivoting, so the fill and the verdict are those of
+the defaults.  Before any of these, the split included, R with more
+border rows [J; Gz] than x_dim reads singular by the count: its last
+columns, [B'; 0], have rank at most x_dim.
 
 sigma_min (_sigma_min) reads 0.0 when the build reads singular.  Where U
-is a permuted direct sum of one 2x2 or 3x3 block per x coordinate (W
-diagonal, J coordinate rows on columns of their own, G a square scaled
-permutation, V diagonal in svec coordinates), _split_sigma_min gives it
-exactly, in closed form, with no solve: ex1 under UI wherever V = I
-(every row of the ex1-reduced benchmark), and the ex1 and ex5 regularity
-reports at their KKT points.  Everywhere else _lanczos_sigma_min gives
-it, from the factorized solves: exact up to _LANCZOS_BASIS unknowns,
-above that a deterministic Lanczos iteration.
-It starts from the same fixed Gaussian vector on every call, with no
-warm start from an earlier iterate, so a value and its cost repeat
-bitwise.  It stops as soon as the top Ritz value has converged, judged
+does not split, _lanczos_sigma_min gives it, from the factorized solves:
+exact up to _LANCZOS_BASIS unknowns, above that a deterministic Lanczos
+iteration.  It starts from the same fixed Gaussian vector on every call,
+with no warm start from an earlier iterate, so a value and its cost
+repeat bitwise.  It stops once the top Ritz value has converged, judged
 by its residual and by the gap to the next Ritz value, which on Newton
 operators with few distinct singular values takes a handful of solves.
 It returns nan, not 0.0, when it does not converge within its cap.
@@ -382,15 +374,11 @@ def _unit_count(dec, variant):
 
 def _sigma_min(op):
     """Smallest singular value of the Newton operator at op's iterate,
-    cached: 0.0 when the build flagged singularity, else the closed form
-    of _split_sigma_min where the operator splits into small blocks, else
-    _lanczos_sigma_min on its factorized solves, which reads nan when the
-    iteration did not converge.  Each backend binds it as its sigma_min
-    and supplies the closed form's inputs through _split_sigma.
-    """
+    cached (a split's build caches its own): 0.0 when the build flagged
+    singularity, else _lanczos_sigma_min on its factorized solves (nan
+    when that does not converge).  Each backend binds it as sigma_min."""
     if op._sigma is None:
-        sigma = 0.0 if op.singular else op._split_sigma()
-        op._sigma = sigma if sigma is not None else _lanczos_sigma_min(
+        op._sigma = 0.0 if op.singular else _lanczos_sigma_min(
             op.dim, op.solve, op.solve_t)
     return op._sigma
 
@@ -398,24 +386,31 @@ def _sigma_min(op):
 class ReducedNewtonOperator:
     """Factorized reduced system for one iterate; see module docstring."""
 
-    def __init__(self, problem, z, variant, decomps):
+    def __init__(self, problem, z, variant, decomps, split=None,
+                 blocks=None):
         self.variant = variant
         self.x_dim = problem.x_dim
         self.eq_dim = problem.eq_dim
-        self.blocks = _block_split(decomps, variant)
-        self.W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
+        self.blocks = blocks or _block_split(decomps, variant)
+        self._problem, self._z = problem, z
         self.J = jac_h_matrix_of(problem, z.x)
         self.G = jac_g_matrix_of(problem, z.x)
-        # G' once per build: in CSR form it applies about twice as fast
-        self.GT = self.G.T.tocsr() if sp.issparse(self.G) else self.G.T
         # a block with T empty has no zer pairs and no cone work
         self._t_blocks = [b for b in self.blocks if b.T.size]
         self._any_ag = any(len(b.ag) for b in self.blocks)
         self.dim = problem.total_dim
         # every block has T empty exactly when V = I (see reuse_compatible)
         self.reusable = not self._t_blocks
-        self._build()
+        self.split = split  # _make_backend's, else _build looks for one
         self._sigma = None
+        self._build()
+
+    # read at the first use, which a split found by _make_backend does not
+    # reach before a matvec; G' in CSR form applies about twice as fast
+    W = functools.cached_property(lambda op: hess_matrix_of(
+        op._problem, op._z.x, op._z.xi, op._z.Gamma))
+    GT = functools.cached_property(
+        lambda op: op.G.T.tocsr() if sp.issparse(op.G) else op.G.T)
 
     # -- assembly -----------------------------------------------------------
 
@@ -427,27 +422,23 @@ class ReducedNewtonOperator:
             b.zer.size for b in self.blocks) > x
         if self.singular:
             return
+        if self.split is None:
+            w = _sparse_diagonal(self.W) if sp.issparse(self.W) else None
+            self.split = _split_blocks(self.blocks, w, self.J, self.G)
+        if self.split is not None:
+            # the split's verdict and sigma_min; U^{-1} waits for a solve
+            self.singular = self.split.singular
+            self._sigma = 0.0 if self.singular else self.split.sigma
+            return
         K = _curvature(self.W, self.blocks, self.G)
         B = _border(self.J, self.blocks, self.G)
         if sp.issparse(K) and sp.issparse(B):
-            k = _sparse_diagonal(K)
-            rows = None if k is None else _coordinate_rows(B)
-            if rows is not None and rows[2]:
-                self._r_inv = _block_inverse(k, rows[0], rows[1])
-                if self._r_inv is None:
-                    self.singular = True
-                    return
-                self._solve_R = self._r_inv.dot
-                return
             R = sp.bmat([[K, B.T], [B, None]], format="csc")
-            # splu gets the sparse R with a K that is not diagonal (alpha-
-            # gamma rows, or an off-diagonal Hessian) or border rows that
-            # are not coordinate rows on columns of their own.  No relaxed
-            # supernodes, one-column panels: chosen on ex1 at 90/60 (order
-            # 18 555, one BLAS thread, Xeon), before that R took the closed
-            # form, where a factorization took 1.7 ms against 2.7 ms with
-            # the defaults and a solve 0.20 ms against 0.42 ms.  The default
-            # COLAMD order and pivoting stay, so the fill and the verdict do
+            # No relaxed supernodes, one-column panels: chosen on ex1 at
+            # 90/60 (order 18 555, one BLAS thread, Xeon), where a
+            # factorization took 1.7 ms against 2.7 ms with the defaults and
+            # a solve 0.20 ms against 0.42 ms.  The default COLAMD order and
+            # pivoting stay, so the fill and the verdict do not change.
             try:
                 self._lu = spla.splu(R, relax=1, panel_size=1)
             except RuntimeError:
@@ -489,9 +480,18 @@ class ReducedNewtonOperator:
     # the cone part of the answer is u + back(C_ag o Gh + W), with
     # Gh = P' smat(G dx) P and W the multipliers w on the zer pairs.
 
+    @functools.cached_property
+    def _u_inv(self):
+        """U^{-1} of the split, written at the first solve, not by a report."""
+        if self.singular:
+            raise SingularSystemError()
+        return self.split.inverse(self.eq_dim)
+
     def solve(self, r):
         if self.singular:
             raise SingularSystemError()
+        if self.split is not None:
+            return self._u_inv @ r
         r1, r2, r3 = self._split(r)
         u = r3.copy()
         tail = []
@@ -516,13 +516,15 @@ class ReducedNewtonOperator:
 
     def solve_t(self, r):
         """U' d = r, as U^{-T} = S Q U^{-1} S Q^{-T} (module docstring)."""
+        if self.split is not None:
+            return self._u_inv.T @ r
         r1, r2, r3 = self._split(r)
         d = self.solve(np.concatenate([r1 - self.GT @ r3, r2, -r3]))
         d1, d2, d3 = self._split(d)
         return np.concatenate([d1, d2, -(d3 + self.G @ d1)]
                               ).reshape(np.shape(r))
 
-    # -- application and diagnostics ----------------------------------------------
+    # -- application and diagnostics ----------------------------------------
 
     def matvec(self, d):
         """Apply the (unreduced) Newton operator to a stacked direction."""
@@ -537,10 +539,6 @@ class ReducedNewtonOperator:
                 out3[b.cs] -= b.v_defect(h[b.cs])
         return np.concatenate([np.asarray(r1), np.asarray(r2),
                                out3]).reshape(np.shape(d))
-
-    def _split_sigma(self):
-        w = _sparse_diagonal(self.W) if sp.issparse(self.W) else None
-        return _split_sigma_min(self.blocks, w, self.J, self.G)
 
     sigma_min = _sigma_min
 
@@ -653,12 +651,19 @@ def separable_diagonal(problem, z):
 
 def _make_backend(problem, z, variant, decomps):
     """The Newton-matrix backend at z, at every problem size: the
-    diagonal-plus-low-rank (Woodbury) form when the problem has one,
-    else block elimination."""
+    diagonal-plus-low-rank (Woodbury) form when the problem has one and U
+    does not split (_split_blocks), else block elimination, which takes
+    the split found here and builds no core."""
     w = separable_diagonal(problem, z)
-    if w is not None:
-        return WoodburyNewtonOperator(problem, z, variant, decomps, w)
-    return ReducedNewtonOperator(problem, z, variant, decomps)
+    if w is None:
+        return ReducedNewtonOperator(problem, z, variant, decomps)
+    blocks = _block_split(decomps, variant)
+    split = _split_blocks(blocks, w, jac_h_matrix_of(problem, z.x),
+                          problem.jac_g_matrix)
+    if split is None:
+        return WoodburyNewtonOperator(problem, z, variant, decomps, w,
+                                      blocks)
+    return ReducedNewtonOperator(problem, z, variant, decomps, split, blocks)
 
 
 def _sparse_diagonal(M):
@@ -698,134 +703,130 @@ def _coordinate_rows(C):
     return C.indices, C.data, bool(independent)
 
 
-def _block_inverse(k, cols, a):
-    """R^{-1} as one CSR matrix, for R = [[diag(k), B'], [B, 0]] whose
-    border row r reads a[r] at column cols[r], no two rows on one column
-    (_coordinate_rows), or None when R reads singular.  R is then a
-    permuted stack of 1x1 and 2x2 blocks: a free column j is the block
-    k_j, with inverse 1/k_j, and the column cols[r] pinned by row r is the
-    block [[k_j, a], [a, 0]], with inverse [[0, 1/a], [1/a, -k_j/a^2]].
-    Its eigenvalues have the magnitudes (s + |k_j|)/2 and 2a^2/(s + |k_j|),
-    s = sqrt(k_j^2 + 4a^2).  R reads singular when the smallest of all
-    these magnitudes is below _SINGULAR_RCOND max(1, largest): splu's
-    pivot-ratio rule, applied exactly, as _kronecker_core applies the
-    dense one, and independent of any column order.  With no border rows
-    R = diag(k), whose pivots are these magnitudes, so the verdict is
-    splu's to the bit."""
-    x, m = k.size, cols.size
-    kp = k[cols]
-    t = np.sqrt(kp * kp + 4.0 * a * a) + np.abs(kp)
-    free = np.ones(x, dtype=bool)
-    free[cols] = False
-    # t = 0 only on the zero block, k_j = a = 0
-    e = np.concatenate([np.abs(k[free]), 0.5 * t, np.divide(
-        2.0 * a * a, t, out=np.zeros_like(t), where=t > 0.0)])
-    if e.size and e.min() < _SINGULAR_RCOND * max(e.max(), 1.0):
-        return None
-    # row j < x holds 1/k_j at j, or 1/a at x + r when row r pins j; row
-    # x + r holds 1/a at cols[r] and -k_j/a^2 at x + r
-    inv_a = 1.0 / a
-    border = np.arange(x, x + m)
-    indices = np.empty(x + 2 * m, dtype=np.int64)
-    data = np.empty(x + 2 * m)
-    indices[:x] = np.arange(x)
-    data[:x][free] = 1.0 / k[free]
-    indices[cols] = border
-    data[cols] = inv_a
-    indices[x::2] = cols
-    data[x::2] = inv_a
-    indices[x + 1::2] = border
-    data[x + 1::2] = -kp * inv_a * inv_a
-    indptr = np.concatenate([np.arange(x + 1), x + 2 * np.arange(1, m + 1)])
-    return sp.csr_matrix((data, indices, indptr), shape=(x + m, x + m))
-
-
-def _split_sigma_min(blocks, w, J=None, G=None):
-    """sigma_min of U in closed form when U is a permuted direct sum of one
-    small block per x coordinate, else None.  w is the diagonal of W (None
-    when W is not diagonal), J the equality Jacobian (None for no rows) and
-    G the cone Jacobian (None for the identity).
+def _split_blocks(blocks, w, J, G):
+    """U's blocks (_SplitU), or None where U is no permuted direct sum of
+    one small block per x coordinate; the cheapest tests run first.  w is
+    W's diagonal (None when W is not diagonal), J and G the equality and
+    the cone Jacobian.
 
     U splits so when J has coordinate rows on columns of their own
     (_coordinate_rows), G is a square scaled permutation, cone coordinate
     i reading x coordinate gcol[i] with weight g, and V is diagonal in
-    svec coordinates, with diagonal v.  That holds in every block with T
-    empty, where V = I, and in every block whose eigenbasis is a signed
-    permutation (_BlockData.perm): P[:, i] = s_i e_rows[i] takes the svec
-    pair (a, b) to the eigenvalue pair (inv[a], inv[b]), inv = argsort(
-    rows), up to a sign that V's two rotations cancel, so V's diagonal
-    there is D[inv[a], inv[b]].  Then x coordinate j, with its cone
-    coordinate, is the block [[w, g], [(v - 1) g, v]] when j is free and
-    [[w, a, g], [a, 0, 0], [(v - 1) g, 0, v]] when row r of J, reading a,
-    pins it, and sigma_min is the smallest block value
-    (_sigma_2x2, _sigma_3x3).  This is the nearest-correlation setting of
-    _block_inverse wherever V is diagonal: ex1 under UI wherever V = I,
-    and the ex1 and ex5 regularity reports at their KKT points, whose
-    cone arguments are diagonal.  Nothing here factors or solves."""
+    svec coordinates, with diagonal v: in every block with T empty, where
+    V = I, and in every block whose eigenbasis is a signed permutation
+    (_BlockData.perm).  P[:, i] = s_i e_rows[i] takes the svec pair (a, b)
+    to the eigenvalue pair (inv[a], inv[b]), inv = argsort(rows), up to a
+    sign that V's two rotations cancel, so v there is D[inv[a], inv[b]].
+    A nan block value (an overflow) means no split either."""
     if w is None or any(b.T.size and not b.perm for b in blocks):
         return None
     x = w.size
-    if G is None:
-        gcol, g = np.arange(x), np.ones(x)
-    else:
-        rows = _coordinate_rows(G) if G.shape == (x, x) else None
-        if rows is None or not rows[2]:
-            return None
-        gcol, g = rows[:2]
-    if J is None or J.shape[0] == 0:
-        pin, a = np.zeros(0, dtype=np.intp), np.zeros(0)
-    else:
-        rows = _coordinate_rows(J)
-        if rows is None or not rows[2]:
-            return None
-        pin, a = rows[:2]
+    rows = [_coordinate_rows(C) for C in (G, J)]
+    if G.shape != (x, x) or not all(r and r[2] for r in rows):
+        return None
+    (gcol, g, _), (pin, a, _) = rows
     v = np.ones(x)
     for b in blocks:
         if b.T.size:
             inv = np.argsort(b.perm[0])
             v[b.cs] = b.D[inv[b.iu], inv[b.ju]]
-    # g and v from cone order to x order
-    gx, vx = np.empty(x), np.empty(x)
-    gx[gcol], vx[gcol] = g, v
-    free = np.ones(x, dtype=bool)
-    free[pin] = False
-    wf, gf, vf = w[free], gx[free], vx[free]
-    # np.min, not min(): a nan block value (an overflow) must reach the
-    # finiteness test
-    sigma = float(np.concatenate([
-        _sigma_2x2(wf, gf, (vf - 1.0) * gf, vf),
-        _sigma_3x3(w[pin], a, gx[pin], vx[pin])]).min(initial=np.inf))
-    return sigma if math.isfinite(sigma) else None
+    split = _SplitU(w, gcol, g, v, pin, a)
+    return split if math.isfinite(split.sigma + split.scale) else None
 
 
-def _sigma_2x2(p, q, r, s):
-    """Smallest singular values of the blocks [[p, q], [r, s]]: |det| over
-    the largest, (hypot(p + s, q - r) + hypot(p - s, q + r)) / 2."""
-    smax = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
-    return np.divide(np.abs(p * s - q * r), smax,
-                     out=np.zeros_like(smax), where=smax > 0.0)
+class _SplitU:
+    """The blocks of a U that splits (_split_blocks).  x coordinate j,
+    read by cone coordinate i = cone[j] with weight g, is the block [[w,
+    g], [(v - 1) g, v]] on the unknowns (dx_j, dG_i) when it is free, and
+    [[w, a, g], [a, 0, 0], [(v - 1) g, 0, v]] on (dx_j, dxi_r, dG_i) when
+    row r of J, reading a, pins it (pin[r] = j).  sigma is the smallest
+    singular value of the blocks, so U's, and scale their largest
+    Frobenius norm, within sqrt(3) of ||U||_2.  U reads singular when
+    sigma < _SINGULAR_RCOND max(1, scale): the shared rule, applied
+    exactly to the blocks."""
+
+    def __init__(self, w, gcol, g, v, pin, a):
+        x = w.size
+        self.cone = np.empty(x, dtype=np.intp)
+        self.cone[gcol] = np.arange(x)
+        # g and v from cone order to x order
+        g, v = g[self.cone], v[self.cone]
+        sq = w * w + g * g * (1.0 + (v - 1.0) ** 2) + v * v
+        sq[pin] += 2.0 * a * a
+        self.scale = math.sqrt(sq.max(initial=0.0))
+        free = np.ones(x, dtype=bool)
+        free[pin] = False
+        self.free, self.pin = np.flatnonzero(free), pin
+        # a free block [[p, q], [r, s]] has the smallest singular value
+        # |det| / smax, smax = (hypot(p + s, q - r) + hypot(p - s, q + r)) / 2
+        p, q, s = w[free], g[free], v[free]
+        r = (s - 1.0) * q
+        self.pqrs, self.det = (p, q, r, s), p * s - q * r
+        smax = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+        self.N = _pinned_inverse(w[pin], a, g[pin], v[pin])
+        # np.min, not min(): a nan block value (an overflow) must reach
+        # _split_blocks' finiteness test
+        self.sigma = float(np.concatenate([
+            np.divide(np.abs(self.det), smax, out=np.zeros_like(smax),
+                      where=smax > 0.0),
+            _sigma_3x3(self.N)]).min(initial=np.inf))
+        self.singular = self.sigma < _SINGULAR_RCOND * max(1.0, self.scale)
+
+    def inverse(self, e):
+        """U^{-1} as one CSR matrix, for e equality rows: x coordinate j
+        at j, row r of J at x + r, cone coordinate i at x + e + i.  A free
+        block's inverse is its adjugate over det, a pinned one's N
+        (_pinned_inverse).  A row of J holds three entries, every other
+        row two (a pinned x coordinate's stores N's 0 at j)."""
+        x = self.cone.size
+        dim = 2 * x + e
+        idx = np.int32 if 2 * dim + e < 2 ** 31 else np.int64
+        f, j, rj = self.free, self.pin, np.arange(x, x + e)
+        cf, cj = self.cone[f], self.cone[j]
+        indptr = np.concatenate([
+            np.arange(0, 2 * x, 2), np.arange(2 * x, 2 * x + 3 * e, 3),
+            np.arange(2 * x + 3 * e, 2 * dim + e + 1, 2)]).astype(idx)
+        indices = np.empty(2 * dim + e, dtype=idx)
+        data = np.empty(2 * dim + e)
+        # the x rows, the rows of J and the cone rows (in cone order)
+        (xi, ji, ci), (xv, jv, cv) = (
+            (a[:2 * x].reshape(x, 2), a[2 * x:2 * x + 3 * e].reshape(e, 3),
+             a[2 * x + 3 * e:].reshape(x, 2)) for a in (indices, data))
+        p, q, r, s = (m / self.det for m in self.pqrs)
+        ia, beta, c, d, iv = self.N
+        xi[:, 0] = np.arange(x)
+        xi[f, 1], xi[j, 1] = x + e + cf, rj
+        xv[f, 0], xv[f, 1], xv[j, 0], xv[j, 1] = s, -q, 0.0, ia
+        ji[:, 0], ji[:, 1], ji[:, 2] = j, rj, x + e + cj
+        jv[:, 0], jv[:, 1], jv[:, 2] = ia, beta, -c
+        ci[cf, 0], ci[cj, 0], ci[:, 1] = f, rj, np.arange(x + e, dim)
+        cv[cf, 0], cv[cf, 1], cv[cj, 0], cv[cj, 1] = -r, p, d, iv
+        return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def _sigma_3x3(w, a, g, v):
-    """Smallest singular values of the blocks M = [[w, a, g], [a, 0, 0],
-    [(v - 1) g, 0, v]], 1 / sqrt(lambda_max(N N')) for the explicit
-    inverse
-
-        N = [[0, 1/a, 0], [1/a, beta, -c], [0, -(v - 1) c, 1/v]],
-
-    c = g / (a v), beta = ((v - 1) g c - w / a) / a; det M = -a^2 v, so a
-    block with a = 0 or v = 0 is singular and reads 0.  lambda_max comes
-    from the trigonometric formula for the eigenvalues of a symmetric 3x3
-    matrix (Smith, Comm. ACM 4 (1961) 168), whose cosine argument r gives
-    the top eigenvalue to about eps / sqrt(1 + r) relative: the few blocks
-    with 1 + r below 1e-4, a nearly double top eigenvalue, take eigvalsh
-    instead."""
-    ok = (a != 0.0) & (v != 0.0)
+def _pinned_inverse(w, a, g, v):
+    """(1/a, beta, c, d, 1/v) of the inverses N = [[0, 1/a, 0], [1/a, beta,
+    -c], [0, d, 1/v]] of the blocks M = [[w, a, g], [a, 0, 0], [(v - 1) g,
+    0, v]], with c = g / (a v), beta = ((v - 1) g c - w / a) / a and d =
+    -(v - 1) c.  det M = -a^2 v: where a or v is 0, 1/a or 1/v is inf."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ia, iv = 1.0 / a, 1.0 / v
         c = g * ia * iv
         beta = ((v - 1.0) * g * c - w * ia) * ia
-        e = -(v - 1.0) * c
+        return ia, beta, c, -(v - 1.0) * c, iv
+
+
+def _sigma_3x3(N):
+    """Smallest singular values of the blocks M with inverses N
+    (_pinned_inverse), 1 / sqrt(lambda_max(N N')); 0 where M is singular.
+    lambda_max comes from the trigonometric formula for the eigenvalues
+    of a symmetric 3x3 matrix (Smith, Comm. ACM 4 (1961) 168), whose
+    cosine argument r gives the top eigenvalue to about eps / sqrt(1 + r)
+    relative: the few blocks with 1 + r below 1e-4, a nearly double top
+    eigenvalue, take eigvalsh instead."""
+    ia, beta, c, e, iv = N
+    ok = np.isfinite(ia) & np.isfinite(iv)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # N N', upper triangle
         h00, h01, h02 = ia * ia, ia * beta, ia * e
         h11 = ia * ia + beta * beta + c * c
@@ -1050,15 +1051,16 @@ class WoodburyNewtonOperator:
     cancels to rounding noise, reads singular, as the assembled matrix
     does; a tiny c, whose 1/c would swamp an unscaled core, does not.
     That is the dense core (_woodbury_core), which every block with a
-    curvature pair takes (at 0 < t < 1, every block with beta nonempty).  Two kinds of block have a core in closed
-    form, with no build and no factorization, judged by the same rule
-    applied exactly to the known eigenvalues:
+    curvature pair takes (at 0 < t < 1, every block with beta nonempty).
+    Two kinds of block have a core in closed form, with no build and no
+    factorization, judged by the same rule applied exactly to the known
+    eigenvalues:
     - A block with T empty has V = I there, so its core is the diagonal
       diag(1/c - 1), stored inverted.  Its scaled core diag(1 - c) reads
       singular when min(1 - c) < _SINGULAR_RCOND (1 + max c).
     - A block with no curvature pair, a support S of every pair (i, j)
       of one index set idx, and one c0 on S (on ex5 near its solution:
-      the last row of every solve and the report's U0 backend).  There
+      the last row of every solve).  There
       alpha or gamma is empty and V(H) = a H + s Pi H Pi, Pi = P_beta
       P_beta', with a = 1 when alpha is nonempty, else 0, and s = t - a:
       (a, s) is (1, -1) or (0, 0) under U0, and (0, 1) under UI, where T
@@ -1084,10 +1086,10 @@ class WoodburyNewtonOperator:
     60/40, |T| is about 40 to 48 of n = 100, and |idx| = 40.
     """
 
-    def __init__(self, problem, z, variant, decomps, w):
+    def __init__(self, problem, z, variant, decomps, w, blocks=None):
         self.variant = variant
         self.x_dim = problem.x_dim
-        self.blocks = _block_split(decomps, variant)
+        self.blocks = blocks or _block_split(decomps, variant)
         self._t_blocks = [b for b in self.blocks if b.T.size]
         self.dim = problem.total_dim
         self.reusable = False
@@ -1192,9 +1194,6 @@ class WoodburyNewtonOperator:
         return np.concatenate([self.w[:, None] * dx + dG,
                                self._v_apply(dx + dG) - dx]
                               ).reshape(np.shape(d))
-
-    def _split_sigma(self):
-        return _split_sigma_min(self.blocks, self.w)
 
     sigma_min = _sigma_min
 

@@ -69,10 +69,10 @@ class ConditionReport:
     """The four condition results plus the smallest singular values of the
     zero-sided (U0) and identity-sided (UI) Newton matrices at the point,
     as the solver's backends compute them.  A sigma_min of 0.0 means the
-    backend's factorization flagged the matrix singular, on every backend.
+    backend's verdict flagged the matrix singular, on every backend.
     A sigma_min is exact up to _LANCZOS_BASIS (30) unknowns, and at any
     size where the matrix splits into one 2x2 or 3x3 block per x
-    coordinate (_reduced._split_sigma_min), as on ex1 and ex5 at their
+    coordinate (_reduced._split_blocks), as on ex1 and ex5 at their
     catalog solutions.  nan can only appear elsewhere: it means the
     backend's Lanczos iteration did not converge, so the value is unknown
     (it raises no certificate warning).

@@ -77,7 +77,7 @@ class IterationTrace:
     blocks, and the backend's Lanczos iteration did not converge.  The
     value is exact up to 30 unknowns, and at any size where the matrix
     splits into one 2x2 or 3x3 block per x coordinate
-    (_reduced._split_sigma_min), as under UI on ex1 wherever V = I."""
+    (_reduced._split_blocks), as under UI on ex1 wherever V = I."""
 
     k: int
     f_norm: float

@@ -215,3 +215,64 @@ def test_a_machine_difference_is_warned(bench_pairs, tmp_path, capsys,
         assert w["change"]["machine"] == [other]
     else:
         assert len(w[moved]["machine"]) == 2 and other in w[moved]["machine"]
+
+
+def fake_root(tmp_path, model):
+    """A root directory whose /proc names the CPU model and 8 GB."""
+    proc = tmp_path / "root" / "proc"
+    proc.mkdir(parents=True)
+    (proc / "cpuinfo").write_text(
+        f"processor\t: 0\nmodel name\t: {model}\nflags\t\t: fpu\n\n"
+        f"processor\t: 1\nmodel name\t: {model}\n")
+    (proc / "meminfo").write_text("MemTotal:        8211568 kB\n"
+                                  "MemFree:         1000000 kB\n")
+    return tmp_path / "root"
+
+
+def write_bench(checkout, name, host):
+    bench = {"name": name, "workloads": {}}
+    if host is not None:
+        bench["host"] = {"cpu_model": host, "mem_total": "8211568 kB"}
+    (checkout / f"BENCH_{name}.json").write_text(json.dumps(bench))
+
+
+@pytest.mark.parametrize("committed, warned", [
+    # no committed file records a host
+    ([("pr9", None)], None),
+    # the newest with a host, by the number in its name, is pr10
+    ([("pr9", "Old CPU"), ("pr10", "Xeon"), ("pr11", None)], None),
+    ([("pr9", "Xeon"), ("pr10", "Old CPU"), ("pr11", None)], "pr10"),
+    # the output file itself is never the one compared
+    ([("pr10", "Xeon"), ("t", "Old CPU")], None)])
+def test_the_host_is_recorded_and_a_cpu_change_warned(
+        bench_pairs, tmp_path, capsys, monkeypatch, committed, warned):
+    """The file records the CPU model and MemTotal from /proc under the
+    root, and one warning line names both CPU models when the newest
+    committed file that records a host names another."""
+    parent, change = checkouts(tmp_path)
+    for name, host in committed:
+        write_bench(change, name, host)
+    monkeypatch.setattr(bench_pairs, "ROOT", fake_root(tmp_path, "Xeon"))
+    out = change / "BENCH_t.json"
+    assert bench_pairs.main([str(parent), str(change), "t",
+                             "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["host"] == {"cpu_model": "Xeon", "mem_total": "8211568 kB"}
+    err = capsys.readouterr().err
+    if warned is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith("warning:")
+        assert "'Xeon'" in err and "'Old CPU'" in err
+        assert f"BENCH_{warned}.json" in err
+
+
+def test_a_missing_proc_file_records_null(bench_pairs, tmp_path,
+                                          monkeypatch):
+    parent, change = checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "nowhere")
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main([str(parent), str(change), "t",
+                             "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["host"] == {"cpu_model": None,
+                                                   "mem_total": None}

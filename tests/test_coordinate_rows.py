@@ -1,10 +1,14 @@
 """Property tests of the coordinate-row helpers: rows with at most one
 entry each, whose null space and independence read off the columns they
 touch, as an SVD of the same rows reads them, and the closed-form
-inverse of a reduced system with a diagonal K under such rows."""
+inverse and verdict of a Newton matrix that such rows, with a diagonal
+W and a scaled permutation G, split into small blocks."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -13,9 +17,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ssnsdp._reduced import (  # noqa: E402
     _SINGULAR_RCOND,
-    _block_inverse,
+    _SplitU,
     _coordinate_rows,
-    _sparse_diagonal,
 )
 from ssnsdp.conditions import (  # noqa: E402
     CHECK_TOL,
@@ -93,56 +96,77 @@ def test_coordinate_and_svd_paths_agree(C, seed, diagonal):
                         rtol=1e-10, atol=1e-10)
 
 
+ENTRY = st.sampled_from([0.0, 1e-20, -1e-20, 1e-12, -3e-15, 1.0, -1.0]) \
+    | st.floats(-1e3, 1e3)
+
+
 @st.composite
-def coordinate_systems(draw):
-    """(K, B): a diagonal CSR K with signed, zero and tiny entries, and
-    CSR rows B of one entry each, on distinct random columns, with
-    magnitudes in [1e-9, 1e3]."""
+def split_blocks(draw):
+    """(w, gcol, g, v, pin, a) of a random split U (_SplitU): w, g and v
+    with signed, zero and tiny entries, a random cone permutation gcol,
+    and pins a, signed, zero or tiny too, on distinct random columns."""
     x = draw(st.integers(1, 12))
-    entry = st.sampled_from([0.0, 1e-20, -1e-20, 1e-12, -3e-15, 1.0, -1.0]) \
-        | st.floats(-1e3, 1e3)
-    k = draw(st.lists(entry, min_size=x, max_size=x))
-    cols = draw(st.permutations(range(x)))[:draw(st.integers(0, x))]
-    vals = draw(st.lists(st.floats(1e-9, 1e3) | st.floats(-1e3, -1e-9),
-                         min_size=len(cols), max_size=len(cols)))
-    m = len(cols)
-    return (sp.diags(k).tocsr(),
-            sp.csr_matrix((vals, cols, np.arange(m + 1)), shape=(m, x)))
+    w, g, v = (np.array(draw(st.lists(ENTRY, min_size=x, max_size=x)))
+               for _ in range(3))
+    gcol = np.array(draw(st.permutations(range(x))))
+    pin = np.array(draw(st.permutations(range(x)))[:draw(st.integers(0, x))],
+                   dtype=np.intp)
+    a = np.array(draw(st.lists(ENTRY, min_size=pin.size,
+                               max_size=pin.size)))
+    return w, gcol, g, v, pin, a
+
+
+def assembled_split(w, gcol, g, v, pin, a):
+    """U of order 2 x + e from its blocks, as _SplitU defines them: x
+    coordinate j, read by cone coordinate i (gcol[i] = j) with weight
+    g[i], holds [[w_j, g_i], [(v_i - 1) g_i, v_i]] on the unknowns (dx_j,
+    dG_i), and row r of J adds a[r] at (j, x + r) and (x + r, j) for j =
+    pin[r]."""
+    x, e = w.size, pin.size
+    c = x + e + np.arange(x)
+    U = np.zeros((2 * x + e, 2 * x + e))
+    U[np.arange(x), np.arange(x)] = w
+    U[gcol, c] = g
+    U[c, gcol] = (v - 1.0) * g
+    U[c, c] = v
+    U[pin, x + np.arange(e)] = U[x + np.arange(e), pin] = a
+    return U
 
 
 @settings(deadline=None, derandomize=True)
-@given(coordinate_systems(), st.integers(0, 2 ** 32 - 1))
-def test_block_inverse_is_the_exact_rule_and_the_inverse(system, seed):
-    """R = [[K, B'], [B, 0]] reads singular exactly when the eigenvalue
-    magnitudes of the assembled R, from eigvalsh, have min below
-    _SINGULAR_RCOND max(1, max); otherwise 1-D and (dim, m) products
-    with the closed-form inverse match np.linalg.solve, and a batch
-    equals its columns."""
-    K, B = system
-    k = _sparse_diagonal(K)
-    cols, vals, independent = _coordinate_rows(B)
-    assert independent
-    inv = _block_inverse(k, cols, vals)
-    R = sp.bmat([[K, B.T], [B, None]]).toarray()
-    e = np.abs(np.linalg.eigvalsh(R))
-    ratio = e.min() / (_SINGULAR_RCOND * max(e.max(), 1.0))
-    # eigvalsh is off by a few ulps of max |e|, a few percent of the
-    # threshold: a verdict within a factor 2 of it is left open
+@given(split_blocks(), st.integers(0, 2 ** 32 - 1))
+def test_split_inverse_is_the_exact_rule_and_the_inverse(blocks, seed):
+    """A split U reads singular exactly when the singular values of the
+    assembled U, from svdvals, have min below _SINGULAR_RCOND max(1, max);
+    otherwise 1-D and (dim, m) products with the closed-form U^{-1} and
+    its transpose match np.linalg.solve, and a batch equals its
+    columns."""
+    split = _SplitU(*blocks)
+    assume(math.isfinite(split.sigma + split.scale))
+    U = assembled_split(*blocks)
+    s = scipy.linalg.svdvals(U)
+    ratio = s[-1] / (_SINGULAR_RCOND * max(s[0], 1.0))
+    # the verdict reads the largest block Frobenius norm, within sqrt(3)
+    # of s[0], and svdvals is off by a few ulps of s[0], a few percent of
+    # the threshold: a verdict within a factor 2 of it is left open
     assume(not 0.5 < ratio < 2.0)
-    assert (inv is None) == (ratio < 1.0)
-    if inv is None:
+    assert split.singular == (ratio < 1.0)
+    if split.singular:
         return
-    # as sparse as R with a nonzero diagonal
-    assert inv.nnz == R.shape[0] + B.nnz
+    inv = split.inverse(blocks[4].size)
+    # two entries a row, three a row of J, so a pinned x coordinate's row
+    # stores N's zero (0, 0) entry
+    assert inv.nnz == 2 * U.shape[0] + blocks[4].size
     rng = np.random.default_rng(seed)
-    for rhs in (rng.standard_normal(R.shape[0]),
-                rng.standard_normal((R.shape[0], 4))):
-        got = inv.dot(rhs)
-        want = np.linalg.solve(R, rhs)
-        assert got.shape == rhs.shape
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert np.array_equal(got, np.column_stack(
-        [inv.dot(rhs[:, c]) for c in range(rhs.shape[1])]))
+    for M, Minv in ((U, inv), (U.T, inv.T)):
+        for rhs in (rng.standard_normal(U.shape[0]),
+                    rng.standard_normal((U.shape[0], 4))):
+            got = Minv @ rhs
+            want = np.linalg.solve(M, rhs)
+            assert got.shape == rhs.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(got, np.column_stack(
+            [Minv @ rhs[:, c] for c in range(rhs.shape[1])]))
 
 
 @pytest.mark.parametrize("rows", [
@@ -176,4 +200,6 @@ def test_coordinate_rows_read_canonical_form():
     assert independent
     # the caller's matrix is read, not summed in place
     assert B.nnz == 3
-    assert _block_inverse(np.ones(3), cols, vals) is None
+    # the stored zero pins coordinate 0 by a = 0: its block is singular
+    assert _SplitU(np.ones(3), np.arange(3), np.ones(3), np.ones(3), cols,
+                   vals).singular

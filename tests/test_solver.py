@@ -1391,7 +1391,9 @@ def test_woodbury_core_runs_only_with_an_alpha_gamma_pair(monkeypatch):
     decomps = cone_decompositions(problem, sol.z_bar)
     assert [(d.alpha.size, d.beta.size, d.gamma.size)
             for d in decomps] == [(6, 4, 0)]
-    op = _make_backend(problem, sol.z_bar, "U0", decomps)
+    # _make_backend takes U's split here; the core is built directly
+    op = WoodburyNewtonOperator(problem, sol.z_bar, "U0", decomps,
+                                separable_diagonal(problem, sol.z_bar))
     dense = _DenseBackend(problem, sol.z_bar, "U0", decomps)
     assert calls == [] and not op.singular
     assert [core_kind(core) for core, _ in op._cores] == ["kronecker"]
@@ -1408,12 +1410,17 @@ def test_woodbury_core_runs_only_with_an_alpha_gamma_pair(monkeypatch):
 
 
 def test_ex5_ui_report_reads_the_diagonal_core_singular():
-    """At the ex5 reference point the UI mask is all ones, so its core is
-    diagonal, and the report still reads it singular."""
+    """At the ex5 reference point the UI mask is all ones, so U splits
+    and _make_backend takes the split, which reads singular; the Woodbury
+    backend, whose core is diagonal there, reads it singular too, and so
+    does the report."""
     problem, sol = catalog("ex5", l1=6, l2=4)
     decomps = cone_decompositions(problem, sol.z_bar)
     op = _make_backend(problem, sol.z_bar, "UI", decomps)
-    assert isinstance(op, WoodburyNewtonOperator)
+    assert isinstance(op, ReducedNewtonOperator) and op.split is not None
+    assert op.singular and op.sigma_min() == 0.0
+    op = WoodburyNewtonOperator(problem, sol.z_bar, "UI", decomps,
+                                separable_diagonal(problem, sol.z_bar))
     assert all(b.T.size == 0 for b in op.blocks) and op.singular
     assert regularity_report(problem, sol.z_bar).ui_sigma_min == 0.0
 
@@ -1494,8 +1501,9 @@ def assert_batch_is_columns(op, m=5):
 
 
 def r_kind(op):
-    """How a ReducedNewtonOperator solves with R."""
-    if isinstance(getattr(op, "_r_inv", None), sp.csr_matrix):
+    """How a ReducedNewtonOperator solves: by the closed-form U^{-1} of a
+    split, or with R."""
+    if op.split is not None:
         return "closed form"
     return ("sparse R" if isinstance(getattr(op, "_lu", None), spla.SuperLU)
             else "dense R")
@@ -1645,8 +1653,8 @@ def test_dense_backend_flagged_singular_reads_zero():
 
 def test_sparse_r_matches_the_assembled_operator():
     """ex1 at 12/8 under UI, from a start at which the correction clips
-    every eigenvalue (all beta, so V = I): R = [[W, J'], [J, 0]] of order
-    342, W diagonal and each row of J one coordinate, is inverted in
+    every eigenvalue (all beta, so V = I): W is diagonal, each row of J
+    one coordinate and G = I, so U of order 552 splits and is inverted in
     closed form, and the solves and sigma_min match dense solves and the
     full SVD of the assembled U."""
     problem, sol = catalog("ex1", l1=12, l2=8)
@@ -1656,8 +1664,8 @@ def test_sparse_r_matches_the_assembled_operator():
     op = _make_backend(problem, z, "UI", decomps)
     assert isinstance(op, ReducedNewtonOperator) and not op.singular
     assert r_kind(op) == "closed form"
-    # x_dim 210 plus eq_dim 132
-    assert op._r_inv.shape == (342, 342)
+    # x_dim 210, eq_dim 132 and cone_dim 210
+    assert op._u_inv.shape == (552, 552)
     U = assemble_U(problem, z, "UI", _decomps=decomps)
     R = np.random.default_rng(24).standard_normal((op.dim, 3))
     assert_allclose(op.solve(R), np.linalg.solve(U, R), rtol=0, atol=1e-9)

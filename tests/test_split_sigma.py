@@ -1,8 +1,9 @@
-"""The closed-form sigma_min of Newton matrices that split into one 2x2 or
-3x3 block per x coordinate (_reduced._split_sigma_min): it matches the
-full SVD of the assembled matrix wherever it applies, it replaces Lanczos
-on ex1 under UI and on the ex1 and ex5 reports at their KKT points, and
-it leaves the rows that do not split to Lanczos, bit for bit."""
+"""Newton matrices that split into one 2x2 or 3x3 block per x coordinate
+(_reduced._split_blocks): the closed-form sigma_min matches the full SVD
+of the assembled matrix wherever U splits, and the closed-form U^{-1}
+its solves; the split replaces Lanczos, and every factorization, on ex1
+under UI and on the ex1 and ex5 reports at their KKT points, and it
+leaves the rows that do not split to Lanczos, bit for bit."""
 
 import math
 from decimal import Decimal, localcontext
@@ -17,11 +18,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ssnsdp._reduced as reduced_mod  # noqa: E402
+import ssnsdp.conditions as conditions_mod  # noqa: E402
 import ssnsdp.solver as solver_mod  # noqa: E402
 from ssnsdp._reduced import (  # noqa: E402
     ReducedNewtonOperator,
     WoodburyNewtonOperator,
-    separable_diagonal,
 )
 from ssnsdp.catalog import catalog  # noqa: E402
 from ssnsdp.conditions import regularity_report  # noqa: E402
@@ -43,27 +44,42 @@ EPS = np.finfo(float).eps
 
 
 def backends(problem, z, variant, decomps):
-    """Block elimination, and the Woodbury backend where it applies."""
-    ops = [ReducedNewtonOperator(problem, z, variant, decomps)]
-    w = separable_diagonal(problem, z)
-    if w is not None:
-        ops.append(WoodburyNewtonOperator(problem, z, variant, decomps, w))
+    """Block elimination built directly, which looks for the split in its
+    build, and the backend _make_backend chooses, which looks for it with
+    the Woodbury gate's diagonal where that applies: both on block
+    elimination."""
+    ops = [ReducedNewtonOperator(problem, z, variant, decomps),
+           reduced_mod._make_backend(problem, z, variant, decomps)]
+    assert all(isinstance(op, ReducedNewtonOperator) for op in ops)
     return ops
 
 
 def assert_split_matches_svd(problem, z, variant, decomps):
-    """On every backend the closed form applies, the cached sigma_min is
-    its value (or 0.0 where the build reads singular), and it is the
+    """U splits, and on both backends: the split's sigma_min is the
     smallest singular value of the assembled matrix to 1e-12 relative, or
     to the SVD's own accuracy, a few eps ||U||_2, where U is (nearly)
-    singular."""
-    s = scipy.linalg.svdvals(assemble_U(problem, z, variant,
-                                        _decomps=decomps))
+    singular; the build's verdict is the split's (a build that reads
+    singular by its count of border rows looks for no split); the cached
+    sigma_min is the split's value, or 0.0 where the build reads
+    singular; and where it does not, the closed-form solves have a
+    backward error below 1e-12 ||U||_2."""
+    U = assemble_U(problem, z, variant, _decomps=decomps)
+    s = scipy.linalg.svdvals(U)
+    r = np.random.default_rng(3).standard_normal(U.shape[0])
     for op in backends(problem, z, variant, decomps):
-        got = op._split_sigma()
-        assert got is not None
-        assert op.sigma_min() == (0.0 if op.singular else got)
-        assert abs(got - s[-1]) <= max(1e-12 * s[-1], 8 * EPS * s[0])
+        split = reduced_mod._split_blocks(
+            op.blocks, reduced_mod._sparse_diagonal(op.W), op.J, op.G)
+        assert split is not None
+        assert abs(split.sigma - s[-1]) <= max(1e-12 * s[-1], 8 * EPS * s[0])
+        assert op.singular == split.singular
+        count = op.eq_dim + sum(b.zer.size for b in op.blocks) > op.x_dim
+        assert (op.split is None) == count
+        assert op.sigma_min() == (0.0 if op.singular else split.sigma)
+        if op.singular:
+            continue
+        for M, d in ((U, op.solve(r)), (U.T, op.solve_t(r))):
+            assert (np.linalg.norm(M @ d - r)
+                    <= 1e-12 * s[0] * np.linalg.norm(d))
 
 
 def signed_permutation_decomp(rng, lam, tol=1e-12):
@@ -206,6 +222,62 @@ def test_reports_at_kkt_points_run_no_lanczos(name, lanczos_calls):
     assert report.u0_sigma_min > 0.0 or report.ui_sigma_min > 0.0
 
 
+# what a build makes when U does not split
+BUILD_PARTS = ("_curvature", "_border", "_woodbury_core", "_kronecker_core",
+               "_lanczos_sigma_min")
+
+
+@pytest.fixture()
+def build_parts(monkeypatch):
+    """The name of every BUILD_PARTS or splu call of the backends, and
+    every backend that _make_backend returns."""
+    calls, ops = [], []
+
+    def spy(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in BUILD_PARTS:
+        monkeypatch.setattr(reduced_mod, name,
+                            spy(name, getattr(reduced_mod, name)))
+    monkeypatch.setattr(reduced_mod.spla, "splu",
+                        spy("splu", reduced_mod.spla.splu))
+    make = reduced_mod._make_backend
+    for module in (solver_mod, conditions_mod):
+        monkeypatch.setattr(module, "_make_backend",
+                            lambda *a: ops.append(make(*a)) or ops[-1])
+    return calls, ops
+
+
+def test_ex1_ui_rows_that_split_build_nothing_else(build_parts):
+    """ex1 12/8 under UI near its solution: every row splits, and no K,
+    border, R factorization, Woodbury core or Lanczos run is made."""
+    calls, ops = build_parts
+    problem, sol = catalog("ex1", l1=12, l2=8)
+    res = ssn_solve(problem, perturbed_start(sol.z_bar, 0.3, 0),
+                    SolverParams(variant="UI"))
+    assert res.converged and ops
+    assert all(isinstance(op, ReducedNewtonOperator)
+               and op.split is not None for op in ops)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex5"])
+def test_reports_that_split_build_nothing_else(name, build_parts):
+    """The ex1 and ex5 20/10 reports at their KKT points: both variants
+    split, ex5's on the Woodbury gate's problem too, or read singular by
+    the count of border rows first (ex1 under U0), and no K, border, R
+    factorization, Woodbury core or Lanczos run is made."""
+    calls, ops = build_parts
+    problem, sol = catalog(name, l1=20, l2=10)
+    regularity_report(problem, sol.z_bar)
+    assert [op.variant for op in ops] == ["U0", "UI"]
+    assert all(isinstance(op, ReducedNewtonOperator)
+               and (op.split is not None or op.singular) for op in ops)
+    assert sum(op.split is not None for op in ops) == {"ex1": 1, "ex5": 2}[
+        name]
+    assert calls == []
+
+
 def test_rows_that_do_not_split_keep_lanczos(lanczos_calls):
     """ex5 60/40 from magnitude 10 (the ex5-woodbury benchmark's case):
     every row's eigenbasis is no signed permutation, so every trace row
@@ -218,7 +290,8 @@ def test_rows_that_do_not_split_keep_lanczos(lanczos_calls):
     assert [row.sigma_min for row in res.trace] == lanczos_calls
     z, _, decomps = solver_mod._correct_with_decomps(problem, start, 0.5)
     op = reduced_mod._make_backend(problem, z, "U0", decomps)
-    assert op._split_sigma() is None
+    # no split, so the Woodbury gate's backend
+    assert isinstance(op, WoodburyNewtonOperator)
     want = reduced_mod._lanczos_sigma_min(op.dim, op.solve, op.solve_t)
     assert res.trace[0].sigma_min == want
     assert lanczos_calls[0] == want
@@ -325,7 +398,7 @@ def test_pinned_blocks_with_a_nearly_double_smallest_value(eps):
     v = (np.sqrt(w * w + 4.0 * a * a) - np.abs(w)) / 2.0
     v *= rng.choice([-1.0, 1.0], 50)
     g = np.full(50, eps)
-    got = reduced_mod._sigma_3x3(w, a, g, v)
+    got = reduced_mod._sigma_3x3(reduced_mod._pinned_inverse(w, a, g, v))
     for k in range(50):
         M = np.array([[w[k], a[k], g[k]], [a[k], 0.0, 0.0],
                       [(v[k] - 1.0) * g[k], 0.0, v[k]]])
@@ -335,11 +408,18 @@ def test_pinned_blocks_with_a_nearly_double_smallest_value(eps):
 
 def test_an_overflowing_block_leaves_sigma_min_to_lanczos():
     """A pin of 1e-300 overflows the explicit inverse (1 / a^2 = inf), so
-    its block reads nan; the closed form then returns None, not the
-    smallest value of the other blocks."""
+    its block reads nan; U then does not split, rather than read the
+    smallest value of the other blocks, and splu judges R: its last
+    pivot, -a^2, underflows to zero, so it reads singular."""
     problem = coordinate_problem(2, np.ones(3), [0], [1e-300], np.arange(3),
                                  np.ones(3))
     z = KktPoint(np.zeros(3), np.zeros(1), BlockSymMatrix.zeros([2]))
-    op = ReducedNewtonOperator(problem, z, "UI",
-                               cone_decompositions(problem, z))
-    assert op._split_sigma() is None
+    decomps = cone_decompositions(problem, z)
+    calls = []
+    splu = reduced_mod.spla.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced_mod.spla, "splu",
+                   lambda *a, **k: calls.append(1) or splu(*a, **k))
+        op = ReducedNewtonOperator(problem, z, "UI", decomps)
+    assert op.split is None and calls == [1]
+    assert op.singular and op.sigma_min() == 0.0

@@ -28,7 +28,13 @@ tool runs, and one warning line goes to stderr when the sides differ: a
 worker that finds the bytecode skips compiling the package, which lowers
 setup_s and peak_rss_mb.  One warning line also goes to stderr for each
 workload whose runs, of either side, record more than one set of
-machine facts: times taken on two machines are no pair.
+machine facts: times taken on two machines are no pair.  The top-level
+"host" records the CPU model and MemTotal of the host the tool runs on,
+read from /proc/cpuinfo and /proc/meminfo (null where either is
+missing); one warning line goes to stderr when the newest BENCH_*.json
+of the change checkout that records a host, by the number in its name,
+names another CPU model: times from two hosts do not compare across
+files.
 """
 
 import argparse
@@ -41,6 +47,8 @@ import numpy as np
 
 RESULT = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
 RUN_LENGTH_RATIO = 1.5
+# where /proc is read from; a test points it at a fake root
+ROOT = Path("/")
 
 
 def load_runs(checkout):
@@ -58,6 +66,46 @@ def holds_bytecode(checkout):
     """True when the checkout's src/ssnsdp/__pycache__ holds bytecode."""
     cache = Path(checkout) / "src" / "ssnsdp" / "__pycache__"
     return any(cache.glob("*.pyc"))
+
+
+def proc_field(name, key):
+    """The value of the first "key: value" line of ROOT/proc/<name>, or
+    None when the file or the line is missing."""
+    try:
+        lines = (ROOT / "proc" / name).read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        k, sep, v = line.partition(":")
+        if sep and k.strip() == key:
+            return v.strip()
+    return None
+
+
+def host_facts():
+    return {"cpu_model": proc_field("cpuinfo", "model name"),
+            "mem_total": proc_field("meminfo", "MemTotal")}
+
+
+def newest_host(checkout, skip):
+    """(file name, host record) of the newest BENCH_*.json in checkout that
+    records a host, by the number in its name, skipping the file skip;
+    None when none does."""
+    def number(path):
+        m = re.search(r"\d+", path.stem)
+        return int(m[0]) if m else -1
+
+    paths = sorted(Path(checkout).glob("BENCH_*.json"), key=number)
+    for path in reversed(paths):
+        if path.resolve() == skip.resolve():
+            continue
+        try:
+            host = json.loads(path.read_text()).get("host")
+        except (OSError, ValueError, AttributeError):
+            continue
+        if host:
+            return path.name, host
+    return None
 
 
 def run_length(run):
@@ -154,11 +202,17 @@ def main(argv=None):
                      for name, m in entry["metrics"].items() if m[key]]
                for key in ("regressed", "unresolved")}
     out = Path(args.out or f"BENCH_{args.name}.json")
+    host = host_facts()
+    last = newest_host(args.change, out)
+    if last and last[1].get("cpu_model") != host["cpu_model"]:
+        print(f"warning: this host's CPU is {host['cpu_model']!r}, "
+              f"{last[0]} was taken on {last[1].get('cpu_model')!r}; "
+              f"times from two hosts do not compare", file=sys.stderr)
     with open(out, "w") as f:
         json.dump({"name": args.name, "regressions": flagged["regressed"],
                    "unresolved": flagged["unresolved"],
-                   "bytecode": bytecode, "workloads": workloads}, f,
-                  indent=1)
+                   "bytecode": bytecode, "host": host,
+                   "workloads": workloads}, f, indent=1)
         f.write("\n")
     print(f"wrote {out}")
     return 0
