@@ -58,7 +58,10 @@ list (see _BlockData's cs and ws).
 Every solve and every report runs on ReducedNewtonOperator or
 WoodburyNewtonOperator, at every problem size, as _make_backend
 chooses.  Their solve and solve_t take a right-hand side of shape (dim,)
-or a stack of columns, shape (dim, m), on one code path.
+or a stack of columns, shape (dim, m), on one code path.  Structure,
+not storage, picks the backend (_sparse_diagonal, _coordinate_rows);
+storage picks only splu or dense LU, and sparse or dense rows
+(_border, _curvature, GT, s_rows).
 
 One analysis per build, _split_blocks, finds where U is a permuted
 direct sum of one 2x2 or 3x3 block per x coordinate (_SplitU), as in the
@@ -319,8 +322,7 @@ class _BlockData:
                 (signs[ri] * signs[rj], (np.arange(ri.size), idx)),
                 shape=(ri.size, self.len))
             return S @ G_block
-        out = _svec_rotation_rows(self.dec.P, pairs) @ G_block
-        return out.toarray() if sp.issparse(out) else np.asarray(out)
+        return to_dense(_svec_rotation_rows(self.dec.P, pairs) @ G_block)
 
 
 def _block_split(decomps, variant):
@@ -423,8 +425,8 @@ class ReducedNewtonOperator:
         if self.singular:
             return
         if self.split is None:
-            w = _sparse_diagonal(self.W) if sp.issparse(self.W) else None
-            self.split = _split_blocks(self.blocks, w, self.J, self.G)
+            self.split = _split_blocks(self.blocks, _sparse_diagonal(self.W),
+                                       self.J, self.G)
         if self.split is not None:
             # the split's verdict and sigma_min; U^{-1} waits for a solve
             self.singular = self.split.singular
@@ -628,22 +630,19 @@ def _lanczos_sigma_min(dim, solve, solve_t):
 def separable_diagonal(problem, z):
     """Hessian diagonal when the bordered-identity solve applies, else None.
 
-    The fast path needs three structural facts: no equality constraints,
-    a constant identity cone Jacobian, and a diagonal Hessian.  The core
-    it factors has one row per non-unit diagonal entry, at any count of
+    The fast path needs three structural facts, read from patterns in
+    any storage: no equality constraints, a constant identity cone
+    Jacobian, and a diagonal Hessian (_sparse_diagonal).  The core it
+    factors has one row per non-unit diagonal entry, at any count of
     them.  Every w must also lie in [0, 1], so that each core is positive
     semidefinite (see WoodburyNewtonOperator); other w solve exactly on
     ReducedNewtonOperator.
     """
-    if problem.eq_dim or problem.jac_g_matrix is None \
-            or problem.hess_matrix_fn is None:
+    if problem.eq_dim or problem.hess_matrix_fn is None \
+            or problem.jac_g_matrix is None \
+            or not _is_identity(problem.jac_g_matrix):
         return None
-    G = problem.jac_g_matrix
-    if not sp.issparse(G) or G.shape != (problem.x_dim,) * 2 \
-            or not _is_identity(G):
-        return None
-    W = hess_matrix_of(problem, z.x, z.xi, z.Gamma)
-    w = _sparse_diagonal(W) if sp.issparse(W) else None
+    w = _sparse_diagonal(hess_matrix_of(problem, z.x, z.xi, z.Gamma))
     if w is None or not np.all((w >= 0.0) & (w <= 1.0)):
         return None
     return np.asarray(w, dtype=float)
@@ -667,40 +666,48 @@ def _make_backend(problem, z, variant, decomps):
 
 
 def _sparse_diagonal(M):
-    """The diagonal of a square sparse M with no nonzero entry off it, else
-    None.  Duplicates are summed first (on a copy), and explicit zeros are
-    no entries: then M is diagonal when d holds all its nonzero entries."""
+    """The diagonal of a square M, dense or sparse, that holds all its
+    nonzero entries (a nan is one), else None.  A sparse M's duplicates
+    are summed first, on a copy, and a stored zero is no entry."""
     if M.shape[0] != M.shape[1]:
         return None
-    M = M.tocsr()
-    if not M.has_canonical_format:
-        M = M.copy()
-        M.sum_duplicates()
-    d = M.diagonal()
-    return d if np.count_nonzero(M.data) == np.count_nonzero(d) else None
+    if sp.issparse(M):
+        M = M.tocsr()
+        if not M.has_canonical_format:
+            M = M.copy()
+            M.sum_duplicates()
+        d, nonzero = M.diagonal(), np.count_nonzero(M.data)
+    else:
+        d, nonzero = np.diagonal(M).copy(), np.count_nonzero(M)
+    return d if nonzero == np.count_nonzero(d) else None
 
 
 def _coordinate_rows(C):
-    """(cols, vals, independent) for a sparse C whose rows hold one stored
-    entry at most, read in canonical form (duplicates summed first, on a
-    copy): the column and the value of each stored entry, in row order,
-    and whether every row holds one entry on a column that no other row
-    reads, which makes the rows orthogonal and independent.  A stored
-    zero counts as an entry.  None for a dense C or a row with two
-    entries."""
-    if not sp.issparse(C):
-        return None
-    C = C.tocsr()
-    if not C.has_canonical_format:
-        C = C.copy()
-        C.sum_duplicates()
+    """(cols, vals, independent) for a C whose rows hold one entry at
+    most, else None: the column and value of each entry in row order, and
+    whether every row holds one entry on a column of its own, which makes
+    the rows orthogonal and independent.  The entries are a dense C's
+    nonzeros, or a sparse C's stored values, duplicates summed (on a
+    copy)."""
     m = C.shape[0]
-    per_row = np.diff(C.indptr)
+    if sp.issparse(C):
+        C = C.tocsr()
+        if not C.has_canonical_format:
+            C = C.copy()
+            C.sum_duplicates()
+        per_row, cols, vals = np.diff(C.indptr), C.indices, C.data
+    else:
+        C = np.asarray(C)
+        # more entries than rows: some row holds two
+        if np.count_nonzero(C) > m:
+            return None
+        r, cols = np.nonzero(C)
+        per_row, vals = np.bincount(r, minlength=m), C[r, cols]
     if np.any(per_row > 1):
         return None
-    independent = C.nnz == m and (
-        m == 0 or np.bincount(C.indices).max() == 1)
-    return C.indices, C.data, bool(independent)
+    independent = vals.size == m and (
+        m == 0 or np.bincount(cols).max() == 1)
+    return cols, vals, bool(independent)
 
 
 def _split_blocks(blocks, w, J, G):
@@ -850,7 +857,7 @@ def _sigma_3x3(N):
 
 
 def _is_identity(G):
-    """(G.tocsr() - I).count_nonzero() == 0 for a square sparse G."""
+    """True when G, dense or sparse, is a square identity matrix."""
     d = _sparse_diagonal(G)
     return d is not None and bool(np.all(d == 1.0))
 
@@ -1220,13 +1227,6 @@ def reuse_compatible(cached, problem, z_new, decomps, variant):
 
 
 def _same_matrix(A, B):
-    if sp.issparse(A) != sp.issparse(B):
-        return False
-    if sp.issparse(A):
-        if A.shape != B.shape:
-            return False
-        diff = (A - B).tocoo()
-        return diff.nnz == 0 or float(np.max(np.abs(diff.data))) == 0.0
-    A = np.asarray(A)
-    B = np.asarray(B)
-    return A.shape == B.shape and np.array_equal(A, B)
+    """A and B hold the same values, in any storage: |A - B| sums to zero
+    exactly when A - B has no nonzero entry, a nan reading as one."""
+    return A.shape == B.shape and float(abs(A - B).sum()) == 0.0

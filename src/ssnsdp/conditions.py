@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .problem import (_validate_point, hess_matrix_of, jac_g_matrix_of,
-                      jac_h_matrix_of)
+                      jac_h_matrix_of, to_dense)
 # assemble_U and min_singular_value: unused here, kept for perfbench's spans
 from .kkt import (assemble_U, cone_decompositions, kkt_residual,
                   min_singular_value)
@@ -118,9 +118,9 @@ def _constraint_rows(problem, z, blocks, G):
 def _row_split(C):
     """(null, sigma): the directions on which the rows C have a singular
     value of at most CHECK_TOL, and C's smallest singular value (+inf with
-    no rows, 0.0 with more rows than columns or an empty sparse row).
-    Sparse rows of one entry at most (_coordinate_rows) read both off
-    their columns, null as the column indices of 2-norm at most
+    no rows, 0.0 with more rows than columns or a row with no entry).
+    Rows of one entry at most (_coordinate_rows), dense or sparse, read
+    both off their columns, null as the column indices of 2-norm at most
     CHECK_TOL; other rows take one SVD of C, not of C C', which would
     square their conditioning."""
     m, n = C.shape
@@ -132,9 +132,9 @@ def _row_split(C):
         dependent = not independent
         smallest = np.min(np.abs(vals), initial=np.inf)
     else:
-        sparse = sp.issparse(C)
-        dependent = m > n or (sparse and 0 in np.diff(C.indptr))
-        _, s, vt = scipy.linalg.svd(C.toarray() if sparse else C)
+        C = to_dense(C)
+        dependent = m > n or not C.any(axis=1).all()
+        _, s, vt = scipy.linalg.svd(C)
         null = vt[np.count_nonzero(s > CHECK_TOL):].T
         smallest = np.min(s, initial=np.inf)
     return null, (float("inf") if m == 0 else 0.0 if dependent
@@ -157,12 +157,12 @@ def _second_order_margin(null, K):
         return float("inf")
     if null.ndim == 2:
         M = np.asarray(null.T @ (K @ null))
-    elif not sp.issparse(K):
-        M = np.asarray(K)[np.ix_(null, null)]
     elif (d := _sparse_diagonal(K)) is not None:
         return float(np.min(d[null]))
-    else:
+    elif sp.issparse(K):
         M = K.tocsr()[null][:, null].toarray()
+    else:
+        M = np.asarray(K)[np.ix_(null, null)]
     M = 0.5 * (M + M.T)
     return float(scipy.linalg.eigvalsh(M)[0])
 

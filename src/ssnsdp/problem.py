@@ -12,7 +12,7 @@ Derivative evaluators are callables (Jacobian actions and adjoints plus a
 Lagrangian Hessian action).  Problems whose derivatives are constant may
 also carry explicit matrices, which the solver and the condition checkers
 use to avoid column-by-column reconstruction; dense and scipy.sparse
-matrices are both accepted there.
+matrices are both accepted there, and read alike, by their pattern.
 """
 
 import json

@@ -525,19 +525,22 @@ def test_check_table_and_csv(capsys):
 def test_unconverged_sigma_prints_nan(monkeypatch, capsys, tmp_path):
     # above 30 unknowns, sigma_min comes from Lanczos wherever the Newton
     # matrix does not split into closed-form blocks, and one apply cannot
-    # converge it: ex5 6/4 (110 unknowns) given as a QSDP file, whose dense
-    # matrices never split, and the first row of an ex5 30/20 run from a
-    # start far from the solution
+    # converge it: ex5 6/4 (110 unknowns) given as a QSDP file with one
+    # off-diagonal pair added to its diagonal Q, which no closed form
+    # reads (c moves with it, so the point stays a KKT point), and the
+    # first row of an ex5 30/20 run from a start far from the solution
     monkeypatch.setattr(reduced_mod, "_LANCZOS_MAX_APPLIES", 1)
     problem, sol = catalog("ex5", l1=6, l2=4)
     N = problem.x_dim
     c = problem.grad_f(np.zeros(N))
+    pair = np.zeros((N, N))
+    pair[0, 1] = pair[1, 0] = 0.5
     path = tmp_path / "ex5.json"
     save_qsdp(path, {
         "x_dim": N, "eq_dim": 0, "cone_blocks": [10],
-        "Q": np.diag(problem.grad_f(np.ones(N)) - c).tolist(),
-        "c": c.tolist(), "H": [], "p": [], "G": np.eye(N).tolist(),
-        "q": [0.0] * N})
+        "Q": (np.diag(problem.grad_f(np.ones(N)) - c) + pair).tolist(),
+        "c": (c - pair @ sol.z_bar.x).tolist(), "H": [], "p": [],
+        "G": np.eye(N).tolist(), "q": [0.0] * N})
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"x": sol.z_bar.x.tolist(), "xi": [],
                                  "gamma_svec": [0.0] * N}))

@@ -19,6 +19,7 @@ from ssnsdp._reduced import (  # noqa: E402
     _SINGULAR_RCOND,
     _SplitU,
     _coordinate_rows,
+    _sparse_diagonal,
 )
 from ssnsdp.conditions import (  # noqa: E402
     CHECK_TOL,
@@ -75,14 +76,21 @@ def projector(null, n):
 @settings(deadline=None, derandomize=True)
 @given(single_entry_rows(), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_coordinate_and_svd_paths_agree(C, seed, diagonal):
-    """The coordinate pass over C and the SVD of C.toarray() give the
+    """The coordinate pass over C and an SVD of C.toarray() give the
     same independence verdict, the same margin when independent, the
     same null space, and the same second-order margin on it, for a
-    random symmetric curvature, dense and CSR (diagonal or not)."""
-    n = C.shape[1]
+    random symmetric curvature, dense and CSR (diagonal or not).  The
+    dense twin of C takes the coordinate pass too, with the same
+    result."""
+    m, n = C.shape
     null, sigma = _row_split(C)
-    basis, dense_sigma = _row_split(C.toarray())
-    assert null.ndim == 1 and basis.ndim == 2
+    dense_null, dense_split_sigma = _row_split(C.toarray())
+    assert np.array_equal(dense_null, null) and dense_split_sigma == sigma
+    _, s, vt = scipy.linalg.svd(C.toarray())
+    basis = vt[np.count_nonzero(s > CHECK_TOL):].T
+    # more rows than columns are dependent, whatever the SVD reads
+    dense_sigma = 0.0 if m > n else np.min(s, initial=np.inf)
+    assert null.ndim == 1
     assert (sigma <= CHECK_TOL) == (dense_sigma <= CHECK_TOL)
     if sigma > CHECK_TOL:
         assert_allclose(sigma, dense_sigma, rtol=1e-12)
@@ -179,7 +187,8 @@ def test_split_inverse_is_the_exact_rule_and_the_inverse(blocks, seed):
 ])
 def test_coordinate_rows_that_are_not_independent(rows):
     """Rows with a shared column or an empty row read as dependent
-    coordinate rows; a row with two entries is no coordinate row."""
+    coordinate rows; a row with two entries is no coordinate row.  The
+    dense twin reads as the CSR rows do."""
     B = sp.csr_matrix(rows, shape=(len(rows[2]) - 1, 3))
     got = _coordinate_rows(B)
     if np.diff(B.indptr).max() > 1:
@@ -187,7 +196,53 @@ def test_coordinate_rows_that_are_not_independent(rows):
     else:
         assert not got[2]
         assert np.array_equal(got[0], B.indices)
-    assert _coordinate_rows(B.toarray()) is None
+    assert_same_reading(_coordinate_rows(B.toarray()), got)
+
+
+def assert_same_reading(a, b):
+    """Two results of _sparse_diagonal or of _coordinate_rows are equal,
+    None included, a nan value matching a nan."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    if isinstance(a, tuple):
+        assert np.array_equal(a[0], b[0]) and a[2] == b[2]
+        a, b = a[1], b[1]
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+@st.composite
+def csr_matrices(draw):
+    """CSR matrices with no stored zero: diagonal, with one entry a row at
+    most, or of any pattern, with values of any sign and size, nan
+    included."""
+    kind = draw(st.sampled_from(["diagonal", "coordinate", "any"]))
+    m = draw(st.integers(0, 8))
+    n = m if kind == "diagonal" else draw(st.integers(1, 8))
+    rows = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    if kind == "diagonal":
+        cells = {(i, i) for i in rows}
+    elif kind == "coordinate":
+        cells = {(i, draw(st.integers(0, n - 1))) for i in rows}
+    else:
+        cells = {(i, draw(st.integers(0, n - 1)))
+                 for i in draw(st.lists(st.sampled_from(sorted(rows)),
+                                        max_size=20))} if rows else set()
+    value = st.floats(allow_infinity=False).filter(lambda v: v != 0.0)
+    cells = sorted(cells)
+    vals = [draw(value) for _ in cells]
+    return sp.csr_matrix((vals, ([i for i, _ in cells],
+                                 [j for _, j in cells])), shape=(m, n))
+
+
+@settings(deadline=None, derandomize=True)
+@given(csr_matrices())
+def test_dense_twin_reads_as_csr(C):
+    """_sparse_diagonal and _coordinate_rows read a CSR matrix with no
+    stored zero and its dense twin alike."""
+    assert C.nnz == np.count_nonzero(C.data)
+    for read in (_sparse_diagonal, _coordinate_rows):
+        assert_same_reading(read(C.toarray()), read(C))
 
 
 def test_coordinate_rows_read_canonical_form():

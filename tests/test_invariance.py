@@ -1,8 +1,8 @@
 """Invariance properties: transform a problem and its points, and the
 solver and the regularity report give the same answer.
 
-Both transformations act on the Newton matrix by an orthogonal map, U' =
-T U T', so every sigma_min stays too:
+The first two act on the Newton matrix by an orthogonal map, U' = T U
+T', so every sigma_min stays too:
 
 - cone rotation: each cone block by a seeded orthogonal Q, g -> Q'gQ,
   Gamma -> Q'Gamma Q, and the cone Jacobian G -> svec_rotation(Q) G.  G
@@ -11,10 +11,15 @@ T U T', so every sigma_min stays too:
   which cross-checks them;
 - reordering: permute the x coordinates and the equality rows.  Every
   structure survives it, so a split U then reads a cone Jacobian that
-  is a permutation other than the identity.
+  is a permutation other than the identity;
+- storage: every constant matrix, the equality and cone Jacobians and
+  the Hessian's value, swapped between dense and CSR.  U does not change
+  at all, and structure, not storage, picks the backend, so the backend
+  class and whether U splits must agree too.
 
 Statuses, step counts, singularity verdicts and report flags must agree
-exactly, and every sigma_min to 1e-10 relative.
+exactly, and every sigma_min to 1e-10 relative.  A problem rebuilt from
+its dense matrices through qsdp_problem takes the catalog's backend.
 """
 
 import dataclasses
@@ -22,9 +27,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ssnsdp.catalog import catalog  # noqa: E402
 from ssnsdp.conditions import regularity_report  # noqa: E402
@@ -32,7 +38,9 @@ from ssnsdp.linalg_sym import svec_rotation  # noqa: E402
 from ssnsdp.problem import (  # noqa: E402
     BlockSymMatrix,
     KktPoint,
+    jac_h_matrix_of,
     perturbed_start,
+    qsdp_problem,
     to_dense,
 )
 from ssnsdp.solver import (  # noqa: E402
@@ -107,7 +115,29 @@ def reordered(problem, seed):
     return new, lambda z: KktPoint(z.x[p], z.xi[s], z.Gamma)
 
 
-TRANSFORM = st.sampled_from([rotated, reordered])
+def flip(M):
+    """M in the other storage: CSR for a dense M, dense for a sparse one."""
+    return to_dense(M) if sp.issparse(M) else sp.csr_matrix(M)
+
+
+def swapped(problem, seed):
+    """(problem, point map) with the equality and cone Jacobians and the
+    Hessian's value swapped between dense and CSR storage; points map to
+    themselves.  seed is unused: the swap has no choice to make."""
+    J, G, hess = (problem.jac_h_matrix, problem.jac_g_matrix,
+                  problem.hess_matrix_fn)
+    new = dataclasses.replace(
+        problem,
+        jac_h_matrix=None if J is None else flip(J),
+        jac_g_matrix=None if G is None else flip(G),
+        hess_matrix_fn=None if hess is None else (
+            lambda x, xi, Gam: flip(hess(x, xi, Gam))),
+        qsdp_data=None)
+    return new, lambda z: z
+
+
+TRANSFORMS = [rotated, reordered, swapped]
+TRANSFORM = st.sampled_from(TRANSFORMS)
 
 
 def assert_same_sigma(a, b):
@@ -132,12 +162,17 @@ def test_solves_are_invariant(case, transform, variant, magnitude, seed):
         assert_same_sigma(ra.sigma_min, rb.sigma_min)
 
 
+# storage swaps that always run, whatever the search draws: ex5's
+# separable Hessian and ex2's split U must be read in either storage
+@example(case=CASES[1], transform=swapped, magnitude=0.1, seed=0)
+@example(case=CASES[2], transform=swapped, magnitude=3.0, seed=1)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=CASE, transform=TRANSFORM,
        magnitude=st.sampled_from([0.1, 1.0, 3.0]), seed=st.integers(0, 7))
 def test_clarke_midpoint_is_invariant(case, transform, magnitude, seed):
     """The backend at t = 0.5 on a corrected start: the same verdict and
-    sigma_min."""
+    sigma_min, and under a storage swap the same backend class and
+    split."""
     problem, sol = catalog(case[0], **case[1])
     new, move = transform(problem, seed)
     start = perturbed_start(sol.z_bar, magnitude, seed)
@@ -147,9 +182,18 @@ def test_clarke_midpoint_is_invariant(case, transform, magnitude, seed):
         ops.append(_make_backend(p, z, 0.5, decomps))
     assert ops[0].singular == ops[1].singular
     assert_same_sigma(ops[0].sigma_min(), ops[1].sigma_min())
+    if transform is swapped:
+        assert_same_backend(*ops)
 
 
-@pytest.mark.parametrize("transform", [rotated, reordered])
+def assert_same_backend(a, b):
+    """The same backend class, and a split U on both or on neither."""
+    assert type(a) is type(b)
+    assert (getattr(a, "split", None) is None) == (
+        getattr(b, "split", None) is None)
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_reports_are_invariant(case, transform):
     """The report at the mapped KKT point: the same four flags, the same
@@ -168,3 +212,35 @@ def test_reports_are_invariant(case, transform):
                                                 is None)
     if a.clarke_mid_sigma_min is not None:
         assert_same_sigma(a.clarke_mid_sigma_min, b.clarke_mid_sigma_min)
+
+
+def as_qsdp(problem):
+    """problem rebuilt through qsdp_problem from its matrices at x = 0,
+    every one of them dense, as a QSDP file holds them."""
+    x = np.zeros(problem.x_dim)
+    return qsdp_problem({
+        "x_dim": problem.x_dim, "eq_dim": problem.eq_dim,
+        "cone_blocks": problem.cone_blocks,
+        "Q": to_dense(problem.hess_matrix_fn(x, None, None)),
+        "c": problem.grad_f(x), "H": to_dense(jac_h_matrix_of(problem, x)),
+        "p": -np.asarray(problem.h(x), dtype=float),
+        "G": to_dense(problem.jac_g_matrix), "q": -problem.g(x).svec()})
+
+
+@pytest.mark.parametrize("case,variant", [
+    (("ex5", {"l1": 20, "l2": 10}), "U0"),
+    (("ex1", {"l1": 20, "l2": 10}), "UI")], ids=["ex5", "ex1"])
+def test_a_qsdp_rebuild_takes_the_catalog_backend(case, variant):
+    """ex5 and ex1 at 20/10 rebuilt from dense matrices: at the solution
+    and at a corrected start, the catalog's backend class and split, the
+    same verdict and the same sigma_min."""
+    problem, sol = catalog(case[0], **case[1])
+    rebuilt = as_qsdp(problem)
+    for z in (sol.z_bar, perturbed_start(sol.z_bar, 0.1, 1)):
+        ops = []
+        for p in (problem, rebuilt):
+            zc, _, decomps = _correct_with_decomps(p, z, 0.5)
+            ops.append(_make_backend(p, zc, variant, decomps))
+        assert_same_backend(*ops)
+        assert ops[0].singular == ops[1].singular
+        assert_same_sigma(ops[0].sigma_min(), ops[1].sigma_min())

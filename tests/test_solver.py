@@ -2210,10 +2210,20 @@ def test_a_solve_frees_each_refused_backend_before_the_next_build(
     assert alive == [[False] * i for i in range(len(built))]
 
 
-def test_a_reusable_backend_is_built_once_and_kept(monkeypatch):
-    """ex1 under UI, where V = I: one build, which the next row reuses as
-    the same object."""
-    problem, sol = catalog("ex1", l1=6, l2=4)
+def alternating_format(hess_matrix_fn):
+    """hess_matrix_fn whose value comes out dense on every other call."""
+    calls = []
+
+    def fn(*args):
+        calls.append(None)
+        W = hess_matrix_fn(*args)
+        return W.toarray() if len(calls) % 2 else W
+    return fn
+
+
+def assert_built_once_and_reused(problem, sol, monkeypatch):
+    """The UI solve from a 0.3 start builds one reusable backend and
+    reuses that object on its second row."""
     built, _ = backend_lifetimes(monkeypatch)
     reused = []
 
@@ -2231,30 +2241,31 @@ def test_a_reusable_backend_is_built_once_and_kept(monkeypatch):
     assert reused == [True]
 
 
-def alternating_format(hess_matrix_fn):
-    """hess_matrix_fn whose value comes out dense on every other call."""
-    calls = []
+def test_a_reusable_backend_is_built_once_and_kept(monkeypatch):
+    """ex1 under UI, where V = I: one build, which the next row reuses as
+    the same object."""
+    problem, sol = catalog("ex1", l1=6, l2=4)
+    assert_built_once_and_reused(problem, sol, monkeypatch)
 
-    def fn(*args):
-        calls.append(None)
-        W = hess_matrix_fn(*args)
-        return W.toarray() if len(calls) % 2 else W
-    return fn
+
+def test_a_hessian_that_changes_storage_is_reused(monkeypatch):
+    """As test_a_reusable_backend_is_built_once_and_kept, with a Hessian
+    that comes out dense at one call and CSR at the next: reuse compares
+    values, so the one build is still reused."""
+    problem, sol = catalog("ex1", l1=6, l2=4)
+    problem = dataclasses.replace(
+        problem, hess_matrix_fn=alternating_format(problem.hess_matrix_fn))
+    assert_built_once_and_reused(problem, sol, monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["hess_matrix_fn", "jac_g_matrix",
-                                  "jac_h_matrix", "hessian-format"])
+                                  "jac_h_matrix"])
 def test_reuse_refuses_matrices_that_may_change(case, monkeypatch):
     """ex1 under UI, as in test_a_reusable_backend_is_built_once_and_kept,
-    with one constant matrix dropped, or a Hessian that changes format
-    between calls: reuse_compatible refuses every reusable backend, and
-    the solve builds once per row."""
+    with one constant matrix dropped: reuse_compatible refuses every
+    reusable backend, and the solve builds once per row."""
     problem, sol = catalog("ex1", l1=6, l2=4)
-    changed = {case: None}
-    if case == "hessian-format":
-        changed = {"hess_matrix_fn":
-                   alternating_format(problem.hess_matrix_fn)}
-    problem = dataclasses.replace(problem, **changed)
+    problem = dataclasses.replace(problem, **{case: None})
     built, _ = backend_lifetimes(monkeypatch)
     refused = []
 
@@ -2271,7 +2282,10 @@ def test_reuse_refuses_matrices_that_may_change(case, monkeypatch):
     assert refused == [False, True]
 
 
-def test_reuse_refuses_a_cached_hessian_of_another_format_or_shape():
+def test_reuse_reads_a_cached_hessian_by_value():
+    """The cached Hessian is compared by value in any storage: its dense
+    twin is the same matrix; another shape, one entry moved, or a nan
+    is not."""
     problem, sol = catalog("ex1", l1=6, l2=4)
     z = correct(perturbed_start(sol.z_bar, 0.3, seed=0), problem, 0.5)
     decomps = cone_decompositions(problem, z)
@@ -2279,9 +2293,16 @@ def test_reuse_refuses_a_cached_hessian_of_another_format_or_shape():
     assert sp.issparse(op.W)
     assert reuse_compatible(op, problem, z, decomps, "UI")
     W = op.W
-    for cached in (W.toarray(), W[:-1, :-1]):
-        op.W = cached
-        assert not reuse_compatible(op, problem, z, decomps, "UI")
+    op.W = W.toarray()
+    assert reuse_compatible(op, problem, z, decomps, "UI")
+    for value in (1e-300, np.nan):
+        moved = W.toarray()
+        moved[0, 1] += value
+        for cached in (moved, sp.csr_matrix(moved)):
+            op.W = cached
+            assert not reuse_compatible(op, problem, z, decomps, "UI")
+    op.W = W[:-1, :-1]
+    assert not reuse_compatible(op, problem, z, decomps, "UI")
 
 
 # ---------------------------------------------------------------------------
