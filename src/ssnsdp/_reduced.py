@@ -59,9 +59,9 @@ Every solve and every report runs on ReducedNewtonOperator or
 WoodburyNewtonOperator, at every problem size, as _make_backend
 chooses.  Their solve and solve_t take a right-hand side of shape (dim,)
 or a stack of columns, shape (dim, m), on one code path.  Structure,
-not storage, picks the backend (_sparse_diagonal, _coordinate_rows);
-storage picks only splu or dense LU, and sparse or dense rows
-(_border, _curvature, GT, s_rows).
+not storage, picks the backend (_sparse_diagonal, _coordinate_rows) and
+a signed permutation's exact rows (s_rows); storage picks only kernels:
+splu or dense LU, CSR or dense rows (_border, _curvature, GT, s_rows).
 
 One analysis per build, _split_blocks, finds where U is a permuted
 direct sum of one 2x2 or 3x3 block per x coordinate (_SplitU), as in the
@@ -310,19 +310,19 @@ class _BlockData:
     def s_rows(self, pairs, G_block):
         """Rows of the eigenbasis-rotated cone Jacobian for the given svec
         pairs: row (i, j) maps dx to the svec entry (i, j) of
-        P' smat(G dx) P.  Sparse when the block Jacobian is sparse and
-        the eigenbasis is a signed permutation, which is searched for only
-        then; dense otherwise."""
-        perm = sp.issparse(G_block) and self.perm
-        if perm:
-            rows, signs = perm
-            ri, rj = self.iu[pairs], self.ju[pairs]
-            idx = _triu(self.n)[4][rows[ri] * self.n + rows[rj]]
-            S = sp.csr_matrix(
-                (signs[ri] * signs[rj], (np.arange(ri.size), idx)),
-                shape=(ri.size, self.len))
-            return S @ G_block
-        return to_dense(_svec_rotation_rows(self.dec.P, pairs) @ G_block)
+        P' smat(G dx) P.  For a signed-permutation eigenbasis (perm) it is
+        exactly signs[i] signs[j] times G's row at the svec pair (rows[i],
+        rows[j]): by index from a dense G, as S @ G from a sparse one."""
+        if self.perm is None:
+            return to_dense(_svec_rotation_rows(self.dec.P, pairs) @ G_block)
+        rows, signs = self.perm
+        ri, rj = self.iu[pairs], self.ju[pairs]
+        at = _triu(self.n)[4][rows[ri] * self.n + rows[rj]]
+        sign = signs[ri] * signs[rj]
+        if isinstance(G_block, np.ndarray):
+            return G_block[at] * sign[:, None]
+        return sp.csr_matrix((sign, (np.arange(ri.size), at)),
+                             shape=(ri.size, self.len)) @ G_block
 
 
 def _block_split(decomps, variant):

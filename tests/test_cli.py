@@ -650,9 +650,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 181
+    assert len(tool.COMMANDS) == 185
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 181
+    assert len(names) == 185
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])
@@ -664,8 +664,8 @@ def test_cli_outputs_inputs_load(tmp_path, capsys):
     the second with CN and W-SRCQ failing on dependent rows."""
     tool = cli_outputs_tool()
     tool.write_inputs(tmp_path)
-    qsdp, solution, start, dep_qsdp, dep_point, _ = (
-        str(tmp_path / name) for name in tool.INPUTS)
+    qsdp, solution, start, dep_qsdp, dep_point = (
+        str(tmp_path / name) for name in tool.INPUTS[:5])
     code, out, _ = run_cli(capsys, "check", "--qsdp", qsdp,
                            "--point", solution)
     assert code == 0 and "theorem_consistent: yes" in out
@@ -676,6 +676,43 @@ def test_cli_outputs_inputs_load(tmp_path, capsys):
     assert code == 0 and "problem: dependent_rows" in out
     assert "w_srcq  fails" in out and "cn      fails" in out
     assert "theorem_consistent: yes" in out
+
+
+def test_cli_outputs_ends_with_the_exit_code_tally(tmp_path, capsys,
+                                                  monkeypatch):
+    """The summary line counts the commands and each exit code it saw."""
+    tool = cli_outputs_tool()
+    monkeypatch.setattr(tool, "COMMANDS", [
+        ["check", "--example", "ex2", "--format", "json"],
+        ["run", "--example", "ex3", "--perturb", "1", "--seed", "2",
+         "--max-iter", "1", "--format", "csv"],
+        ["run", "--example", "ex3", "--variant", "UI", "--point",
+         "ex3.start_svec.json", "--format", "csv"],
+        ["run", "--example", "ex3", "--variant", "UI", "--point",
+         "ex3.start.json", "--format", "csv"]])
+    tool.main([str(tmp_path)])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == (f"outputs in {tmp_path}: 4 commands "
+                    "(1 exit 0, 2 exit 3, 1 exit 4)")
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex5"])
+def test_cli_outputs_qsdp_twin_checks_as_the_catalog(tmp_path, capsys, name):
+    """The harness's dense-matrix QSDP twin of a catalog problem at 6/4
+    gives, at its solution, the catalog's check JSON in every field but
+    the problem's name."""
+    tool = cli_outputs_tool()
+    tool.write_inputs(tmp_path)
+    reports = []
+    for source in (["--qsdp", str(tmp_path / f"{name}.qsdp.json"), "--point",
+                    str(tmp_path / f"{name}.solution.json")],
+                   ["--example", name, "--l1", "6", "--l2", "4"]):
+        code, out, _ = run_cli(capsys, "check", *source, "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0].pop("problem") == f"{name}_qsdp"
+    assert reports[1].pop("problem") == name
+    assert reports[0] == reports[1]
 
 
 def test_cli_outputs_start_reads_the_same_as_gamma_svec(tmp_path):

@@ -15,11 +15,18 @@ T', so every sigma_min stays too:
 - storage: every constant matrix, the equality and cone Jacobians and
   the Hessian's value, swapped between dense and CSR.  U does not change
   at all, and structure, not storage, picks the backend, so the backend
-  class and whether U splits must agree too.
+  class and whether U splits must agree too, and where an eigenbasis is
+  a signed permutation, the rotated rows of G are read exactly in
+  either storage.
 
 Statuses, step counts, singularity verdicts and report flags must agree
 exactly, and every sigma_min to 1e-10 relative.  A problem rebuilt from
 its dense matrices through qsdp_problem takes the catalog's backend.
+
+Row scaling, the equality rows by positive factors s, is no orthogonal
+map: U' = diag(I, S, I) U diag(I, 1/S, I).  Statuses, step counts and
+flags stay, and a sigma_min reads zero on both sides or on neither, but
+its value may move.
 """
 
 import dataclasses
@@ -32,12 +39,15 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from ssnsdp._reduced import _block_split, _border, _curvature  # noqa: E402
 from ssnsdp.catalog import catalog  # noqa: E402
 from ssnsdp.conditions import regularity_report  # noqa: E402
 from ssnsdp.linalg_sym import svec_rotation  # noqa: E402
 from ssnsdp.problem import (  # noqa: E402
     BlockSymMatrix,
     KktPoint,
+    hess_matrix_of,
+    jac_g_matrix_of,
     jac_h_matrix_of,
     perturbed_start,
     qsdp_problem,
@@ -212,6 +222,106 @@ def test_reports_are_invariant(case, transform):
                                                 is None)
     if a.clarke_mid_sigma_min is not None:
         assert_same_sigma(a.clarke_mid_sigma_min, b.clarke_mid_sigma_min)
+
+
+def points(problem, sol):
+    """The KKT point and starts from magnitudes 0.1 and 1, seeds 0-2, each
+    corrected as a solve's first row corrects it, with its decompositions."""
+    out = []
+    for z in [sol.z_bar] + [perturbed_start(sol.z_bar, magnitude, seed)
+                            for magnitude in (0.1, 1.0) for seed in range(3)]:
+        z, _, decomps = _correct_with_decomps(problem, z, SolverParams().delta)
+        out.append((z, decomps))
+    return out
+
+
+def rotated_rows(problem, z, blocks):
+    """_border and _curvature at z, dense."""
+    G = jac_g_matrix_of(problem, z.x)
+    return (to_dense(_border(jac_h_matrix_of(problem, z.x), blocks, G)),
+            to_dense(_curvature(hess_matrix_of(problem, z.x, z.xi, z.Gamma),
+                                blocks, G)))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_signed_permutation_rows_are_exact_in_either_storage(case):
+    """Wherever every block with T nonempty has a signed-permutation
+    eigenbasis, each rotated row is exactly +-1 times a row of G, so the
+    border and the curvature of a problem and of its storage twin are
+    equal entry for entry, under U0, UI and t = 0.5."""
+    problem, sol = catalog(case[0], **case[1])
+    twin, _ = swapped(problem, 0)
+    read = 0
+    for z, decomps in points(problem, sol):
+        for variant in ("U0", "UI", 0.5):
+            blocks = _block_split(decomps, variant)
+            if any(b.T.size and b.perm is None for b in blocks):
+                continue
+            read += 1
+            for a, b in zip(rotated_rows(problem, z, blocks),
+                            rotated_rows(twin, z, blocks)):
+                np.testing.assert_array_equal(a, b)
+    assert read
+
+
+def scaled(problem, seed):
+    """(problem, point map) for the equality rows scaled by seeded
+    s = exp(U(-2, 2)): h -> s o h and J -> diag(s) J, so xi -> xi / s, and
+    the Hessian reads the old one at s o xi."""
+    rng = np.random.default_rng(seed)
+    s = np.exp(rng.uniform(-2.0, 2.0, problem.eq_dim))
+    J, hess = problem.jac_h_matrix, problem.hess_matrix_fn
+    old = problem
+    new = dataclasses.replace(
+        problem,
+        h=lambda x: s * np.asarray(old.h(x)),
+        jac_h=lambda x, v: s * np.asarray(old.jac_h(x, v)),
+        jac_h_adj=lambda x, w: old.jac_h_adj(x, s * w),
+        hess_lagrangian=lambda x, xi, Gam, v: old.hess_lagrangian(
+            x, s * xi, Gam, v),
+        jac_h_matrix=None if J is None else sp.diags(s) @ J,
+        hess_matrix_fn=None if hess is None else (
+            lambda x, xi, Gam: hess(x, s * xi, Gam)),
+        qsdp_data=None)
+    return new, lambda z: KktPoint(z.x, z.xi / s, z.Gamma)
+
+
+def same_zero(a, b):
+    """A sigma_min that reads zero (singular) on both sides or on neither."""
+    assert (a == 0.0) == (b == 0.0)
+
+
+@pytest.mark.parametrize("case", [
+    ("ex1", {"l1": 6, "l2": 4}), ("ex1", {"l1": 12, "l2": 8}), ("ex2", {}),
+    ("ex7", {})], ids=["ex1-6-4", "ex1-12-8", "ex2", "ex7"])
+def test_row_scaling_keeps_statuses_steps_and_flags(case):
+    """Equality rows scaled by seeded factors, seeds 0-5: every solve from
+    magnitudes 0.1, 1 and 3 under U0 and UI keeps its status, its step
+    count and which trace rows read singular; the report at the mapped
+    KKT point keeps its four flags and which sigma_min read zero."""
+    problem, sol = catalog(case[0], **case[1])
+    for seed in range(6):
+        new, move = scaled(problem, seed)
+        for magnitude in (0.1, 1.0, 3.0):
+            start = perturbed_start(sol.z_bar, magnitude, seed)
+            for variant in ("U0", "UI"):
+                params = SolverParams(variant=variant)
+                a = ssn_solve(problem, start, params)
+                b = ssn_solve(new, move(start), params)
+                assert a.status == b.status
+                assert len(a.trace) == len(b.trace)
+                for ra, rb in zip(a.trace, b.trace):
+                    same_zero(ra.sigma_min, rb.sigma_min)
+        a = regularity_report(problem, sol.z_bar)
+        b = regularity_report(new, move(sol.z_bar))
+        for flag in ("w_soc", "s_sosc", "w_srcq", "cn"):
+            assert getattr(a, flag).holds == getattr(b, flag).holds
+        same_zero(a.u0_sigma_min, b.u0_sigma_min)
+        same_zero(a.ui_sigma_min, b.ui_sigma_min)
+        assert (a.clarke_mid_sigma_min is None) == (
+            b.clarke_mid_sigma_min is None)
+        if a.clarke_mid_sigma_min is not None:
+            same_zero(a.clarke_mid_sigma_min, b.clarke_mid_sigma_min)
 
 
 def as_qsdp(problem):

@@ -1855,10 +1855,11 @@ def test_block_data_reads_the_classes_as_ranges():
 def test_rows_near_a_signed_permutation_are_dense():
     """An eigenbasis 1e-8 of a rotation away from a signed permutation:
     every column's largest entry is 1 to within 1e-13, but more than n
-    entries exceed 1e-13, so it is no signed permutation, and with a
-    sparse G the rotated rows come out dense and equal to the svec
-    rotation rows.  The permutation itself, a 4-cycle and so not its own
-    inverse, gives the same rows sparse."""
+    entries exceed 1e-13, so it is no signed permutation, and the rotated
+    rows are the dense svec rotation rows, from a sparse G and from its
+    dense twin alike.  The permutation itself, a 4-cycle and so not its
+    own inverse, reads +-1 times rows of G exactly: sparse from the
+    sparse G, dense from the dense one, and equal bit for bit."""
     n = 4
     perm = np.eye(n)[[2, 0, 3, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
     t = 1e-8
@@ -1868,15 +1869,23 @@ def test_rows_near_a_signed_permutation_are_dense():
     G = sp.random(svec_len(n), 5, density=0.5, random_state=0,
                   format="csr")
     pairs = np.arange(svec_len(n))
-    for P, sparse_rows in ((perm @ rot, False), (perm, True)):
+    for P, exact in ((perm @ rot, False), (perm, True)):
         dec = SpectralDecomposition(P=P, lam=lam, alpha=np.arange(2),
                                     beta=np.arange(0), gamma=np.arange(2, 4))
         assert np.all(np.abs(np.abs(P).max(axis=0) - 1.0) <= 1e-13)
-        assert (reduced_mod._signed_permutation(P) is None) != sparse_rows
+        assert (reduced_mod._signed_permutation(P) is None) != exact
+        want = svec_rotation(P)[pairs] @ G.toarray()
         rows = _BlockData(dec, "U0").s_rows(pairs, G)
-        assert sp.issparse(rows) == sparse_rows
-        assert_allclose(to_dense(rows), svec_rotation(P)[pairs] @ G.toarray(),
-                        rtol=0, atol=1e-13)
+        dense = _BlockData(dec, "U0").s_rows(pairs, G.toarray())
+        assert sp.issparse(rows) == exact and not sp.issparse(dense)
+        assert_allclose(to_dense(rows), want, rtol=0, atol=1e-13)
+        if exact:
+            # + 0.0 reads a signed zero as zero
+            assert (dense + 0.0).tobytes() == rows.toarray().tobytes()
+            assert set(np.abs(dense[dense != 0])) <= set(np.abs(G.data))
+        else:
+            assert np.array_equal(dense, reduced_mod._svec_rotation_rows(
+                P, pairs) @ G.toarray())
 
 
 @pytest.mark.parametrize("name,params,sparse_border", [

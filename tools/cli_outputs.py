@@ -8,11 +8,13 @@ command's exit code in OUTDIR/exit_codes.txt.  Commands that read a file
 name one of INPUTS; the files are written first, by the checkout under
 test, into OUTDIR/inputs, and the output name keeps only the bare file
 name.  It prints the package directory it imported, so a run shows which
-checkout it measured.  Every output is deterministic, so two checkouts
-agree byte for byte exactly when `diff -r` of their OUTDIRs is empty.
+checkout it measured, and ends with the count of commands and of each
+exit code seen.  Every output is deterministic, so two checkouts agree
+byte for byte exactly when `diff -r` of their OUTDIRs is empty.
 """
 
 import argparse
+import collections
 import json
 from pathlib import Path
 
@@ -20,10 +22,14 @@ EXAMPLES = ("ex1", "ex2", "ex3", "ex4_primal", "ex4_dual", "ex5", "ex7")
 
 # ex3 as a QSDP file, its solution, and a start perturbed from it; a QSDP
 # with dependent equality rows and its KKT point; the same start with its
-# multiplier as gamma_svec
+# multiplier as gamma_svec; then ex1 and ex5 at 6/4 as QSDP files of dense
+# matrices (qsdp_twin), each with its solution and a start
 INPUTS = ("ex3.qsdp.json", "ex3.solution.json", "ex3.start.json",
           "dependent.qsdp.json", "dependent.point.json",
-          "ex3.start_svec.json")
+          "ex3.start_svec.json",
+          "ex1.qsdp.json", "ex1.solution.json", "ex1.start.json",
+          "ex5.qsdp.json", "ex5.solution.json", "ex5.start.json")
+TWINS = (("ex1", "UI", INPUTS[6:9]), ("ex5", "U0", INPUTS[9:12]))
 
 
 def dependent_rows():
@@ -45,6 +51,31 @@ def dependent_rows():
                                                        [0.0, 0.0]]]}
 
 
+def qsdp_twin(name):
+    """(data, solution) for the catalog's name at 6/4 as QSDP data, every
+    matrix dense, read off at x = 0 as a QSDP file holds them."""
+    import numpy as np
+    from ssnsdp.catalog import catalog
+    from ssnsdp.problem import jac_h_matrix_of, to_dense
+    problem, sol = catalog(name, l1=6, l2=4)
+    x = np.zeros(problem.x_dim)
+    data = {"name": f"{name}_qsdp", "x_dim": problem.x_dim,
+            "eq_dim": problem.eq_dim, "cone_blocks": problem.cone_blocks,
+            "Q": to_dense(problem.hess_matrix_fn(x, None, None)),
+            "c": problem.grad_f(x),
+            "H": to_dense(jac_h_matrix_of(problem, x)),
+            "p": -np.asarray(problem.h(x), dtype=float),
+            "G": to_dense(problem.jac_g_matrix), "q": -problem.g(x).svec()}
+    return data, sol
+
+
+def write_point(path, z):
+    """z as a point file, its multiplier as Gamma."""
+    raw = {"x": z.x.tolist(), "xi": z.xi.tolist(),
+           "Gamma": [b.tolist() for b in z.Gamma.blocks]}
+    path.write_text(json.dumps(raw) + "\n")
+
+
 def write_inputs(indir):
     """Write the INPUTS files into indir with the imported package."""
     from ssnsdp.catalog import catalog
@@ -52,16 +83,19 @@ def write_inputs(indir):
     problem, sol = catalog("ex3")
     save_qsdp(indir / INPUTS[0], problem.qsdp_data)
     start = perturbed_start(sol.z_bar, 0.5, seed=3)
-    for name, z in ((INPUTS[1], sol.z_bar), (INPUTS[2], start)):
-        raw = {"x": z.x.tolist(), "xi": z.xi.tolist(),
-               "Gamma": [b.tolist() for b in z.Gamma.blocks]}
-        (indir / name).write_text(json.dumps(raw) + "\n")
+    write_point(indir / INPUTS[1], sol.z_bar)
+    write_point(indir / INPUTS[2], start)
     raw = {"x": start.x.tolist(), "xi": start.xi.tolist(),
            "gamma_svec": start.Gamma.svec().tolist()}
     (indir / INPUTS[5]).write_text(json.dumps(raw) + "\n")
     data, point = dependent_rows()
     save_qsdp(indir / INPUTS[3], data)
     (indir / INPUTS[4]).write_text(json.dumps(point) + "\n")
+    for name, _, (qsdp, solution, start) in TWINS:
+        data, sol = qsdp_twin(name)
+        save_qsdp(indir / qsdp, data)
+        write_point(indir / solution, sol.z_bar)
+        write_point(indir / start, perturbed_start(sol.z_bar, 0.3, seed=1))
 
 
 def _commands():
@@ -106,7 +140,7 @@ def _commands():
                             "--variant", variant, "--no-correction",
                             "--perturb", "1", "--seed", str(seed),
                             "--format", "json"])
-    qsdp, solution, start, dep_qsdp, dep_point, start_svec = INPUTS
+    qsdp, solution, start, dep_qsdp, dep_point, start_svec = INPUTS[:6]
     for fmt in ("json", "csv", "table"):
         out.append(["check", "--qsdp", qsdp, "--point", solution,
                     "--format", fmt])
@@ -143,6 +177,13 @@ def _commands():
                 start, "--format", "csv"])
     out.append(["run", "--example", "ex3", "--variant", "UI", "--point",
                 start_svec, "--format", "csv"])
+    # dense-matrix twins of catalog problems: the report must read as the
+    # catalog's, and the run takes the catalog's backend
+    for _, variant, (twin, twin_solution, twin_start) in TWINS:
+        out.append(["check", "--qsdp", twin, "--point", twin_solution,
+                    "--format", "json"])
+        out.append(["run", "--qsdp", twin, "--point", twin_start,
+                    "--variant", variant, "--format", "csv"])
     return out
 
 
@@ -164,13 +205,16 @@ def main(argv=None):
     indir.mkdir(parents=True, exist_ok=True)
     write_inputs(indir)
     codes = []
+    tally = collections.Counter()
     for cmd in COMMANDS:
         name = output_name(cmd)
         argv = [str(indir / a) if a in INPUTS else a for a in cmd]
         code = cli_main(argv + ["--output", str(args.outdir / name)])
         codes.append(f"{name} {code}\n")
+        tally[code] += 1
     (args.outdir / "exit_codes.txt").write_text("".join(codes))
-    print(f"{len(COMMANDS)} commands, outputs in {args.outdir}")
+    counts = ", ".join(f"{n} exit {code}" for code, n in sorted(tally.items()))
+    print(f"outputs in {args.outdir}: {len(COMMANDS)} commands ({counts})")
 
 
 if __name__ == "__main__":
