@@ -67,9 +67,10 @@ One analysis per build, _split_blocks, finds where U is a permuted
 direct sum of one 2x2 or 3x3 block per x coordinate (_SplitU), as in the
 nearest-correlation setting of Qi and Sun (SIAM J. Matrix Anal. Appl.
 28 (2006) 360-385): every row of the ex1-reduced benchmark, and the ex1
-and ex5 reports at their KKT points.  Its blocks give the verdict,
-sigma_min and U^{-1}, one CSR matrix, so a solve is one product, with no
-K, border, R, Woodbury core or Lanczos run.
+and ex5 reports at their KKT points.  Its blocks are the build's only
+state: they give the verdict, sigma_min and the solve, each block's
+inverse applied in closed form, with no K, border, R, Woodbury core or
+Lanczos run; solve_t goes through the transpose identity above.
 
 The module also holds what the backends share with the assembled
 reference backend in solver.py.  _factor_with_rcond is the one
@@ -84,14 +85,11 @@ whose support is every pair of one index set, with one c on it, has a
 symmetric Kronecker core (_kronecker_core).  Both are judged by the same
 rule, reciprocal condition below _SINGULAR_RCOND against the scale of
 the terms, applied exactly (see WoodburyNewtonOperator).  R is solved
-sparse exactly when K and the border are, factored through splu, whose
-pivot ratio reads the same _SINGULAR_RCOND (SuperLU has no condition
-estimator).  splu relaxes supernodes to at most one column and works in
-one-column panels (relax=1, panel_size=1); neither setting changes the
-column order or the pivoting, so the fill and the verdict are those of
-the defaults.  Before any of these, the split included, R with more
-border rows [J; Gz] than x_dim reads singular by the count: its last
-columns, [B'; 0], have rank at most x_dim.
+sparse exactly when K and the border are, factored through splu (see
+_build), whose pivot ratio reads the same _SINGULAR_RCOND (SuperLU has
+no condition estimator).  Before any of these, the split included, R
+with more border rows [J; Gz] than x_dim reads singular by the count:
+its last columns, [B'; 0], have rank at most x_dim.
 
 sigma_min (_sigma_min) reads 0.0 when the build reads singular.  Where U
 does not split, _lanczos_sigma_min gives it, from the factorized solves:
@@ -428,7 +426,7 @@ class ReducedNewtonOperator:
             self.split = _split_blocks(self.blocks, _sparse_diagonal(self.W),
                                        self.J, self.G)
         if self.split is not None:
-            # the split's verdict and sigma_min; U^{-1} waits for a solve
+            # the split's verdict and sigma_min; its blocks solve
             self.singular = self.split.singular
             self._sigma = 0.0 if self.singular else self.split.sigma
             return
@@ -436,11 +434,14 @@ class ReducedNewtonOperator:
         B = _border(self.J, self.blocks, self.G)
         if sp.issparse(K) and sp.issparse(B):
             R = sp.bmat([[K, B.T], [B, None]], format="csc")
-            # No relaxed supernodes, one-column panels: chosen on ex1 at
-            # 90/60 (order 18 555, one BLAS thread, Xeon), where a
-            # factorization took 1.7 ms against 2.7 ms with the defaults and
-            # a solve 0.20 ms against 0.42 ms.  The default COLAMD order and
-            # pivoting stay, so the fill and the verdict do not change.
+            # One-column supernodes and panels keep COLAMD's order and the
+            # pivoting, so the defaults' fill and verdict.  Measured on ex1
+            # 90/60 (order 18 555, one BLAS thread, Xeon) before its rows
+            # split: a factorization took 1.7 ms against 2.7 ms with the
+            # defaults, a solve 0.20 against 0.42 ms.  No benchmark workload
+            # or CLI corpus command reaches splu now; only tests do: the
+            # storage twins of ex3, ex4 and ex7, the rotated ex1 and ex5
+            # reports, and hand-built sparse cases.
             try:
                 self._lu = spla.splu(R, relax=1, panel_size=1)
             except RuntimeError:
@@ -482,18 +483,11 @@ class ReducedNewtonOperator:
     # the cone part of the answer is u + back(C_ag o Gh + W), with
     # Gh = P' smat(G dx) P and W the multipliers w on the zer pairs.
 
-    @functools.cached_property
-    def _u_inv(self):
-        """U^{-1} of the split, written at the first solve, not by a report."""
-        if self.singular:
-            raise SingularSystemError()
-        return self.split.inverse(self.eq_dim)
-
     def solve(self, r):
         if self.singular:
             raise SingularSystemError()
         if self.split is not None:
-            return self._u_inv @ r
+            return self.split.solve(r)
         r1, r2, r3 = self._split(r)
         u = r3.copy()
         tail = []
@@ -518,8 +512,6 @@ class ReducedNewtonOperator:
 
     def solve_t(self, r):
         """U' d = r, as U^{-T} = S Q U^{-1} S Q^{-T} (module docstring)."""
-        if self.split is not None:
-            return self._u_inv.T @ r
         r1, r2, r3 = self._split(r)
         d = self.solve(np.concatenate([r1 - self.GT @ r3, r2, -r3]))
         d1, d2, d3 = self._split(d)
@@ -750,7 +742,7 @@ class _SplitU:
     singular value of the blocks, so U's, and scale their largest
     Frobenius norm, within sqrt(3) of ||U||_2.  U reads singular when
     sigma < _SINGULAR_RCOND max(1, scale): the shared rule, applied
-    exactly to the blocks."""
+    exactly to the blocks, which solve then inverts one by one."""
 
     def __init__(self, w, gcol, g, v, pin, a):
         x = w.size
@@ -779,36 +771,29 @@ class _SplitU:
             _sigma_3x3(self.N)]).min(initial=np.inf))
         self.singular = self.sigma < _SINGULAR_RCOND * max(1.0, self.scale)
 
-    def inverse(self, e):
-        """U^{-1} as one CSR matrix, for e equality rows: x coordinate j
-        at j, row r of J at x + r, cone coordinate i at x + e + i.  A free
+    def solve(self, r):
+        """U^{-1} r for r of shape (dim,) or (dim, m), block by block: x
+        coordinate j at j, row k of J at x + k (every row pins a
+        coordinate of its own), cone coordinate i at x + e + i.  A free
         block's inverse is its adjugate over det, a pinned one's N
-        (_pinned_inverse).  A row of J holds three entries, every other
-        row two (a pinned x coordinate's stores N's 0 at j)."""
-        x = self.cone.size
-        dim = 2 * x + e
-        idx = np.int32 if 2 * dim + e < 2 ** 31 else np.int64
-        f, j, rj = self.free, self.pin, np.arange(x, x + e)
+        (_pinned_inverse).  Each row sums its terms in the order x, J
+        row, cone, so a solve equals a sparse product with U^{-1}."""
+        x, e = self.cone.size, self.pin.size
+        r = np.asarray(r, dtype=float)
+        col = (slice(None),) + (None,) * (r.ndim - 1)
+        rx, rj, rc = r[:x], r[x:x + e], r[x + e:]
+        f, j = self.free, self.pin
         cf, cj = self.cone[f], self.cone[j]
-        indptr = np.concatenate([
-            np.arange(0, 2 * x, 2), np.arange(2 * x, 2 * x + 3 * e, 3),
-            np.arange(2 * x + 3 * e, 2 * dim + e + 1, 2)]).astype(idx)
-        indices = np.empty(2 * dim + e, dtype=idx)
-        data = np.empty(2 * dim + e)
-        # the x rows, the rows of J and the cone rows (in cone order)
-        (xi, ji, ci), (xv, jv, cv) = (
-            (a[:2 * x].reshape(x, 2), a[2 * x:2 * x + 3 * e].reshape(e, 3),
-             a[2 * x + 3 * e:].reshape(x, 2)) for a in (indices, data))
-        p, q, r, s = (m / self.det for m in self.pqrs)
-        ia, beta, c, d, iv = self.N
-        xi[:, 0] = np.arange(x)
-        xi[f, 1], xi[j, 1] = x + e + cf, rj
-        xv[f, 0], xv[f, 1], xv[j, 0], xv[j, 1] = s, -q, 0.0, ia
-        ji[:, 0], ji[:, 1], ji[:, 2] = j, rj, x + e + cj
-        jv[:, 0], jv[:, 1], jv[:, 2] = ia, beta, -c
-        ci[cf, 0], ci[cj, 0], ci[:, 1] = f, rj, np.arange(x + e, dim)
-        cv[cf, 0], cv[cf, 1], cv[cj, 0], cv[cj, 1] = -r, p, d, iv
-        return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+        p, q, t, s = (m[col] / self.det[col] for m in self.pqrs)
+        ia, beta, c, d, iv = (m[col] for m in self.N)
+        out = np.empty_like(r)
+        ox, oj, oc = out[:x], out[x:x + e], out[x + e:]
+        ox[f] = s * rx[f] - q * rc[cf]
+        ox[j] = ia * rj
+        oj[:] = ia * rx[j] + beta * rj - c * rc[cj]
+        oc[cf] = -t * rx[f] + p * rc[cf]
+        oc[cj] = d * rj + iv * rc[cj]
+        return out
 
 
 def _pinned_inverse(w, a, g, v):

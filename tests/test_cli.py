@@ -650,9 +650,9 @@ def test_cli_outputs_commands_parse():
     """Every command of the byte-identity list parses; a renamed flag or a
     dropped choice fails here, not in a comparison of two checkouts."""
     tool = cli_outputs_tool()
-    assert len(tool.COMMANDS) == 185
+    assert len(tool.COMMANDS) == 187
     names = {tool.output_name(cmd) for cmd in tool.COMMANDS}
-    assert len(names) == 185
+    assert len(names) == 187
     parser = cli_mod._parser()
     for cmd in tool.COMMANDS:
         args = parser.parse_args(cmd + ["--output", "out"])

@@ -1,9 +1,10 @@
 """Newton matrices that split into one 2x2 or 3x3 block per x coordinate
 (_reduced._split_blocks): the closed-form sigma_min matches the full SVD
-of the assembled matrix wherever U splits, and the closed-form U^{-1}
-its solves; the split replaces Lanczos, and every factorization, on ex1
-under UI and on the ex1 and ex5 reports at their KKT points, and it
-leaves the rows that do not split to Lanczos, bit for bit."""
+of the assembled matrix wherever U splits, and its block solves have a
+small backward error; the split replaces Lanczos, and every
+factorization, on ex1 under UI and on the ex1 and ex5 reports at their
+KKT points, and it leaves the rows that do not split to Lanczos, bit
+for bit."""
 
 import math
 from decimal import Decimal, localcontext
@@ -250,15 +251,27 @@ def build_parts(monkeypatch):
 
 def test_ex1_ui_rows_that_split_build_nothing_else(build_parts):
     """ex1 12/8 under UI near its solution: every row splits, and no K,
-    border, R factorization, Woodbury core or Lanczos run is made."""
+    border, R factorization, Woodbury core or Lanczos run is made; nor,
+    after a solve and a transpose solve, does a split row hold a matrix
+    of U's order (its blocks are all it keeps)."""
     calls, ops = build_parts
     problem, sol = catalog("ex1", l1=12, l2=8)
     res = ssn_solve(problem, perturbed_start(sol.z_bar, 0.3, 0),
                     SolverParams(variant="UI"))
     assert res.converged and ops
+    z, _, decomps = solver_mod._correct_with_decomps(
+        problem, perturbed_start(sol.z_bar, 0.1, 1), 0.5)
+    ops.append(reduced_mod._make_backend(problem, z, "UI", decomps))
     assert all(isinstance(op, ReducedNewtonOperator)
                and op.split is not None for op in ops)
     assert calls == []
+    for op in ops:
+        r = np.random.default_rng(5).standard_normal(op.dim)
+        op.solve(r)
+        op.solve_t(r)
+        held = [*vars(op).values(), *vars(op.split).values()]
+        assert all(getattr(h, "shape", None) != (op.dim, op.dim)
+                   for h in held)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex5"])

@@ -177,6 +177,12 @@ def _commands():
                 start, "--format", "csv"])
     out.append(["run", "--example", "ex3", "--variant", "UI", "--point",
                 start_svec, "--format", "csv"])
+    # ex5 8/5 under U0 from magnitude 10: two rows build a dense
+    # alpha-gamma Woodbury core and the last a Kronecker core
+    for seed in range(2):
+        out.append(["run", "--example", "ex5", "--l1", "8", "--l2", "5",
+                    "--variant", "U0", "--perturb", "10", "--seed", str(seed),
+                    "--format", "json"])
     # dense-matrix twins of catalog problems: the report must read as the
     # catalog's, and the run takes the catalog's backend
     for _, variant, (twin, twin_solution, twin_start) in TWINS:
